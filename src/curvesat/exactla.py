@@ -8,9 +8,9 @@ and reduced echelon forms and kernel bases are canonical, so repeated
 runs and both backends give identical output.
 
 The integer-level helpers (``rref_int``, ``kernel_int``, ``rref_insert``,
-``IncrementalSpan``) are the workhorses for the graded computations in
-the rest of the package, which keep all vectors as primitive integer
-lists.
+``rref_extend``, ``IncrementalSpan``) are the workhorses for the graded
+computations in the rest of the package, which keep all vectors as
+primitive integer lists.
 """
 
 from __future__ import annotations
@@ -75,6 +75,19 @@ def int_rows(vectors: Iterable[Sequence]) -> list[list[int]]:
     return [clear_row(v) for v in vectors]
 
 
+def primitive(vec: list[int]) -> list[int]:
+    """vec divided by its content (gcd of its entries); vec if that is 1."""
+    g = 0
+    for v in vec:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return vec
+    if g > 1:
+        return [v // g for v in vec]
+    return vec
+
+
 def rank_int(rows: list[list[int]], ncols: int) -> int:
     """Rank; consumes its argument."""
     return backend.rank_rows(rows, ncols)
@@ -111,15 +124,7 @@ def kernel_from_rref(pivots: Sequence[int], rows: Sequence[Sequence[int]],
         vec[fc] = scale
         for i, pc, v in touched:
             vec[pc] = -v * (scale // rows[i][pc])
-        g = 0
-        for v in vec:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g > 1:
-            vec = [v // g for v in vec]
-        out.append(vec)
+        out.append(primitive(vec))
     return out
 
 
@@ -148,15 +153,7 @@ def reduce_row(pivots: Sequence[int], rows: Sequence[Sequence[int]],
         mb = b // g
         for c in range(n):
             vec[c] = ma * vec[c] - mb * row[c]
-    g = 0
-    for v in vec:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
-    if g > 1:
-        vec = [v // g for v in vec]
-    return vec
+    return primitive(vec)
 
 
 def rref_insert(pivots: list[int], rows: list[list[int]], vec: list[int],
@@ -210,6 +207,75 @@ def rref_insert(pivots: list[int], rows: list[list[int]], vec: list[int],
     return True
 
 
+def rref_extend(pivots: Sequence[int], rows: list[list[int]],
+                vecs: Iterable[Sequence[int]], ncols: int):
+    """Canonical RREF (pivots, rows) of span(rows) + span(vecs).
+
+    (pivots, rows) must be a canonical RREF; its rows are consumed.
+    Each row of a canonical RREF is zero at every other pivot, so a
+    vector v is reduced in one step, L*v - sum (L/a_i) v[p_i] row_i with
+    L the lcm of the pivot entries a_i it hits, and its residual lives
+    on the free columns alone.  The residuals are row-reduced on those
+    columns only, and each old row is then cleared of the new pivot
+    columns in one combined update.
+    """
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    residuals = []
+    for vec in vecs:
+        hits = [(row, vec[pc], row[pc])
+                for pc, row in zip(pivots, rows) if vec[pc]]
+        scale = lcm(*(a for _, _, a in hits))
+        res = [scale * vec[c] for c in free]
+        for row, b, a in hits:
+            m = (scale // a) * b
+            for j, c in enumerate(free):
+                v = row[c]
+                if v:
+                    res[j] -= m * v
+        if any(res):
+            residuals.append(res)
+    npiv, nred = rref_int(residuals, len(free))
+    if not npiv:
+        return list(pivots), rows
+
+    new_pivots = [free[j] for j in npiv]
+    new_rows = []
+    for red in nred:
+        row = [0] * ncols
+        for j, v in enumerate(red):
+            if v:
+                row[free[j]] = v
+        new_rows.append(row)
+
+    # an old row keeps its pivot and the free columns left after this step
+    taken = set(new_pivots)
+    rest = [c for c in free if c not in taken]
+    for i, (pc, row) in enumerate(zip(pivots, rows)):
+        hits = [(new, row[q], new[q])
+                for q, new in zip(new_pivots, new_rows) if row[q]]
+        if not hits:
+            continue
+        scale = lcm(*(a for _, _, a in hits))
+        if scale != 1:
+            row[pc] *= scale
+            for c in rest:
+                row[c] *= scale
+        for new, b, a in hits:
+            m = (scale // a) * b
+            for c in rest:
+                v = new[c]
+                if v:
+                    row[c] -= m * v
+        for q in new_pivots:
+            row[q] = 0
+        rows[i] = primitive(row)
+
+    merged = sorted(zip(list(pivots) + new_pivots, rows + new_rows),
+                    key=lambda t: t[0])
+    return [pc for pc, _ in merged], [row for _, row in merged]
+
+
 class IncrementalSpan:
     """Growing row span with cheap membership tests.
 
@@ -251,15 +317,7 @@ class IncrementalSpan:
         lead, res = self._residual(list(vec))
         if lead < 0:
             return False
-        g = 0
-        for v in res:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g > 1:
-            res = [v // g for v in res]
-        insort(self._rows, (lead, res))
+        insort(self._rows, (lead, primitive(res)))
         return True
 
 

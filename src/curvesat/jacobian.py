@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 from .errors import (KmaxExhaustedError, NonReducedInputError,
                      SmoothCurveError, WrongShapeError, ZeroPolynomialError)
-from .exactla import (IncrementalSpan, kernel_int, rank_int, rref_insert,
-                      rref_int)
+# rref_insert is unused here but stays bound: perfbench/spans.py patches
+# this module's name
+from .exactla import (IncrementalSpan, kernel_int, rank_int,  # noqa: F401
+                      rref_extend, rref_insert, rref_int)
 from .poly import (HomogeneousPoly, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
 
@@ -96,6 +98,8 @@ class FormsIdeal:
         self.e = degs.pop()
         self.kmax = kmax
         self._rref: dict[int, tuple] = {}
+        # (degree, new rows) of the top slice built so far, see rref_at
+        self._new_rows: tuple = (None, [])
         self._kernel: dict[int, list] = {}
 
     # -- ideal slices ---------------------------------------------------
@@ -118,11 +122,20 @@ class FormsIdeal:
     def rref_at(self, k: int):
         """Canonical RREF (pivots, rows) of the degree-k slice.
 
-        Slices are chained upward: above the generator degree the slice
-        is spanned by the variable shifts of the canonical rows one
-        degree down, which stay far smaller than raw generator
-        multiples, so each degree costs one insertion pass instead of a
-        from-scratch elimination.
+        Slices are chained upward from the generator degree e.  The x
+        shift re-indexes a slice into the next one without moving any
+        index, so RREF(J_(k-1)) padded with zeros is the RREF of
+        x*J_(k-1).  Let N_k be the rows of RREF(J_k) whose pivot is not
+        such an x-shifted pivot (at k = e, all of RREF(J_e)); then
+        J_k = x*J_(k-1) + span N_k.  So y*J_(k-1) = xy*J_(k-2) +
+        y*span N_(k-1) lies in x*J_(k-1) + y*span N_(k-1), likewise for
+        z, and
+
+            J_k = x*J_(k-1) + y*span N_(k-1) + z*span N_(k-1).
+
+        Each degree above e is one ``rref_extend`` of the padded rows
+        by the y and z shifts of N_(k-1) alone; only the top degree's
+        N is kept.
         """
         got = self._rref.get(k)
         if got is None:
@@ -138,24 +151,28 @@ class FormsIdeal:
     def _build_rref(self, k: int) -> None:
         if k <= self.e:
             got = rref_int(self.columns(k), slice_dim(k))
+            if k == self.e:
+                self._new_rows = (k, got[1])
         else:
+            top, new = self._new_rows
+            assert top == k - 1, "slices are built upward one degree at a time"
             ppiv, prows = self._rref[k - 1]
             ncols = slice_dim(k)
-            # the x shift is the identity re-indexing into the longer
-            # slice, so the previous rows seed the echelon unchanged
-            pad = ncols - slice_dim(k - 1)
-            pivots = list(ppiv)
-            rows = [list(r) + [0] * pad for r in prows]
+            pad = [0] * (ncols - slice_dim(k - 1))
             maps = shift_maps(k - 1)
+            vecs = []
             for var in (1, 2):
                 sh = maps[var]
-                for r in prows:
+                for r in new:
                     vec = [0] * ncols
                     for i, v in enumerate(r):
                         if v:
                             vec[sh[i]] = v
-                    rref_insert(pivots, rows, vec, ncols)
-            got = (pivots, rows)
+                    vecs.append(vec)
+            got = rref_extend(ppiv, [list(r) + pad for r in prows], vecs,
+                              ncols)
+            old = set(ppiv)
+            self._new_rows = (k, [r for pc, r in zip(*got) if pc not in old])
         self._rref[k] = got
 
     def quotient_dim_at(self, k: int) -> int:

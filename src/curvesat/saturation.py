@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import (BaseWindowNotFoundError, NotCodimensionTwoError,
                      WrongShapeError)
-from .exactla import clear_row, kernel_int, rref_insert
-from .jacobian import (CurveData, FormsIdeal, GradedSubspace,
-                       shift_block_vector)
+# clear_row is unused here but stays bound: perfbench/spans.py patches
+# this module's name
+from .exactla import (clear_row, kernel_int, primitive,  # noqa: F401
+                      rref_extend, rref_insert)
+from .jacobian import CurveData, FormsIdeal, shift_block_vector
 from .poly import primitivize, shift_maps, slice_dim
 
 
@@ -79,29 +81,28 @@ class SaturationEngine:
         comp_here = [c for c in range(dim_here) if c not in pivset]
         ipivset = set(ipiv)
         comp_next = [c for c in range(dim_next) if c not in ipivset]
-        np_index = {c: j for j, c in enumerate(comp_next)}
         piv_index = {c: i for i, c in enumerate(ipiv)}
 
         # matrix of (x,y,z)-multiplication from the J_k complement into
         # the quotient by I_(k+1); its kernel lifts to the new slice
+        # (the entry at a target monomial that is a pivot of I_(k+1) is
+        # -irows[i][npc] / irows[i][ipiv[i]]; each row is scaled to
+        # integers by the lcm of the pivot entries it touches)
         shifts = shift_maps(k)
         rows = []
         for var in range(3):
             sh = shifts[var]
             targets = [sh[t0] for t0 in comp_here]
-            for j, npc in enumerate(comp_next):
-                row = []
-                for t in targets:
-                    if t == npc:
-                        row.append(Fraction(1))
-                    else:
-                        i = piv_index.get(t)
-                        if i is None:
-                            row.append(Fraction(0))
-                        else:
-                            row.append(Fraction(-irows[i][npc],
-                                                irows[i][ipiv[i]]))
-                rows.append(clear_row(row))
+            at_pivot = [(u, piv_index[t]) for u, t in enumerate(targets)
+                        if t in piv_index]
+            for npc in comp_next:
+                hits = [(u, irows[i][npc], irows[i][ipiv[i]])
+                        for u, i in at_pivot if irows[i][npc]]
+                scale = lcm(*(a for _, _, a in hits))
+                row = [scale if t == npc else 0 for t in targets]
+                for u, b, a in hits:
+                    row[u] = -b * (scale // a)
+                rows.append(primitive(row))
         kern = kernel_int(rows, len(comp_here))
 
         extras = []
@@ -112,11 +113,8 @@ class SaturationEngine:
             extras.append(vec)
         self.extras[k] = extras
 
-        piv = list(jpiv)
-        rws = [list(r) for r in jrows]
-        for vec in extras:
-            rref_insert(piv, rws, vec, dim_here)
-        self._irref[k] = (piv, rws)
+        self._irref[k] = rref_extend(jpiv, [list(r) for r in jrows], extras,
+                                     dim_here)
 
 
 @dataclass
@@ -130,7 +128,6 @@ class SaturationData:
     n_table: list           # quotient dimensions for degrees 0..top
     sigma: int | None       # least degree with nonzero quotient
     nu: int                 # maximal quotient dimension
-    slices: GradedSubspace  # canonical saturated slices up to kmax
     engine: SaturationEngine
 
     def end_degree(self) -> int | None:
@@ -145,10 +142,7 @@ def _wrap(engine: SaturationEngine, forms, degree: int, top: int,
     nonzero = [k for k, n in enumerate(table) if n]
     sigma = nonzero[0] if nonzero else None
     nu = max(table) if table else 0
-    slices = GradedSubspace((0,), {
-        k: [list(r) for r in engine.i_rref(k)[1]] for k in range(kmax + 1)})
-    return SaturationData(forms, degree, top, kmax, table, sigma, nu,
-                          slices, engine)
+    return SaturationData(forms, degree, top, kmax, table, sigma, nu, engine)
 
 
 def saturate(f, kmax: int | None = None) -> SaturationData:
@@ -254,8 +248,12 @@ def lefschetz_check(f, ell: tuple | None = None, max_attempts: int = 5,
     Multiplication by a general linear form ell is expected to have full
     rank min(n_s, n_(s+1)) in every degree (true for nearly free curves;
     informational otherwise).  Candidate forms have small random integer
-    coefficients and are resampled on failure, up to max_attempts.
+    coefficients and are resampled on failure, up to max_attempts, which
+    must then be at least 1.
     """
+    if ell is None and max_attempts < 1:
+        raise WrongShapeError(
+            f"max_attempts must be at least 1, got {max_attempts}")
     sat = f if isinstance(f, SaturationData) else saturate(f)
     engine = sat.engine
     table = sat.n_table

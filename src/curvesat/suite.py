@@ -8,7 +8,8 @@ Each property only counts curves where its hypothesis applies, so the
 summary reports applicable counts rather than the raw curve total.
 
 Set CURVESAT_THREADS to a value above 1 to analyze curves in worker
-processes.  Results are deterministic for a fixed seed either way.
+processes, at most one per CPU.  Results are deterministic for a fixed
+seed either way.
 """
 
 from __future__ import annotations
@@ -134,10 +135,12 @@ def _run_one(task):
 
 
 def _worker_count() -> int:
+    """CURVESAT_THREADS clamped to 1..os.cpu_count(); 1 when unset."""
     try:
-        return max(1, int(os.environ.get("CURVESAT_THREADS", "")))
+        wanted = int(os.environ.get("CURVESAT_THREADS", ""))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def _run_tasks(tasks):

@@ -15,6 +15,7 @@ from curvesat.exactla import (
     quotient_dim,
     rank_int,
     reduce_row,
+    rref_extend,
     rref_insert,
     rref_int,
 )
@@ -117,6 +118,13 @@ def test_rref_insert_matches_batch(mat):
     bpiv, brows = rref_int([list(v) for v in rows], ncols)
     assert pivots == bpiv
     assert built == brows
+    # so does extending the RREF of the first half by the rest at once
+    half = len(rows) // 2
+    hpiv, hrows = rref_int([list(v) for v in rows[:half]], ncols)
+    epiv, erows = rref_extend(hpiv, hrows, [list(v) for v in rows[half:]],
+                              ncols)
+    assert epiv == bpiv
+    assert erows == brows
 
 
 @given(int_matrices())

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvesat import catalog
 from curvesat.errors import NonReducedInputError, SmoothCurveError
 from curvesat.exactla import rref_int
 from curvesat.jacobian import (
     CurveData,
+    FormsIdeal,
     ar_min_generators,
     ar_slices,
     ct,
@@ -17,8 +19,8 @@ from curvesat.jacobian import (
     smooth_reference_dims,
     tjurina,
 )
-from curvesat.parsing import parse_poly
-from curvesat.poly import monomial_basis, slice_dim
+from curvesat.parsing import Arrangement, parse_poly
+from curvesat.poly import monomial_basis, primitivize, slice_dim
 
 FERMAT3 = "x^3 + y^3 + z^3"
 EX1_D4 = "y^4 + x*z^3"
@@ -106,15 +108,47 @@ def test_late_syzygy_generator_needs_full_scan():
     assert sorted(cd.ar_min_generators(early_stop=False)[0]) == [5, 5, 5, 8]
 
 
-def test_rref_chain_matches_from_scratch():
+# three cubics that are not the partials of one curve, with content
+THREE_FORMS = ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")
+
+
+def _ideal(name):
+    if name == "three-forms":
+        # the FormsIdeal saturate_three_forms builds for these forms
+        return FormsIdeal([primitivize(parse_poly(t)) for t in THREE_FORMS],
+                          3 * 3 + 2)
+    if name == "ex1-d4":
+        return CurveData(parse_poly(EX1_D4))
+    obj = catalog.load(name)
+    return CurveData(obj.product() if isinstance(obj, Arrangement) else obj)
+
+
+def _assert_cold(ideal, k):
+    piv, rows = ideal.rref_at(k)
+    cpiv, crows = rref_int(ideal.columns(k), slice_dim(k))
+    assert list(piv) == list(cpiv)
+    assert [list(r) for r in rows] == [list(r) for r in crows]
+
+
+@pytest.mark.parametrize("name", ["ex1-d4", "generic-5", "braid", "nf-d7-k3",
+                                  "fermat-5", "three-forms"])
+def test_rref_chain_matches_from_scratch(name):
     # chained slice updates above the generator degree must agree with a
     # cold elimination of the raw generator multiples
-    cd = CurveData(parse_poly(EX1_D4))
-    for k in range(cd.e, 8):
-        piv, rows = cd.rref_at(k)
-        cpiv, crows = rref_int(cd.columns(k), slice_dim(k))
-        assert list(piv) == list(cpiv)
-        assert [list(r) for r in rows] == [list(r) for r in crows]
+    ideal = _ideal(name)
+    for k in range(ideal.e, ideal.kmax + 1):
+        _assert_cold(ideal, k)
+
+
+def test_rref_chain_survives_a_slice_below_the_generator_degree():
+    # the saturation descent reads slices below e after the chain has
+    # been built above it; that must not disturb the chain's state
+    cd = CurveData(catalog.load("generic-5").product())
+    top = cd.e + 3
+    cd.rref_at(top)
+    assert cd.rref_at(cd.e - 1) == ([], [])
+    for k in range(top + 1, cd.kmax + 1):
+        _assert_cold(cd, k)
 
 
 coeffs = st.integers(min_value=-3, max_value=3)

@@ -3,7 +3,7 @@ generic hyperplane rank profiles."""
 
 import pytest
 
-from curvesat.errors import NotCodimensionTwoError
+from curvesat.errors import NotCodimensionTwoError, WrongShapeError
 from curvesat.parsing import parse_poly
 from curvesat.poly import partials
 from curvesat.saturation import (
@@ -130,3 +130,11 @@ def test_lefschetz_smooth_full_module():
     assert out.ranks == [1, 3, 1]
     assert out.expected == [1, 3, 1]
     assert out.pattern_ok
+
+
+def test_lefschetz_needs_at_least_one_sampled_form():
+    sat = saturate(parse_poly(EX1_D4))
+    with pytest.raises(WrongShapeError, match="max_attempts"):
+        lefschetz_check(sat, max_attempts=0)
+    # a given form is not sampled, so no attempt budget is needed
+    assert lefschetz_check(sat, ell=(0, 1, 0), max_attempts=0).pattern_ok

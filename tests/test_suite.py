@@ -1,5 +1,6 @@
 """Property sweep over the catalog plus random arrangements."""
 
+import os
 import random
 import time
 
@@ -7,7 +8,8 @@ import pytest
 
 from curvesat import catalog
 from curvesat.parsing import parse_arrangement
-from curvesat.suite import property_names, random_arrangement_text, run_suite
+from curvesat.suite import (_worker_count, property_names,
+                            random_arrangement_text, run_suite)
 
 EXPECTED_PROPERTIES = [
     "lefschetz-inequalities",
@@ -66,3 +68,13 @@ def test_run_suite_small_sweep():
     assert set(data["curves"]) == {r.name for r in result.records}
     assert [p["name"] for p in data["properties"]] == EXPECTED_PROPERTIES
     assert all(p["failures"] == [] for p in data["properties"])
+
+
+def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
+    # reads the setting only; no worker process is started
+    monkeypatch.setenv("CURVESAT_THREADS", str(10 ** 9))
+    assert _worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("CURVESAT_THREADS", "-3")
+    assert _worker_count() == 1
+    monkeypatch.setenv("CURVESAT_THREADS", "many")
+    assert _worker_count() == 1
