@@ -128,16 +128,15 @@ def emit_json(report: CurveReport) -> str:
     return json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n"
 
 
-def analyze(obj, *, kmax: int | None = None, timing: bool = False,
-            name: str | None = None,
+def analyze(obj, *, timing: bool = False, name: str | None = None,
             irreducible: bool | None = None) -> CurveReport:
     """Run the whole pipeline on a polynomial or an arrangement."""
-    return analyze_full(obj, kmax=kmax, timing=timing, name=name,
+    return analyze_full(obj, timing=timing, name=name,
                         irreducible=irreducible)[0]
 
 
-def analyze_full(obj, *, kmax: int | None = None, timing: bool = False,
-                 name: str | None = None, irreducible: bool | None = None):
+def analyze_full(obj, *, timing: bool = False, name: str | None = None,
+                 irreducible: bool | None = None):
     """Like ``analyze`` but also returns the curve and saturation data,
     so callers can run further checks without recomputing."""
     times: dict = {}
@@ -167,7 +166,7 @@ def analyze_full(obj, *, kmax: int | None = None, timing: bool = False,
         combi_json = None
         is_arrangement = False
 
-    cd = CurveData(f, kmax=kmax)
+    cd = CurveData(f)
     tau = clock("jacobian", cd.tjurina)
     r = cd.mdr()
     try:
@@ -218,9 +217,8 @@ def analyze_full(obj, *, kmax: int | None = None, timing: bool = False,
     return report, cd, sat
 
 
-def analyze_catalog(entry_name: str, *, kmax: int | None = None,
-                    timing: bool = False) -> CurveReport:
+def analyze_catalog(entry_name: str, *, timing: bool = False) -> CurveReport:
     from . import catalog
     e = catalog.entry(entry_name)
-    return analyze(catalog.load(entry_name), kmax=kmax, timing=timing,
+    return analyze(catalog.load(entry_name), timing=timing,
                    name=e.name, irreducible=e.irreducible)

@@ -1,27 +1,8 @@
-"""Row reduction backend selection.
+"""Name of the row reduction kernel.
 
-The compiled extension is used when present; set CURVESAT_BACKEND=python
-to force the pure-Python fallback, or CURVESAT_BACKEND=c to require the
-extension (ImportError if it was not built).  Both backends implement the
-same algorithm with identical canonical output.
+There is one kernel, the pure-Python one in ``exactla``.  The constant
+stays because ``perfbench/run.py`` records it in every result and
+``perfbench/compare.py`` refuses to compare runs whose tags differ.
 """
 
-import os
-
-from . import _core_py
-
-_choice = os.environ.get("CURVESAT_BACKEND", "auto").strip().lower()
-
-if _choice in ("c", "compiled", "ext"):
-    from . import _core as _impl
-elif _choice in ("py", "python", "pure"):
-    _impl = _core_py
-else:
-    try:
-        from . import _core as _impl
-    except ImportError:
-        _impl = _core_py
-
-BACKEND = _impl.BACKEND
-rank_rows = _impl.rank
-rref_rows = _impl.rref
+BACKEND = "python"

@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="file with one linear form per line")
     src.add_argument("--catalog", metavar="NAME",
                      help="built-in fixture name")
-    pa.add_argument("--kmax", type=int, default=None,
-                    help="override the 3d-3 truncation bound")
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument("--timing", action="store_true",
                     help="include wall-clock phase times in the report")
@@ -80,8 +78,8 @@ def _cmd_analyze(args) -> int:
         obj = parse_poly(args.poly)
         name = None
         irreducible = None
-    report = analyze(obj, kmax=args.kmax, timing=args.timing,
-                     name=name, irreducible=irreducible)
+    report = analyze(obj, timing=args.timing, name=name,
+                     irreducible=irreducible)
     if args.format == "json":
         sys.stdout.write(emit_json(report))
     else:

@@ -57,10 +57,6 @@ class BaseWindowNotFoundError(CurvesatError):
     """Saturation recursion could not certify its starting degree."""
 
 
-class SubspaceNotContainedError(CurvesatError):
-    pass
-
-
 class FreenessCheckFailedError(CurvesatError):
     """A computed resolution failed its Hilbert series cross-check."""
 
@@ -75,6 +71,10 @@ class WrongShapeError(CurvesatError):
 
 class BadExponentError(CurvesatError):
     pass
+
+
+class InconsistentCombinatoricsError(CurvesatError):
+    """Intersection points do not account for every pair of lines exactly once."""
 
 
 class InconsistentClassificationError(CurvesatError):

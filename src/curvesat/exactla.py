@@ -1,63 +1,37 @@
-"""Exact linear algebra over the rationals.
+"""Exact integer linear algebra: one fraction-free elimination kernel.
 
-Public entry points take matrices of ``Fraction`` entries; internally
-every row is scaled to integers (scaling a row changes neither the row
-span nor the kernel) and handed to the fraction-free elimination backend.
-Everything is deterministic: pivoting is first-nonzero in column order,
-and reduced echelon forms and kernel bases are canonical, so repeated
-runs and both backends give identical output.
+There is one kernel, in pure Python, and no Fraction entry points:
+every vector is a list of Python ints.  Rational input is cleared to
+integers row by row (``clear_row``) before it gets here; scaling a row
+changes neither the row span nor the kernel, so ranks, spans and
+kernels of the cleared matrix are those of the rational one.
 
-The integer-level helpers (``rref_int``, ``kernel_int``, ``rref_insert``,
-``rref_extend``, ``IncrementalSpan``) are the workhorses for the graded
-computations in the rest of the package, which keep all vectors as
-primitive integer lists.
+The elimination is fraction-free: a pivot row p and a target row r with
+entries a = p[c], b = r[c] in the pivot column are combined as
+
+    r := (a // g) * r - (b // g) * p,        g = gcd(a, b)
+
+and the result is divided by its content (gcd of its entries).  Pivoting
+is deterministic: columns are processed left to right and the first row
+with a nonzero entry in the current column wins.  Reduced echelon forms
+finish with back substitution, content stripping and positive pivots,
+which makes them the unique canonical integer echelon form of the row
+span; kernel bases are canonical too, so repeated runs give identical
+output.
+
+``rref_int``, ``rank_int`` and ``kernel_int`` work on a whole matrix;
+``rref_extend`` and ``rank_growth`` add vectors to a canonical RREF in
+one step; ``rref_insert`` adds one vector at a time, and
+``IncrementalSpan`` grows a span in a cheaper, non-canonical echelon
+form.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-from . import backend
-from .errors import SubspaceNotContainedError, WrongShapeError
-
-Rat = Fraction
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable dense matrix with Fraction entries, stored row-major."""
-
-    nrows: int
-    ncols: int
-    entries: tuple  # tuple of row tuples
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence]) -> "QMatrix":
-        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if data:
-            ncols = len(data[0])
-            if any(len(row) != ncols for row in data):
-                raise WrongShapeError("ragged rows")
-        else:
-            ncols = 0
-        return cls(len(data), ncols, data)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.ncols, self.nrows,
-                       tuple(zip(*self.entries)) if self.entries else ())
-
-    def int_rows(self) -> list[list[int]]:
-        return [clear_row(row) for row in self.entries]
 
 
 def clear_row(row: Sequence) -> list[int]:
@@ -69,10 +43,6 @@ def clear_row(row: Sequence) -> list[int]:
     if den == 1:
         return [int(v) for v in row]
     return [int(v * den) for v in row]
-
-
-def int_rows(vectors: Iterable[Sequence]) -> list[list[int]]:
-    return [clear_row(v) for v in vectors]
 
 
 def primitive(vec: list[int]) -> list[int]:
@@ -88,14 +58,86 @@ def primitive(vec: list[int]) -> list[int]:
     return vec
 
 
+def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
+    """Forward phase in place; returns the pivot columns.
+
+    Afterwards rows[:len(pivots)] are the echelon rows, primitive.
+    Every row below the pivot row is zero left of the current column,
+    so content stripping the whole row strips its live part.
+    """
+    nrows = len(rows)
+    for i in range(nrows):
+        rows[i] = primitive(rows[i])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        p = -1
+        for i in range(r, nrows):
+            if rows[i][col]:
+                p = i
+                break
+        if p < 0:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        a = prow[col]
+        for j in range(r + 1, nrows):
+            row = rows[j]
+            b = row[col]
+            if not b:
+                continue
+            g = gcd(a, b)
+            ma = a // g
+            mb = b // g
+            row[col] = 0
+            for c in range(col + 1, ncols):
+                row[c] = ma * row[c] - mb * prow[c]
+            rows[j] = primitive(row)
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
 def rank_int(rows: list[list[int]], ncols: int) -> int:
-    """Rank; consumes its argument."""
-    return backend.rank_rows(rows, ncols)
+    """Rank of an integer matrix; consumes its argument."""
+    return len(_eliminate(rows, ncols))
 
 
 def rref_int(rows: list[list[int]], ncols: int):
-    """Canonical (pivots, rows) reduced echelon form; consumes its argument."""
-    return backend.rref_rows(rows, ncols)
+    """Canonical (pivots, rows) reduced echelon form; consumes its argument.
+
+    The rows returned are the nonzero ones: primitive, with positive
+    pivot entries and zeros above and below each pivot.
+    """
+    pivots = _eliminate(rows, ncols)
+    npiv = len(pivots)
+    del rows[npiv:]
+    for idx in range(npiv - 1, -1, -1):
+        pc = pivots[idx]
+        prow = rows[idx]
+        a = prow[pc]
+        for q in range(idx):
+            row = rows[q]
+            b = row[pc]
+            if not b:
+                continue
+            g = gcd(a, b)
+            ma = a // g
+            mb = b // g
+            if ma != 1:
+                for c in range(pivots[q], pc):
+                    row[c] *= ma
+            row[pc] = 0
+            for c in range(pc + 1, ncols):
+                row[c] = ma * row[c] - mb * prow[c]
+            rows[q] = primitive(row)
+    for idx in range(npiv):
+        row = rows[idx]
+        if row[pivots[idx]] < 0:
+            for c in range(pivots[idx], ncols):
+                row[c] = -row[c]
+    return pivots, rows
 
 
 def kernel_from_rref(pivots: Sequence[int], rows: Sequence[Sequence[int]],
@@ -187,15 +229,7 @@ def rref_insert(pivots: list[int], rows: list[list[int]], vec: list[int],
         mb = b // g
         for c in range(ncols):
             row[c] = ma * row[c] - mb * vec[c]
-        gg = 0
-        for v in row:
-            if v:
-                gg = gcd(gg, v)
-                if gg == 1:
-                    break
-        if gg > 1:
-            for c in range(ncols):
-                row[c] //= gg
+        rows[i] = row = primitive(row)
         if row[opc] < 0:
             for c in range(ncols):
                 row[c] = -row[c]
@@ -207,17 +241,15 @@ def rref_insert(pivots: list[int], rows: list[list[int]], vec: list[int],
     return True
 
 
-def rref_extend(pivots: Sequence[int], rows: list[list[int]],
-                vecs: Iterable[Sequence[int]], ncols: int):
-    """Canonical RREF (pivots, rows) of span(rows) + span(vecs).
+def _residuals(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+               vecs: Iterable[Sequence[int]], ncols: int):
+    """(free, residuals): the free columns of a canonical RREF and the
+    nonzero residuals of vecs modulo its span, on those columns.
 
-    (pivots, rows) must be a canonical RREF; its rows are consumed.
     Each row of a canonical RREF is zero at every other pivot, so a
     vector v is reduced in one step, L*v - sum (L/a_i) v[p_i] row_i with
     L the lcm of the pivot entries a_i it hits, and its residual lives
-    on the free columns alone.  The residuals are row-reduced on those
-    columns only, and each old row is then cleared of the new pivot
-    columns in one combined update.
+    on the free columns alone.  Neither rows nor vecs are modified.
     """
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
@@ -235,6 +267,30 @@ def rref_extend(pivots: Sequence[int], rows: list[list[int]],
                     res[j] -= m * v
         if any(res):
             residuals.append(res)
+    return free, residuals
+
+
+def rank_growth(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+                vecs: Iterable[Sequence[int]], ncols: int) -> int:
+    """dim(span rows + span vecs) - len(pivots).
+
+    (pivots, rows) must be a canonical RREF; it is not consumed.  The
+    growth is the rank of the residuals of vecs on the free columns.
+    """
+    free, residuals = _residuals(pivots, rows, vecs, ncols)
+    return rank_int(residuals, len(free))
+
+
+def rref_extend(pivots: Sequence[int], rows: list[list[int]],
+                vecs: Iterable[Sequence[int]], ncols: int):
+    """Canonical RREF (pivots, rows) of span(rows) + span(vecs).
+
+    (pivots, rows) must be a canonical RREF; its rows are consumed.  The
+    residuals of vecs (see ``_residuals``) are row-reduced on the
+    free columns only, and each old row is then cleared of the new
+    pivot columns in one combined update.
+    """
+    free, residuals = _residuals(pivots, rows, vecs, ncols)
     npiv, nred = rref_int(residuals, len(free))
     if not npiv:
         return list(pivots), rows
@@ -319,28 +375,3 @@ class IncrementalSpan:
             return False
         insort(self._rows, (lead, primitive(res)))
         return True
-
-
-def rank(m: QMatrix) -> int:
-    return rank_int(m.int_rows(), m.ncols)
-
-
-def kernel_basis(m: QMatrix) -> list[tuple[int, ...]]:
-    """Canonical basis of the right kernel, as primitive integer tuples."""
-    return [tuple(v) for v in kernel_int(m.int_rows(), m.ncols)]
-
-
-def quotient_dim(ambient: Iterable[Sequence], sub: Iterable[Sequence]) -> int:
-    """dim span(ambient)/span(sub); error if sub is not contained in ambient."""
-    arows = int_rows(ambient)
-    brows = int_rows(sub)
-    if not arows and not brows:
-        return 0
-    ncols = len(arows[0]) if arows else len(brows[0])
-    ra = rank_int([list(r) for r in arows], ncols)
-    rb = rank_int([list(r) for r in brows], ncols)
-    rab = rank_int(arows + brows, ncols)
-    if rab != ra:
-        raise SubspaceNotContainedError(
-            "sub spans a direction outside the ambient space")
-    return ra - rb

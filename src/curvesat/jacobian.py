@@ -175,9 +175,6 @@ class FormsIdeal:
             self._new_rows = (k, [r for pc, r in zip(*got) if pc not in old])
         self._rref[k] = got
 
-    def quotient_dim_at(self, k: int) -> int:
-        return slice_dim(k) - self.rank_at(k) if k >= 0 else 0
-
     # -- syzygies among the generators ---------------------------------
 
     def kernel_at(self, m: int) -> list[list[int]]:
@@ -224,7 +221,7 @@ class CurveData(FormsIdeal):
     # -- Milnor algebra -------------------------------------------------
 
     def milnor_dim(self, k: int) -> int:
-        return self.quotient_dim_at(k)
+        return slice_dim(k) - self.rank_at(k) if k >= 0 else 0
 
     def milnor_dims(self) -> list[int]:
         return [self.milnor_dim(k) for k in range(self.kmax + 1)]

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import (NotHomogeneousError, NotLinearError, ParseError,
-                     PolySyntaxError, ProportionalLinesError,
-                     ZeroPolynomialError)
+from .errors import (InconsistentCombinatoricsError, NotHomogeneousError,
+                     NotLinearError, ParseError, PolySyntaxError,
+                     ProportionalLinesError, ZeroPolynomialError)
 from .exactla import clear_row
 from .poly import HomogeneousPoly, Monomial
 
@@ -314,6 +314,10 @@ def combinatorics(arr: Arrangement) -> ArrangementCombinatorics:
         counts[m] = counts.get(m, 0) + 1
         tau += (m - 1) * (m - 1)
     # every pair of lines is accounted for by exactly one point
-    assert sum(comb(m, 2) * c for m, c in counts.items()) == comb(d, 2)
+    pairs = sum(comb(m, 2) * c for m, c in counts.items())
+    if pairs != comb(d, 2):
+        raise InconsistentCombinatoricsError(
+            f"intersection points account for {pairs} pairs of lines, "
+            f"expected {comb(d, 2)}")
     pts = tuple(sorted(seen.items()))
     return ArrangementCombinatorics(pts, counts, tau)

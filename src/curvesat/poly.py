@@ -19,7 +19,6 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence, Union
 
 from .errors import WrongShapeError
-from .exactla import QMatrix
 
 Coeff = Union[int, Fraction]
 
@@ -281,39 +280,6 @@ def primitivize(f: HomogeneousPoly) -> HomogeneousPoly:
     if f.terms[lead] < 0:
         scale = -scale
     return f.scale(scale)
-
-
-def mult_map_matrix(g: HomogeneousPoly, k: int) -> QMatrix:
-    """Matrix of multiplication by g from slice k to slice k + deg g.
-
-    Columns follow monomial_basis(k); rows monomial_basis(k + deg g).
-    """
-    rows = slice_dim(k + g.degree)
-    cols = []
-    for mono in monomial_basis(k):
-        col = [Fraction(0)] * rows
-        for m2, c in g.terms.items():
-            col[monomial_index(mono * m2)] = c
-        cols.append(col)
-    return QMatrix.from_rows(cols).transpose()
-
-
-def jacobian_map_matrix(f: HomogeneousPoly, m: int) -> QMatrix:
-    """Matrix of (a, b, c) -> a f_x + b f_y + c f_z on degree-m triples.
-
-    Columns come in three blocks (the f_x block, then f_y, then f_z),
-    each ordered by monomial_basis(m); rows by monomial_basis(m + d - 1).
-    """
-    fx, fy, fz = partials(f)
-    nrows = slice_dim(m + max(f.degree - 1, 0))
-    cols = []
-    for g in (fx, fy, fz):
-        for mono in monomial_basis(m):
-            col = [Fraction(0)] * nrows
-            for m2, c in g.terms.items():
-                col[monomial_index(mono * m2)] = c
-            cols.append(col)
-    return QMatrix.from_rows(cols).transpose()
 
 
 def poly_columns_int(g: HomogeneousPoly, m: int) -> list[list[int]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (FreenessCheckFailedError, KmaxExhaustedError,
                      WrongShapeError)
-from .exactla import kernel_int, rank_int, rref_insert
+from .exactla import kernel_int, rank_int, rref_extend, rref_insert
 from .jacobian import CurveData, shift_block_vector
 from .poly import (HomogeneousPoly, monomial_basis, monomial_index,
                    slice_dim)
@@ -174,16 +174,14 @@ def min_generators(f):
         if dim_i:
             if k >= e + 1:
                 piv, rows = data.rref_at(k)
-                piv, rows = list(piv), [list(r) for r in rows]
+                rows = [list(r) for r in rows]
             else:
                 piv, rows = [], []
-            grew = len(piv)
-            for vec in engine.extras.get(k - 1, ()):
-                for var in range(3):
-                    sv = shift_block_vector(vec, var, k - 1, (0,))
-                    if rref_insert(piv, rows, sv, slice_dim(k)):
-                        grew += 1
-            count = dim_i - grew
+            shifted = [shift_block_vector(vec, var, k - 1, (0,))
+                       for vec in engine.extras.get(k - 1, ())
+                       for var in range(3)]
+            piv, rows = rref_extend(piv, rows, shifted, slice_dim(k))
+            count = dim_i - len(piv)
             if count:
                 picked = 0
                 for row in engine.i_rref(k)[1]:

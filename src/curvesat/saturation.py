@@ -29,10 +29,10 @@ from math import lcm
 
 from .errors import (BaseWindowNotFoundError, NotCodimensionTwoError,
                      WrongShapeError)
-# clear_row is unused here but stays bound: perfbench/spans.py patches
-# this module's name
+# clear_row and rref_insert are unused here but stay bound:
+# perfbench/spans.py patches this module's names
 from .exactla import (clear_row, kernel_int, primitive,  # noqa: F401
-                      rref_extend, rref_insert)
+                      rank_growth, rref_extend, rref_insert)
 from .jacobian import CurveData, FormsIdeal, shift_block_vector
 from .poly import primitivize, shift_maps, slice_dim
 
@@ -173,14 +173,10 @@ def n_min_generators(f) -> list[int]:
         if not n_k:
             continue
         piv, rows = engine.data.rref_at(k)
-        piv = list(piv)
-        rows = [list(r) for r in rows]
-        grew = 0
-        for vec in engine.extras.get(k - 1, ()):
-            for var in range(3):
-                shifted = shift_block_vector(vec, var, k - 1, (0,))
-                if rref_insert(piv, rows, shifted, slice_dim(k)):
-                    grew += 1
+        shifted = [shift_block_vector(vec, var, k - 1, (0,))
+                   for vec in engine.extras.get(k - 1, ())
+                   for var in range(3)]
+        grew = rank_growth(piv, rows, shifted, slice_dim(k))
         degrees.extend([k] * (n_k - grew))
     return degrees
 
@@ -278,9 +274,7 @@ def lefschetz_check(f, ell: tuple | None = None, max_attempts: int = 5,
         ranks = []
         for s in steps:
             piv, rows = engine.data.rref_at(s + 1)
-            piv = list(piv)
-            rows = [list(r) for r in rows]
-            grew = 0
+            images = []
             for vec in engine.extras.get(s, ()):
                 shifted = [0] * slice_dim(s + 1)
                 for var in range(3):
@@ -290,9 +284,8 @@ def lefschetz_check(f, ell: tuple | None = None, max_attempts: int = 5,
                         for i, v in enumerate(vec):
                             if v:
                                 shifted[sh[i]] += c * v
-                if rref_insert(piv, rows, shifted, slice_dim(s + 1)):
-                    grew += 1
-            ranks.append(grew)
+                images.append(shifted)
+            ranks.append(rank_growth(piv, rows, images, slice_dim(s + 1)))
         expected = [min(table[s], table[s + 1]) for s in steps]
         ok = ranks == expected
         result = LefschetzData(form, ranks, expected, ok, attempts, not ok)

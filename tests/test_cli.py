@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from curvesat.cli import main
 
 EX1_D4 = "y^4 + x*z^3"
@@ -42,11 +44,12 @@ def test_analyze_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_analyze_kmax_override_echoed(capsys):
-    rc, out, _ = run(capsys, ["analyze", "--poly", "x*y",
-                              "--kmax", "5", "--format", "json"])
-    assert rc == 0
-    assert json.loads(out)["kmax"] == 5
+def test_analyze_rejects_kmax(capsys):
+    # the truncation bound is 3d-3 and not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--poly", "x*y", "--kmax", "5"])
+    assert exc.value.code == 2
+    assert "--kmax" in capsys.readouterr().err
 
 
 def test_analyze_catalog_entry(capsys):

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvesat import parsing
 from curvesat.catalog import entry
+from curvesat.cli import EXIT_INTERNAL, main
 from curvesat.errors import (
+    InconsistentCombinatoricsError,
     NotHomogeneousError,
     NotLinearError,
     PolySyntaxError,
@@ -118,6 +121,15 @@ def test_combinatorics_ziegler_fixtures():
         assert c.point_count == 24
         assert dict(c.multiplicity_counts) == {2: 18, 3: 6}
         assert c.tau == 42
+
+
+def test_combinatorics_rejects_an_inconsistent_pair_count(monkeypatch):
+    # a point on none of the lines accounts for no pair: the invariant
+    # sum C(m,2) * n_m = C(d,2) must fail loudly, also under python -O
+    monkeypatch.setattr(parsing, "_cross", lambda a, b: [1, 1, 1])
+    with pytest.raises(InconsistentCombinatoricsError):
+        combinatorics(parse_arrangement("x\ny\nz\n"))
+    assert main(["analyze", "--catalog", "triangle"]) == EXIT_INTERNAL
 
 
 coeff = st.integers(min_value=-4, max_value=4)

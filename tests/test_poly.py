@@ -15,7 +15,6 @@ from curvesat.poly import (
     Monomial,
     monomial_basis,
     monomial_index,
-    mult_map_matrix,
     partials,
     poly_columns_int,
     primitivize,
@@ -125,12 +124,6 @@ def test_multiplication_degrees_add(f, g):
 def test_evaluation_is_multiplicative(f, point):
     val = (f * f).evaluate(point)
     assert val == f.evaluate(point) ** 2
-
-
-def test_mult_map_matrix_shape():
-    m = mult_map_matrix(parse_poly("x + y + z"), 2)
-    assert m.nrows == slice_dim(3)
-    assert m.ncols == slice_dim(2)
 
 
 def test_poly_columns_int_constant_is_identity():
