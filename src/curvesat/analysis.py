@@ -167,23 +167,34 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
         is_arrangement = False
 
     cd = CurveData(f)
+
+    def coincidence():
+        try:
+            return cd.coincidence_threshold()
+        except SmoothCurveError:
+            return None
+
+    def syzygy_side():
+        # the generator degrees are read back from the certified table;
+        # with mdr = 0 there is none, and AR(f) is scanned up to
+        # r_J - d + 3 (see betti_jacobian)
+        if r >= 1:
+            table = betti_jacobian(sat)
+            degs = [t - (cd.d - 1) for t in table.twists[1]]
+        else:
+            table = None
+            degs = cd.ar_min_generators(sat.reg_jacobian() - cd.d + 3)[0]
+        return table, sorted(degs)
+
     tau = clock("jacobian", cd.tjurina)
-    r = cd.mdr()
-    try:
-        ct = cd.coincidence_threshold()
-    except SmoothCurveError:
-        ct = None
+    r = clock("mdr", cd.mdr)
+    ct = clock("ct", coincidence)
+    milnor = clock("milnorTable", cd.milnor_dims)
     sat = clock("saturation", lambda: saturate(cd))
-    n_gens = sorted(n_min_generators(sat)) if sat.nu > 0 else []
+    n_gens = clock("nGenerators", lambda: (
+        sorted(n_min_generators(sat)) if sat.nu > 0 else []))
     table_sat = clock("resolution", lambda: betti_saturated(sat))
-    table_jac = clock("jacobianResolution",
-                      lambda: betti_jacobian(cd) if r >= 1 else None)
-    # read the syzygy generator degrees back from the certified table;
-    # the quick scan alone may stop before a late generator
-    if table_jac is not None:
-        ar_degs = sorted(t - (cd.d - 1) for t in table_jac.twists[1])
-    else:
-        ar_degs = sorted(cd.ar_min_generators()[0])
+    table_jac, ar_degs = clock("jacobianResolution", syzygy_side)
     cls = clock("classify", lambda: classify(cd, sat))
     verdicts = tuple(clock("verdicts", lambda: verify_identities(
         cd, sat, cls, table_sat, table_jac,
@@ -202,7 +213,7 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
         sigma=sat.sigma,
         nu=sat.nu,
         ct=ct,
-        milnor_table=tuple(cd.milnor_dims()),
+        milnor_table=tuple(milnor),
         smooth_table=tuple(cd.smooth_dims()),
         n_table=tuple(sat.n_table),
         ar_generator_degrees=tuple(ar_degs),

@@ -154,12 +154,12 @@ def verify_identities(cd: CurveData, sat: SaturationData,
     singular = tau > 0
     n_table = list(sat.n_table)
     n_low = n_table[d - 2] if 0 <= d - 2 < len(n_table) else 0
-    # syzygy generator count, preferring the Hilbert-certified table
-    # over the quick scan
+    # syzygy generator count, from the certified table when there is
+    # one, else scanned up to r_J - d + 3 (see betti_jacobian)
     if table_jac is not None:
         mu_ar = len(table_jac.twists[1])
     else:
-        mu_ar = len(cd.ar_min_generators()[0])
+        mu_ar = len(cd.ar_min_generators(sat.reg_jacobian() - d + 3)[0])
     verdicts = []
 
     def add(name, applicable, ok=None, **details):

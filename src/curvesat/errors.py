@@ -2,8 +2,9 @@
 
 Parse-level errors carry a character offset into the source text.  Math
 errors flag either bad input (a non-reduced curve, a wrong-shaped ideal)
-or an internal scan that could not certify its answer within the degree
-bound it was given.
+or an internal result that failed its own consistency check: a Betti
+table against the Hilbert function, a generator pick against its
+Nakayama count, a classification against the N(f) table.
 """
 
 
@@ -62,7 +63,9 @@ class FreenessCheckFailedError(CurvesatError):
 
 
 class KmaxExhaustedError(CurvesatError):
-    """A generator or syzygy scan was still finding new elements at its degree cap."""
+    """A degree scan came out inconsistent: a generator pick disagreed
+    with its Nakayama count, no Jacobian syzygy showed up by degree d-1
+    (mdr), or the Milnor algebra never left the smooth reference (ct)."""
 
 
 class WrongShapeError(CurvesatError):

@@ -47,9 +47,6 @@ class GradedSubspace:
     def dim(self, k: int) -> int:
         return len(self.slices.get(k, ()))
 
-    def ambient_dim(self, k: int) -> int:
-        return sum(slice_dim(k - t) for t in self.block_shifts)
-
 
 def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
     """Multiply a block vector of degree k_from by the variable var.
@@ -216,7 +213,7 @@ class CurveData(FormsIdeal):
         super().__init__(partials(self.f), kmax)
         self._tau: int | None = None
         self._mdr: int | None = None
-        self._ar_gens: dict[bool, tuple] = {}
+        self._ar_gens: dict[int, tuple] = {}
 
     # -- Milnor algebra -------------------------------------------------
 
@@ -237,7 +234,7 @@ class CurveData(FormsIdeal):
                 m2 = self.milnor_dim(3 * self.d - 4)
                 if m1 != m2:
                     raise NonReducedInputError(
-                        f"Milnor algebra keeps shrinking ({m1} -> {m2}): "
+                        f"Milnor algebra does not stabilize ({m1} -> {m2}): "
                         "f has a repeated factor")
                 self._tau = m1
         return self._tau
@@ -263,56 +260,46 @@ class CurveData(FormsIdeal):
                 raise KmaxExhaustedError("no Jacobian syzygy up to degree d-1")
         return self._mdr
 
-    def ar_min_generators(self, early_stop: bool = True):
-        """Minimal generators of AR(f): (degrees, vectors, counts).
+    def ar_min_generators(self, top: int):
+        """Minimal generators of AR(f) in degrees up to top: (degrees,
+        vectors).
 
         Degree-by-degree Nakayama count dim AR_m - dim S_1 AR_{m-1};
         explicit generators are canonical kernel vectors that enlarge
         the span of the variable multiples, picked in canonical order.
-        The scan runs to the closed bound 2(d-1); with early_stop it
-        leaves after two quiet degrees past max(mdr, d), which the
-        Hilbert series cross-check downstream re-validates.
+        The caller states top, a bound on the generator degrees:
+        r_J - d + 3 from the regularity r_J of M(f)
+        (``SaturationData.reg_jacobian``), or the closed bound 2(d-1).
         """
-        got = self._ar_gens.get(early_stop)
+        got = self._ar_gens.get(top)
         if got is not None:
             return got
-        cap = 2 * (self.d - 1)
         degrees: list[int] = []
         vectors: list[list[int]] = []
-        counts: dict[int, int] = {}
-        quiet = 0
-        for m in range(self.mdr(), cap + 1):
+        for m in range(self.mdr(), top + 1):
             dim_here = self.ar_dim(m)
-            prev = self.ar_kernel(m - 1)
-            shifted = shifted_spanning_set(prev, m - 1, (0, 0, 0))
+            shifted = shifted_spanning_set(self.kernel_at(m - 1), m - 1,
+                                           (0, 0, 0))
             base_rank = rank_int([list(v) for v in shifted],
                                  3 * slice_dim(m)) if shifted else 0
             count = dim_here - base_rank
-            counts[m] = count
-            if count:
-                quiet = 0
-                span = IncrementalSpan(3 * slice_dim(m))
-                for vec in shifted:
-                    span.insert(vec)
-                picked = 0
-                for vec in self.ar_kernel(m):
-                    if span.insert(vec):
-                        degrees.append(m)
-                        vectors.append(list(vec))
-                        picked += 1
-                if picked != count:
-                    raise KmaxExhaustedError(
-                        "inconsistent syzygy generator count")
-            else:
-                quiet += 1
-                if early_stop and quiet >= 2 and m >= self.d:
-                    break
-        got = (degrees, vectors, counts)
-        self._ar_gens[early_stop] = got
+            if not count:
+                continue
+            span = IncrementalSpan(3 * slice_dim(m))
+            for vec in shifted:
+                span.insert(vec)
+            picked = 0
+            for vec in self.kernel_at(m):
+                if span.insert(vec):
+                    degrees.append(m)
+                    vectors.append(list(vec))
+                    picked += 1
+            if picked != count:
+                raise KmaxExhaustedError(
+                    "inconsistent syzygy generator count")
+        got = (degrees, vectors)
+        self._ar_gens[top] = got
         return got
-
-    def ar_kernel(self, m: int) -> list[list[int]]:
-        return self.kernel_at(m)
 
     # -- comparison with a smooth curve --------------------------------
 
@@ -384,12 +371,19 @@ def ar_slices(f, kmax: int | None = None) -> GradedSubspace:
     cd = _data(f)
     top = cd.kmax if kmax is None else kmax
     return GradedSubspace((0, 0, 0), {
-        m: [list(v) for v in cd.ar_kernel(m)] for m in range(top + 1)})
+        m: [list(v) for v in cd.kernel_at(m)] for m in range(top + 1)})
 
 
 def ar_min_generators(f) -> list[int]:
-    """Sorted minimal generator degrees of AR(f)."""
-    degrees, _, _ = _data(f).ar_min_generators()
+    """Sorted minimal generator degrees of AR(f).
+
+    The scan runs to the closed bound 2(d-1): AR(f)(-(d-1)) sits in
+    position two of the resolution of M(f), whose regularity is at most
+    T = 3(d-2) for a reduced curve, so AR(f) is generated in degrees at
+    most T - d + 3 < 2(d-1).
+    """
+    cd = _data(f)
+    degrees, _ = cd.ar_min_generators(2 * (cd.d - 1))
     return sorted(degrees)
 
 

@@ -2,12 +2,14 @@
 
 Generators and syzygies are found degree by degree with Nakayama counts:
 new generators at degree k are dim V_k minus the rank of the variable
-shifts of the previous slice.  Scans stop after two quiet degrees past a
-regularity-informed floor; every finished table is then certified
-against the Hilbert function of the module on the whole degree range,
-and a failed certificate rescans without the early stop before giving
-up.  No Groebner bases anywhere: everything is exact linear algebra
-against fixed monomial bases.
+shifts of the previous slice.  Every scan stops at a top degree read
+off the regularity (``SaturationData.reg_saturated`` and
+``reg_jacobian``): a module of regularity r has its generators in
+degrees at most r and their relations in degrees at most r + 1.  Each
+finished table is then certified against the Hilbert function of the
+module on the whole degree range; a failed certificate raises
+FreenessCheckFailed.  No Groebner bases anywhere: everything is exact
+linear algebra against fixed monomial bases.
 
 Explicit generator polynomials are picked canonically (rows of the
 canonical slice basis, in order, that enlarge the span of the shifts),
@@ -91,29 +93,25 @@ def _syzygy_kernel(vectors, degrees, block_shifts, k):
         for mu in monomial_basis(k - e):
             cols.append(_mono_mult_block_vector(vec, mu, e, block_shifts))
     if not cols:
-        return [], 0
+        return []
     rows = [list(t) for t in zip(*cols)]
-    return kernel_int(rows, len(cols)), len(cols)
+    return kernel_int(rows, len(cols))
 
 
-def module_syzygy_degrees(vectors, degrees, block_shifts, cap, floor,
-                          early_stop=True):
+def module_syzygy_degrees(vectors, degrees, block_shifts, top):
     """Minimal relation degrees among the given module generators.
 
-    Nakayama scan with kernels of the generator map; stops after two
-    quiet degrees past the floor (and past every found relation), or at
-    the cap, raising KmaxExhausted when the cap cuts off an active scan.
+    Nakayama scan with kernels of the generator map over the degrees
+    min(degrees)..top; the caller states top, a bound on the relation
+    degrees.
     """
     if not vectors:
         return []
     source_shifts = tuple(degrees)
     found = []
-    quiet = 0
     prev_kernel = []
-    start = min(degrees)
-    k = start
-    while True:
-        kern, _ = _syzygy_kernel(vectors, degrees, block_shifts, k)
+    for k in range(min(degrees), top + 1):
+        kern = _syzygy_kernel(vectors, degrees, block_shifts, k)
         if prev_kernel:
             shifted = []
             for var in range(3):
@@ -123,22 +121,8 @@ def module_syzygy_degrees(vectors, degrees, block_shifts, cap, floor,
             base = rank_int(shifted, sum(slice_dim(k - e) for e in degrees))
         else:
             base = 0
-        count = len(kern) - base
-        if count:
-            found.extend([k] * count)
-            quiet = 0
-        else:
-            quiet += 1
+        found.extend([k] * (len(kern) - base))
         prev_kernel = kern
-        k += 1
-        stop_floor = max(floor, (max(found) + 2) if found else floor)
-        if early_stop and quiet >= 2 and k > stop_floor:
-            break
-        if k > cap:
-            if quiet < 2:
-                raise KmaxExhaustedError(
-                    f"syzygy scan still active at its degree cap {cap}")
-            break
     return found
 
 
@@ -153,87 +137,60 @@ def min_generators(f):
 
     Counts come from comparing each slice with the variable shifts of
     the previous one; explicit generators are canonical basis rows that
-    enlarge the shift span.
+    enlarge the shift span.  Minimal generators of I sit in degrees at
+    most reg(I) = r_I + 1, so the scan covers degrees 0..r_I + 1.
     """
     sat = _sat(f)
     engine = sat.engine
     data = engine.data
     e = data.e
-    kmax = sat.kmax
-    if isinstance(data, CurveData) and not data.is_smooth():
-        floor = data.T - data.coincidence_threshold() + 2
-    else:
-        floor = e + 2
     degrees = []
     gens = []
-    quiet = 0
-    k = 0
-    while True:
+    for k in range(sat.reg_saturated() + 2):
         dim_i = engine.i_dim(k)
-        count = 0
-        if dim_i:
-            if k >= e + 1:
-                piv, rows = data.rref_at(k)
-                rows = [list(r) for r in rows]
-            else:
-                piv, rows = [], []
-            shifted = [shift_block_vector(vec, var, k - 1, (0,))
-                       for vec in engine.extras.get(k - 1, ())
-                       for var in range(3)]
-            piv, rows = rref_extend(piv, rows, shifted, slice_dim(k))
-            count = dim_i - len(piv)
-            if count:
-                picked = 0
-                for row in engine.i_rref(k)[1]:
-                    if rref_insert(piv, rows, list(row), slice_dim(k)):
-                        degrees.append(k)
-                        gens.append(HomogeneousPoly.from_vector(k, row))
-                        picked += 1
-                if picked != count:
-                    raise KmaxExhaustedError(
-                        "inconsistent generator count for the saturation")
-        if count:
-            quiet = 0
+        if not dim_i:
+            continue
+        if k >= e + 1:
+            piv, rows = data.rref_at(k)
+            rows = [list(r) for r in rows]
         else:
-            quiet += 1
-        k += 1
-        stop_floor = max(floor, (max(degrees) + 2) if degrees else floor)
-        if quiet >= 2 and degrees and k > stop_floor:
-            break
-        # saturated slices stay valid one degree past kmax (the stored
-        # extras at kmax still feed the shift construction there)
-        if k > kmax + 1:
-            raise KmaxExhaustedError(
-                f"generator scan for the saturation ran past kmax={kmax}")
+            piv, rows = [], []
+        shifted = [shift_block_vector(vec, var, k - 1, (0,))
+                   for vec in engine.extras.get(k - 1, ())
+                   for var in range(3)]
+        piv, rows = rref_extend(piv, rows, shifted, slice_dim(k))
+        count = dim_i - len(piv)
+        if count:
+            picked = 0
+            for row in engine.i_rref(k)[1]:
+                if rref_insert(piv, rows, list(row), slice_dim(k)):
+                    degrees.append(k)
+                    gens.append(HomogeneousPoly.from_vector(k, row))
+                    picked += 1
+            if picked != count:
+                raise KmaxExhaustedError(
+                    "inconsistent generator count for the saturation")
     return degrees, gens
 
 
 def syzygies(gens, f=None, kmax=None):
     """Minimal relation degrees among ideal generators, certified.
 
-    When saturation data (or a curve) is supplied, the finished
-    resolution is checked against the Hilbert function of the ideal on
-    all degrees up to kmax; a mismatch raises FreenessCheckFailed.
+    When saturation data (or a curve) is supplied, the scan stops at
+    r_I + 2: relations of I sit in degrees at most reg(I) + 1 =
+    reg(S/I) + 2.  The finished resolution is then checked against the
+    Hilbert function of the ideal on all degrees up to kmax; a mismatch
+    raises FreenessCheckFailed.  Without it the scan runs to kmax
+    (default max(a) + 6) and is not certified.
     """
-    sat = _sat(f) if f is not None else None
     a = [g.degree for g in gens]
     vectors = [g.int_vector() for g in gens]
-    if sat is not None:
-        kmax = sat.kmax
-        data = sat.engine.data
-        if isinstance(data, CurveData) and not data.is_smooth():
-            floor = data.T - data.coincidence_threshold() + 3
-        else:
-            floor = (max(a) + 2) if a else 2
-    else:
-        floor = (max(a) + 2) if a else 2
-        if kmax is None:
-            kmax = (max(a) + 6) if a else 6
-    # headroom past the floor so the two quiet degrees fit under the cap
-    cap = max(kmax, floor + 2)
-    b = module_syzygy_degrees(vectors, a, (0,), cap, floor)
-    if sat is not None:
-        _check_ideal_resolution(sat, a, b)
+    if f is None:
+        top = kmax if kmax is not None else (max(a) + 6 if a else 6)
+        return module_syzygy_degrees(vectors, a, (0,), top)
+    sat = _sat(f)
+    b = module_syzygy_degrees(vectors, a, (0,), sat.reg_saturated() + 2)
+    _check_ideal_resolution(sat, a, b)
     return b
 
 
@@ -264,40 +221,32 @@ def betti_jacobian(f) -> BettiTable:
     """Betti table of S/J_f = M(f) for a curve with mdr >= 1.
 
     Positions: the three partials, then the minimal Jacobian syzygies
-    shifted by d-1, then their own relations.  The whole table is
-    certified against the Hilbert function of M(f); on mismatch the
-    scans rerun without their early stop before failing.
+    shifted by d-1, then their own relations.  With r_J = reg(S/J_f)
+    (``SaturationData.reg_jacobian``), a twist t in position p obeys
+    t - p <= r_J, so syzygy generators sit in degrees at most
+    r_J - d + 3 and their relations in degrees at most r_J - d + 4.
+    The whole table is certified against the Hilbert function of M(f);
+    a mismatch raises FreenessCheckFailed.
     """
-    cd = f if isinstance(f, CurveData) else CurveData(f)
+    sat = _sat(f)
+    cd = sat.engine.data
+    if not isinstance(cd, CurveData):
+        raise WrongShapeError("the S/J_f table needs the Jacobian of a curve")
     if cd.mdr() == 0:
         raise WrongShapeError(
             "mdr = 0: the partials are not minimal generators of J_f")
     d = cd.d
-    for early in (True, False):
-        ar_degs, ar_vecs, _ = cd.ar_min_generators(early_stop=early)
-        rel_floor = max(ar_degs) + 2
-        rel_cap = max(cd.kmax - (d - 1) + 2, rel_floor + 2)
-        try:
-            rels = module_syzygy_degrees(ar_vecs, ar_degs, (0, 0, 0),
-                                         rel_cap, rel_floor, early_stop=early)
-        except KmaxExhaustedError:
-            # an undercounted generator set can run the relation scan
-            # off its cap; the full rescan settles it
-            if early:
-                continue
-            raise
-        table = BettiTable((
-            (d - 1,) * 3,
-            tuple(sorted(e + d - 1 for e in ar_degs)),
-            tuple(sorted(m + d - 1 for m in rels)),
-        ) if rels else (
-            (d - 1,) * 3,
-            tuple(sorted(e + d - 1 for e in ar_degs)),
-        ))
-        if _milnor_consistent(cd, table):
-            return table
-    raise FreenessCheckFailedError(
-        "Betti table of S/J_f fails its Hilbert function check")
+    r_j = sat.reg_jacobian()
+    ar_degs, ar_vecs = cd.ar_min_generators(r_j - d + 3)
+    rels = module_syzygy_degrees(ar_vecs, ar_degs, (0, 0, 0), r_j - d + 4)
+    twists = [(d - 1,) * 3, tuple(sorted(e + d - 1 for e in ar_degs))]
+    if rels:
+        twists.append(tuple(sorted(m + d - 1 for m in rels)))
+    table = BettiTable(tuple(twists))
+    if not _milnor_consistent(cd, table):
+        raise FreenessCheckFailedError(
+            "Betti table of S/J_f fails its Hilbert function check")
+    return table
 
 
 def _milnor_consistent(cd: CurveData, table: BettiTable) -> bool:

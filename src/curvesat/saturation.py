@@ -135,6 +135,41 @@ class SaturationData:
         nz = [k for k, n in enumerate(self.n_table) if n]
         return nz[-1] if nz else None
 
+    def reg_saturated(self) -> int:
+        """r_I = reg(S/I): the least k from which dim (S/I)_k keeps its
+        value at kmax (0 when I = S).
+
+        I is saturated, so S/I is Cohen-Macaulay of dimension 1 (or zero).
+        Its Hilbert function then rises strictly up to the regularity and
+        is constant from there on (Eisenbud, The Geometry of Syzygies,
+        ch. 4: the first difference is the Hilbert function of an
+        Artinian reduction by a nonzerodivisor linear form, whose last
+        nonzero degree is the regularity).  Read off slices the engine
+        has already built; T - ct is not used, so the regularity verdict
+        stays an independent check.
+        """
+        engine = self.engine
+
+        def h(k):
+            return slice_dim(k) - engine.i_dim(k)
+
+        k = self.kmax
+        stable = h(k)
+        while k > 0 and h(k - 1) == stable:
+            k -= 1
+        return k
+
+    def reg_jacobian(self) -> int:
+        """r_J = reg(S/J) = max(end N, r_I) for the ideal J saturated here.
+
+        N = I/J is the local cohomology H^0_m(S/J) and (S/J)/N = S/I, which
+        has depth one, so reg(S/J) is the larger of the top degree of N
+        and reg(S/I).
+        """
+        end = self.end_degree()
+        r_i = self.reg_saturated()
+        return r_i if end is None else max(end, r_i)
+
 
 def _wrap(engine: SaturationEngine, forms, degree: int, top: int,
           kmax: int) -> SaturationData:

@@ -21,6 +21,7 @@ from curvesat.jacobian import (
 )
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, primitivize, slice_dim
+from curvesat.saturation import saturate
 
 FERMAT3 = "x^3 + y^3 + z^3"
 EX1_D4 = "y^4 + x*z^3"
@@ -95,17 +96,24 @@ def test_smooth_curve_has_no_coincidence_threshold():
 
 
 def test_non_reduced_input_rejected():
-    with pytest.raises(NonReducedInputError):
+    # the Milnor dimensions grow (6 -> 7 for x^2*y) instead of settling
+    with pytest.raises(NonReducedInputError, match="does not stabilize"):
         tjurina(parse_poly("x^2*y"))
-    with pytest.raises(NonReducedInputError):
+    with pytest.raises(NonReducedInputError, match="does not stabilize"):
         tjurina(parse_poly("(x + y)^2 * z"))
 
 
 def test_late_syzygy_generator_needs_full_scan():
-    # the quick scan stops before the degree-8 generator; the full scan
-    # (used by the certified resolution path) must find it
+    # the degree-8 generator comes three quiet degrees after the last
+    # degree-5 one; the scan must run all the way to its bound
+    # r_J - d + 3 = 11 - 6 + 3 = 8 to find it
     cd = CurveData(parse_poly(NODAL6))
-    assert sorted(cd.ar_min_generators(early_stop=False)[0]) == [5, 5, 5, 8]
+    sat = saturate(cd)
+    assert sat.reg_jacobian() == 11
+    top = sat.reg_jacobian() - cd.d + 3
+    assert top == 8
+    assert sorted(cd.ar_min_generators(top)[0]) == [5, 5, 5, 8]
+    assert sorted(cd.ar_min_generators(top - 1)[0]) == [5, 5, 5]
 
 
 # three cubics that are not the partials of one curve, with content

@@ -4,8 +4,12 @@ from math import comb
 
 import pytest
 
-from curvesat.errors import WrongShapeError
-from curvesat.parsing import parse_poly
+from curvesat import catalog
+from curvesat.analysis import analyze_full
+from curvesat.errors import FreenessCheckFailedError, WrongShapeError
+from curvesat.jacobian import CurveData
+from curvesat.parsing import Arrangement, parse_poly
+from curvesat.poly import partials, primitivize
 from curvesat.resolution import (
     BettiTable,
     betti_jacobian,
@@ -15,7 +19,7 @@ from curvesat.resolution import (
     regularity_total,
     syzygies,
 )
-from curvesat.saturation import saturate
+from curvesat.saturation import saturate, saturate_three_forms
 
 EX1_D4 = "y^4 + x*z^3"
 TRIANGLE = "x*y*z"
@@ -71,15 +75,40 @@ def test_betti_jacobian_ex1_d4():
 
 
 def test_betti_jacobian_nodal_sextic_certified():
-    # the early syzygy scan misses the degree-8 generator here; only the
-    # Hilbert-certified retry produces this table
+    # the degree-8 syzygy generator (twist 13) comes three quiet degrees
+    # after the others; the scan reaches it because it runs to the bound
+    # r_J - d + 3 = 8 read off the regularity, not to a quiet stretch
     table = betti_jacobian(parse_poly(NODAL6))
     assert table.twists == ((5, 5, 5), (10, 10, 10, 13), (14, 14))
+
+
+def test_betti_jacobian_raises_on_a_dropped_generator(monkeypatch):
+    # a generator set that misses one element fails the Hilbert check
+    # once, with no second scan behind it
+    calls = []
+    original = CurveData.ar_min_generators
+
+    def drop_last(self, top):
+        calls.append(top)
+        degrees, vectors = original(self, top)
+        return degrees[:-1], vectors[:-1]
+
+    monkeypatch.setattr(CurveData, "ar_min_generators", drop_last)
+    with pytest.raises(FreenessCheckFailedError):
+        betti_jacobian(parse_poly(NODAL6))
+    assert calls == [8]
 
 
 def test_betti_jacobian_rejects_concurrent_lines():
     with pytest.raises(WrongShapeError):
         betti_jacobian(parse_poly("x*y"))
+
+
+def test_betti_jacobian_rejects_a_three_form_saturation():
+    # saturation data of bare forms carries no curve to read AR(f) from
+    forms = partials(primitivize(parse_poly(TRIANGLE)))
+    with pytest.raises(WrongShapeError):
+        betti_jacobian(saturate_three_forms(*forms))
 
 
 def test_regularity_requires_length_two():
@@ -122,9 +151,41 @@ def test_saturated_table_reproduces_hilbert_function(text):
 
 def test_jacobian_table_reproduces_hilbert_function():
     f = parse_poly(EX1_D4)
-    from curvesat.jacobian import CurveData
-
     cd = CurveData(f)
     table = betti_jacobian(cd)
     for k in range(cd.kmax + 1):
         assert table_hilbert(table, k) == cd.milnor_dim(k)
+
+
+def _curve(name):
+    obj = catalog.load(name)
+    return obj.product() if isinstance(obj, Arrangement) else obj
+
+
+@pytest.mark.parametrize("name", ["nf-d6-k3", "concurrent-4", "braid",
+                                  "generic-5"])
+def test_three_form_saturation_gives_the_curve_table(name):
+    # saturating the partials as three bare forms must give the same
+    # S/I table as the curve path; relations of nf-d6-k3 (at 2d - 3)
+    # and concurrent-4 lie past the generators by more than two degrees
+    f = _curve(name)
+    three = saturate_three_forms(*partials(primitivize(f)))
+    assert betti_saturated(three) == betti_saturated(saturate(f))
+
+
+SINGULAR = [n for n in catalog.names()
+            if not n.startswith("ziegler")
+            and CurveData(_curve(n)).tjurina() > 0]
+
+
+@pytest.mark.parametrize("name", SINGULAR)
+def test_scan_bounds_are_the_regularities(name):
+    # r_I, read off the Hilbert function of S/I_f, is the regularity of
+    # the certified S/I_f table and equals T - ct; r_J is the regularity
+    # of the S/J_f table
+    report, cd, sat = analyze_full(_curve(name))
+    r_i = sat.reg_saturated()
+    assert r_i == regularity(report.betti_saturated)
+    assert r_i == cd.T - cd.coincidence_threshold()
+    if report.mdr >= 1:
+        assert sat.reg_jacobian() == regularity_total(report.betti_jacobian)
