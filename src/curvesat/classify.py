@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadExponentError, InconsistentClassificationError
-from .exactla import rank_int
+from .exactla import rank_growth, rank_int
 from .jacobian import CurveData, shift_block_vector
 from .poly import slice_dim
 from .resolution import BettiTable, regularity, regularity_total
@@ -132,8 +132,7 @@ def _e2_dim(cd: CurveData, sat: SaturationData) -> int:
     ncols = slice_dim(d - 1)
     dim_b = rank_int([list(r) for r in shifted], ncols)
     dim_a = cd.rank_at(d - 1)
-    joint = cd.columns(d - 1) + [list(r) for r in shifted]
-    dim_ab = rank_int(joint, ncols)
+    dim_ab = dim_a + rank_growth(*cd.rref_at(d - 1), shifted, ncols)
     return 3 - (dim_a + dim_b - dim_ab)
 
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 from .errors import (KmaxExhaustedError, NonReducedInputError,
                      SmoothCurveError, WrongShapeError, ZeroPolynomialError)
-# rref_insert is unused here but stays bound: perfbench/spans.py patches
+# rank_int is unused here but stays bound: perfbench/spans.py patches
 # this module's name
-from .exactla import (IncrementalSpan, kernel_int, rank_int,  # noqa: F401
-                      rref_extend, rref_insert, rref_int)
+from .exactla import (kernel_int, rank_int, rref_extend,  # noqa: F401
+                      rref_insert, rref_int)
 from .poly import (HomogeneousPoly, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
 
@@ -71,13 +71,76 @@ def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
     return out
 
 
-def shifted_spanning_set(basis, k_from: int, block_shifts) -> list[list[int]]:
-    """All variable multiples of the given degree-k_from basis vectors."""
-    out = []
-    for var in range(3):
-        for vec in basis:
-            out.append(shift_block_vector(vec, var, k_from, block_shifts))
-    return out
+class ShiftChain:
+    """Canonical RREF of one slice of a graded submodule M of
+    ⊕_b S(-t_b), moved up one degree at a time.
+
+    ``step(extra)`` replaces the degree-k slice by the degree-(k+1)
+    slice S_1*M_k + span(extra).  The x shift re-indexes each block into
+    the next degree without moving any index inside it, so RREF(M_k)
+    with every block padded by zeros is the RREF of x*M_k.  Call the
+    rows of RREF(M_(k+1)) whose pivot is not such an x-shifted pivot its
+    new rows N_(k+1) (at the first slice, all rows).  Their pivots are
+    not leading positions of x*M_k, so counting dimensions gives
+    M_(k+1) = x*M_k + span N_(k+1).  As S_1*M_k lies in M_(k+1),
+    y*M_(k+1) = xy*M_k + y*span N_(k+1) lies in x*M_(k+1) +
+    y*span N_(k+1), likewise for z, and
+
+        S_1*M_(k+1) = x*M_(k+1) + y*span N_(k+1) + z*span N_(k+1).
+
+    So each step is one ``rref_extend`` of the padded rows by the y and
+    z shifts of the new rows and by extra.  Vectors added to the current
+    slice with ``insert`` or ``extend`` only add pivots, which are not
+    x-shifted ones, so the new rows stay the rows on the other pivots.
+    Those two change the current rows in place; ``step`` only reads
+    them, so a slice handed out before a step stays valid.
+    """
+
+    def __init__(self, block_shifts, k: int, pivots=(), rows=()):
+        self.block_shifts = tuple(block_shifts)
+        self.k = k
+        self.pivots = list(pivots)
+        self.rows = list(rows)
+        self._x_pivots: set = set()
+
+    def ncols(self) -> int:
+        return sum(slice_dim(self.k - t) for t in self.block_shifts)
+
+    def step(self, extra=()) -> None:
+        k = self.k
+        blocks = []                   # (start, end, start at k+1) per block
+        x_index = []                  # x shift of each index at degree k
+        start = out = 0
+        for t in self.block_shifts:
+            size = slice_dim(k - t)
+            blocks.append((start, start + size, out))
+            x_index.extend(range(out, out + size))
+            start += size
+            out += slice_dim(k + 1 - t)
+        x_rows = []
+        for row in self.rows:
+            shifted = [0] * out
+            for lo, hi, at in blocks:
+                shifted[at:at + hi - lo] = row[lo:hi]
+            x_rows.append(shifted)
+        x_pivots = [x_index[pc] for pc in self.pivots]
+        new = [row for pc, row in zip(self.pivots, self.rows)
+               if pc not in self._x_pivots]
+        vecs = [shift_block_vector(row, var, k, self.block_shifts)
+                for var in (1, 2) for row in new]
+        vecs.extend(extra)
+        self.pivots, self.rows = rref_extend(x_pivots, x_rows, vecs, out)
+        self._x_pivots = set(x_pivots)
+        self.k = k + 1
+
+    def insert(self, vec) -> bool:
+        """Add one vector to the current slice; True when it grew."""
+        return rref_insert(self.pivots, self.rows, vec, self.ncols())
+
+    def extend(self, vecs) -> None:
+        """Add vectors to the current slice."""
+        self.pivots, self.rows = rref_extend(self.pivots, self.rows, vecs,
+                                             self.ncols())
 
 
 class FormsIdeal:
@@ -95,8 +158,8 @@ class FormsIdeal:
         self.e = degs.pop()
         self.kmax = kmax
         self._rref: dict[int, tuple] = {}
-        # (degree, new rows) of the top slice built so far, see rref_at
-        self._new_rows: tuple = (None, [])
+        # the top slice built so far, see rref_at
+        self._chain: ShiftChain | None = None
         self._kernel: dict[int, list] = {}
 
     # -- ideal slices ---------------------------------------------------
@@ -119,20 +182,8 @@ class FormsIdeal:
     def rref_at(self, k: int):
         """Canonical RREF (pivots, rows) of the degree-k slice.
 
-        Slices are chained upward from the generator degree e.  The x
-        shift re-indexes a slice into the next one without moving any
-        index, so RREF(J_(k-1)) padded with zeros is the RREF of
-        x*J_(k-1).  Let N_k be the rows of RREF(J_k) whose pivot is not
-        such an x-shifted pivot (at k = e, all of RREF(J_e)); then
-        J_k = x*J_(k-1) + span N_k.  So y*J_(k-1) = xy*J_(k-2) +
-        y*span N_(k-1) lies in x*J_(k-1) + y*span N_(k-1), likewise for
-        z, and
-
-            J_k = x*J_(k-1) + y*span N_(k-1) + z*span N_(k-1).
-
-        Each degree above e is one ``rref_extend`` of the padded rows
-        by the y and z shifts of N_(k-1) alone; only the top degree's
-        N is kept.
+        Slices are chained upward from the generator degree e: each
+        degree above e is one ``ShiftChain.step``, as J_k = S_1*J_(k-1).
         """
         got = self._rref.get(k)
         if got is None:
@@ -149,27 +200,12 @@ class FormsIdeal:
         if k <= self.e:
             got = rref_int(self.columns(k), slice_dim(k))
             if k == self.e:
-                self._new_rows = (k, got[1])
+                self._chain = ShiftChain((0,), k, *got)
         else:
-            top, new = self._new_rows
-            assert top == k - 1, "slices are built upward one degree at a time"
-            ppiv, prows = self._rref[k - 1]
-            ncols = slice_dim(k)
-            pad = [0] * (ncols - slice_dim(k - 1))
-            maps = shift_maps(k - 1)
-            vecs = []
-            for var in (1, 2):
-                sh = maps[var]
-                for r in new:
-                    vec = [0] * ncols
-                    for i, v in enumerate(r):
-                        if v:
-                            vec[sh[i]] = v
-                    vecs.append(vec)
-            got = rref_extend(ppiv, [list(r) + pad for r in prows], vecs,
-                              ncols)
-            old = set(ppiv)
-            self._new_rows = (k, [r for pc, r in zip(*got) if pc not in old])
+            chain = self._chain
+            assert chain.k == k - 1, "slices are built upward one at a time"
+            chain.step()
+            got = (chain.pivots, chain.rows)
         self._rref[k] = got
 
     # -- syzygies among the generators ---------------------------------
@@ -264,10 +300,12 @@ class CurveData(FormsIdeal):
         """Minimal generators of AR(f) in degrees up to top: (degrees,
         vectors).
 
-        Degree-by-degree Nakayama count dim AR_m - dim S_1 AR_{m-1};
-        explicit generators are canonical kernel vectors that enlarge
-        the span of the variable multiples, picked in canonical order.
-        The caller states top, a bound on the generator degrees:
+        Degree-by-degree Nakayama count dim AR_m - dim S_1 AR_(m-1),
+        with S_1 AR_(m-1) one ``ShiftChain`` step from AR_(m-1).  Only
+        where that count is positive is the kernel ``kernel_at(m)``
+        computed: its canonical vectors that enlarge the span, picked in
+        canonical order, are the generators, and the span they reach is
+        AR_m.  The caller states top, a bound on the generator degrees:
         r_J - d + 3 from the regularity r_J of M(f)
         (``SaturationData.reg_jacobian``), or the closed bound 2(d-1).
         """
@@ -276,21 +314,16 @@ class CurveData(FormsIdeal):
             return got
         degrees: list[int] = []
         vectors: list[list[int]] = []
-        for m in range(self.mdr(), top + 1):
-            dim_here = self.ar_dim(m)
-            shifted = shifted_spanning_set(self.kernel_at(m - 1), m - 1,
-                                           (0, 0, 0))
-            base_rank = rank_int([list(v) for v in shifted],
-                                 3 * slice_dim(m)) if shifted else 0
-            count = dim_here - base_rank
+        start = self.mdr()
+        chain = ShiftChain((0, 0, 0), start - 1)
+        for m in range(start, top + 1):
+            chain.step()
+            count = self.ar_dim(m) - len(chain.pivots)
             if not count:
                 continue
-            span = IncrementalSpan(3 * slice_dim(m))
-            for vec in shifted:
-                span.insert(vec)
             picked = 0
             for vec in self.kernel_at(m):
-                if span.insert(vec):
+                if chain.insert(vec):
                     degrees.append(m)
                     vectors.append(list(vec))
                     picked += 1

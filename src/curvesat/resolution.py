@@ -2,11 +2,14 @@
 
 Generators and syzygies are found degree by degree with Nakayama counts:
 new generators at degree k are dim V_k minus the rank of the variable
-shifts of the previous slice.  Every scan stops at a top degree read
-off the regularity (``SaturationData.reg_saturated`` and
-``reg_jacobian``): a module of regularity r has its generators in
-degrees at most r and their relations in degrees at most r + 1.  Each
-finished table is then certified against the Hilbert function of the
+shifts of the previous slice.  The AR(f) and relation scans walk a
+shift chain (``jacobian.ShiftChain``): the span of those shifts comes
+from the previous slice's echelon form in one step, so a kernel is
+computed only in a degree where a new generator or relation appears.
+Every scan stops at a top degree read off the regularity
+(``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
+regularity r has its generators in degrees at most r and their
+relations in degrees at most r + 1.  Each finished table is then certified against the Hilbert function of the
 module on the whole degree range; a failed certificate raises
 FreenessCheckFailed.  No Groebner bases anywhere: everything is exact
 linear algebra against fixed monomial bases.
@@ -22,8 +25,11 @@ from dataclasses import dataclass
 
 from .errors import (FreenessCheckFailedError, KmaxExhaustedError,
                      WrongShapeError)
-from .exactla import kernel_int, rank_int, rref_extend, rref_insert
-from .jacobian import CurveData, shift_block_vector
+# rank_int is unused here but stays bound: perfbench/spans.py patches
+# this module's name
+from .exactla import (kernel_int, rank_int, rref_extend,  # noqa: F401
+                      rref_insert)
+from .jacobian import CurveData, ShiftChain, shift_block_vector
 from .poly import (HomogeneousPoly, monomial_basis, monomial_index,
                    slice_dim)
 from .saturation import SaturationData, saturate
@@ -101,28 +107,29 @@ def _syzygy_kernel(vectors, degrees, block_shifts, k):
 def module_syzygy_degrees(vectors, degrees, block_shifts, top):
     """Minimal relation degrees among the given module generators.
 
-    Nakayama scan with kernels of the generator map over the degrees
-    min(degrees)..top; the caller states top, a bound on the relation
-    degrees.
+    Nakayama scan over the degrees min(degrees)..top; the caller states
+    top, a bound on the relation degrees.  Two ``ShiftChain``s walk up
+    together: the image M_k of the generator map, with the degree-k
+    generators added at each step, gives dim K_k = sum dim S_(k-a_i) -
+    dim M_k for its kernel K; the kernel chain gives S_1 K_(k-1), and
+    the new relations at k number dim K_k - dim S_1 K_(k-1).  Only
+    where that count is positive and k < top is K_k itself computed
+    (``_syzygy_kernel``), to carry the kernel chain up.
     """
     if not vectors:
         return []
-    source_shifts = tuple(degrees)
+    start = min(degrees)
+    image = ShiftChain(block_shifts, start - 1)
+    kernel = ShiftChain(degrees, start - 1)
     found = []
-    prev_kernel = []
-    for k in range(min(degrees), top + 1):
-        kern = _syzygy_kernel(vectors, degrees, block_shifts, k)
-        if prev_kernel:
-            shifted = []
-            for var in range(3):
-                for v in prev_kernel:
-                    shifted.append(
-                        shift_block_vector(v, var, k - 1, source_shifts))
-            base = rank_int(shifted, sum(slice_dim(k - e) for e in degrees))
-        else:
-            base = 0
-        found.extend([k] * (len(kern) - base))
-        prev_kernel = kern
+    for k in range(start, top + 1):
+        image.step([v for v, e in zip(vectors, degrees) if e == k])
+        kernel.step()
+        count = (sum(slice_dim(k - e) for e in degrees)
+                 - len(image.pivots) - len(kernel.pivots))
+        found.extend([k] * count)
+        if count and k < top:
+            kernel.extend(_syzygy_kernel(vectors, degrees, block_shifts, k))
     return found
 
 
@@ -174,20 +181,24 @@ def min_generators(f):
 
 
 def syzygies(gens, f=None, kmax=None):
-    """Minimal relation degrees among ideal generators, certified.
+    """Minimal relation degrees among ideal generators.
 
     When saturation data (or a curve) is supplied, the scan stops at
     r_I + 2: relations of I sit in degrees at most reg(I) + 1 =
     reg(S/I) + 2.  The finished resolution is then checked against the
     Hilbert function of the ideal on all degrees up to kmax; a mismatch
-    raises FreenessCheckFailed.  Without it the scan runs to kmax
-    (default max(a) + 6) and is not certified.
+    raises FreenessCheckFailed.  Without it the caller must state the
+    top degree kmax of the scan; relations above kmax are not found,
+    and that result is not certified.  With neither, WrongShapeError is
+    raised: arbitrary generators have no stated bound here.
     """
     a = [g.degree for g in gens]
     vectors = [g.int_vector() for g in gens]
     if f is None:
-        top = kmax if kmax is not None else (max(a) + 6 if a else 6)
-        return module_syzygy_degrees(vectors, a, (0,), top)
+        if kmax is None:
+            raise WrongShapeError(
+                "syzygies without saturation data needs kmax")
+        return module_syzygy_degrees(vectors, a, (0,), kmax)
     sat = _sat(f)
     b = module_syzygy_degrees(vectors, a, (0,), sat.reg_saturated() + 2)
     _check_ideal_resolution(sat, a, b)

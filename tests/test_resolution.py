@@ -43,7 +43,17 @@ def test_min_generators_of_saturation():
 
 
 def test_syzygies_standalone_koszul():
-    assert syzygies([parse_poly("x"), parse_poly("y")]) == [2]
+    assert syzygies([parse_poly("x"), parse_poly("y")], kmax=2) == [2]
+
+
+def test_syzygies_without_saturation_data_needs_a_top_degree():
+    # the Koszul relation of x^7, y^7 sits at 14, far above the degrees
+    # of the generators; without a stated top it would be missed
+    gens = [parse_poly("x^7"), parse_poly("y^7")]
+    assert syzygies(gens, kmax=14) == [14]
+    assert syzygies(gens, kmax=13) == []
+    with pytest.raises(WrongShapeError, match="kmax"):
+        syzygies(gens)
 
 
 def test_betti_saturated_line_pair():
