@@ -19,9 +19,7 @@ from .classify import (
 from .jacobian import (
     CurveData,
     ar_min_generators,
-    ar_slices,
     ct,
-    jacobian_slices,
     mdr,
     milnor_dims,
     smooth_reference_dims,
@@ -63,14 +61,12 @@ __all__ = [
     "analyze",
     "analyze_catalog",
     "ar_min_generators",
-    "ar_slices",
     "betti_jacobian",
     "betti_saturated",
     "classify",
     "combinatorics",
     "ct",
     "emit_json",
-    "jacobian_slices",
     "lefschetz_check",
     "mdr",
     "milnor_dims",

@@ -51,11 +51,9 @@ class SmoothCurveError(CurvesatError):
 
 
 class NotCodimensionTwoError(CurvesatError):
-    pass
-
-
-class BaseWindowNotFoundError(CurvesatError):
-    """Saturation recursion could not certify its starting degree."""
+    """Three forms whose quotient dimensions at 3e - 2..3e are not one
+    positive constant: the forms share a factor, or their ideal is
+    primary to the irrelevant ideal."""
 
 
 class FreenessCheckFailedError(CurvesatError):

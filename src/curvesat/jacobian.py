@@ -21,8 +21,6 @@ so repeated runs give identical answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (KmaxExhaustedError, NonReducedInputError,
                      SmoothCurveError, WrongShapeError, ZeroPolynomialError)
 # rank_int is unused here but stays bound: perfbench/spans.py patches
@@ -31,21 +29,6 @@ from .exactla import (kernel_int, rank_int, rref_extend,  # noqa: F401
                       rref_insert, rref_int)
 from .poly import (HomogeneousPoly, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
-
-
-@dataclass
-class GradedSubspace:
-    """Graded slices of a submodule of a free module ⊕_b S(-t_b).
-
-    ``slices`` maps degree k to a list of integer basis vectors against
-    the concatenated monomial bases of the blocks at that degree.
-    """
-
-    block_shifts: tuple
-    slices: dict
-
-    def dim(self, k: int) -> int:
-        return len(self.slices.get(k, ()))
 
 
 def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
@@ -380,13 +363,6 @@ def _data(f, kmax=None) -> CurveData:
     return CurveData(f, kmax)
 
 
-def jacobian_slices(f, kmax: int | None = None) -> GradedSubspace:
-    """Canonical bases of the graded slices of J_f up to kmax."""
-    cd = _data(f, kmax)
-    return GradedSubspace((0,), {
-        k: [list(r) for r in cd.rref_at(k)[1]] for k in range(cd.kmax + 1)})
-
-
 def milnor_dims(f, kmax: int | None = None) -> list[int]:
     return _data(f, kmax).milnor_dims()
 
@@ -397,14 +373,6 @@ def tjurina(f) -> int:
 
 def mdr(f) -> int:
     return _data(f).mdr()
-
-
-def ar_slices(f, kmax: int | None = None) -> GradedSubspace:
-    """Canonical bases of the Jacobian syzygy module up to degree kmax."""
-    cd = _data(f)
-    top = cd.kmax if kmax is None else kmax
-    return GradedSubspace((0, 0, 0), {
-        m: [list(v) for v in cd.kernel_at(m)] for m in range(top + 1)})
 
 
 def ar_min_generators(f) -> list[int]:

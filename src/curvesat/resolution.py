@@ -9,29 +9,28 @@ computed only in a degree where a new generator or relation appears.
 Every scan stops at a top degree read off the regularity
 (``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
 regularity r has its generators in degrees at most r and their
-relations in degrees at most r + 1.  Each finished table is then certified against the Hilbert function of the
-module on the whole degree range; a failed certificate raises
-FreenessCheckFailed.  No Groebner bases anywhere: everything is exact
-linear algebra against fixed monomial bases.
+relations in degrees at most r + 1.  Each finished table is then
+certified against the Hilbert function of the module on the whole
+degree range; a failed certificate raises FreenessCheckFailed.  No
+Groebner bases anywhere: everything is exact linear algebra against
+fixed monomial bases.
 
 Explicit generator polynomials are picked canonically (rows of the
 canonical slice basis, in order, that enlarge the span of the shifts),
-so repeated runs reproduce them bit for bit.
+so repeated runs reproduce them bit for bit; those of the saturation
+come from ``SaturationData.generators``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (FreenessCheckFailedError, KmaxExhaustedError,
-                     WrongShapeError)
-# rank_int is unused here but stays bound: perfbench/spans.py patches
-# this module's name
-from .exactla import (kernel_int, rank_int, rref_extend,  # noqa: F401
-                      rref_insert)
-from .jacobian import CurveData, ShiftChain, shift_block_vector
-from .poly import (HomogeneousPoly, monomial_basis, monomial_index,
-                   slice_dim)
+from .errors import FreenessCheckFailedError, WrongShapeError
+# rank_int and rref_insert are unused here but stay bound:
+# perfbench/spans.py patches this module's names
+from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
+from .jacobian import CurveData, ShiftChain
+from .poly import monomial_basis, monomial_index, slice_dim
 from .saturation import SaturationData, saturate
 
 
@@ -140,44 +139,11 @@ def _sat(f) -> SaturationData:
 
 
 def min_generators(f):
-    """Minimal generators of the saturated ideal: (degrees, polynomials).
-
-    Counts come from comparing each slice with the variable shifts of
-    the previous one; explicit generators are canonical basis rows that
-    enlarge the shift span.  Minimal generators of I sit in degrees at
-    most reg(I) = r_I + 1, so the scan covers degrees 0..r_I + 1.
-    """
-    sat = _sat(f)
-    engine = sat.engine
-    data = engine.data
-    e = data.e
-    degrees = []
-    gens = []
-    for k in range(sat.reg_saturated() + 2):
-        dim_i = engine.i_dim(k)
-        if not dim_i:
-            continue
-        if k >= e + 1:
-            piv, rows = data.rref_at(k)
-            rows = [list(r) for r in rows]
-        else:
-            piv, rows = [], []
-        shifted = [shift_block_vector(vec, var, k - 1, (0,))
-                   for vec in engine.extras.get(k - 1, ())
-                   for var in range(3)]
-        piv, rows = rref_extend(piv, rows, shifted, slice_dim(k))
-        count = dim_i - len(piv)
-        if count:
-            picked = 0
-            for row in engine.i_rref(k)[1]:
-                if rref_insert(piv, rows, list(row), slice_dim(k)):
-                    degrees.append(k)
-                    gens.append(HomogeneousPoly.from_vector(k, row))
-                    picked += 1
-            if picked != count:
-                raise KmaxExhaustedError(
-                    "inconsistent generator count for the saturation")
-    return degrees, gens
+    """Minimal generators of the saturated ideal: (degrees, polynomials),
+    read off the generator scan (``SaturationData.generators``), which
+    covers degrees 0..r_I + 1 = reg(I)."""
+    scan = _sat(f).generators
+    return list(scan.i_degrees), list(scan.i_gens)
 
 
 def syzygies(gens, f=None, kmax=None):

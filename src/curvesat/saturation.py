@@ -14,27 +14,33 @@ J_k plus a handful of lift vectors.  The expensive eliminations thus
 stay on the small-entry generator columns of J itself, and the module
 N(f) is read off as the lift count per degree.
 
-The same engine saturates any codimension-two ideal generated by three
-equal-degree forms; there the starting degree is not known a priori, so
-it starts at 3(e+1) - 5, demands a window of two vanishing quotient
-dimensions right below the start, and retries from the degree cap
-before giving up.
+The same descent saturates any codimension-two ideal J generated by
+three forms of degree e, from the base 3e - 2: the quotient I/J by its
+saturation I vanishes above 3e - 3 and is self-dual, n_k = n_(3e-3-k)
+(see ``_descend``).  The Jacobian ideal is the case e = d - 1, where
+3e - 3 = T.
+
+The minimal generators of I and of N = I/J come from one scan
+(``SaturationData.generators``): both counts, and the correction term
+e2 of the generator bound, are read off one reduction of the variable
+shifts of the previous degree's lifts against the slice of J.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
-from .errors import (BaseWindowNotFoundError, NotCodimensionTwoError,
+from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
-# clear_row and rref_insert are unused here but stay bound:
-# perfbench/spans.py patches this module's names
+# clear_row is unused here but stays bound: perfbench/spans.py patches
+# this module's names
 from .exactla import (clear_row, kernel_int, primitive,  # noqa: F401
                       rank_growth, rref_extend, rref_insert)
 from .jacobian import CurveData, FormsIdeal, shift_block_vector
-from .poly import primitivize, shift_maps, slice_dim
+from .poly import HomogeneousPoly, primitivize, shift_maps, slice_dim
 
 
 class SaturationEngine:
@@ -117,18 +123,30 @@ class SaturationEngine:
                                      dim_here)
 
 
+@dataclass(frozen=True)
+class GeneratorScan:
+    """Minimal generators of the saturation I and of N = I/J."""
+
+    i_degrees: tuple        # generator degrees of I, ascending
+    i_gens: tuple           # canonical generator polynomials of I
+    n_degrees: tuple        # generator degrees of N, ascending
+    e2: int                 # 3 - dim(J_e meet S_1 * I_(e-1))
+
+
 @dataclass
 class SaturationData:
-    """Result of saturating a Jacobian (or three-form) ideal."""
+    """Result of saturating a Jacobian (or three-form) ideal J."""
 
-    forms: tuple            # the ideal generators
-    degree: int             # degree d of the curve, or e+1 for raw forms
-    top: int                # largest degree of the quotient table
-    kmax: int
+    engine: SaturationEngine
+    top: int                # 3e - 3, the largest degree of the table
     n_table: list           # quotient dimensions for degrees 0..top
     sigma: int | None       # least degree with nonzero quotient
     nu: int                 # maximal quotient dimension
-    engine: SaturationEngine
+
+    @property
+    def kmax(self) -> int:
+        """Top degree of the slices of J the data was built on."""
+        return self.engine.data.kmax
 
     def end_degree(self) -> int | None:
         """Largest degree with nonzero quotient, None when the quotient is 0."""
@@ -170,23 +188,99 @@ class SaturationData:
         r_i = self.reg_saturated()
         return r_i if end is None else max(end, r_i)
 
+    @cached_property
+    def generators(self) -> GeneratorScan:
+        """Minimal generators of I and of N = I/J, and e2, in one scan.
 
-def _wrap(engine: SaturationEngine, forms, degree: int, top: int,
-          kmax: int) -> SaturationData:
+        With e the generator degree of J, Sh_k the variable shifts of
+        the lifts at degree k - 1 and g_k = rank_growth(RREF(J_k),
+        Sh_k):
+
+        - I_(k-1) = J_(k-1) + lifts and J_k = S_1 J_(k-1) for k > e, so
+          S_1 I_(k-1) = J_k + Sh_k for k > e and Sh_k for k <= e;
+        - mu_N(k) = dim N_k - dim (S_1 I_(k-1) + J_k)/J_k = n_k - g_k;
+        - mu_I(k) = mu_N(k) for k != e, and mu_I(e) = dim I_e - rank Sh_e;
+        - e2 = 3 - dim(J_e meet S_1 I_(e-1)) = 3 - rank Sh_e + g_e.
+
+        A degree k > e with n_k = 0 has g_k <= n_k = 0 and needs no
+        work, nor does k < e with I_k = 0.  The scan stops at
+        reg(I) = r_I + 1: generators of I lie in degrees at most
+        reg(I), and N/mN = I/(mI + J) is a quotient of I/mI, so those
+        of N lie there too.  When e > r_I + 1, S_1 I_(e-1) = I_e
+        contains J_e and e2 = 3 - dim J_e.  Explicit generators of I
+        are the rows of RREF(I_k), in order, that enlarge RREF(S_1
+        I_(k-1)), which is built only where mu_I(k) > 0.
+        """
+        engine = self.engine
+        data = engine.data
+        e = data.e
+        i_degrees, i_gens, n_degrees = [], [], []
+        e2 = 3 - data.rank_at(e)
+        for k in range(self.reg_saturated() + 2):
+            n_k = engine.n_dim(k)
+            if not n_k and k != e:
+                continue
+            ncols = slice_dim(k)
+            jpiv, jrows = data.rref_at(k)
+            shifted = [shift_block_vector(vec, var, k - 1, (0,))
+                       for vec in engine.extras.get(k - 1, ())
+                       for var in range(3)]
+            grew = rank_growth(jpiv, jrows, shifted, ncols)
+            count = n_k - grew
+            n_degrees.extend([k] * count)
+            if k == e:
+                rank_sh = rank_growth((), (), shifted, ncols)
+                e2 = 3 - rank_sh + grew
+                count = engine.i_dim(k) - rank_sh
+            if not count:
+                continue
+            if k > e:
+                piv, rows = rref_extend(list(jpiv), [list(r) for r in jrows],
+                                        shifted, ncols)
+            else:
+                piv, rows = rref_extend([], [], shifted, ncols)
+            picked = 0
+            for row in engine.i_rref(k)[1]:
+                if rref_insert(piv, rows, list(row), ncols):
+                    i_degrees.append(k)
+                    i_gens.append(HomogeneousPoly.from_vector(k, row))
+                    picked += 1
+            if picked != count:
+                raise KmaxExhaustedError(
+                    "inconsistent generator count for the saturation")
+        return GeneratorScan(tuple(i_degrees), tuple(i_gens),
+                             tuple(n_degrees), e2)
+
+
+def _descend(data: FormsIdeal) -> SaturationData:
+    """Saturate the ideal J of data's forms of degree e from the base
+    max(3e - 2, 0) down, tabulating I/J on degrees 0..3e - 3.
+
+    The bound: let J be of codimension two and N = I/J = H^0_m(S/J).
+    Over S = Q[x, y, z], local duality makes (N_k)^* the degree -k - 3
+    part of Ext^3(S/J, S).  The Koszul complex of the three forms gives
+    a second description: its only homology besides S/J is H_1 ≅
+    Ext^2(S/J, S)(-3e), Ext^2(H_1, S) = S/I(3e), and together
+    Ext^3(S/J, S) ≅ N(3e).  So n_k = n_(3e-3-k), and n_k = 0 above
+    3e - 3 as it is below 0 (Hassanzadeh and Simis, "Plane Cremona
+    maps: saturation and regularity of the base ideal", J. Algebra
+    2012; for J_f this is the self-duality of N(f) about T).
+    """
+    e = data.e
+    engine = SaturationEngine(data, max(3 * e - 2, 0)).run()
+    top = 3 * e - 3
     table = [engine.n_dim(k) for k in range(max(top + 1, 0))]
     nonzero = [k for k, n in enumerate(table) if n]
     sigma = nonzero[0] if nonzero else None
     nu = max(table) if table else 0
-    return SaturationData(forms, degree, top, kmax, table, sigma, nu, engine)
+    return SaturationData(engine, top, table, sigma, nu)
 
 
-def saturate(f, kmax: int | None = None) -> SaturationData:
+def saturate(f) -> SaturationData:
     """Saturation data of the Jacobian ideal of a reduced curve."""
-    cd = f if isinstance(f, CurveData) else CurveData(f, kmax)
+    cd = f if isinstance(f, CurveData) else CurveData(f)
     cd.tjurina()  # reject non-reduced input before recursing
-    base = max(cd.T + 1, 0)
-    engine = SaturationEngine(cd, base).run()
-    return _wrap(engine, cd.gens, cd.d, cd.T, cd.kmax)
+    return _descend(cd)
 
 
 def n_table(f) -> list[int]:
@@ -196,35 +290,25 @@ def n_table(f) -> list[int]:
 
 
 def n_min_generators(f) -> list[int]:
-    """Sorted minimal generator degrees of N(f) as a graded S-module.
-
-    Degree-k generators are counted by how much of the new slice is not
-    reached by J_k plus one variable shift of the previous slice.
-    """
+    """Sorted minimal generator degrees of N(f) as a graded S-module
+    (see ``SaturationData.generators``)."""
     sat = f if isinstance(f, SaturationData) else saturate(f)
-    engine = sat.engine
-    degrees = []
-    for k, n_k in enumerate(sat.n_table):
-        if not n_k:
-            continue
-        piv, rows = engine.data.rref_at(k)
-        shifted = [shift_block_vector(vec, var, k - 1, (0,))
-                   for vec in engine.extras.get(k - 1, ())
-                   for var in range(3)]
-        grew = rank_growth(piv, rows, shifted, slice_dim(k))
-        degrees.extend([k] * (n_k - grew))
-    return degrees
+    return list(sat.generators.n_degrees)
 
 
-def saturate_three_forms(g1, g2, g3, kmax: int | None = None) -> SaturationData:
-    """Saturate the ideal of three equal-degree forms of codimension two.
+def saturate_three_forms(g1, g2, g3) -> SaturationData:
+    """Saturate the ideal of three forms of one degree e >= 1 and of
+    codimension two, by the descent from 3e - 2 (see ``_descend``).
 
-    The quotient Hilbert function must stabilize at a positive constant
-    (codimension two); a zero tail means the ideal is primary to the
-    irrelevant ideal and a growing tail means a common factor.  The
-    recursion base 3(e+1) - 5 is validated by requiring the two quotient
-    dimensions right below it to vanish; on failure the base is retried
-    at kmax.
+    The codimension check is exact.  In codimension two the Hilbert
+    function of S/J equals its constant Hilbert polynomial from 3e - 2
+    on, since end H^0_m(S/J) <= 3e - 3 and end H^1_m(S/J) <= 2e - 3 -
+    mdr, mdr the least degree of a relation among the forms: the
+    quotient dimensions at 3e - 2, 3e - 1 and 3e are equal and
+    positive.  A common factor h of degree c, J = hJ', adds
+    dim (S/(h))_k, which grows by c per degree there, to the dimension
+    of (S/J')_(k-c), which the same bound keeps constant; an ideal
+    primary to the irrelevant ideal gives 0.
     """
     forms = tuple(primitivize(g) for g in (g1, g2, g3))
     degs = {g.degree for g in forms}
@@ -233,31 +317,18 @@ def saturate_three_forms(g1, g2, g3, kmax: int | None = None) -> SaturationData:
     e = degs.pop()
     if e < 1:
         raise WrongShapeError("constant forms cannot cut out a codim-2 ideal")
-    if kmax is None:
-        kmax = 3 * e + 2
-    data = FormsIdeal(forms, kmax)
-
-    probe = 3 * e
-    dims = [slice_dim(k) - data.rank_at(k) for k in range(probe + 1)]
-    if dims[probe] == 0:
+    data = FormsIdeal(forms, 3 * e)
+    dims = [slice_dim(k) - data.rank_at(k)
+            for k in range(3 * e - 2, 3 * e + 1)]
+    if dims[-1] == 0:
         raise NotCodimensionTwoError(
             "quotient by the three forms is finite dimensional "
             "(ideal is primary to the irrelevant maximal ideal)")
-    if dims[probe] != dims[probe - 1] or dims[probe] != dims[probe - 2]:
+    if len(set(dims)) != 1:
         raise NotCodimensionTwoError(
             "quotient Hilbert function is still moving at degree 3e: "
             "the forms share a common factor or e is malformed")
-
-    base = 3 * (e + 1) - 5
-    for attempt_base in (base, kmax):
-        engine = SaturationEngine(data, attempt_base).run()
-        ok = all(engine.n_dim(k) == 0
-                 for k in (attempt_base - 1, attempt_base - 2) if k >= 0)
-        if ok:
-            return _wrap(engine, forms, e + 1, attempt_base - 1, kmax)
-    raise BaseWindowNotFoundError(
-        "no vanishing window below the recursion base; "
-        "raise kmax and retry")
+    return _descend(data)
 
 
 @dataclass

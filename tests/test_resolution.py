@@ -19,7 +19,8 @@ from curvesat.resolution import (
     regularity_total,
     syzygies,
 )
-from curvesat.saturation import saturate, saturate_three_forms
+from curvesat.saturation import (SaturationEngine, saturate,
+                                 saturate_three_forms)
 
 EX1_D4 = "y^4 + x*z^3"
 TRIANGLE = "x*y*z"
@@ -173,14 +174,49 @@ def _curve(name):
 
 
 @pytest.mark.parametrize("name", ["nf-d6-k3", "concurrent-4", "braid",
-                                  "generic-5"])
-def test_three_form_saturation_gives_the_curve_table(name):
+                                  "generic-5", "nodal-3", "nodal-6",
+                                  "nf-d3-k2"])
+def test_three_form_saturation_gives_the_curve_table(monkeypatch, name):
     # saturating the partials as three bare forms must give the same
-    # S/I table as the curve path; relations of nf-d6-k3 (at 2d - 3)
-    # and concurrent-4 lie past the generators by more than two degrees
+    # quotient table and S/I table as the curve path, in one descent;
+    # relations of nf-d6-k3 (at 2d - 3) and concurrent-4 lie past the
+    # generators by more than two degrees, and N of nodal-3, nodal-6
+    # and nf-d3-k2 has a generator in degree 1, so n_1 = n_(3e-4) != 0
     f = _curve(name)
+    curve = saturate(f)
+    runs = []
+    run = SaturationEngine.run
+
+    def counted_run(self):
+        runs.append(self.base)
+        return run(self)
+
+    monkeypatch.setattr(SaturationEngine, "run", counted_run)
     three = saturate_three_forms(*partials(primitivize(f)))
-    assert betti_saturated(three) == betti_saturated(saturate(f))
+    assert runs == [curve.engine.base]
+    assert three.n_table == curve.n_table
+    assert three.top == curve.top
+    assert betti_saturated(three) == betti_saturated(curve)
+
+
+# three cubics that are not the partials of one curve, with content
+THREE_FORMS = ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")
+
+
+@pytest.mark.parametrize("forms, table", [
+    (THREE_FORMS, [0, 1, 4, 5, 4, 1, 0]),
+    (("x*y*z", "x^3 + y^3", "z^3"), [0, 1, 3, 4, 3, 1, 0]),
+    (("x^4", "y^4", "x^2*y^2 + x*y*z^2"), [0, 0, 1, 3, 5, 5, 3, 1, 0, 0]),
+])
+def test_three_form_quotient_is_self_dual(forms, table):
+    # I/J of three forms of degree e lives in degrees 0..3e - 3 and is
+    # self-dual there: n_k = n_(3e-3-k)
+    gens = [parse_poly(t) for t in forms]
+    e = gens[0].degree
+    sat = saturate_three_forms(*gens)
+    assert sat.n_table == table
+    assert len(sat.n_table) == 3 * e - 2
+    assert sat.n_table == sat.n_table[::-1]
 
 
 SINGULAR = [n for n in catalog.names()
