@@ -8,11 +8,16 @@ the total Tjurina number tau(C), the minimal degree mdr(f) of a Jacobian
 syzygy, and the graded module AR(f) of all syzygies a f_x + b f_y +
 c f_z = 0.
 
-``CurveData`` is the per-curve cache those computations share.  It works
-on a canonical integer representative of f (rescaling f changes nothing)
-so that every matrix is integer from the start.  Raw generator columns
-(mono * f_i) are rebuilt on demand and kept small; only ranks, echelon
-forms and kernels are cached.
+``FormsIdeal`` is the one graded module type: the submodule of
+⊕_b S(-t_b) generated by integer vectors of given degrees, with the
+canonical echelon form of each slice (chained upward by ``ShiftChain``)
+and the relations among its generators.  J_f is the ideal case, one
+block and three generators of degree d - 1; AR(f) and I_f, whose
+relations ``resolution`` counts, are modules of the same type.
+
+``CurveData`` is the per-curve cache built on J_f.  It works on a
+canonical integer representative of f (rescaling f changes nothing) so
+that every matrix is integer from the start.
 
 Determinism: slice bases are canonical reduced echelon forms, kernels
 are canonical, and generator picks walk candidates in canonical order,
@@ -23,11 +28,12 @@ from __future__ import annotations
 
 from .errors import (KmaxExhaustedError, NonReducedInputError,
                      SmoothCurveError, WrongShapeError, ZeroPolynomialError)
-# rank_int is unused here but stays bound: perfbench/spans.py patches
-# this module's name
+# rank_int, rref_int and poly_columns_int are unused here but stay
+# bound: perfbench/spans.py patches this module's names
 from .exactla import (kernel_int, rank_int, rref_extend,  # noqa: F401
                       rref_insert, rref_int)
-from .poly import (HomogeneousPoly, partials, poly_columns_int, primitivize,
+from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
+                   monomial_index, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
 
 
@@ -51,6 +57,22 @@ def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
                     out[off_out + sh[i]] = v
         off_in += sin
         off_out += sout
+    return out
+
+
+def mono_mult_block_vector(vec, mu, k_from: int, block_shifts) -> list[int]:
+    """Multiply a block vector of degree k_from by the monomial mu."""
+    k_to = k_from + mu.degree
+    out = [0] * sum(slice_dim(k_to - t) for t in block_shifts)
+    off_in = 0
+    off_out = 0
+    for t in block_shifts:
+        basis_in = monomial_basis(k_from - t)
+        for i, v in enumerate(vec[off_in:off_in + len(basis_in)]):
+            if v:
+                out[off_out + monomial_index(basis_in[i] * mu)] = v
+        off_in += len(basis_in)
+        off_out += slice_dim(k_to - t)
     return out
 
 
@@ -127,89 +149,62 @@ class ShiftChain:
 
 
 class FormsIdeal:
-    """Graded slices of an ideal generated by equal-degree forms.
+    """Graded slices of the submodule M of ⊕_b S(-t_b) generated by
+    integer vectors v_i of degrees a_i.
 
-    Generators must have integer coefficients (zero generators are kept
-    so kernel coordinates always have one block per generator).
+    An ideal of forms is one block, block_shifts (0,), with every a_i
+    the degree e of the forms.  Zero generators are kept, so kernel
+    coordinates always have one block per generator.  kmax = max(3e, 1),
+    with e the least generator degree, is the top degree the saturation
+    and the Hilbert-function checks read.
     """
 
-    def __init__(self, gens, kmax: int):
-        degs = {g.degree for g in gens}
-        if len(degs) != 1:
-            raise WrongShapeError("generators must share one degree")
-        self.gens = tuple(gens)
-        self.e = degs.pop()
-        self.kmax = kmax
+    def __init__(self, vectors, degrees, block_shifts=(0,)):
+        self.vectors = tuple(vectors)
+        self.degrees = tuple(degrees)
+        self.block_shifts = tuple(block_shifts)
+        self.e = min(self.degrees)
+        self.kmax = max(3 * self.e, 1)
         self._rref: dict[int, tuple] = {}
         # the top slice built so far, see rref_at
-        self._chain: ShiftChain | None = None
+        self._chain = ShiftChain(self.block_shifts, self.e - 1)
         self._kernel: dict[int, list] = {}
 
-    # -- ideal slices ---------------------------------------------------
-
-    def columns(self, k: int) -> list[list[int]]:
-        """Fresh raw spanning vectors mono * g_i of the degree-k slice."""
-        if k < self.e:
-            return []
-        cols = []
-        for g in self.gens:
-            if not g.is_zero():
-                cols.extend(poly_columns_int(g, k - self.e))
-        return cols
+    # -- module slices --------------------------------------------------
 
     def rank_at(self, k: int) -> int:
-        if k < self.e:
-            return 0
         return len(self.rref_at(k)[0])
 
     def rref_at(self, k: int):
         """Canonical RREF (pivots, rows) of the degree-k slice.
 
-        Slices are chained upward from the generator degree e: each
-        degree above e is one ``ShiftChain.step``, as J_k = S_1*J_(k-1).
+        Slices are chained upward from e: each degree is one
+        ``ShiftChain.step``, as M_k = S_1*M_(k-1) + span(v_i : a_i = k).
         """
-        got = self._rref.get(k)
-        if got is None:
-            lo = k
-            while lo > self.e and (lo - 1) not in self._rref:
-                lo -= 1
-            for kk in range(lo, k + 1):
-                if kk not in self._rref:
-                    self._build_rref(kk)
-            got = self._rref[k]
-        return got
+        if k < self.e:
+            return [], []
+        chain = self._chain
+        while chain.k < k:
+            chain.step([v for v, a in zip(self.vectors, self.degrees)
+                        if a == chain.k + 1])
+            self._rref[chain.k] = (chain.pivots, chain.rows)
+        return self._rref[k]
 
-    def _build_rref(self, k: int) -> None:
-        if k <= self.e:
-            got = rref_int(self.columns(k), slice_dim(k))
-            if k == self.e:
-                self._chain = ShiftChain((0,), k, *got)
-        else:
-            chain = self._chain
-            assert chain.k == k - 1, "slices are built upward one at a time"
-            chain.step()
-            got = (chain.pivots, chain.rows)
-        self._rref[k] = got
-
-    # -- syzygies among the generators ---------------------------------
+    # -- relations among the generators --------------------------------
 
     def kernel_at(self, m: int) -> list[list[int]]:
-        """Canonical basis of degree-m syzygy tuples among the generators."""
+        """Canonical basis of the relations of total degree m + e among
+        the generators: tuples (h_i) with sum h_i v_i = 0, in the
+        coordinates of ⊕_i S(-a_i)."""
         if m < 0:
             return []
         got = self._kernel.get(m)
         if got is None:
-            nrows = slice_dim(m + self.e)
-            cols = []
-            for g in self.gens:
-                if g.is_zero():
-                    cols.extend([0] * nrows for _ in range(slice_dim(m)))
-                else:
-                    cols.extend(poly_columns_int(g, m))
-            if cols:
-                rows = [list(t) for t in zip(*cols)]
-            else:
-                rows = []
+            k = m + self.e
+            cols = [mono_mult_block_vector(v, mu, a, self.block_shifts)
+                    for v, a in zip(self.vectors, self.degrees)
+                    for mu in monomial_basis(k - a)]
+            rows = [list(t) for t in zip(*cols)]
             got = kernel_int(rows, len(cols))
             self._kernel[m] = got
         return got
@@ -218,7 +213,7 @@ class FormsIdeal:
 class CurveData(FormsIdeal):
     """All cached graded computations for one curve."""
 
-    def __init__(self, f: HomogeneousPoly, kmax: int | None = None):
+    def __init__(self, f: HomogeneousPoly):
         if f.is_zero():
             raise ZeroPolynomialError("the zero polynomial defines no curve")
         if f.degree < 1:
@@ -227,9 +222,8 @@ class CurveData(FormsIdeal):
         self.f = primitivize(f)
         self.d = f.degree
         self.T = 3 * (self.d - 2)
-        if kmax is None:
-            kmax = max(3 * self.d - 3, 1)
-        super().__init__(partials(self.f), kmax)
+        super().__init__([g.int_vector() for g in partials(self.f)],
+                         (self.d - 1,) * 3)
         self._tau: int | None = None
         self._mdr: int | None = None
         self._ar_gens: dict[int, tuple] = {}
@@ -357,14 +351,14 @@ def smooth_reference_dims(d: int, kmax: int) -> list[int]:
 # -- module-level wrappers --------------------------------------------
 
 
-def _data(f, kmax=None) -> CurveData:
+def _data(f) -> CurveData:
     if isinstance(f, CurveData):
         return f
-    return CurveData(f, kmax)
+    return CurveData(f)
 
 
-def milnor_dims(f, kmax: int | None = None) -> list[int]:
-    return _data(f, kmax).milnor_dims()
+def milnor_dims(f) -> list[int]:
+    return _data(f).milnor_dims()
 
 
 def tjurina(f) -> int:

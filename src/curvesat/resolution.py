@@ -2,10 +2,14 @@
 
 Generators and syzygies are found degree by degree with Nakayama counts:
 new generators at degree k are dim V_k minus the rank of the variable
-shifts of the previous slice.  The AR(f) and relation scans walk a
-shift chain (``jacobian.ShiftChain``): the span of those shifts comes
-from the previous slice's echelon form in one step, so a kernel is
-computed only in a degree where a new generator or relation appears.
+shifts of the previous slice.  Each module whose relations are counted
+here, AR(f) with block shifts (0, 0, 0) and the ideal I_f with (0,), is
+a ``jacobian.FormsIdeal`` generated by its vectors, as J_f is: its
+slices and its relation kernels come from the same code.  The AR(f)
+and relation scans walk a shift chain (``jacobian.ShiftChain``): the
+span of those shifts comes from the previous slice's echelon form in
+one step, so a kernel is computed only in a degree where a new
+generator or relation appears.
 Every scan stops at a top degree read off the regularity
 (``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
 regularity r has its generators in degrees at most r and their
@@ -26,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FreenessCheckFailedError, WrongShapeError
-# rank_int and rref_insert are unused here but stay bound:
+# kernel_int, rank_int and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
 from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
-from .jacobian import CurveData, ShiftChain
-from .poly import monomial_basis, monomial_index, slice_dim
+from .jacobian import CurveData, FormsIdeal, ShiftChain
+from .poly import slice_dim
 from .saturation import SaturationData, saturate
 
 
@@ -74,61 +78,31 @@ def regularity_total(table: BettiTable) -> int:
     return best
 
 
-def _mono_mult_block_vector(vec, mu, k_from, block_shifts):
-    """Multiply a block vector of degree k_from by the monomial mu."""
-    k_to = k_from + mu.degree
-    out = [0] * sum(slice_dim(k_to - t) for t in block_shifts)
-    off_in = 0
-    off_out = 0
-    for t in block_shifts:
-        basis_in = monomial_basis(k_from - t)
-        for i, v in enumerate(vec[off_in:off_in + len(basis_in)]):
-            if v:
-                out[off_out + monomial_index(basis_in[i] * mu)] = v
-        off_in += len(basis_in)
-        off_out += slice_dim(k_to - t)
-    return out
-
-
-def _syzygy_kernel(vectors, degrees, block_shifts, k):
-    """Kernel of (h_i) -> sum h_i v_i at total degree k, in the
-    concatenated coordinates of ⊕_i S(-deg_i)."""
-    cols = []
-    for vec, e in zip(vectors, degrees):
-        for mu in monomial_basis(k - e):
-            cols.append(_mono_mult_block_vector(vec, mu, e, block_shifts))
-    if not cols:
-        return []
-    rows = [list(t) for t in zip(*cols)]
-    return kernel_int(rows, len(cols))
-
-
 def module_syzygy_degrees(vectors, degrees, block_shifts, top):
     """Minimal relation degrees among the given module generators.
 
     Nakayama scan over the degrees min(degrees)..top; the caller states
-    top, a bound on the relation degrees.  Two ``ShiftChain``s walk up
-    together: the image M_k of the generator map, with the degree-k
-    generators added at each step, gives dim K_k = sum dim S_(k-a_i) -
-    dim M_k for its kernel K; the kernel chain gives S_1 K_(k-1), and
-    the new relations at k number dim K_k - dim S_1 K_(k-1).  Only
-    where that count is positive and k < top is K_k itself computed
-    (``_syzygy_kernel``), to carry the kernel chain up.
+    top, a bound on the relation degrees.  The module M the vectors
+    generate (``FormsIdeal``) gives dim K_k = sum dim S_(k-a_i) -
+    dim M_k for the kernel K of the generator map; a ``ShiftChain`` on K
+    gives S_1 K_(k-1), and the new relations at k number dim K_k -
+    dim S_1 K_(k-1).  Only where that count is positive and k < top is
+    K_k itself computed (``FormsIdeal.kernel_at``), to carry the kernel
+    chain up.
     """
     if not vectors:
         return []
-    start = min(degrees)
-    image = ShiftChain(block_shifts, start - 1)
-    kernel = ShiftChain(degrees, start - 1)
+    module = FormsIdeal(vectors, degrees, block_shifts)
+    e = module.e
+    kernel = ShiftChain(degrees, e - 1)
     found = []
-    for k in range(start, top + 1):
-        image.step([v for v, e in zip(vectors, degrees) if e == k])
+    for k in range(e, top + 1):
         kernel.step()
-        count = (sum(slice_dim(k - e) for e in degrees)
-                 - len(image.pivots) - len(kernel.pivots))
+        count = (sum(slice_dim(k - a) for a in degrees)
+                 - module.rank_at(k) - len(kernel.pivots))
         found.extend([k] * count)
         if count and k < top:
-            kernel.extend(_syzygy_kernel(vectors, degrees, block_shifts, k))
+            kernel.extend(module.kernel_at(k - e))
     return found
 
 
@@ -171,14 +145,24 @@ def syzygies(gens, f=None, kmax=None):
     return b
 
 
+def _hilbert_from_twists(twists, k: int) -> int:
+    """dim (S/M)_k read off the twists of a free resolution of S/M:
+    dim S_k plus the alternating sum over positions p of the
+    dim S_(k-t), sign (-1)^p."""
+    value = slice_dim(k)
+    sign = -1
+    for position in twists:
+        value += sign * sum(slice_dim(k - t) for t in position)
+        sign = -sign
+    return value
+
+
 def _check_ideal_resolution(sat: SaturationData, a, b):
     if b and len(b) != len(a) - 1:
         raise FreenessCheckFailedError(
             f"rank mismatch: {len(a)} generators vs {len(b)} relations")
     for k in range(sat.kmax + 1):
-        predicted = (slice_dim(k)
-                     - sum(slice_dim(k - ai) for ai in a)
-                     + sum(slice_dim(k - bj) for bj in b))
+        predicted = _hilbert_from_twists((a, b), k)
         actual = slice_dim(k) - sat.engine.i_dim(k)
         if predicted != actual:
             raise FreenessCheckFailedError(
@@ -219,20 +203,8 @@ def betti_jacobian(f) -> BettiTable:
     twists = [(d - 1,) * 3, tuple(sorted(e + d - 1 for e in ar_degs))]
     if rels:
         twists.append(tuple(sorted(m + d - 1 for m in rels)))
-    table = BettiTable(tuple(twists))
-    if not _milnor_consistent(cd, table):
-        raise FreenessCheckFailedError(
-            "Betti table of S/J_f fails its Hilbert function check")
-    return table
-
-
-def _milnor_consistent(cd: CurveData, table: BettiTable) -> bool:
     for k in range(cd.kmax + 1):
-        predicted = slice_dim(k)
-        sign = -1
-        for twists in table.twists:
-            predicted += sign * sum(slice_dim(k - t) for t in twists)
-            sign = -sign
-        if predicted != cd.milnor_dim(k):
-            return False
-    return True
+        if _hilbert_from_twists(twists, k) != cd.milnor_dim(k):
+            raise FreenessCheckFailedError(
+                "Betti table of S/J_f fails its Hilbert function check")
+    return BettiTable(tuple(twists))

@@ -317,7 +317,7 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     e = degs.pop()
     if e < 1:
         raise WrongShapeError("constant forms cannot cut out a codim-2 ideal")
-    data = FormsIdeal(forms, 3 * e)
+    data = FormsIdeal([g.int_vector() for g in forms], (e,) * 3)
     dims = [slice_dim(k) - data.rank_at(k)
             for k in range(3 * e - 2, 3 * e + 1)]
     if dims[-1] == 0:
@@ -340,22 +340,22 @@ class LefschetzData:
     expected: list          # min(n_s, n_(s+1)) per step
     pattern_ok: bool
     attempts: int
-    genericity_failed: bool
 
 
-def lefschetz_check(f, ell: tuple | None = None, max_attempts: int = 5,
+# sampled linear forms tried before lefschetz_check reports a failure
+MAX_ATTEMPTS = 5
+
+
+def lefschetz_check(f, ell: tuple | None = None,
                     seed: int = 0) -> LefschetzData:
     """Check the generic-multiplication profile on N(f).
 
     Multiplication by a general linear form ell is expected to have full
     rank min(n_s, n_(s+1)) in every degree (true for nearly free curves;
-    informational otherwise).  Candidate forms have small random integer
-    coefficients and are resampled on failure, up to max_attempts, which
-    must then be at least 1.
+    informational otherwise).  Without ell, candidate forms have small
+    random integer coefficients and are resampled on failure, up to
+    MAX_ATTEMPTS of them.
     """
-    if ell is None and max_attempts < 1:
-        raise WrongShapeError(
-            f"max_attempts must be at least 1, got {max_attempts}")
     sat = f if isinstance(f, SaturationData) else saturate(f)
     engine = sat.engine
     table = sat.n_table
@@ -367,7 +367,7 @@ def lefschetz_check(f, ell: tuple | None = None, max_attempts: int = 5,
             yield tuple(ell)
             return
         count = 0
-        while count < max_attempts:
+        while count < MAX_ATTEMPTS:
             cand = tuple(rng.randint(-5, 5) for _ in range(3))
             if any(cand):
                 count += 1
@@ -394,7 +394,7 @@ def lefschetz_check(f, ell: tuple | None = None, max_attempts: int = 5,
             ranks.append(rank_growth(piv, rows, images, slice_dim(s + 1)))
         expected = [min(table[s], table[s + 1]) for s in steps]
         ok = ranks == expected
-        result = LefschetzData(form, ranks, expected, ok, attempts, not ok)
+        result = LefschetzData(form, ranks, expected, ok, attempts)
         if ok:
             return result
         best = result

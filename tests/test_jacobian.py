@@ -14,11 +14,13 @@ from curvesat.jacobian import (
     ct,
     mdr,
     milnor_dims,
+    mono_mult_block_vector,
     smooth_reference_dims,
     tjurina,
 )
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, primitivize, slice_dim
+from curvesat.resolution import min_generators
 from curvesat.saturation import saturate
 
 FERMAT3 = "x^3 + y^3 + z^3"
@@ -121,33 +123,55 @@ def test_late_syzygy_generator_needs_full_scan():
 THREE_FORMS = ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")
 
 
-def _ideal(name):
+def _module(name):
+    """(module, top degree to check) for each chain test case."""
     if name == "three-forms":
-        # slices of these forms, chained two degrees past 3e, the top
-        # degree saturate_three_forms builds them to
-        return FormsIdeal([primitivize(parse_poly(t)) for t in THREE_FORMS],
-                          3 * 3 + 2)
+        # slices of these forms, chained two degrees past their kmax 3e
+        forms = [primitivize(parse_poly(t)) for t in THREE_FORMS]
+        return FormsIdeal([g.int_vector() for g in forms], (3,) * 3), 3 * 3 + 2
+    if name == "ar-nodal-6":
+        # AR(f) generators in degrees 5, 5, 5 and 8, blocks (0, 0, 0),
+        # up to the top of their relation scan
+        cd = CurveData(parse_poly(NODAL6))
+        top = saturate(cd).reg_jacobian() - cd.d + 3
+        degrees, vectors = cd.ar_min_generators(top)
+        return FormsIdeal(vectors, degrees, (0, 0, 0)), top + 1
+    if name == "i-ex1-d4":
+        # generators of the saturation in degrees 2 and 3, block (0,),
+        # up to the top of their relation scan
+        sat = saturate(parse_poly(EX1_D4))
+        degrees, gens = min_generators(sat)
+        module = FormsIdeal([g.int_vector() for g in gens], degrees)
+        return module, sat.reg_saturated() + 2
     if name == "ex1-d4":
-        return CurveData(parse_poly(EX1_D4))
-    obj = catalog.load(name)
-    return CurveData(obj.product() if isinstance(obj, Arrangement) else obj)
+        cd = CurveData(parse_poly(EX1_D4))
+    else:
+        obj = catalog.load(name)
+        cd = CurveData(obj.product() if isinstance(obj, Arrangement) else obj)
+    return cd, cd.kmax
 
 
-def _assert_cold(ideal, k):
-    piv, rows = ideal.rref_at(k)
-    cpiv, crows = rref_int(ideal.columns(k), slice_dim(k))
+def _assert_cold(module, k):
+    # a cold elimination of every monomial multiple of every generator
+    cols = [mono_mult_block_vector(v, mu, a, module.block_shifts)
+            for v, a in zip(module.vectors, module.degrees)
+            for mu in monomial_basis(k - a)]
+    ncols = sum(slice_dim(k - t) for t in module.block_shifts)
+    piv, rows = module.rref_at(k)
+    cpiv, crows = rref_int(cols, ncols)
     assert list(piv) == list(cpiv)
     assert [list(r) for r in rows] == [list(r) for r in crows]
 
 
 @pytest.mark.parametrize("name", ["ex1-d4", "generic-5", "braid", "nf-d7-k3",
-                                  "fermat-5", "three-forms"])
+                                  "fermat-5", "three-forms", "ar-nodal-6",
+                                  "i-ex1-d4"])
 def test_rref_chain_matches_from_scratch(name):
-    # chained slice updates above the generator degree must agree with a
-    # cold elimination of the raw generator multiples
-    ideal = _ideal(name)
-    for k in range(ideal.e, ideal.kmax + 1):
-        _assert_cold(ideal, k)
+    # chained slice updates above the least generator degree must agree
+    # with a cold elimination of the raw generator multiples
+    module, top = _module(name)
+    for k in range(module.e, top + 1):
+        _assert_cold(module, k)
 
 
 def test_rref_chain_survives_a_slice_below_the_generator_degree():
@@ -159,6 +183,25 @@ def test_rref_chain_survives_a_slice_below_the_generator_degree():
     assert cd.rref_at(cd.e - 1) == ([], [])
     for k in range(top + 1, cd.kmax + 1):
         _assert_cold(cd, k)
+
+
+def test_kmax_is_three_times_the_least_generator_degree():
+    # a line has kmax 1, a curve of degree d 3d - 3, three forms of
+    # degree e 3e, a module its least generator degree times three
+    assert CurveData(parse_poly("x")).kmax == 1
+    assert CurveData(parse_poly(EX1_D4)).kmax == 9
+    assert CurveData(parse_poly(NODAL6)).kmax == 15
+    forms = [primitivize(parse_poly(t)) for t in THREE_FORMS]
+    assert FormsIdeal([g.int_vector() for g in forms], (3,) * 3).kmax == 9
+    assert FormsIdeal([[1, 0, 0], [0, 0, 0, 0, 1, 0]], (1, 2)).kmax == 3
+
+
+def test_curve_data_takes_no_degree_cap():
+    # a caller-set cap once shortened what the saturation certified
+    with pytest.raises(TypeError):
+        CurveData(parse_poly(EX1_D4), 2)
+    with pytest.raises(TypeError):
+        milnor_dims(parse_poly(EX1_D4), 2)
 
 
 coeffs = st.integers(min_value=-3, max_value=3)

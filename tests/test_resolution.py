@@ -43,6 +43,13 @@ def test_min_generators_of_saturation():
     assert [str(g) for g in gens] == ["z^2", "y^3"]
 
 
+def test_ex1_d4_saturated_table_keeps_its_relation():
+    # the S/I_f table of y^4 + x*z^3 has a relation at 5; a CurveData
+    # once built with the degree cap 2 certified only up to 2 and lost it
+    table = betti_saturated(saturate(CurveData(parse_poly(EX1_D4))))
+    assert table.twists == ((2, 3), (5,))
+
+
 def test_syzygies_standalone_koszul():
     assert syzygies([parse_poly("x"), parse_poly("y")], kmax=2) == [2]
 
