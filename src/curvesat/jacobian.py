@@ -12,8 +12,10 @@ c f_z = 0.
 ⊕_b S(-t_b) generated by integer vectors of given degrees, with the
 canonical echelon form of each slice (chained upward by ``ShiftChain``)
 and the relations among its generators.  J_f is the ideal case, one
-block and three generators of degree d - 1; AR(f) and I_f, whose
-relations ``resolution`` counts, are modules of the same type.
+block and three generators of degree d - 1.  ``FormsIdeal.relations``
+is the one relation walk, with kernels only below its top degree where
+a relation appears: on J_f it gives AR(f), on AR(f) and on I_f the
+later positions of the two resolutions in ``resolution``.
 
 ``CurveData`` is the per-curve cache built on J_f.  It works on a
 canonical integer representative of f (rescaling f changes nothing) so
@@ -60,19 +62,25 @@ def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
     return out
 
 
-def mono_mult_block_vector(vec, mu, k_from: int, block_shifts) -> list[int]:
-    """Multiply a block vector of degree k_from by the monomial mu."""
-    k_to = k_from + mu.degree
-    out = [0] * sum(slice_dim(k_to - t) for t in block_shifts)
+def mono_multiples(vec, k_from: int, k_to: int, block_shifts) -> list:
+    """The multiples of a block vector of degree k_from by every monomial
+    of degree k_to - k_from, in ``monomial_basis`` order."""
+    terms = []                    # (block offset at k_to, monomial, value)
     off_in = 0
     off_out = 0
     for t in block_shifts:
         basis_in = monomial_basis(k_from - t)
         for i, v in enumerate(vec[off_in:off_in + len(basis_in)]):
             if v:
-                out[off_out + monomial_index(basis_in[i] * mu)] = v
+                terms.append((off_out, basis_in[i], v))
         off_in += len(basis_in)
         off_out += slice_dim(k_to - t)
+    out = []
+    for mu in monomial_basis(k_to - k_from):
+        col = [0] * off_out
+        for off, mono, v in terms:
+            col[off + monomial_index(mono * mu)] = v
+        out.append(col)
     return out
 
 
@@ -95,10 +103,10 @@ class ShiftChain:
 
     So each step is one ``rref_extend`` of the padded rows by the y and
     z shifts of the new rows and by extra.  Vectors added to the current
-    slice with ``insert`` or ``extend`` only add pivots, which are not
-    x-shifted ones, so the new rows stay the rows on the other pivots.
-    Those two change the current rows in place; ``step`` only reads
-    them, so a slice handed out before a step stays valid.
+    slice with ``insert`` only add pivots, which are not x-shifted ones,
+    so the new rows stay the rows on the other pivots.  ``insert``
+    changes the current rows in place; ``step`` only reads them, so a
+    slice handed out before a step stays valid.
     """
 
     def __init__(self, block_shifts, k: int, pivots=(), rows=()):
@@ -142,11 +150,6 @@ class ShiftChain:
         """Add one vector to the current slice; True when it grew."""
         return rref_insert(self.pivots, self.rows, vec, self.ncols())
 
-    def extend(self, vecs) -> None:
-        """Add vectors to the current slice."""
-        self.pivots, self.rows = rref_extend(self.pivots, self.rows, vecs,
-                                             self.ncols())
-
 
 class FormsIdeal:
     """Graded slices of the submodule M of ⊕_b S(-t_b) generated by
@@ -155,25 +158,28 @@ class FormsIdeal:
     An ideal of forms is one block, block_shifts (0,), with every a_i
     the degree e of the forms.  Zero generators are kept, so kernel
     coordinates always have one block per generator.  kmax = max(3e, 1),
-    with e the least generator degree, is the top degree the saturation
-    and the Hilbert-function checks read.
+    with e the least generator degree (0 when there is none), is the top
+    degree the saturation and the Hilbert-function checks read.
     """
 
     def __init__(self, vectors, degrees, block_shifts=(0,)):
         self.vectors = tuple(vectors)
         self.degrees = tuple(degrees)
         self.block_shifts = tuple(block_shifts)
-        self.e = min(self.degrees)
+        self.e = min(self.degrees, default=0)
         self.kmax = max(3 * self.e, 1)
         self._rref: dict[int, tuple] = {}
         # the top slice built so far, see rref_at
         self._chain = ShiftChain(self.block_shifts, self.e - 1)
+        # slice ranks handed on by the relation walk that built this module
+        self._ranks: dict[int, int] = {}
         self._kernel: dict[int, list] = {}
 
     # -- module slices --------------------------------------------------
 
     def rank_at(self, k: int) -> int:
-        return len(self.rref_at(k)[0])
+        rank = self._ranks.get(k)
+        return len(self.rref_at(k)[0]) if rank is None else rank
 
     def rref_at(self, k: int):
         """Canonical RREF (pivots, rows) of the degree-k slice.
@@ -201,13 +207,47 @@ class FormsIdeal:
         got = self._kernel.get(m)
         if got is None:
             k = m + self.e
-            cols = [mono_mult_block_vector(v, mu, a, self.block_shifts)
-                    for v, a in zip(self.vectors, self.degrees)
-                    for mu in monomial_basis(k - a)]
+            cols = [col for v, a in zip(self.vectors, self.degrees)
+                    for col in mono_multiples(v, a, k, self.block_shifts)]
             rows = [list(t) for t in zip(*cols)]
             got = kernel_int(rows, len(cols))
             self._kernel[m] = got
         return got
+
+    def relations(self, top: int):
+        """Minimal relations among the generators in total degrees up to
+        top, a bound the caller states: (degrees, module).
+
+        The kernel K of the generator map has dim K_k = sum dim
+        S_(k-a_i) - dim M_k; a ``ShiftChain`` on K gives S_1 K_(k-1),
+        and the new relations at k number the difference.  Below top,
+        where there are any, the vectors of ``kernel_at(k - e)`` that
+        enlarge the chain are picked in order; at top they are only
+        counted.  degrees are total degrees, the twists of a
+        resolution; module is the ``FormsIdeal`` the picks generate in
+        ⊕_i S(-a_i), handed the chain's ranks up to top (the span of
+        the picks' multiples), so a walk over it rebuilds no slice.
+        """
+        degrees: list[int] = []
+        vectors: list[list[int]] = []
+        ranks: dict[int, int] = {}
+        chain = ShiftChain(self.degrees, self.e - 1)
+        for k in range(self.e, top + 1):
+            chain.step()
+            count = (sum(slice_dim(k - a) for a in self.degrees)
+                     - self.rank_at(k) - len(chain.pivots))
+            degrees.extend([k] * count)
+            if count and k < top:
+                picked = [vec for vec in self.kernel_at(k - self.e)
+                          if chain.insert(vec)]
+                if len(picked) != count:
+                    raise KmaxExhaustedError("inconsistent relation count")
+                vectors.extend(picked)
+            ranks[k] = len(chain.pivots)
+        module = FormsIdeal(vectors, [k for k in degrees if k < top],
+                            self.degrees)
+        module._ranks = ranks
+        return degrees, module
 
 
 class CurveData(FormsIdeal):
@@ -226,7 +266,6 @@ class CurveData(FormsIdeal):
                          (self.d - 1,) * 3)
         self._tau: int | None = None
         self._mdr: int | None = None
-        self._ar_gens: dict[int, tuple] = {}
 
     # -- Milnor algebra -------------------------------------------------
 
@@ -275,41 +314,13 @@ class CurveData(FormsIdeal):
 
     def ar_min_generators(self, top: int):
         """Minimal generators of AR(f) in degrees up to top: (degrees,
-        vectors).
-
-        Degree-by-degree Nakayama count dim AR_m - dim S_1 AR_(m-1),
-        with S_1 AR_(m-1) one ``ShiftChain`` step from AR_(m-1).  Only
-        where that count is positive is the kernel ``kernel_at(m)``
-        computed: its canonical vectors that enlarge the span, picked in
-        canonical order, are the generators, and the span they reach is
-        AR_m.  The caller states top, a bound on the generator degrees:
-        r_J - d + 3 from the regularity r_J of M(f)
+        module), with module AR(f)(-(d-1)) in total degrees, read off
+        ``relations(top + d)``.  The caller states top, a bound on the
+        generator degrees: r_J - d + 3 from the regularity r_J of M(f)
         (``SaturationData.reg_jacobian``), or the closed bound 2(d-1).
         """
-        got = self._ar_gens.get(top)
-        if got is not None:
-            return got
-        degrees: list[int] = []
-        vectors: list[list[int]] = []
-        start = self.mdr()
-        chain = ShiftChain((0, 0, 0), start - 1)
-        for m in range(start, top + 1):
-            chain.step()
-            count = self.ar_dim(m) - len(chain.pivots)
-            if not count:
-                continue
-            picked = 0
-            for vec in self.kernel_at(m):
-                if chain.insert(vec):
-                    degrees.append(m)
-                    vectors.append(list(vec))
-                    picked += 1
-            if picked != count:
-                raise KmaxExhaustedError(
-                    "inconsistent syzygy generator count")
-        got = (degrees, vectors)
-        self._ar_gens[top] = got
-        return got
+        module = self.relations(top + self.d)[1]
+        return [a - (self.d - 1) for a in module.degrees], module
 
     # -- comparison with a smooth curve --------------------------------
 

@@ -1,15 +1,19 @@
 """Minimal graded free resolutions of S/J_f and S/I_f.
 
-Generators and syzygies are found degree by degree with Nakayama counts:
+Generators of I_f are found degree by degree with Nakayama counts:
 new generators at degree k are dim V_k minus the rank of the variable
-shifts of the previous slice.  Each module whose relations are counted
-here, AR(f) with block shifts (0, 0, 0) and the ideal I_f with (0,), is
-a ``jacobian.FormsIdeal`` generated by its vectors, as J_f is: its
-slices and its relation kernels come from the same code.  The AR(f)
-and relation scans walk a shift chain (``jacobian.ShiftChain``): the
-span of those shifts comes from the previous slice's echelon form in
-one step, so a kernel is computed only in a degree where a new
-generator or relation appears.
+shifts of the previous slice.  Every later position of either table
+holds the minimal relations among the previous position's generators,
+and all of them come from one walk, ``jacobian.FormsIdeal.relations``:
+the partials give AR(f), AR(f) gives its relations, the generators of
+I_f give theirs.  The walk carries the relations found so far up a
+shift chain (``jacobian.ShiftChain``), so a kernel is computed only in
+a degree below the top where a new relation appears; at the top
+degree relations are only counted.  The AR(f) module a walk returns
+carries the slice ranks that walk reached, so the walk over its own
+relations rebuilds no slice; the I_f module is built from its
+generators and eliminates its own slices, a check independent of the
+saturation's.
 Every scan stops at a top degree read off the regularity
 (``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
 regularity r has its generators in degrees at most r and their
@@ -33,7 +37,7 @@ from .errors import FreenessCheckFailedError, WrongShapeError
 # kernel_int, rank_int and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
 from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
-from .jacobian import CurveData, FormsIdeal, ShiftChain
+from .jacobian import CurveData, FormsIdeal
 from .poly import slice_dim
 from .saturation import SaturationData, saturate
 
@@ -78,34 +82,6 @@ def regularity_total(table: BettiTable) -> int:
     return best
 
 
-def module_syzygy_degrees(vectors, degrees, block_shifts, top):
-    """Minimal relation degrees among the given module generators.
-
-    Nakayama scan over the degrees min(degrees)..top; the caller states
-    top, a bound on the relation degrees.  The module M the vectors
-    generate (``FormsIdeal``) gives dim K_k = sum dim S_(k-a_i) -
-    dim M_k for the kernel K of the generator map; a ``ShiftChain`` on K
-    gives S_1 K_(k-1), and the new relations at k number dim K_k -
-    dim S_1 K_(k-1).  Only where that count is positive and k < top is
-    K_k itself computed (``FormsIdeal.kernel_at``), to carry the kernel
-    chain up.
-    """
-    if not vectors:
-        return []
-    module = FormsIdeal(vectors, degrees, block_shifts)
-    e = module.e
-    kernel = ShiftChain(degrees, e - 1)
-    found = []
-    for k in range(e, top + 1):
-        kernel.step()
-        count = (sum(slice_dim(k - a) for a in degrees)
-                 - module.rank_at(k) - len(kernel.pivots))
-        found.extend([k] * count)
-        if count and k < top:
-            kernel.extend(module.kernel_at(k - e))
-    return found
-
-
 def _sat(f) -> SaturationData:
     if isinstance(f, SaturationData):
         return f
@@ -138,9 +114,9 @@ def syzygies(gens, f=None, kmax=None):
         if kmax is None:
             raise WrongShapeError(
                 "syzygies without saturation data needs kmax")
-        return module_syzygy_degrees(vectors, a, (0,), kmax)
+        return FormsIdeal(vectors, a).relations(kmax)[0]
     sat = _sat(f)
-    b = module_syzygy_degrees(vectors, a, (0,), sat.reg_saturated() + 2)
+    b = FormsIdeal(vectors, a).relations(sat.reg_saturated() + 2)[0]
     _check_ideal_resolution(sat, a, b)
     return b
 
@@ -182,12 +158,15 @@ def betti_jacobian(f) -> BettiTable:
     """Betti table of S/J_f = M(f) for a curve with mdr >= 1.
 
     Positions: the three partials, then the minimal Jacobian syzygies
-    shifted by d-1, then their own relations.  With r_J = reg(S/J_f)
+    (``CurveData.ar_min_generators``), then their own relations, each
+    a ``FormsIdeal.relations`` walk in total degrees, so the twists are
+    the degrees the walks return.  With r_J = reg(S/J_f)
     (``SaturationData.reg_jacobian``), a twist t in position p obeys
-    t - p <= r_J, so syzygy generators sit in degrees at most
-    r_J - d + 3 and their relations in degrees at most r_J - d + 4.
-    The whole table is certified against the Hilbert function of M(f);
-    a mismatch raises FreenessCheckFailed.
+    t - p <= r_J: syzygy generators sit in degrees at most r_J - d + 3
+    and their relations in total degrees at most r_J + 3.  The walk
+    over the syzygies reads the ranks the first walk handed on.  The
+    whole table is certified against the Hilbert function of M(f); a
+    mismatch raises FreenessCheckFailed.
     """
     sat = _sat(f)
     cd = sat.engine.data
@@ -196,13 +175,12 @@ def betti_jacobian(f) -> BettiTable:
     if cd.mdr() == 0:
         raise WrongShapeError(
             "mdr = 0: the partials are not minimal generators of J_f")
-    d = cd.d
     r_j = sat.reg_jacobian()
-    ar_degs, ar_vecs = cd.ar_min_generators(r_j - d + 3)
-    rels = module_syzygy_degrees(ar_vecs, ar_degs, (0, 0, 0), r_j - d + 4)
-    twists = [(d - 1,) * 3, tuple(sorted(e + d - 1 for e in ar_degs))]
+    ar = cd.ar_min_generators(r_j - cd.d + 3)[1]
+    rels = ar.relations(r_j + 3)[0]
+    twists = [cd.degrees, ar.degrees]
     if rels:
-        twists.append(tuple(sorted(m + d - 1 for m in rels)))
+        twists.append(tuple(rels))
     for k in range(cd.kmax + 1):
         if _hilbert_from_twists(twists, k) != cd.milnor_dim(k):
             raise FreenessCheckFailedError(

@@ -382,15 +382,10 @@ def lefschetz_check(f, ell: tuple | None = None,
             piv, rows = engine.data.rref_at(s + 1)
             images = []
             for vec in engine.extras.get(s, ()):
-                shifted = [0] * slice_dim(s + 1)
-                for var in range(3):
-                    c = form[var]
-                    if c:
-                        sh = shift_maps(s)[var]
-                        for i, v in enumerate(vec):
-                            if v:
-                                shifted[sh[i]] += c * v
-                images.append(shifted)
+                x, y, z = (shift_block_vector(vec, var, s, (0,))
+                           for var in range(3))
+                images.append([form[0] * a + form[1] * b + form[2] * c
+                               for a, b, c in zip(x, y, z)])
             ranks.append(rank_growth(piv, rows, images, slice_dim(s + 1)))
         expected = [min(table[s], table[s + 1]) for s in steps]
         ok = ranks == expected

@@ -12,8 +12,7 @@ from curvesat.exactla import IncrementalSpan, kernel_int, rank_int
 from curvesat.jacobian import CurveData, FormsIdeal, shift_block_vector
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, monomial_index, slice_dim
-from curvesat.resolution import (betti_jacobian, min_generators,
-                                 module_syzygy_degrees)
+from curvesat.resolution import betti_jacobian, min_generators
 from curvesat.saturation import saturate
 
 NODAL6 = "x*y*z^4 + x^6 + y^6"
@@ -101,18 +100,41 @@ def test_chain_scans_match_the_kernel_at_every_degree(name):
     cd = CurveData(f)
     sat = saturate(cd)
     top = sat.reg_jacobian() - cd.d + 3
-    degrees, vectors = cd.ar_min_generators(top)
+    degrees, ar = cd.ar_min_generators(top)
+    vectors = list(ar.vectors)
     assert (degrees, vectors) == reference_ar_generators(CurveData(f), top)
     assert degrees
-    rels = module_syzygy_degrees(vectors, degrees, (0, 0, 0), top + 1)
-    assert rels == reference_relation_degrees(vectors, degrees, (0, 0, 0),
-                                              top + 1)
+    # relations of AR(f), in total degrees: AR(f) sits in ⊕ S(-(d-1))
+    rels = ar.relations(top + cd.d)[0]
+    assert rels == reference_relation_degrees(vectors, ar.degrees,
+                                              ar.block_shifts, top + cd.d)
     # relations among the generators of the saturation, block shifts (0,)
     a, gens = min_generators(sat)
     ideal = [g.int_vector() for g in gens]
     r_top = sat.reg_saturated() + 2
-    assert (module_syzygy_degrees(ideal, a, (0,), r_top)
+    assert (FormsIdeal(ideal, a).relations(r_top)[0]
             == reference_relation_degrees(ideal, a, (0,), r_top))
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_a_walk_hands_on_the_ranks_of_its_module(name):
+    # the ranks a relation walk records for the module of its picks are
+    # those of a cold elimination of that module's generator multiples;
+    # walks: AR(f) among the partials, the relations of AR(f), and those
+    # of the generators of the saturation
+    cd = CurveData(_curve(name))
+    sat = saturate(cd)
+    top = sat.reg_jacobian() + 3
+    a, gens = min_generators(sat)
+    ideal = FormsIdeal([g.int_vector() for g in gens], a)
+    walks = [(cd, top), (cd.relations(top)[1], top),
+             (ideal, sat.reg_saturated() + 2)]
+    for module, top in walks:
+        walked = module.relations(top)[1]
+        cold = FormsIdeal(walked.vectors, walked.degrees,
+                          walked.block_shifts)
+        assert walked._ranks == {k: cold.rank_at(k)
+                                 for k in range(module.e, top + 1)}
 
 
 def _count_kernels(monkeypatch):
@@ -143,3 +165,20 @@ def test_kernels_only_where_a_generator_or_relation_appears(
     betti_jacobian(_curve(name))
     assert ar_degrees == ar_kernels
     assert relation_degrees == []
+
+
+@pytest.mark.parametrize("name", ["fermat-5", "nf-d7-k3"])
+def test_the_relations_of_ar_rebuild_no_slice(monkeypatch, name):
+    # the walk over the relations of AR(f) reads the ranks the AR(f)
+    # walk handed on: only the slices of J_f are ever eliminated
+    modules = []
+    rref_at = FormsIdeal.rref_at
+
+    def recorded(self, k):
+        modules.append(self)
+        return rref_at(self, k)
+
+    monkeypatch.setattr(FormsIdeal, "rref_at", recorded)
+    betti_jacobian(_curve(name))
+    assert modules
+    assert all(isinstance(m, CurveData) for m in modules)

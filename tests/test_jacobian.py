@@ -14,7 +14,7 @@ from curvesat.jacobian import (
     ct,
     mdr,
     milnor_dims,
-    mono_mult_block_vector,
+    mono_multiples,
     smooth_reference_dims,
     tjurina,
 )
@@ -134,8 +134,8 @@ def _module(name):
         # up to the top of their relation scan
         cd = CurveData(parse_poly(NODAL6))
         top = saturate(cd).reg_jacobian() - cd.d + 3
-        degrees, vectors = cd.ar_min_generators(top)
-        return FormsIdeal(vectors, degrees, (0, 0, 0)), top + 1
+        degrees, ar = cd.ar_min_generators(top)
+        return FormsIdeal(ar.vectors, degrees, (0, 0, 0)), top + 1
     if name == "i-ex1-d4":
         # generators of the saturation in degrees 2 and 3, block (0,),
         # up to the top of their relation scan
@@ -153,9 +153,8 @@ def _module(name):
 
 def _assert_cold(module, k):
     # a cold elimination of every monomial multiple of every generator
-    cols = [mono_mult_block_vector(v, mu, a, module.block_shifts)
-            for v, a in zip(module.vectors, module.degrees)
-            for mu in monomial_basis(k - a)]
+    cols = [col for v, a in zip(module.vectors, module.degrees)
+            for col in mono_multiples(v, a, k, module.block_shifts)]
     ncols = sum(slice_dim(k - t) for t in module.block_shifts)
     piv, rows = module.rref_at(k)
     cpiv, crows = rref_int(cols, ncols)

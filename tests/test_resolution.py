@@ -7,7 +7,7 @@ import pytest
 from curvesat import catalog
 from curvesat.analysis import analyze_full
 from curvesat.errors import FreenessCheckFailedError, WrongShapeError
-from curvesat.jacobian import CurveData
+from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import partials, primitivize
 from curvesat.resolution import (
@@ -108,8 +108,10 @@ def test_betti_jacobian_raises_on_a_dropped_generator(monkeypatch):
 
     def drop_last(self, top):
         calls.append(top)
-        degrees, vectors = original(self, top)
-        return degrees[:-1], vectors[:-1]
+        degrees, module = original(self, top)
+        return degrees[:-1], FormsIdeal(module.vectors[:-1],
+                                        module.degrees[:-1],
+                                        module.block_shifts)
 
     monkeypatch.setattr(CurveData, "ar_min_generators", drop_last)
     with pytest.raises(FreenessCheckFailedError):
