@@ -197,7 +197,7 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
     table_jac, ar_degs = clock("jacobianResolution", syzygy_side)
     cls = clock("classify", lambda: classify(cd, sat))
     verdicts = tuple(clock("verdicts", lambda: verify_identities(
-        cd, sat, cls, table_sat, table_jac,
+        cd, sat, cls, table_sat, table_jac, ar_degs,
         arrangement=is_arrangement, irreducible=irreducible)))
 
     report = CurveReport(

@@ -124,14 +124,15 @@ def predicted_resolution_nearly_free(d: int, d1: int) -> BettiTable:
 
 def verify_identities(cd: CurveData, sat: SaturationData,
                        cls: Classification, table_sat: BettiTable,
-                       table_jac: BettiTable | None, *,
+                       table_jac: BettiTable | None, ar_degrees, *,
                        arrangement: bool = False,
                        irreducible: bool | None = None) -> list:
     """Check every structural statement that applies to this curve.
 
-    Returns one Verdict per statement: PASS or FAIL when the hypotheses
-    hold, NOT_APPLICABLE otherwise, always with enough detail to audit
-    the comparison.
+    ar_degrees are the minimal generator degrees of AR(f), as the
+    report carries them.  Returns one Verdict per statement: PASS or
+    FAIL when the hypotheses hold, NOT_APPLICABLE otherwise, always with
+    enough detail to audit the comparison.
     """
     d = cd.d
     tau = cls.tau
@@ -139,12 +140,7 @@ def verify_identities(cd: CurveData, sat: SaturationData,
     singular = tau > 0
     n_table = list(sat.n_table)
     n_low = n_table[d - 2] if 0 <= d - 2 < len(n_table) else 0
-    # syzygy generator count, from the certified table when there is
-    # one, else scanned up to r_J - d + 3 (see betti_jacobian)
-    if table_jac is not None:
-        mu_ar = len(table_jac.twists[1])
-    else:
-        mu_ar = len(cd.ar_min_generators(sat.reg_jacobian() - d + 3)[0])
+    mu_ar = len(ar_degrees)
     verdicts = []
 
     def add(name, applicable, ok=None, **details):

@@ -14,6 +14,16 @@ J_k plus a handful of lift vectors.  The expensive eliminations thus
 stay on the small-entry generator columns of J itself, and the module
 N(f) is read off as the lift count per degree.
 
+Most steps have an empty kernel: N lives only in degrees sigma..top -
+sigma.  Such a step is certified without exact elimination.  Its matrix
+has entries -b/a with a a pivot entry of I_(k+1); when the fixed prime
+``PRIME`` divides no such a, every entry lies in Z_(p), and a nonzero
+minor mod p lifts to a nonzero minor over Q, so rank_p <= rank_Q.  Full
+rank mod p thus proves the kernel zero, and I_k = J_k.  Every other
+step (a nonzero kernel, a rank that drops mod p, or p dividing a pivot
+entry) runs the exact fraction-free kernel, so every result stays
+exact.
+
 The same descent saturates any codimension-two ideal J generated by
 three forms of degree e, from the base 3e - 2: the quotient I/J by its
 saturation I vanishes above 3e - 3 and is self-dual, n_k = n_(3e-3-k)
@@ -43,6 +53,64 @@ from .jacobian import CurveData, FormsIdeal, shift_block_vector
 from .poly import HomogeneousPoly, primitivize, shift_maps, slice_dim
 
 
+# the fixed prime of the empty-kernel certificate in SaturationEngine._step
+PRIME = (1 << 61) - 1
+
+
+def _rows_mod_p(blocks, comp_next, ipiv, irows, p):
+    """The step matrix of ``SaturationEngine._step`` reduced mod p, each
+    entry -b/a as -b * a^-1; None when p divides a touched pivot entry a."""
+    inverses = {}
+    rows = []
+    for targets, at_pivot in blocks:
+        at_comp = {t: u for u, t in enumerate(targets)}
+        for npc in comp_next:
+            row = [0] * len(targets)
+            u = at_comp.get(npc)
+            if u is not None:
+                row[u] = 1
+            for u, i in at_pivot:
+                b = irows[i][npc]
+                if not b:
+                    continue
+                inv = inverses.get(i)
+                if inv is None:
+                    a = irows[i][ipiv[i]] % p
+                    if not a:
+                        return None
+                    inv = inverses[i] = pow(a, -1, p)
+                row[u] = -(b % p) * inv % p
+            rows.append(row)
+    return rows
+
+
+def _rank_mod_p(rows, ncols: int, p: int) -> int:
+    """Rank mod the prime p of a matrix with entries in [0, p); consumes
+    its argument.
+
+    Rows are reduced one at a time against an echelon basis, each basis
+    row kept as its entries right of a leading 1; the walk stops once
+    the rank reaches ncols, so a full-rank matrix reads few rows.
+    """
+    basis = {}                  # leading column -> [(column, entry)]
+    for row in rows:
+        for col in range(ncols):
+            b = row[col]
+            if not b:
+                continue
+            tail = basis.get(col)
+            if tail is None:
+                inv = pow(b, -1, p)
+                basis[col] = [(c, row[c] * inv % p)
+                              for c in range(col + 1, ncols) if row[c]]
+                break
+            for c, v in tail:
+                row[c] = (row[c] - b * v) % p
+        if len(basis) == ncols:
+            break
+    return len(basis)
+
+
 class SaturationEngine:
     """Runs the descending recursion against a FormsIdeal's slices."""
 
@@ -51,6 +119,7 @@ class SaturationEngine:
         self.base = base
         self.extras: dict[int, list[list[int]]] = {}
         self._irref: dict[int, tuple] = {}
+        self._shifts: dict[int, list] = {}
 
     def i_rref(self, k: int):
         """Canonical RREF of the saturated slice at degree k."""
@@ -76,6 +145,18 @@ class SaturationEngine:
             self._step(k)
         return self
 
+    def lift_shifts(self, k: int) -> list:
+        """The x, y and z shifts of each lift at degree k, cached: the
+        generator scan and every sampled form of ``lefschetz_check``
+        read them."""
+        got = self._shifts.get(k)
+        if got is None:
+            got = self._shifts[k] = [
+                tuple(shift_block_vector(vec, var, k, (0,))
+                      for var in range(3))
+                for vec in self.extras.get(k, ())]
+        return got
+
     def _step(self, k: int):
         dim_here = slice_dim(k)
         dim_next = slice_dim(k + 1)
@@ -90,17 +171,34 @@ class SaturationEngine:
         piv_index = {c: i for i, c in enumerate(ipiv)}
 
         # matrix of (x,y,z)-multiplication from the J_k complement into
-        # the quotient by I_(k+1); its kernel lifts to the new slice
-        # (the entry at a target monomial that is a pivot of I_(k+1) is
-        # -irows[i][npc] / irows[i][ipiv[i]]; each row is scaled to
-        # integers by the lcm of the pivot entries it touches)
-        shifts = shift_maps(k)
-        rows = []
-        for var in range(3):
-            sh = shifts[var]
+        # the quotient by I_(k+1); its kernel lifts to the new slice.
+        # Row (var, npc) has 1 where a complement monomial shifts to npc
+        # and -irows[i][npc] / irows[i][ipiv[i]] where it shifts to the
+        # pivot of row i of I_(k+1).
+        blocks = []
+        for sh in shift_maps(k):
             targets = [sh[t0] for t0 in comp_here]
             at_pivot = [(u, piv_index[t]) for u, t in enumerate(targets)
                         if t in piv_index]
+            blocks.append((targets, at_pivot))
+
+        # Certificate of an empty kernel: when PRIME divides no touched
+        # pivot entry, every entry lies in Z_(PRIME), so rank_p <= rank_Q
+        # and full rank mod PRIME proves the kernel zero.  Then I_k = J_k
+        # and its cached RREF serves as is.  A nonzero kernel, a rank
+        # that drops mod PRIME or PRIME dividing a touched pivot entry
+        # falls through to the exact path.
+        ncomp = len(comp_here)
+        rows_p = _rows_mod_p(blocks, comp_next, ipiv, irows, PRIME)
+        if rows_p is not None and _rank_mod_p(rows_p, ncomp, PRIME) == ncomp:
+            self.extras[k] = []
+            self._irref[k] = (jpiv, jrows)
+            return
+
+        # exact path: each row scaled to integers by the lcm of the
+        # pivot entries it touches
+        rows = []
+        for targets, at_pivot in blocks:
             for npc in comp_next:
                 hits = [(u, irows[i][npc], irows[i][ipiv[i]])
                         for u, i in at_pivot if irows[i][npc]]
@@ -109,7 +207,7 @@ class SaturationEngine:
                 for u, b, a in hits:
                     row[u] = -b * (scale // a)
                 rows.append(primitive(row))
-        kern = kernel_int(rows, len(comp_here))
+        kern = kernel_int(rows, ncomp)
 
         extras = []
         for w in kern:
@@ -222,9 +320,8 @@ class SaturationData:
                 continue
             ncols = slice_dim(k)
             jpiv, jrows = data.rref_at(k)
-            shifted = [shift_block_vector(vec, var, k - 1, (0,))
-                       for vec in engine.extras.get(k - 1, ())
-                       for var in range(3)]
+            shifted = [vec for trio in engine.lift_shifts(k - 1)
+                       for vec in trio]
             grew = rank_growth(jpiv, jrows, shifted, ncols)
             count = n_k - grew
             n_degrees.extend([k] * count)
@@ -380,12 +477,9 @@ def lefschetz_check(f, ell: tuple | None = None,
         ranks = []
         for s in steps:
             piv, rows = engine.data.rref_at(s + 1)
-            images = []
-            for vec in engine.extras.get(s, ()):
-                x, y, z = (shift_block_vector(vec, var, s, (0,))
-                           for var in range(3))
-                images.append([form[0] * a + form[1] * b + form[2] * c
-                               for a, b, c in zip(x, y, z)])
+            images = [[form[0] * a + form[1] * b + form[2] * c
+                       for a, b, c in zip(x, y, z)]
+                      for x, y, z in engine.lift_shifts(s)]
             ranks.append(rank_growth(piv, rows, images, slice_dim(s + 1)))
         expected = [min(table[s], table[s + 1]) for s in steps]
         ok = ranks == expected

@@ -1,10 +1,16 @@
 """Saturation of the Jacobian ideal, the quotient module N(f), and
 generic hyperplane rank profiles."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from curvesat import catalog, saturation
+from curvesat.analysis import analyze_catalog, emit_json
 from curvesat.errors import NotCodimensionTwoError
-from curvesat.parsing import parse_poly
+from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import partials
 from curvesat.saturation import (
     lefschetz_check,
@@ -138,3 +144,83 @@ def test_lefschetz_needs_at_least_one_sampled_form():
     assert out.pattern_ok
     assert out.form == (-3, -2, -5)
     assert out.attempts == 2
+
+
+# -- the mod-p certificate of an empty step kernel --------------------------
+
+DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "report_digests.json").read_text())
+
+
+def _catalog_curve(name):
+    obj = catalog.load(name)
+    return obj.product() if isinstance(obj, Arrangement) else obj
+
+
+def _watched_saturate(monkeypatch, name, watch_rows=False):
+    """saturate(name) with the degrees where the exact kernel ran and,
+    when watch_rows, those where the prime divided a touched pivot."""
+    exact, unreduced, current = [], [], []
+    step = saturation.SaturationEngine._step
+    kernel = saturation.kernel_int
+
+    def watched_step(self, k):
+        current.append(k)
+        return step(self, k)
+
+    def watched_kernel(rows, ncols):
+        exact.append(current[-1])
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(saturation.SaturationEngine, "_step", watched_step)
+    monkeypatch.setattr(saturation, "kernel_int", watched_kernel)
+    if watch_rows:
+        rows_mod_p = saturation._rows_mod_p
+
+        def watched_rows(*args):
+            rows = rows_mod_p(*args)
+            if rows is None:
+                unreduced.append(current[-1])
+            return rows
+
+        monkeypatch.setattr(saturation, "_rows_mod_p", watched_rows)
+    return saturate(_catalog_curve(name)), exact, unreduced
+
+
+@pytest.mark.parametrize("name", ["generic-5", "nf-d7-k3", "nodal-5",
+                                  "braid"])
+def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
+    sat, exact, _ = _watched_saturate(monkeypatch, name)
+    assert exact == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
+
+
+# generic-5 mod 2: 2 divides a touched pivot entry at degrees 9..4;
+# braid mod 3: 3 divides one at degrees 5 and 4, and the rank drops
+# mod 3 at degree 6; nf-d7-k3: the mod-p rank stubbed one short
+@pytest.mark.parametrize("name, prime, short", [
+    ("generic-5", 2, 0),
+    ("braid", 3, 0),
+    ("nf-d7-k3", None, 1),
+])
+def test_a_failed_certificate_takes_the_exact_path(monkeypatch, name, prime,
+                                                   short):
+    ref = saturate(_catalog_curve(name))
+    if prime:
+        monkeypatch.setattr(saturation, "PRIME", prime)
+    if short:
+        rank = saturation._rank_mod_p
+        monkeypatch.setattr(saturation, "_rank_mod_p",
+                            lambda rows, ncols, p: rank(rows, ncols, p) - 1)
+    sat, exact, unreduced = _watched_saturate(monkeypatch, name, True)
+    if short:
+        assert exact == list(range(sat.top, -1, -1))
+    else:
+        assert unreduced and set(unreduced) <= set(exact)
+    assert any(not ref.n_table[k] for k in exact)
+    assert sat.n_table == ref.n_table
+    assert all(sat.engine.extras[k] == ref.engine.extras[k]
+               for k in range(sat.top + 1))
+    report = analyze_catalog(name)
+    assert {"text": hashlib.sha256(report.to_text().encode()).hexdigest(),
+            "json": hashlib.sha256(emit_json(report).encode()).hexdigest(),
+            } == DIGESTS[name]
