@@ -6,29 +6,37 @@ integers row by row (``clear_row``) before it gets here; scaling a row
 changes neither the row span nor the kernel, so ranks, spans and
 kernels of the cleared matrix are those of the rational one.
 
-The elimination is fraction-free: a pivot row p and a target row r with
-entries a = p[c], b = r[c] in the pivot column are combined as
+Three building blocks carry every exact operation:
 
-    r := (a // g) * r - (b // g) * p,        g = gcd(a, b)
+- ``_eliminate``, the forward phase.  It is fraction-free: a pivot row
+  p and a target row r with entries a = p[c], b = r[c] in the pivot
+  column are combined as
 
-and the result is divided by its content (gcd of its entries).  Pivoting
-is deterministic: columns are processed left to right and the first row
-with a nonzero entry in the current column wins.  Reduced echelon forms
-finish with back substitution, content stripping and positive pivots,
-which makes them the unique canonical integer echelon form of the row
-span; kernel bases are canonical too, so repeated runs give identical
-output.
+      r := (a // g) * r - (b // g) * p,        g = gcd(a, b)
 
-``rref_int``, ``rank_int`` and ``kernel_int`` work on a whole matrix;
-``rref_extend`` and ``rank_growth`` add vectors to a canonical RREF in
-one step; ``rref_insert`` adds one vector at a time, and
-``IncrementalSpan`` grows a span in a cheaper, non-canonical echelon
-form.
+  and the result is divided by its content (gcd of its entries).
+  Pivoting is deterministic: columns are processed left to right and
+  the first row with a nonzero entry in the current column wins.
+- ``_residuals``, the one-step reduction of vectors modulo a canonical
+  RREF, whose rows are zero at every pivot but their own.
+- ``_clear``, the one row update of a reduced echelon form: a row is
+  cleared of all the pivot columns it hits in one combined step and
+  stripped of its content once.
+
+``rank_int`` is the forward phase.  ``rref_int`` adds one ``_clear``
+per echelon row and positive pivots: the unique canonical integer
+echelon form of the row span, from which ``kernel_int`` reads a
+canonical kernel basis.  ``rank_growth``, ``rref_extend`` and
+``rref_insert`` add vectors to a canonical RREF through ``_residuals``
+(and ``_clear``).  ``rank_mod_p`` eliminates mod a prime.
+``IncrementalSpan`` keeps its own sequential reduction in a cheaper,
+non-canonical echelon form; the program does not use it, it stays as
+the chain-scan tests' reference and a benchmark trace site.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect, insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -99,6 +107,60 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def rank_mod_p(rows, ncols: int, p: int) -> int:
+    """Rank mod the prime p of a matrix with entries in [0, p); consumes
+    its argument.
+
+    Rows are reduced one at a time against an echelon basis, each basis
+    row kept as its entries right of a leading 1; the walk stops once
+    the rank reaches ncols, so a full-rank matrix reads few rows.
+    """
+    basis = {}                  # leading column -> [(column, entry)]
+    for row in rows:
+        for col in range(ncols):
+            b = row[col]
+            if not b:
+                continue
+            tail = basis.get(col)
+            if tail is None:
+                inv = pow(b, -1, p)
+                basis[col] = [(c, row[c] * inv % p)
+                              for c in range(col + 1, ncols) if row[c]]
+                break
+            for c, v in tail:
+                row[c] = (row[c] - b * v) % p
+        if len(basis) == ncols:
+            break
+    return len(basis)
+
+
+def _clear(row: list[int], pc: int, hits, cols) -> list[int]:
+    """row cleared of the pivot columns of canonical RREF rows, at once.
+
+    row has its pivot at pc; hits lists (q, prow), prow a canonical row
+    with pivot column q where row[q] is nonzero.  Returns
+    L*row - sum (L/a) row[q] prow, a = prow[q] and L the lcm of these a,
+    content stripped: zero at every q, with row's pivot sign.  cols are
+    the other columns where row or a prow can be nonzero, no pivot
+    column among them.  row is consumed.
+    """
+    terms = [(prow, row[q], prow[q]) for q, prow in hits]
+    scale = lcm(*(a for _, _, a in terms))
+    if scale != 1:
+        row[pc] *= scale
+        for c in cols:
+            row[c] *= scale
+    for prow, b, a in terms:
+        m = (scale // a) * b
+        for c in cols:
+            v = prow[c]
+            if v:
+                row[c] -= m * v
+    for q, _ in hits:
+        row[q] = 0
+    return primitive(row)
+
+
 def rank_int(rows: list[list[int]], ncols: int) -> int:
     """Rank of an integer matrix; consumes its argument."""
     return len(_eliminate(rows, ncols))
@@ -108,34 +170,29 @@ def rref_int(rows: list[list[int]], ncols: int):
     """Canonical (pivots, rows) reduced echelon form; consumes its argument.
 
     The rows returned are the nonzero ones: primitive, with positive
-    pivot entries and zeros above and below each pivot.
+    pivot entries and zeros above and below each pivot.  Each echelon
+    row is cleared once (``_clear``), against the final rows below it.
     """
     pivots = _eliminate(rows, ncols)
     npiv = len(pivots)
     del rows[npiv:]
-    for idx in range(npiv - 1, -1, -1):
-        pc = pivots[idx]
-        prow = rows[idx]
-        a = prow[pc]
-        for q in range(idx):
-            row = rows[q]
-            b = row[pc]
-            if not b:
-                continue
-            g = gcd(a, b)
-            ma = a // g
-            mb = b // g
-            if ma != 1:
-                for c in range(pivots[q], pc):
-                    row[c] *= ma
-            row[pc] = 0
-            for c in range(pc + 1, ncols):
-                row[c] = ma * row[c] - mb * prow[c]
-            rows[q] = primitive(row)
-    for idx in range(npiv):
-        row = rows[idx]
-        if row[pivots[idx]] < 0:
-            for c in range(pivots[idx], ncols):
+    # a row changes only at its own turn, after every row below it, so
+    # its hits are read off the echelon rows in one pass up front
+    hits = [[] for _ in range(npiv)]
+    for j, pc in enumerate(pivots):
+        for i in range(j):
+            if rows[i][pc]:
+                hits[i].append((pc, j))
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    for i in range(npiv - 1, -1, -1):
+        pc = pivots[i]
+        if hits[i]:
+            rows[i] = _clear(rows[i], pc, [(q, rows[j]) for q, j in hits[i]],
+                             free[bisect(free, pc):])
+        row = rows[i]
+        if row[pc] < 0:
+            for c in range(pc, ncols):
                 row[c] = -row[c]
     return pivots, rows
 
@@ -176,71 +233,6 @@ def kernel_int(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return kernel_from_rref(pivots, red, ncols)
 
 
-def reduce_row(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-               vec: list[int]) -> list[int]:
-    """Residual of vec modulo the span of echelon rows (consumed, primitive).
-
-    Zero residual means membership.  Works for any forward echelon form
-    as long as rows are listed in increasing pivot order.
-    """
-    n = len(vec)
-    for i, pc in enumerate(pivots):
-        b = vec[pc]
-        if not b:
-            continue
-        row = rows[i]
-        a = row[pc]
-        g = gcd(a, b)
-        ma = a // g
-        mb = b // g
-        for c in range(n):
-            vec[c] = ma * vec[c] - mb * row[c]
-    return primitive(vec)
-
-
-def rref_insert(pivots: list[int], rows: list[list[int]], vec: list[int],
-                ncols: int) -> bool:
-    """Insert one vector into a canonical RREF in place.
-
-    Returns True when the span grew.  The updated (pivots, rows) stay the
-    canonical RREF of the enlarged span.
-    """
-    vec = reduce_row(pivots, rows, list(vec))
-    pc = -1
-    for c in range(ncols):
-        if vec[c]:
-            pc = c
-            break
-    if pc < 0:
-        return False
-    if vec[pc] < 0:
-        vec = [-v for v in vec]
-    # clear column pc in the existing rows (only rows with pivot < pc can hit it)
-    a = vec[pc]
-    for i, opc in enumerate(pivots):
-        if opc > pc:
-            break
-        row = rows[i]
-        b = row[pc]
-        if not b:
-            continue
-        g = gcd(a, b)
-        ma = a // g
-        mb = b // g
-        for c in range(ncols):
-            row[c] = ma * row[c] - mb * vec[c]
-        rows[i] = row = primitive(row)
-        if row[opc] < 0:
-            for c in range(ncols):
-                row[c] = -row[c]
-    pos = 0
-    while pos < len(pivots) and pivots[pos] < pc:
-        pos += 1
-    pivots.insert(pos, pc)
-    rows.insert(pos, vec)
-    return True
-
-
 def _residuals(pivots: Sequence[int], rows: Sequence[Sequence[int]],
                vecs: Iterable[Sequence[int]], ncols: int):
     """(free, residuals): the free columns of a canonical RREF and the
@@ -268,6 +260,36 @@ def _residuals(pivots: Sequence[int], rows: Sequence[Sequence[int]],
         if any(res):
             residuals.append(res)
     return free, residuals
+
+
+def rref_insert(pivots: list[int], rows: list[list[int]], vec: Sequence[int],
+                ncols: int) -> bool:
+    """Insert one vector into a canonical RREF in place.
+
+    Returns True when the span grew.  The updated (pivots, rows) stay the
+    canonical RREF of the enlarged span: the residual of vec (see
+    ``_residuals``), primitive with a positive leading entry, becomes a
+    new row and is cleared out of the old rows it hits.
+    """
+    free, residuals = _residuals(pivots, rows, (vec,), ncols)
+    if not residuals:
+        return False
+    res = primitive(residuals[0])
+    lead = next(j for j, v in enumerate(res) if v)
+    if res[lead] < 0:
+        res = [-v for v in res]
+    new = [0] * ncols
+    for c, v in zip(free, res):
+        new[c] = v
+    pc = free[lead]
+    cols = free[:lead] + free[lead + 1:]
+    pos = bisect(pivots, pc)
+    for i in range(pos):
+        if rows[i][pc]:
+            rows[i] = _clear(rows[i], pivots[i], [(pc, new)], cols)
+    pivots.insert(pos, pc)
+    rows.insert(pos, new)
+    return True
 
 
 def rank_growth(pivots: Sequence[int], rows: Sequence[Sequence[int]],
@@ -308,24 +330,9 @@ def rref_extend(pivots: Sequence[int], rows: list[list[int]],
     taken = set(new_pivots)
     rest = [c for c in free if c not in taken]
     for i, (pc, row) in enumerate(zip(pivots, rows)):
-        hits = [(new, row[q], new[q])
-                for q, new in zip(new_pivots, new_rows) if row[q]]
-        if not hits:
-            continue
-        scale = lcm(*(a for _, _, a in hits))
-        if scale != 1:
-            row[pc] *= scale
-            for c in rest:
-                row[c] *= scale
-        for new, b, a in hits:
-            m = (scale // a) * b
-            for c in rest:
-                v = new[c]
-                if v:
-                    row[c] -= m * v
-        for q in new_pivots:
-            row[q] = 0
-        rows[i] = primitive(row)
+        hits = [(q, new) for q, new in zip(new_pivots, new_rows) if row[q]]
+        if hits:
+            rows[i] = _clear(row, pc, hits, rest)
 
     merged = sorted(zip(list(pivots) + new_pivots, rows + new_rows),
                     key=lambda t: t[0])

@@ -22,7 +22,9 @@ minor mod p lifts to a nonzero minor over Q, so rank_p <= rank_Q.  Full
 rank mod p thus proves the kernel zero, and I_k = J_k.  Every other
 step (a nonzero kernel, a rank that drops mod p, or p dividing a pivot
 entry) runs the exact fraction-free kernel, so every result stays
-exact.
+exact.  Below the middle degree the self-duality of the quotient (see
+``_descend``) names the steps with a nonzero kernel in advance; those
+go to the exact path without the probe.
 
 The same descent saturates any codimension-two ideal J generated by
 three forms of degree e, from the base 3e - 2: the quotient I/J by its
@@ -47,8 +49,8 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
 # clear_row is unused here but stays bound: perfbench/spans.py patches
 # this module's names
-from .exactla import (clear_row, kernel_int, primitive,  # noqa: F401
-                      rank_growth, rref_extend, rref_insert)
+from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
+                      rank_mod_p, rref_extend, rref_insert)
 from .jacobian import CurveData, FormsIdeal, shift_block_vector
 from .poly import HomogeneousPoly, primitivize, shift_maps, slice_dim
 
@@ -82,33 +84,6 @@ def _rows_mod_p(blocks, comp_next, ipiv, irows, p):
                 row[u] = -(b % p) * inv % p
             rows.append(row)
     return rows
-
-
-def _rank_mod_p(rows, ncols: int, p: int) -> int:
-    """Rank mod the prime p of a matrix with entries in [0, p); consumes
-    its argument.
-
-    Rows are reduced one at a time against an echelon basis, each basis
-    row kept as its entries right of a leading 1; the walk stops once
-    the rank reaches ncols, so a full-rank matrix reads few rows.
-    """
-    basis = {}                  # leading column -> [(column, entry)]
-    for row in rows:
-        for col in range(ncols):
-            b = row[col]
-            if not b:
-                continue
-            tail = basis.get(col)
-            if tail is None:
-                inv = pow(b, -1, p)
-                basis[col] = [(c, row[c] * inv % p)
-                              for c in range(col + 1, ncols) if row[c]]
-                break
-            for c, v in tail:
-                row[c] = (row[c] - b * v) % p
-        if len(basis) == ncols:
-            break
-    return len(basis)
 
 
 class SaturationEngine:
@@ -187,16 +162,22 @@ class SaturationEngine:
         # and full rank mod PRIME proves the kernel zero.  Then I_k = J_k
         # and its cached RREF serves as is.  A nonzero kernel, a rank
         # that drops mod PRIME or PRIME dividing a touched pivot entry
-        # falls through to the exact path.
+        # falls through to the exact path.  Below the middle degree,
+        # self-duality n_k = n_(base-1-k) (see ``_descend``) already
+        # tells from the mirror step when the kernel is nonzero; no
+        # certificate can succeed there, so the probe is skipped.
         ncomp = len(comp_here)
-        rows_p = _rows_mod_p(blocks, comp_next, ipiv, irows, PRIME)
-        if rows_p is not None and _rank_mod_p(rows_p, ncomp, PRIME) == ncomp:
-            self.extras[k] = []
-            self._irref[k] = (jpiv, jrows)
-            return
+        mirror = self.base - 1 - k
+        if mirror <= k or not self.extras[mirror]:
+            rows_p = _rows_mod_p(blocks, comp_next, ipiv, irows, PRIME)
+            if (rows_p is not None
+                    and rank_mod_p(rows_p, ncomp, PRIME) == ncomp):
+                self.extras[k] = []
+                self._irref[k] = (jpiv, jrows)
+                return
 
         # exact path: each row scaled to integers by the lcm of the
-        # pivot entries it touches
+        # pivot entries it touches (kernel_int strips its content)
         rows = []
         for targets, at_pivot in blocks:
             for npc in comp_next:
@@ -206,7 +187,7 @@ class SaturationEngine:
                 row = [scale if t == npc else 0 for t in targets]
                 for u, b, a in hits:
                     row[u] = -b * (scale // a)
-                rows.append(primitive(row))
+                rows.append(row)
         kern = kernel_int(rows, ncomp)
 
         extras = []

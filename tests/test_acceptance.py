@@ -5,14 +5,23 @@ bit (no tolerances anywhere), and prints a single PASS or FAIL line on
 the real stdout so the gate is readable straight off the pytest log.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
-from curvesat.analysis import analyze_catalog
+from curvesat.analysis import analyze_catalog, emit_json
 from curvesat.classify import predicted_resolution_nearly_free
 from curvesat.resolution import regularity
 from curvesat.suite import run_suite
 
 _SUITE_CACHE = {}
+DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "report_digests.json").read_text())
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def full_suite():
@@ -59,6 +68,10 @@ def test_criterion_1_ziegler_pair_resolutions(capsys):
               f"{name} S/I table {rep.betti_saturated.twists}")
         check(failures, elapsed < 60.0,
               f"{name} took {elapsed:.1f}s, budget 60s")
+        # the pair's pinned report digests (see test_report_digests)
+        check(failures, {"text": _sha(rep.to_text()),
+                         "json": _sha(emit_json(rep))} == DIGESTS[name],
+              f"{name} report digests moved")
     finish("1 ziegler-pair-resolutions", failures, capsys)
 
 

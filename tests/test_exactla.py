@@ -1,6 +1,7 @@
 """Exact integer linear algebra: ranks, kernels, canonical RREF."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from curvesat.exactla import (
     kernel_int,
     rank_growth,
     rank_int,
-    reduce_row,
     rref_extend,
     rref_insert,
     rref_int,
@@ -126,16 +126,79 @@ def test_rref_insert_matches_batch(mat):
 
 
 @given(int_matrices())
-def test_reduce_row_detects_membership(mat):
+def test_rows_of_a_matrix_lie_in_its_rref_span(mat):
     rows, ncols = mat
     pivots, red = rref_int([list(v) for v in rows], ncols)
+    before = (list(pivots), [list(r) for r in red])
     for row in rows:
-        assert reduce_row(pivots, red, list(row)) == [0] * ncols
+        assert rank_growth(pivots, red, [list(row)], ncols) == 0
+        assert not rref_insert(pivots, red, list(row), ncols)
+    assert (pivots, red) == before
 
 
-def test_reduce_row_residual_outside_span():
+def test_rref_insert_residual_outside_span():
     pivots, red = rref_int([[1, 0, 0]], 3)
-    assert reduce_row(pivots, red, [2, 3, 0]) == [0, 1, 0]
+    assert rref_insert(pivots, red, [2, 3, 0], 3)
+    assert (pivots, red) == ([0, 1], [[1, 0, 0], [0, 1, 0]])
+
+
+# -- an engine-independent reference: Gauss-Jordan over Fraction -------
+
+
+def _scaled(vec, at):
+    """Rational vec as primitive integers, positive at column at."""
+    den = lcm(*(Fraction(v).denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    if ints[at] < 0:
+        g = -g
+    return [v // g for v in ints]
+
+
+def _fraction_rref(rows, ncols):
+    """(pivots, rows) of the reduced echelon form over Q, pivots 1."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[col]:
+                f = row[col]
+                mat[i] = [a - f * b for a, b in zip(row, mat[r])]
+        pivots.append(col)
+    return pivots, mat[:len(pivots)]
+
+
+@given(small_or_large_matrices)
+def test_exact_operations_match_a_fraction_reference(mat):
+    rows, ncols = mat
+    pivots, red = _fraction_rref(rows, ncols)
+    want = (pivots, [_scaled(row, pc) for pc, row in zip(pivots, red)])
+    assert rref_int([list(v) for v in rows], ncols) == want
+    half = len(rows) // 2
+    hpiv, hrows = rref_int([list(v) for v in rows[:half]], ncols)
+    assert rref_extend(hpiv, hrows, [list(v) for v in rows[half:]],
+                       ncols) == want
+    built = ([], [])
+    for row in rows:
+        rref_insert(*built, list(row), ncols)
+    assert built == want
+    # null space: one vector per free column, 1 there, -row[fc] at pivots
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for pc, row in zip(pivots, red):
+            vec[pc] = -row[fc]
+        kernel.append(_scaled(vec, fc))
+    assert kernel_int([list(v) for v in rows], ncols) == kernel
 
 
 def test_incremental_span_membership():

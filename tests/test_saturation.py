@@ -194,6 +194,36 @@ def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
     assert exact == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
 
 
+# braid is free: N = 0, so every degree is probed
+@pytest.mark.parametrize("name, known", [
+    ("generic-5", [4]),
+    ("nf-d7-k3", [5, 6, 7]),
+    ("braid", []),
+])
+def test_no_probe_where_self_duality_shows_a_kernel(monkeypatch, name,
+                                                    known):
+    # below the middle, n_k = n_(top-k) is known from the step above:
+    # where it is nonzero no certificate can succeed, so none is tried
+    probed, current = [], []
+    step = saturation.SaturationEngine._step
+    rows_mod_p = saturation._rows_mod_p
+
+    def watched_step(self, k):
+        current.append(k)
+        return step(self, k)
+
+    def watched_rows(*args):
+        probed.append(current[-1])
+        return rows_mod_p(*args)
+
+    monkeypatch.setattr(saturation.SaturationEngine, "_step", watched_step)
+    monkeypatch.setattr(saturation, "_rows_mod_p", watched_rows)
+    sat = saturate(_catalog_curve(name))
+    assert known == [k for k in range(sat.top + 1)
+                     if k < sat.top - k and sat.n_table[sat.top - k]]
+    assert sorted(probed) == sorted(set(range(sat.top + 1)) - set(known))
+
+
 # generic-5 mod 2: 2 divides a touched pivot entry at degrees 9..4;
 # braid mod 3: 3 divides one at degrees 5 and 4, and the rank drops
 # mod 3 at degree 6; nf-d7-k3: the mod-p rank stubbed one short
@@ -208,8 +238,8 @@ def test_a_failed_certificate_takes_the_exact_path(monkeypatch, name, prime,
     if prime:
         monkeypatch.setattr(saturation, "PRIME", prime)
     if short:
-        rank = saturation._rank_mod_p
-        monkeypatch.setattr(saturation, "_rank_mod_p",
+        rank = saturation.rank_mod_p
+        monkeypatch.setattr(saturation, "rank_mod_p",
                             lambda rows, ncols, p: rank(rows, ncols, p) - 1)
     sat, exact, unreduced = _watched_saturate(monkeypatch, name, True)
     if short:
