@@ -44,7 +44,7 @@ _ZIEGLER_A = [
     "7*x - 4*y - z",
 ]
 
-_ZIEGLER_APRIME = [
+_ZIEGLER_A_OFF_CONIC = [
     "x",
     "y",
     "x + y - z",
@@ -96,7 +96,7 @@ def _build():
                 "five lines in general position")
     arrangement("ziegler-A", _ZIEGLER_A,
                 "Ziegler arrangement, six triple points on a conic")
-    arrangement("ziegler-Aprime", _ZIEGLER_APRIME,
+    arrangement("ziegler-Aprime", _ZIEGLER_A_OFF_CONIC,
                 "Ziegler arrangement, six triple points not on a conic")
     return {e.name: e for e in entries}
 

@@ -63,7 +63,8 @@ class FreenessCheckFailedError(CurvesatError):
 class KmaxExhaustedError(CurvesatError):
     """A degree scan came out inconsistent: a generator or relation pick
     (``FormsIdeal.relations``, the saturation's generator scan) disagreed
-    with its Nakayama count, no Jacobian syzygy showed up by degree d-1
+    with its Nakayama count, a saturation kernel disagreed with the
+    Hilbert-function identity, no Jacobian syzygy showed up by degree d-1
     (mdr), or the Milnor algebra never left the smooth reference (ct)."""
 
 

@@ -28,10 +28,10 @@ per echelon row and positive pivots: the unique canonical integer
 echelon form of the row span, from which ``kernel_int`` reads a
 canonical kernel basis.  ``rank_growth``, ``rref_extend`` and
 ``rref_insert`` add vectors to a canonical RREF through ``_residuals``
-(and ``_clear``).  ``rank_mod_p`` eliminates mod a prime.
-``IncrementalSpan`` keeps its own sequential reduction in a cheaper,
-non-canonical echelon form; the program does not use it, it stays as
-the chain-scan tests' reference and a benchmark trace site.
+(and ``_clear``).  ``IncrementalSpan`` keeps its own sequential
+reduction in a cheaper, non-canonical echelon form; the program does
+not use it, it stays as the chain-scan tests' reference and a benchmark
+trace site.
 """
 
 from __future__ import annotations
@@ -105,33 +105,6 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
         pivots.append(col)
         r += 1
     return pivots
-
-
-def rank_mod_p(rows, ncols: int, p: int) -> int:
-    """Rank mod the prime p of a matrix with entries in [0, p); consumes
-    its argument.
-
-    Rows are reduced one at a time against an echelon basis, each basis
-    row kept as its entries right of a leading 1; the walk stops once
-    the rank reaches ncols, so a full-rank matrix reads few rows.
-    """
-    basis = {}                  # leading column -> [(column, entry)]
-    for row in rows:
-        for col in range(ncols):
-            b = row[col]
-            if not b:
-                continue
-            tail = basis.get(col)
-            if tail is None:
-                inv = pow(b, -1, p)
-                basis[col] = [(c, row[c] * inv % p)
-                              for c in range(col + 1, ncols) if row[c]]
-                break
-            for c, v in tail:
-                row[c] = (row[c] - b * v) % p
-        if len(basis) == ncols:
-            break
-    return len(basis)
 
 
 def _clear(row: list[int], pc: int, hits, cols) -> list[int]:

@@ -11,20 +11,18 @@ monomial complement of J_k (which has small dimension, about tau), their
 variable shifts are reduced against the reduced echelon form of I_(k+1),
 and the kernel of that small rational matrix gives the new slice as
 J_k plus a handful of lift vectors.  The expensive eliminations thus
-stay on the small-entry generator columns of J itself, and the module
-N(f) is read off as the lift count per degree.
+stay on the small-entry generator columns of J itself, and the lifts
+span N(f) in that degree.
 
-Most steps have an empty kernel: N lives only in degrees sigma..top -
-sigma.  Such a step is certified without exact elimination.  Its matrix
-has entries -b/a with a a pivot entry of I_(k+1); when the fixed prime
-``PRIME`` divides no such a, every entry lies in Z_(p), and a nonzero
-minor mod p lifts to a nonzero minor over Q, so rank_p <= rank_Q.  Full
-rank mod p thus proves the kernel zero, and I_k = J_k.  Every other
-step (a nonzero kernel, a rank that drops mod p, or p dividing a pivot
-entry) runs the exact fraction-free kernel, so every result stays
-exact.  Below the middle degree the self-duality of the quotient (see
-``_descend``) names the steps with a nonzero kernel in advance; those
-go to the exact path without the probe.
+The dimensions n_k of N are known before the descent starts: they
+follow from the Hilbert function m_k of S/J alone,
+n_k = m_k + m_(T-k) - c_k - tau (see ``_descend``), with ranks the
+slice chain of J has already built.  N lives only in degrees
+sigma..T - sigma, so most steps have n_k = 0; those do no work, and
+I_k is J_k's cached slice.  Every other step runs the exact
+fraction-free kernel and raises when its dimension differs from n_k,
+so the slice ranks of J and the saturation kernels check each other
+on every run.
 
 The same descent saturates any codimension-two ideal J generated by
 three forms of degree e, from the base 3e - 2: the quotient I/J by its
@@ -50,74 +48,40 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
 # clear_row is unused here but stays bound: perfbench/spans.py patches
 # this module's names
 from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
-                      rank_mod_p, rref_extend, rref_insert)
-from .jacobian import CurveData, FormsIdeal, shift_block_vector
+                      rref_extend, rref_insert)
+from .jacobian import (CurveData, FormsIdeal, shift_block_vector,
+                       smooth_reference_dims)
 from .poly import HomogeneousPoly, primitivize, shift_maps, slice_dim
 
 
-# the fixed prime of the empty-kernel certificate in SaturationEngine._step
-PRIME = (1 << 61) - 1
-
-
-def _rows_mod_p(blocks, comp_next, ipiv, irows, p):
-    """The step matrix of ``SaturationEngine._step`` reduced mod p, each
-    entry -b/a as -b * a^-1; None when p divides a touched pivot entry a."""
-    inverses = {}
-    rows = []
-    for targets, at_pivot in blocks:
-        at_comp = {t: u for u, t in enumerate(targets)}
-        for npc in comp_next:
-            row = [0] * len(targets)
-            u = at_comp.get(npc)
-            if u is not None:
-                row[u] = 1
-            for u, i in at_pivot:
-                b = irows[i][npc]
-                if not b:
-                    continue
-                inv = inverses.get(i)
-                if inv is None:
-                    a = irows[i][ipiv[i]] % p
-                    if not a:
-                        return None
-                    inv = inverses[i] = pow(a, -1, p)
-                row[u] = -(b % p) * inv % p
-            rows.append(row)
-    return rows
-
-
 class SaturationEngine:
-    """Runs the descending recursion against a FormsIdeal's slices."""
+    """Runs the descending recursion against a FormsIdeal's slices,
+    stepping only where the predicted quotient dimension is nonzero."""
 
-    def __init__(self, data: FormsIdeal, base: int):
+    def __init__(self, data: FormsIdeal, predicted: list[int]):
         self.data = data
-        self.base = base
+        self.predicted = predicted      # n_k for k = 0..3e - 3
         self.extras: dict[int, list[list[int]]] = {}
         self._irref: dict[int, tuple] = {}
         self._shifts: dict[int, list] = {}
 
     def i_rref(self, k: int):
-        """Canonical RREF of the saturated slice at degree k."""
-        if k >= self.base:
-            return self.data.rref_at(k)
-        return self._irref[k]
+        """Canonical RREF of the saturated slice at degree k: the slice
+        of J wherever the quotient is zero."""
+        got = self._irref.get(k)
+        return self.data.rref_at(k) if got is None else got
 
     def i_dim(self, k: int) -> int:
-        if k < 0:
-            return 0
-        if k >= self.base:
-            return self.data.rank_at(k)
-        return len(self._irref[k][0])
+        return self.data.rank_at(k) + self.n_dim(k)
 
     def n_dim(self, k: int) -> int:
         """dim of the quotient (saturation / ideal) at degree k."""
-        if k < 0 or k >= self.base:
-            return 0
-        return len(self.extras[k])
+        return len(self.extras.get(k, ()))
 
     def run(self):
-        for k in range(self.base - 1, -1, -1):
-            self._step(k)
+        for k in range(len(self.predicted) - 1, -1, -1):
+            if self.predicted[k]:
+                self._step(k)
         return self
 
     def lift_shifts(self, k: int) -> list:
@@ -133,6 +97,10 @@ class SaturationEngine:
         return got
 
     def _step(self, k: int):
+        """One degree of the descent, run only where the identity of
+        ``_descend`` predicts n_k > 0: the steps with n_k = 0 do no
+        work, as I_k = J_k there.  The exact kernel must have dimension
+        n_k, or the ranks of J and the kernel disagree and it raises."""
         dim_here = slice_dim(k)
         dim_next = slice_dim(k + 1)
         jpiv, jrows = self.data.rref_at(k)
@@ -149,37 +117,13 @@ class SaturationEngine:
         # the quotient by I_(k+1); its kernel lifts to the new slice.
         # Row (var, npc) has 1 where a complement monomial shifts to npc
         # and -irows[i][npc] / irows[i][ipiv[i]] where it shifts to the
-        # pivot of row i of I_(k+1).
-        blocks = []
+        # pivot of row i of I_(k+1), scaled to integers by the lcm of the
+        # pivot entries it touches (kernel_int strips its content).
+        rows = []
         for sh in shift_maps(k):
             targets = [sh[t0] for t0 in comp_here]
             at_pivot = [(u, piv_index[t]) for u, t in enumerate(targets)
                         if t in piv_index]
-            blocks.append((targets, at_pivot))
-
-        # Certificate of an empty kernel: when PRIME divides no touched
-        # pivot entry, every entry lies in Z_(PRIME), so rank_p <= rank_Q
-        # and full rank mod PRIME proves the kernel zero.  Then I_k = J_k
-        # and its cached RREF serves as is.  A nonzero kernel, a rank
-        # that drops mod PRIME or PRIME dividing a touched pivot entry
-        # falls through to the exact path.  Below the middle degree,
-        # self-duality n_k = n_(base-1-k) (see ``_descend``) already
-        # tells from the mirror step when the kernel is nonzero; no
-        # certificate can succeed there, so the probe is skipped.
-        ncomp = len(comp_here)
-        mirror = self.base - 1 - k
-        if mirror <= k or not self.extras[mirror]:
-            rows_p = _rows_mod_p(blocks, comp_next, ipiv, irows, PRIME)
-            if (rows_p is not None
-                    and rank_mod_p(rows_p, ncomp, PRIME) == ncomp):
-                self.extras[k] = []
-                self._irref[k] = (jpiv, jrows)
-                return
-
-        # exact path: each row scaled to integers by the lcm of the
-        # pivot entries it touches (kernel_int strips its content)
-        rows = []
-        for targets, at_pivot in blocks:
             for npc in comp_next:
                 hits = [(u, irows[i][npc], irows[i][ipiv[i]])
                         for u, i in at_pivot if irows[i][npc]]
@@ -188,7 +132,11 @@ class SaturationEngine:
                 for u, b, a in hits:
                     row[u] = -b * (scale // a)
                 rows.append(row)
-        kern = kernel_int(rows, ncomp)
+        kern = kernel_int(rows, len(comp_here))
+        if len(kern) != self.predicted[k]:
+            raise KmaxExhaustedError(
+                f"saturation kernel of dimension {len(kern)} at degree {k}, "
+                f"the Hilbert-function identity gives {self.predicted[k]}")
 
         extras = []
         for w in kern:
@@ -330,35 +278,54 @@ class SaturationData:
                              tuple(n_degrees), e2)
 
 
-def _descend(data: FormsIdeal) -> SaturationData:
-    """Saturate the ideal J of data's forms of degree e from the base
-    max(3e - 2, 0) down, tabulating I/J on degrees 0..3e - 3.
+def _descend(data: FormsIdeal, tau: int) -> SaturationData:
+    """Saturate the ideal J of data's forms of degree e, of codimension
+    two with constant Hilbert polynomial tau, tabulating I/J on degrees
+    0..T, T = 3e - 3; above T, I = J.
 
-    The bound: let J be of codimension two and N = I/J = H^0_m(S/J).
-    Over S = Q[x, y, z], local duality makes (N_k)^* the degree -k - 3
-    part of Ext^3(S/J, S).  The Koszul complex of the three forms gives
-    a second description: its only homology besides S/J is H_1 ≅
-    Ext^2(S/J, S)(-3e), Ext^2(H_1, S) = S/I(3e), and together
-    Ext^3(S/J, S) ≅ N(3e).  So n_k = n_(3e-3-k), and n_k = 0 above
-    3e - 3 as it is below 0 (Hassanzadeh and Simis, "Plane Cremona
-    maps: saturation and regularity of the base ideal", J. Algebra
-    2012; for J_f this is the self-duality of N(f) about T).
+    The bound: let N = I/J = H^0_m(S/J).  Over S = Q[x, y, z], local
+    duality makes (N_k)^* the degree -k - 3 part of Ext^3(S/J, S).  The
+    Koszul complex of the three forms gives a second description: its
+    only homology besides S/J is H_1 ≅ Ext^2(S/J, S)(-3e),
+    Ext^2(H_1, S) = S/I(3e), and together Ext^3(S/J, S) ≅ N(3e).  So
+    n_k = n_(T-k), and n_k = 0 above T as it is below 0 (Hassanzadeh
+    and Simis, "Plane Cremona maps: saturation and regularity of the
+    base ideal", J. Algebra 2012; for J_f this is the self-duality of
+    N(f) about T, see also Sernesi, "The local cohomology of the
+    jacobian ring", Doc. Math. 19, 2014).
+
+    The table itself follows from m_k = dim (S/J)_k and the
+    coefficients c_k of ((1 - t^e)/(1 - t))^3:
+
+    - the Koszul complex has H_2 = H_3 = 0, so m_k - dim (H_1)_k = c_k;
+    - by local duality H_1 ≅ Ext^2(S/J, S)(-3e) gives dim (H_1)_k =
+      h^1_m(S/J)_(T-k);
+    - Grothendieck-Serre gives m_j - tau = n_j - h^1_m(S/J)_j;
+    - at j = T - k, with n_(T-k) = n_k: n_k = m_k + m_(T-k) - c_k - tau.
+
+    The m_k are ranks the slice chain of J has already built, so the
+    descent from I_(T+1) = J_(T+1) steps only where n_k > 0, and each
+    such step checks its kernel against n_k.
     """
-    e = data.e
-    engine = SaturationEngine(data, max(3 * e - 2, 0)).run()
-    top = 3 * e - 3
-    table = [engine.n_dim(k) for k in range(max(top + 1, 0))]
+    top = 3 * data.e - 3
+    m = [slice_dim(k) - data.rank_at(k) for k in range(top + 1)]
+    c = smooth_reference_dims(data.e + 1, top)
+    table = [m[k] + m[top - k] - c[k] - tau for k in range(top + 1)]
+    if any(n < 0 for n in table):
+        raise KmaxExhaustedError(
+            f"negative quotient dimension predicted: {table}")
+    engine = SaturationEngine(data, table).run()
     nonzero = [k for k, n in enumerate(table) if n]
     sigma = nonzero[0] if nonzero else None
-    nu = max(table) if table else 0
+    nu = max(table, default=0)
     return SaturationData(engine, top, table, sigma, nu)
 
 
 def saturate(f) -> SaturationData:
     """Saturation data of the Jacobian ideal of a reduced curve."""
     cd = f if isinstance(f, CurveData) else CurveData(f)
-    cd.tjurina()  # reject non-reduced input before recursing
-    return _descend(cd)
+    # tjurina rejects non-reduced input
+    return _descend(cd, cd.tjurina())
 
 
 def n_table(f) -> list[int]:
@@ -378,7 +345,8 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     """Saturate the ideal of three forms of one degree e >= 1 and of
     codimension two, by the descent from 3e - 2 (see ``_descend``).
 
-    The codimension check is exact.  In codimension two the Hilbert
+    The codimension check is exact, and the constant quotient dimension
+    it reads is the tau of ``_descend``.  In codimension two the Hilbert
     function of S/J equals its constant Hilbert polynomial from 3e - 2
     on, since end H^0_m(S/J) <= 3e - 3 and end H^1_m(S/J) <= 2e - 3 -
     mdr, mdr the least degree of a relation among the forms: the
@@ -406,7 +374,7 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
         raise NotCodimensionTwoError(
             "quotient Hilbert function is still moving at degree 3e: "
             "the forms share a common factor or e is malformed")
-    return _descend(data)
+    return _descend(data, dims[0])
 
 
 @dataclass
@@ -457,10 +425,14 @@ def lefschetz_check(f, ell: tuple | None = None,
         attempts += 1
         ranks = []
         for s in steps:
+            shifts = engine.lift_shifts(s)
+            if not shifts:
+                ranks.append(0)
+                continue
             piv, rows = engine.data.rref_at(s + 1)
             images = [[form[0] * a + form[1] * b + form[2] * c
                        for a, b, c in zip(x, y, z)]
-                      for x, y, z in engine.lift_shifts(s)]
+                      for x, y, z in shifts]
             ranks.append(rank_growth(piv, rows, images, slice_dim(s + 1)))
         expected = [min(table[s], table[s + 1]) for s in steps]
         ok = ranks == expected

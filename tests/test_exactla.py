@@ -103,28 +103,6 @@ def test_rref_idempotent(mat):
     assert red1 == red2
 
 
-@given(small_or_large_matrices)
-def test_rref_insert_matches_batch(mat):
-    # one-at-a-time insertion lands on the same canonical form, which
-    # is what lets chained slice updates replace full eliminations
-    rows, ncols = mat
-    pivots, built = [], []
-    for row in rows:
-        rref_insert(pivots, built, list(row), ncols)
-    bpiv, brows = rref_int([list(v) for v in rows], ncols)
-    assert pivots == bpiv
-    assert built == brows
-    # so does extending the RREF of the first half by the rest at once
-    half = len(rows) // 2
-    hpiv, hrows = rref_int([list(v) for v in rows[:half]], ncols)
-    rest = [list(v) for v in rows[half:]]
-    # counting the growth reads the RREF without consuming it
-    assert rank_growth(hpiv, hrows, rest, ncols) == len(bpiv) - len(hpiv)
-    epiv, erows = rref_extend(hpiv, hrows, rest, ncols)
-    assert epiv == bpiv
-    assert erows == brows
-
-
 @given(int_matrices())
 def test_rows_of_a_matrix_lie_in_its_rref_span(mat):
     rows, ncols = mat
@@ -182,8 +160,10 @@ def test_exact_operations_match_a_fraction_reference(mat):
     assert rref_int([list(v) for v in rows], ncols) == want
     half = len(rows) // 2
     hpiv, hrows = rref_int([list(v) for v in rows[:half]], ncols)
-    assert rref_extend(hpiv, hrows, [list(v) for v in rows[half:]],
-                       ncols) == want
+    rest = [list(v) for v in rows[half:]]
+    # counting the growth reads the RREF without consuming it
+    assert rank_growth(hpiv, hrows, rest, ncols) == len(pivots) - len(hpiv)
+    assert rref_extend(hpiv, hrows, rest, ncols) == want
     built = ([], [])
     for row in rows:
         rref_insert(*built, list(row), ncols)

@@ -15,12 +15,15 @@ l = 0, so it is I_f only when l misses every singular point.  With
 l = x + 2y + 5z, which passes through a node of generic-5, the table
 comes out as [0, 0, 0, 1, 3, 3, 1, 1, 1, 1] instead of
 [0, 0, 0, 0, 2, 2, 0, 0, 0, 0].  So N(f) is computed for two forms and
-both must agree with the package.
+both must agree with the package.  The same oracle saturates one ideal
+of three cubics that are not the partials of a curve, the path of
+``saturate_three_forms``.
 """
 
 import pytest
 
-from curvesat import Arrangement, catalog, milnor_dims, n_table
+from curvesat import (Arrangement, catalog, milnor_dims, n_table,
+                      parse_poly, saturate_three_forms)
 
 sympy = pytest.importorskip("sympy")
 
@@ -31,6 +34,9 @@ MILNOR_CURVES = ("nodal-5", "nf-d6-k4", "braid", "generic-5", "fermat-6",
 N_CURVES = ("nf-d5-k2", "generic-5", "braid", "nodal-5", "nf-d6-k3",
             "near-pencil-4")
 FORMS = ((3, -1, 7), (2, 5, -3))
+# three cubics that are not the partials of one curve, with content;
+# test_resolution checks their table [0, 1, 4, 5, 4, 1, 0] by hand
+THREE_FORMS = ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")
 
 
 def _curve(name):
@@ -68,25 +74,28 @@ def _standard_monomial_counts(leads, top):
     return dims
 
 
-def _milnor_oracle(f, top):
-    basis = sympy.groebner(_jacobian(f), X, Y, Z, order="grevlex")
+def _milnor_oracle(gens, top):
+    """dim (S/J)_k for k = 0..top, J generated by the sympy forms gens."""
+    basis = sympy.groebner(gens, X, Y, Z, order="grevlex")
     return _standard_monomial_counts(_leading_exponents(basis.exprs, "grevlex"), top)
 
 
-def _n_oracle(f, form, top):
+def _n_oracle(gens, form, top):
+    """dim (I/J)_k for k = 0..top, I = J : l^oo with l the linear form
+    of coefficients form, J generated by the sympy forms gens."""
     ell = form[0] * X + form[1] * Y + form[2] * Z
-    basis = sympy.groebner(_jacobian(f) + [1 - T * ell], T, X, Y, Z,
+    basis = sympy.groebner(list(gens) + [1 - T * ell], T, X, Y, Z,
                            order="lex")
     saturated = [g for g in basis.exprs if not g.has(T)]
     sat_dims = _standard_monomial_counts(_leading_exponents(saturated, "lex"), top)
-    return [m - s for m, s in zip(_milnor_oracle(f, top), sat_dims)]
+    return [m - s for m, s in zip(_milnor_oracle(gens, top), sat_dims)]
 
 
 @pytest.mark.parametrize("name", MILNOR_CURVES)
 def test_milnor_table_matches_groebner_basis(name):
     f = _curve(name)
     dims = milnor_dims(f)
-    assert dims == _milnor_oracle(f, len(dims) - 1)
+    assert dims == _milnor_oracle(_jacobian(f), len(dims) - 1)
 
 
 @pytest.mark.parametrize("name", N_CURVES)
@@ -94,4 +103,15 @@ def test_n_table_matches_saturation_by_elimination(name):
     f = _curve(name)
     table = n_table(f)
     for form in FORMS:
-        assert table == _n_oracle(f, form, len(table) - 1), form
+        assert table == _n_oracle(_jacobian(f), form, len(table) - 1), form
+
+
+def test_three_form_n_table_matches_saturation_by_elimination():
+    # the descent of saturate_three_forms is driven by the same
+    # Hilbert-function identity as the curve path; here its table
+    # meets a Groebner basis instead
+    gens = [parse_poly(t) for t in THREE_FORMS]
+    table = saturate_three_forms(*gens).n_table
+    for form in FORMS:
+        assert table == _n_oracle([_to_sympy(g) for g in gens], form,
+                                  len(table) - 1), form

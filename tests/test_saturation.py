@@ -1,15 +1,10 @@
 """Saturation of the Jacobian ideal, the quotient module N(f), and
 generic hyperplane rank profiles."""
 
-import hashlib
-import json
-from pathlib import Path
-
 import pytest
 
 from curvesat import catalog, saturation
-from curvesat.analysis import analyze_catalog, emit_json
-from curvesat.errors import NotCodimensionTwoError
+from curvesat.errors import KmaxExhaustedError, NotCodimensionTwoError
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import partials
 from curvesat.saturation import (
@@ -146,10 +141,8 @@ def test_lefschetz_needs_at_least_one_sampled_form():
     assert out.attempts == 2
 
 
-# -- the mod-p certificate of an empty step kernel --------------------------
-
-DIGESTS = json.loads(
-    (Path(__file__).parent / "data" / "report_digests.json").read_text())
+# -- the descent steps only where the Hilbert-function identity predicts
+# -- n_k > 0, and checks each kernel against the prediction
 
 
 def _catalog_curve(name):
@@ -157,10 +150,9 @@ def _catalog_curve(name):
     return obj.product() if isinstance(obj, Arrangement) else obj
 
 
-def _watched_saturate(monkeypatch, name, watch_rows=False):
-    """saturate(name) with the degrees where the exact kernel ran and,
-    when watch_rows, those where the prime divided a touched pivot."""
-    exact, unreduced, current = [], [], []
+def _watch_kernels(monkeypatch):
+    """The degrees where the exact step kernel runs, filled as it runs."""
+    exact, current = [], []
     step = saturation.SaturationEngine._step
     kernel = saturation.kernel_int
 
@@ -174,83 +166,39 @@ def _watched_saturate(monkeypatch, name, watch_rows=False):
 
     monkeypatch.setattr(saturation.SaturationEngine, "_step", watched_step)
     monkeypatch.setattr(saturation, "kernel_int", watched_kernel)
-    if watch_rows:
-        rows_mod_p = saturation._rows_mod_p
-
-        def watched_rows(*args):
-            rows = rows_mod_p(*args)
-            if rows is None:
-                unreduced.append(current[-1])
-            return rows
-
-        monkeypatch.setattr(saturation, "_rows_mod_p", watched_rows)
-    return saturate(_catalog_curve(name)), exact, unreduced
+    return exact
 
 
 @pytest.mark.parametrize("name", ["generic-5", "nf-d7-k3", "nodal-5",
                                   "braid"])
 def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
-    sat, exact, _ = _watched_saturate(monkeypatch, name)
+    exact = _watch_kernels(monkeypatch)
+    sat = saturate(_catalog_curve(name))
     assert exact == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
 
 
-# braid is free: N = 0, so every degree is probed
-@pytest.mark.parametrize("name, known", [
-    ("generic-5", [4]),
-    ("nf-d7-k3", [5, 6, 7]),
-    ("braid", []),
+# generic-5 has n = 2 at degrees 4 and 5 only, nf-d7-k3 has n = 1 at
+# degrees 5..10.  A prediction raised where n_k = 0 makes the step run
+# and find too small a kernel; lowered by one at n_5 = 2, the kernel is
+# too large.  nf-d7-k3 lowered to 0 at its end degree 10 skips that
+# step, so step 9 reduces against I_10 = J_10 and finds no lift.
+@pytest.mark.parametrize("name, k, delta, raised_at", [
+    ("generic-5", 7, 1, 7),
+    ("generic-5", 5, -1, 5),
+    ("nf-d7-k3", 3, 1, 3),
+    ("nf-d7-k3", 10, -1, 9),
 ])
-def test_no_probe_where_self_duality_shows_a_kernel(monkeypatch, name,
-                                                    known):
-    # below the middle, n_k = n_(top-k) is known from the step above:
-    # where it is nonzero no certificate can succeed, so none is tried
-    probed, current = [], []
-    step = saturation.SaturationEngine._step
-    rows_mod_p = saturation._rows_mod_p
-
-    def watched_step(self, k):
-        current.append(k)
-        return step(self, k)
-
-    def watched_rows(*args):
-        probed.append(current[-1])
-        return rows_mod_p(*args)
-
-    monkeypatch.setattr(saturation.SaturationEngine, "_step", watched_step)
-    monkeypatch.setattr(saturation, "_rows_mod_p", watched_rows)
-    sat = saturate(_catalog_curve(name))
-    assert known == [k for k in range(sat.top + 1)
-                     if k < sat.top - k and sat.n_table[sat.top - k]]
-    assert sorted(probed) == sorted(set(range(sat.top + 1)) - set(known))
-
-
-# generic-5 mod 2: 2 divides a touched pivot entry at degrees 9..4;
-# braid mod 3: 3 divides one at degrees 5 and 4, and the rank drops
-# mod 3 at degree 6; nf-d7-k3: the mod-p rank stubbed one short
-@pytest.mark.parametrize("name, prime, short", [
-    ("generic-5", 2, 0),
-    ("braid", 3, 0),
-    ("nf-d7-k3", None, 1),
-])
-def test_a_failed_certificate_takes_the_exact_path(monkeypatch, name, prime,
-                                                   short):
+def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     ref = saturate(_catalog_curve(name))
-    if prime:
-        monkeypatch.setattr(saturation, "PRIME", prime)
-    if short:
-        rank = saturation.rank_mod_p
-        monkeypatch.setattr(saturation, "rank_mod_p",
-                            lambda rows, ncols, p: rank(rows, ncols, p) - 1)
-    sat, exact, unreduced = _watched_saturate(monkeypatch, name, True)
-    if short:
-        assert exact == list(range(sat.top, -1, -1))
-    else:
-        assert unreduced and set(unreduced) <= set(exact)
-    assert any(not ref.n_table[k] for k in exact)
-    assert sat.n_table == ref.n_table
-    assert all(sat.engine.extras[k] == ref.engine.extras[k]
-               for k in range(sat.top + 1))
-    report = analyze_catalog(name)
-    assert {"text": hashlib.sha256(report.to_text().encode()).hexdigest(),
-            "json": hashlib.sha256(emit_json(report).encode()).hexdigest(),
-            } == DIGESTS[name]
+    assert (ref.n_table[k] == 0) == (delta > 0)
+    exact = _watch_kernels(monkeypatch)
+    run = saturation.SaturationEngine.run
+
+    def corrupted_run(self):
+        self.predicted[k] += delta
+        return run(self)
+
+    monkeypatch.setattr(saturation.SaturationEngine, "run", corrupted_run)
+    with pytest.raises(KmaxExhaustedError, match="Hilbert-function identity"):
+        saturate(_catalog_curve(name))
+    assert exact[-1] == raised_at
