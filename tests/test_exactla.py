@@ -103,6 +103,19 @@ def test_rref_idempotent(mat):
     assert red1 == red2
 
 
+@given(small_or_large_matrices)
+def test_rref_insert_matches_batch(mat):
+    # one-at-a-time insertion lands on the same canonical form, which
+    # is what lets chained slice updates replace full eliminations
+    rows, ncols = mat
+    pivots, built = [], []
+    for row in rows:
+        rref_insert(pivots, built, list(row), ncols)
+    bpiv, brows = rref_int([list(v) for v in rows], ncols)
+    assert pivots == bpiv
+    assert built == brows
+
+
 @given(int_matrices())
 def test_rows_of_a_matrix_lie_in_its_rref_span(mat):
     rows, ncols = mat
