@@ -5,14 +5,18 @@ degree at a time: g lies in the degree-k slice exactly when x g, y g and
 z g all lie in the degree-(k+1) slice.  For a reduced curve the Jacobian
 module N(f) = I_f/J_f lives in degrees at most T = 3d - 6, so the
 recursion starts from I_(T+1) = J_(T+1) and walks down to degree zero.
+A step multiplies by one linear form l instead of x, y and z: the
+candidates g with l g in the degree-(k+1) slice contain the slice, and
+a count tells when they are exactly the slice.
 
 Each step works modulo J_k: candidate vectors are drawn from the
-monomial complement of J_k (which has small dimension, about tau), their
-variable shifts are reduced against the reduced echelon form of I_(k+1),
-and the kernel of that small rational matrix gives the new slice as
-J_k plus a handful of lift vectors.  The expensive eliminations thus
-stay on the small-entry generator columns of J itself, and the lifts
-span N(f) in that degree.
+monomial complement of J_k (which has small dimension, about tau),
+their multiples by l are reduced against the reduced echelon form of
+I_(k+1), and the kernel of that small rational matrix, with one row
+per monomial outside I_(k+1), gives the new slice as J_k plus a
+handful of lift vectors.  The expensive eliminations thus stay on the
+small-entry generator columns of J itself, and the lifts span N(f) in
+that degree.
 
 The dimensions n_k of N are known before the descent starts: they
 follow from the Hilbert function m_k of S/J alone,
@@ -20,15 +24,18 @@ n_k = m_k + m_(T-k) - c_k - tau (see ``_descend``), with ranks the
 slice chain of J has already built.  N lives only in degrees
 sigma..T - sigma, so most steps have n_k = 0; those do no work, and
 I_k is J_k's cached slice.  Every other step runs the exact
-fraction-free kernel and raises when its dimension differs from n_k,
-so the slice ranks of J and the saturation kernels check each other
-on every run.
+fraction-free kernel of multiplication by l.  That kernel contains the
+true one, of dimension n_k, so a kernel of dimension n_k is the true
+one; a larger one (l vanishes at a singular point) makes that step
+alone take the kernel of x, y and z together, which raises when its
+dimension differs from n_k.  So the slice ranks of J and the
+saturation kernels check each other on every run.
 
-The same descent saturates any codimension-two ideal J generated by
-three forms of degree e, from the base 3e - 2: the quotient I/J by its
-saturation I vanishes above 3e - 3 and is self-dual, n_k = n_(3e-3-k)
-(see ``_descend``).  The Jacobian ideal is the case e = d - 1, where
-3e - 3 = T.
+The same descent, one-form steps and fallback included, saturates any
+codimension-two ideal J generated by three forms of degree e, from the
+base 3e - 2: the quotient I/J by its saturation I vanishes above
+3e - 3 and is self-dual, n_k = n_(3e-3-k) (see ``_descend``).  The
+Jacobian ideal is the case e = d - 1, where 3e - 3 = T.
 
 The minimal generators of I and of N = I/J come from one scan
 (``SaturationData.generators``): both counts, and the correction term
@@ -54,9 +61,19 @@ from .jacobian import (CurveData, FormsIdeal, shift_block_vector,
 from .poly import HomogeneousPoly, primitivize, shift_maps, slice_dim
 
 
+# The form of the one-form saturation step.  Small coefficients pass
+# through singular points of arrangements whose lines have coefficients
+# in [-3, 3], and each such step falls back to x, y and z; large ones
+# make the step matrix's entries grow.
+LINEAR_FORM = (1, 11, 101)
+
+
 class SaturationEngine:
     """Runs the descending recursion against a FormsIdeal's slices,
-    stepping only where the predicted quotient dimension is nonzero."""
+    stepping only where the predicted quotient dimension is nonzero.
+    Each step takes the kernel of multiplication by ``LINEAR_FORM``,
+    certified by that dimension, and falls back to x, y and z where the
+    two differ."""
 
     def __init__(self, data: FormsIdeal, predicted: list[int]):
         self.data = data
@@ -99,10 +116,20 @@ class SaturationEngine:
     def _step(self, k: int):
         """One degree of the descent, run only where the identity of
         ``_descend`` predicts n_k > 0: the steps with n_k = 0 do no
-        work, as I_k = J_k there.  The exact kernel must have dimension
-        n_k, or the ranks of J and the kernel disagree and it raises."""
+        work, as I_k = J_k there.
+
+        The new lifts are the kernel of g -> LINEAR_FORM * g mod I_(k+1)
+        on the complement of J_k.  That kernel contains the true one,
+        {g : x g, y g, z g in I_(k+1)}, whose dimension is n_k, so a
+        kernel of dimension n_k is the true one; ``kernel_int`` reads
+        its canonical basis off the row space, the annihilator of the
+        kernel, so the lifts do not depend on the form.  A kernel of
+        another dimension (the form passes through a singular point)
+        makes this step alone take the kernel of x, y and z together,
+        which must have dimension n_k, or the ranks of J and the kernel
+        disagree and it raises.  Where I_(k+1) = S_(k+1), I_k = S_k and
+        no matrix is built."""
         dim_here = slice_dim(k)
-        dim_next = slice_dim(k + 1)
         jpiv, jrows = self.data.rref_at(k)
         ipiv, irows = self.i_rref(k + 1)
 
@@ -110,33 +137,27 @@ class SaturationEngine:
         pivset = set(jpiv)
         comp_here = [c for c in range(dim_here) if c not in pivset]
         ipivset = set(ipiv)
-        comp_next = [c for c in range(dim_next) if c not in ipivset]
-        piv_index = {c: i for i, c in enumerate(ipiv)}
+        comp_next = [c for c in range(slice_dim(k + 1)) if c not in ipivset]
 
-        # matrix of (x,y,z)-multiplication from the J_k complement into
-        # the quotient by I_(k+1); its kernel lifts to the new slice.
-        # Row (var, npc) has 1 where a complement monomial shifts to npc
-        # and -irows[i][npc] / irows[i][ipiv[i]] where it shifts to the
-        # pivot of row i of I_(k+1), scaled to integers by the lcm of the
-        # pivot entries it touches (kernel_int strips its content).
-        rows = []
-        for sh in shift_maps(k):
-            targets = [sh[t0] for t0 in comp_here]
-            at_pivot = [(u, piv_index[t]) for u, t in enumerate(targets)
-                        if t in piv_index]
-            for npc in comp_next:
-                hits = [(u, irows[i][npc], irows[i][ipiv[i]])
-                        for u, i in at_pivot if irows[i][npc]]
-                scale = lcm(*(a for _, _, a in hits))
-                row = [scale if t == npc else 0 for t in targets]
-                for u, b, a in hits:
-                    row[u] = -b * (scale // a)
-                rows.append(row)
-        kern = kernel_int(rows, len(comp_here))
+        if not comp_next:
+            if len(comp_here) != self.predicted[k]:
+                raise _mismatch(k, len(comp_here), self.predicted[k])
+            self.extras[k] = [_unit(c, dim_here) for c in comp_here]
+            self._irref[k] = (list(range(dim_here)),
+                              [_unit(c, dim_here) for c in range(dim_here)])
+            return
+
+        maps = shift_maps(k)
+        ell = [(sh, coef) for sh, coef in zip(maps, LINEAR_FORM) if coef]
+        kern = kernel_int(_colon_rows(comp_here, ell, comp_next, ipiv, irows),
+                          len(comp_here))
         if len(kern) != self.predicted[k]:
-            raise KmaxExhaustedError(
-                f"saturation kernel of dimension {len(kern)} at degree {k}, "
-                f"the Hilbert-function identity gives {self.predicted[k]}")
+            rows = [row for sh in maps
+                    for row in _colon_rows(comp_here, [(sh, 1)], comp_next,
+                                           ipiv, irows)]
+            kern = kernel_int(rows, len(comp_here))
+            if len(kern) != self.predicted[k]:
+                raise _mismatch(k, len(kern), self.predicted[k])
 
         extras = []
         for w in kern:
@@ -148,6 +169,57 @@ class SaturationEngine:
 
         self._irref[k] = rref_extend(jpiv, [list(r) for r in jrows], extras,
                                      dim_here)
+
+
+def _unit(c: int, dim: int) -> list[int]:
+    vec = [0] * dim
+    vec[c] = 1
+    return vec
+
+
+def _mismatch(k: int, got: int, predicted: int) -> KmaxExhaustedError:
+    return KmaxExhaustedError(
+        f"saturation kernel of dimension {got} at degree {k}, "
+        f"the Hilbert-function identity gives {predicted}")
+
+
+def _colon_rows(comp_here, form, comp_next, ipiv, irows) -> list:
+    """Integer matrix of multiplication by a linear form, from the
+    complement monomials comp_here of degree k into S_(k+1) modulo the
+    canonical RREF (ipiv, irows) of I_(k+1): one row per complement
+    column npc in comp_next.
+
+    form lists (shift map, coefficient) per variable.  The image of a
+    monomial under one term lands on one monomial t: on npc itself
+    when t = npc, else on the pivot of a row i of I_(k+1), where its
+    residual has -irows[i][npc] / irows[i][ipiv[i]] at npc.  Each row
+    is scaled to integers by the lcm of the pivot entries it touches
+    (``kernel_int`` strips its content).
+    """
+    piv_index = {c: i for i, c in enumerate(ipiv)}
+    direct: dict[int, list] = {}
+    at_pivot = []
+    for u, c in enumerate(comp_here):
+        for sh, coef in form:
+            t = sh[c]
+            i = piv_index.get(t)
+            if i is None:
+                direct.setdefault(t, []).append((u, coef))
+            else:
+                at_pivot.append((u, coef, i))
+    ncomp = len(comp_here)
+    rows = []
+    for npc in comp_next:
+        hits = [(u, coef * irows[i][npc], irows[i][ipiv[i]])
+                for u, coef, i in at_pivot if irows[i][npc]]
+        scale = lcm(*(a for _, _, a in hits))
+        row = [0] * ncomp
+        for u, coef in direct.get(npc, ()):
+            row[u] = coef * scale
+        for u, b, a in hits:
+            row[u] -= b * (scale // a)
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

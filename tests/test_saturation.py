@@ -1,12 +1,17 @@
 """Saturation of the Jacobian ideal, the quotient module N(f), and
 generic hyperplane rank profiles."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from curvesat import catalog, saturation
+from curvesat.analysis import analyze_catalog, emit_json
 from curvesat.errors import KmaxExhaustedError, NotCodimensionTwoError
 from curvesat.parsing import Arrangement, parse_poly
-from curvesat.poly import partials
+from curvesat.poly import partials, slice_dim
 from curvesat.saturation import (
     lefschetz_check,
     n_min_generators,
@@ -151,30 +156,38 @@ def _catalog_curve(name):
 
 
 def _watch_kernels(monkeypatch):
-    """The degrees where the exact step kernel runs, filled as it runs."""
-    exact, current = [], []
+    """The degrees where the exact step kernel runs, the row count of
+    each kernel matrix, and the number of complement columns of I_(k+1)
+    at each step, filled as they run."""
+    exact, current, nrows, comp_next = [], [], [], {}
     step = saturation.SaturationEngine._step
     kernel = saturation.kernel_int
 
     def watched_step(self, k):
         current.append(k)
+        comp_next[k] = slice_dim(k + 1) - len(self.i_rref(k + 1)[0])
         return step(self, k)
 
     def watched_kernel(rows, ncols):
         exact.append(current[-1])
+        # read before kernel_int consumes its argument
+        nrows.append(len(rows))
         return kernel(rows, ncols)
 
     monkeypatch.setattr(saturation.SaturationEngine, "_step", watched_step)
     monkeypatch.setattr(saturation, "kernel_int", watched_kernel)
-    return exact
+    return exact, nrows, comp_next
 
 
 @pytest.mark.parametrize("name", ["generic-5", "nf-d7-k3", "nodal-5",
                                   "braid"])
 def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
-    exact = _watch_kernels(monkeypatch)
+    exact, nrows, comp_next = _watch_kernels(monkeypatch)
     sat = saturate(_catalog_curve(name))
     assert exact == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
+    # one kernel per step, multiplying by one linear form: one row per
+    # complement column of I_(k+1), not three
+    assert nrows == [comp_next[k] for k in exact]
 
 
 # generic-5 has n = 2 at degrees 4 and 5 only, nf-d7-k3 has n = 1 at
@@ -191,7 +204,7 @@ def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
 def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     ref = saturate(_catalog_curve(name))
     assert (ref.n_table[k] == 0) == (delta > 0)
-    exact = _watch_kernels(monkeypatch)
+    exact, _, _ = _watch_kernels(monkeypatch)
     run = saturation.SaturationEngine.run
 
     def corrupted_run(self):
@@ -202,3 +215,44 @@ def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     with pytest.raises(KmaxExhaustedError, match="Hilbert-function identity"):
         saturate(_catalog_curve(name))
     assert exact[-1] == raised_at
+
+
+# -- a step multiplies by one linear form; where that form vanishes at a
+# -- point of the singular scheme its kernel is too large, and the step
+# -- falls back to x, y and z with the same result
+
+DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "report_digests.json").read_text())
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _forced_through_x(monkeypatch, build, degrees):
+    ref = build()
+    exact, nrows, comp_next = _watch_kernels(monkeypatch)
+    monkeypatch.setattr(saturation, "LINEAR_FORM", (1, 0, 0))
+    got = build()
+    # the x kernel, then the x, y, z kernel, at every step
+    assert exact == [k for k in degrees for _ in range(2)]
+    assert nrows == [c for k in degrees
+                     for c in (comp_next[k], 3 * comp_next[k])]
+    assert got.n_table == ref.n_table
+    assert got.engine.extras == ref.engine.extras
+
+
+def test_a_form_through_a_singular_point_falls_back(monkeypatch):
+    _forced_through_x(monkeypatch,
+                      lambda: saturate(_catalog_curve("generic-5")), [5, 4])
+    report = analyze_catalog("generic-5")
+    assert {"text": _sha(report.to_text()),
+            "json": _sha(emit_json(report))} == DIGESTS["generic-5"]
+
+
+def test_three_forms_fall_back_through_a_singular_point(monkeypatch):
+    # the cubics of test_resolution's THREE_FORMS
+    forms = [parse_poly(t) for t in
+             ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")]
+    _forced_through_x(monkeypatch, lambda: saturate_three_forms(*forms),
+                      [5, 4, 3, 2, 1])

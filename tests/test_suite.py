@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from curvesat import catalog
+from curvesat import catalog, suite
 from curvesat.parsing import parse_arrangement
-from curvesat.suite import (_worker_count, property_names,
+from curvesat.poly import slice_dim
+from curvesat.suite import (PROPERTIES, _worker_count, property_names,
                             random_arrangement_text, run_suite)
 
 EXPECTED_PROPERTIES = [
@@ -78,3 +79,28 @@ def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
     assert _worker_count() == 1
     monkeypatch.setenv("CURVESAT_THREADS", "many")
     assert _worker_count() == 1
+
+
+def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
+    # replace the first lift of generic-5 (n = 2 at degrees 4 and 5) by
+    # a monomial outside I_4; I is saturated, so one of its shifts
+    # leaves I_5
+    analyze_full = suite.analyze_full
+
+    def corrupted(*args, **kwargs):
+        report, cd, sat = analyze_full(*args, **kwargs)
+        engine, k = sat.engine, sat.sigma
+        pivots = set(engine.i_rref(k)[0])
+        c = next(c for c in range(slice_dim(k)) if c not in pivots)
+        engine.extras[k][0] = [int(j == c) for j in range(slice_dim(k))]
+        engine._shifts.clear()
+        return report, cd, sat
+
+    oracle = dict(PROPERTIES)["saturation-oracle"]
+    task = ("generic-5", "catalog", "generic-5", 0)
+    assert oracle(suite._run_one(task)) == (True, "")
+    monkeypatch.setattr(suite, "analyze_full", corrupted)
+    rec = suite._run_one(task)
+    assert rec.lifts_outside == (4,)
+    ok, detail = oracle(rec)
+    assert not ok and "k = [4]" in detail
