@@ -17,6 +17,18 @@ is the one relation walk, with kernels only below its top degree where
 a relation appears: on J_f it gives AR(f), on AR(f) and on I_f the
 later positions of the two resolutions in ``resolution``.
 
+The chain of an ideal stops early: ``FormsIdeal.regular_degree``
+checks the Bayer-Stillman criterion with one linear form h
+(``LINEAR_FORM``) as the chain goes up, and the first degree m that
+passes proves that the Hilbert function of S/J is a constant tau from
+m on.  Every higher rank is then dim S_k - tau, so no slice above
+m + 1 is eliminated; on the catalog curves m = reg(J_f) = r_J + 1.
+Where no degree passes (h vanishes at a singular point, or f has a
+repeated factor) the chain runs to kmax and tau comes from the
+stabilization check of ``CurveData.tjurina``.  ``colon_rows`` builds
+the matrix of multiplication by h modulo a slice, for this check and
+for the saturation steps.
+
 ``CurveData`` is the per-curve cache built on J_f.  It works on a
 canonical integer representative of f (rescaling f changes nothing) so
 that every matrix is integer from the start.
@@ -28,10 +40,12 @@ so repeated runs give identical answers.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import (KmaxExhaustedError, NonReducedInputError,
                      SmoothCurveError, WrongShapeError, ZeroPolynomialError)
-# rank_int, rref_int and poly_columns_int are unused here but stay
-# bound: perfbench/spans.py patches this module's names
+# rref_int and poly_columns_int are unused here but stay bound:
+# perfbench/spans.py patches this module's names
 from .exactla import (kernel_int, rank_int, rref_extend,  # noqa: F401
                       rref_insert, rref_int)
 from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
@@ -82,6 +96,60 @@ def mono_multiples(vec, k_from: int, k_to: int, block_shifts) -> list:
             col[off + monomial_index(mono * mu)] = v
         out.append(col)
     return out
+
+
+# The linear form h of the one-form saturation step and of the
+# regularity check.  Small coefficients pass through singular points of
+# arrangements whose lines have coefficients in [-3, 3], where the step
+# falls back to x, y and z and the check never passes; large ones make
+# the step matrix's entries grow.
+LINEAR_FORM = (1, 11, 101)
+
+
+def complement(pivots, ncols: int) -> list[int]:
+    """The columns below ncols that are not pivots: the monomials
+    outside a slice, given the pivots of its RREF."""
+    pivset = set(pivots)
+    return [c for c in range(ncols) if c not in pivset]
+
+
+def colon_rows(k: int, form, comp_here, comp_next, ipiv, irows) -> list:
+    """Integer matrix of multiplication by the linear form with
+    coefficients form, from the complement monomials comp_here of
+    degree k into S_(k+1) modulo the canonical RREF (ipiv, irows) of a
+    slice I_(k+1): one row per complement column npc in comp_next.
+
+    The image of a monomial under one term lands on one monomial t: on
+    npc itself when t = npc, else on the pivot of a row i of I_(k+1),
+    where its residual has -irows[i][npc] / irows[i][ipiv[i]] at npc.
+    Each row is scaled to integers by the lcm of the pivot entries it
+    touches (``kernel_int`` strips its content).
+    """
+    terms = [(sh, coef) for sh, coef in zip(shift_maps(k), form) if coef]
+    piv_index = {c: i for i, c in enumerate(ipiv)}
+    direct: dict[int, list] = {}
+    at_pivot = []
+    for u, c in enumerate(comp_here):
+        for sh, coef in terms:
+            t = sh[c]
+            i = piv_index.get(t)
+            if i is None:
+                direct.setdefault(t, []).append((u, coef))
+            else:
+                at_pivot.append((u, coef, i))
+    ncomp = len(comp_here)
+    rows = []
+    for npc in comp_next:
+        hits = [(u, coef * irows[i][npc], irows[i][ipiv[i]])
+                for u, coef, i in at_pivot if irows[i][npc]]
+        scale = lcm(*(a for _, _, a in hits))
+        row = [0] * ncomp
+        for u, coef in direct.get(npc, ()):
+            row[u] = coef * scale
+        for u, b, a in hits:
+            row[u] -= b * (scale // a)
+        rows.append(row)
+    return rows
 
 
 class ShiftChain:
@@ -159,7 +227,10 @@ class FormsIdeal:
     the degree e of the forms.  Zero generators are kept, so kernel
     coordinates always have one block per generator.  kmax = max(3e, 1),
     with e the least generator degree (0 when there is none), is the top
-    degree the saturation and the Hilbert-function checks read.
+    degree the saturation and the Hilbert-function checks read.  On an
+    ideal, ``regular_degree`` may certify a degree m from which the
+    Hilbert function of S/J is a constant tau; the chain then stops at
+    m + 1 and every higher rank is dim S_k - tau.
     """
 
     def __init__(self, vectors, degrees, block_shifts=(0,)):
@@ -174,12 +245,23 @@ class FormsIdeal:
         # slice ranks handed on by the relation walk that built this module
         self._ranks: dict[int, int] = {}
         self._kernel: dict[int, list] = {}
+        # (m, tau) once regular_degree certifies m, and the last degree
+        # it tested
+        self._regular: tuple | None = None
+        self._tested = max(self.degrees, default=0) - 1
 
     # -- module slices --------------------------------------------------
 
     def rank_at(self, k: int) -> int:
+        """Rank of the degree-k slice: handed on by a relation walk,
+        dim S_k - tau at k >= m once ``regular_degree`` has certified
+        (m, tau), else read off ``rref_at``."""
         rank = self._ranks.get(k)
-        return len(self.rref_at(k)[0]) if rank is None else rank
+        if rank is not None:
+            return rank
+        if self._regular is not None and k >= self._regular[0]:
+            return slice_dim(k) - self._regular[1]
+        return len(self.rref_at(k)[0])
 
     def rref_at(self, k: int):
         """Canonical RREF (pivots, rows) of the degree-k slice.
@@ -195,6 +277,68 @@ class FormsIdeal:
                         if a == chain.k + 1])
             self._rref[chain.k] = (chain.pivots, chain.rows)
         return self._rref[k]
+
+    def regular_degree(self):
+        """(m, tau) for the least degree m at which the check below
+        passes, or None: then dim (S/J)_k = tau for every k >= m.
+
+        For the ideal J of the forms (one block) and A = S/J, with h =
+        ``LINEAR_FORM``, the check at a degree m with J generated in
+        degrees <= m passes when ×h : A_m -> A_(m+1) is injective and
+        ×h : A_(m-1) -> A_m is surjective, the criterion of Bayer and
+        Stillman ("A criterion for detecting m-regularity", Invent.
+        Math. 87, 1987, Thm 1.10) that J is m-regular.  It is tried only
+        where H(m) = H(m+1) <= H(m-1), which both maps need, and there
+        it is one ``rank_int`` of a ``colon_rows`` matrix, for
+        surjectivity: S_m = hS_(m-1) + J_m gives S_(m+1) = hS_m +
+        S_1 J_m, so ×h maps A_m onto A_(m+1), a space of the same
+        dimension, and is injective.  Why a pass is exact:
+
+        1. Surjectivity gives (J, h)_m = S_m, so ×h is onto from degree
+           m - 1 up and A/hA has finite length.
+        2. For injectivity above m, take hg in J with g of degree j > m
+           and write hg = sum c_i f_i.  Mod h, (c_i) is a syzygy of the
+           images of the generators in S/hS, a ring in two variables.
+        3. Those images contain every form of degree m, so their
+           syzygies are generated in degrees <= m + 1, and (c_i) mod h
+           is a combination of such syzygies with coefficients s of
+           positive degree.  The lifted syzygies give multipliers q in
+           (J : h) of degree <= m, and g is a combination of the s*q
+           and of the generators.  Then (J : h)_m = J_m puts each s*q
+           in J, so g lies in J.
+
+        So ×h is bijective A_k -> A_(k+1) for all k >= m: H(k) = H(m) =:
+        tau, and dim A <= 1.  A repeated factor of the forms makes dim A
+        = 2, and then no degree passes.
+
+        The chain is stepped up from the top generator degree one degree
+        at a time, each degree tested once; it stops at the first pass
+        or at kmax - 1, the top slice ``CurveData.tjurina``'s
+        stabilization check reads.  From a pass on ``rank_at`` reads
+        dim S_k - tau at k >= m, so no slice above m + 1 is built.  Only
+        ideals call this: the relation walks of ``relations`` stop two
+        or three degrees above the regularity anyway.
+        """
+        m = self._tested + 1
+        while self._regular is None and m <= self.kmax - 2:
+            dims = [slice_dim(k) - self.rank_at(k) for k in (m - 1, m, m + 1)]
+            if dims[1] == dims[2] <= dims[0] and self._h_onto(m):
+                self._regular = (m, dims[1])
+            self._tested = m
+            m += 1
+        return self._regular
+
+    def _h_onto(self, m: int) -> bool:
+        """×h maps A_(m-1) onto A_m, for A = S/J and h = ``LINEAR_FORM``
+        (see ``regular_degree``)."""
+        comp_here = complement(self.rref_at(m - 1)[0], slice_dim(m - 1))
+        piv, rows = self.rref_at(m)
+        comp_next = complement(piv, slice_dim(m))
+        if not comp_next:
+            return True
+        return len(comp_next) == rank_int(
+            colon_rows(m - 1, LINEAR_FORM, comp_here, comp_next, piv, rows),
+            len(comp_here))
 
     # -- relations among the generators --------------------------------
 
@@ -277,11 +421,18 @@ class CurveData(FormsIdeal):
 
     def tjurina(self) -> int:
         """Total Tjurina number, read off where the Hilbert function of
-        M(f) stabilizes; failure to stabilize means f was not reduced."""
+        M(f) stabilizes.
+
+        ``regular_degree`` certifies a degree m <= 3d - 5 and tau =
+        dim M(f)_m where it can; the ranks at 3d - 5 and 3d - 4 then
+        both read tau.  Where no degree is certified they are real
+        slices, and their comparison is the stabilization check:
+        failure to stabilize means f was not reduced."""
         if self._tau is None:
             if self.d == 1:
                 self._tau = 0
             else:
+                self.regular_degree()
                 m1 = self.milnor_dim(3 * self.d - 5)
                 m2 = self.milnor_dim(3 * self.d - 4)
                 if m1 != m2:

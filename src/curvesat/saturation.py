@@ -29,7 +29,12 @@ true one, of dimension n_k, so a kernel of dimension n_k is the true
 one; a larger one (l vanishes at a singular point) makes that step
 alone take the kernel of x, y and z together, which raises when its
 dimension differs from n_k.  So the slice ranks of J and the
-saturation kernels check each other on every run.
+saturation kernels check each other on every run.  The form l is
+``jacobian.LINEAR_FORM`` and its matrix comes from
+``jacobian.colon_rows``, shared with the regularity check that ends the
+slice chain of J; the degree that check certifies is an upper bound
+for reg(J), and ``_descend`` raises when it lies below the regularity
+the saturation gives.
 
 The same descent, one-form steps and fallback included, saturates any
 codimension-two ideal J generated by three forms of degree e, from the
@@ -48,7 +53,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
@@ -56,16 +60,9 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
 # this module's names
 from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
                       rref_extend, rref_insert)
-from .jacobian import (CurveData, FormsIdeal, shift_block_vector,
-                       smooth_reference_dims)
-from .poly import HomogeneousPoly, primitivize, shift_maps, slice_dim
-
-
-# The form of the one-form saturation step.  Small coefficients pass
-# through singular points of arrangements whose lines have coefficients
-# in [-3, 3], and each such step falls back to x, y and z; large ones
-# make the step matrix's entries grow.
-LINEAR_FORM = (1, 11, 101)
+from .jacobian import (LINEAR_FORM, CurveData, FormsIdeal, colon_rows,
+                       complement, shift_block_vector, smooth_reference_dims)
+from .poly import HomogeneousPoly, primitivize, slice_dim
 
 
 class SaturationEngine:
@@ -132,12 +129,8 @@ class SaturationEngine:
         dim_here = slice_dim(k)
         jpiv, jrows = self.data.rref_at(k)
         ipiv, irows = self.i_rref(k + 1)
-
-        # positions of the complement monomials on both levels
-        pivset = set(jpiv)
-        comp_here = [c for c in range(dim_here) if c not in pivset]
-        ipivset = set(ipiv)
-        comp_next = [c for c in range(slice_dim(k + 1)) if c not in ipivset]
+        comp_here = complement(jpiv, dim_here)
+        comp_next = complement(ipiv, slice_dim(k + 1))
 
         if not comp_next:
             if len(comp_here) != self.predicted[k]:
@@ -147,14 +140,12 @@ class SaturationEngine:
                               [_unit(c, dim_here) for c in range(dim_here)])
             return
 
-        maps = shift_maps(k)
-        ell = [(sh, coef) for sh, coef in zip(maps, LINEAR_FORM) if coef]
-        kern = kernel_int(_colon_rows(comp_here, ell, comp_next, ipiv, irows),
-                          len(comp_here))
+        kern = kernel_int(colon_rows(k, LINEAR_FORM, comp_here, comp_next,
+                                     ipiv, irows), len(comp_here))
         if len(kern) != self.predicted[k]:
-            rows = [row for sh in maps
-                    for row in _colon_rows(comp_here, [(sh, 1)], comp_next,
-                                           ipiv, irows)]
+            rows = [row for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                    for row in colon_rows(k, var, comp_here, comp_next,
+                                          ipiv, irows)]
             kern = kernel_int(rows, len(comp_here))
             if len(kern) != self.predicted[k]:
                 raise _mismatch(k, len(kern), self.predicted[k])
@@ -181,45 +172,6 @@ def _mismatch(k: int, got: int, predicted: int) -> KmaxExhaustedError:
     return KmaxExhaustedError(
         f"saturation kernel of dimension {got} at degree {k}, "
         f"the Hilbert-function identity gives {predicted}")
-
-
-def _colon_rows(comp_here, form, comp_next, ipiv, irows) -> list:
-    """Integer matrix of multiplication by a linear form, from the
-    complement monomials comp_here of degree k into S_(k+1) modulo the
-    canonical RREF (ipiv, irows) of I_(k+1): one row per complement
-    column npc in comp_next.
-
-    form lists (shift map, coefficient) per variable.  The image of a
-    monomial under one term lands on one monomial t: on npc itself
-    when t = npc, else on the pivot of a row i of I_(k+1), where its
-    residual has -irows[i][npc] / irows[i][ipiv[i]] at npc.  Each row
-    is scaled to integers by the lcm of the pivot entries it touches
-    (``kernel_int`` strips its content).
-    """
-    piv_index = {c: i for i, c in enumerate(ipiv)}
-    direct: dict[int, list] = {}
-    at_pivot = []
-    for u, c in enumerate(comp_here):
-        for sh, coef in form:
-            t = sh[c]
-            i = piv_index.get(t)
-            if i is None:
-                direct.setdefault(t, []).append((u, coef))
-            else:
-                at_pivot.append((u, coef, i))
-    ncomp = len(comp_here)
-    rows = []
-    for npc in comp_next:
-        hits = [(u, coef * irows[i][npc], irows[i][ipiv[i]])
-                for u, coef, i in at_pivot if irows[i][npc]]
-        scale = lcm(*(a for _, _, a in hits))
-        row = [0] * ncomp
-        for u, coef in direct.get(npc, ()):
-            row[u] = coef * scale
-        for u, b, a in hits:
-            row[u] -= b * (scale // a)
-        rows.append(row)
-    return rows
 
 
 @dataclass(frozen=True)
@@ -378,6 +330,10 @@ def _descend(data: FormsIdeal, tau: int) -> SaturationData:
     The m_k are ranks the slice chain of J has already built, so the
     descent from I_(T+1) = J_(T+1) steps only where n_k > 0, and each
     such step checks its kernel against n_k.
+
+    A degree m certified by ``FormsIdeal.regular_degree`` bounds
+    reg(J) <= m, and the saturation gives reg(J) = r_J + 1
+    (``SaturationData.reg_jacobian``); an m below that raises.
     """
     top = 3 * data.e - 3
     m = [slice_dim(k) - data.rank_at(k) for k in range(top + 1)]
@@ -390,7 +346,13 @@ def _descend(data: FormsIdeal, tau: int) -> SaturationData:
     nonzero = [k for k, n in enumerate(table) if n]
     sigma = nonzero[0] if nonzero else None
     nu = max(table, default=0)
-    return SaturationData(engine, top, table, sigma, nu)
+    sat = SaturationData(engine, top, table, sigma, nu)
+    regular = data.regular_degree()
+    if regular is not None and regular[0] <= sat.reg_jacobian():
+        raise KmaxExhaustedError(
+            f"regularity check certified degree {regular[0]}, below "
+            f"reg(J) = r_J + 1 = {sat.reg_jacobian() + 1}")
+    return sat
 
 
 def saturate(f) -> SaturationData:
@@ -426,7 +388,10 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     positive.  A common factor h of degree c, J = hJ', adds
     dim (S/(h))_k, which grows by c per degree there, to the dimension
     of (S/J')_(k-c), which the same bound keeps constant; an ideal
-    primary to the irrelevant ideal gives 0.
+    primary to the irrelevant ideal gives 0.  ``regular_degree`` runs
+    first: where it certifies a degree, the three dimensions all read
+    its tau (a common factor never passes it), and no slice above it
+    plus one is built.
     """
     forms = tuple(primitivize(g) for g in (g1, g2, g3))
     degs = {g.degree for g in forms}
@@ -436,6 +401,7 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     if e < 1:
         raise WrongShapeError("constant forms cannot cut out a codim-2 ideal")
     data = FormsIdeal([g.int_vector() for g in forms], (e,) * 3)
+    data.regular_degree()
     dims = [slice_dim(k) - data.rank_at(k)
             for k in range(3 * e - 2, 3 * e + 1)]
     if dims[-1] == 0:

@@ -1,11 +1,17 @@
 """Jacobian ideal slices, Milnor algebra, syzygies, and invariants."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesat import catalog
-from curvesat.errors import NonReducedInputError, SmoothCurveError
+from curvesat import catalog, jacobian
+from curvesat.analysis import analyze_catalog, emit_json
+from curvesat.errors import (KmaxExhaustedError, NonReducedInputError,
+                             SmoothCurveError)
 from curvesat.exactla import rref_int
 from curvesat.jacobian import (
     CurveData,
@@ -21,7 +27,7 @@ from curvesat.jacobian import (
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, primitivize, slice_dim
 from curvesat.resolution import min_generators
-from curvesat.saturation import saturate
+from curvesat.saturation import saturate, saturate_three_forms
 
 FERMAT3 = "x^3 + y^3 + z^3"
 EX1_D4 = "y^4 + x*z^3"
@@ -99,11 +105,13 @@ def test_smooth_curve_has_no_coincidence_threshold():
 
 
 def test_non_reduced_input_rejected():
-    # the Milnor dimensions grow (6 -> 7 for x^2*y) instead of settling
-    with pytest.raises(NonReducedInputError, match="does not stabilize"):
-        tjurina(parse_poly("x^2*y"))
-    with pytest.raises(NonReducedInputError, match="does not stabilize"):
-        tjurina(parse_poly("(x + y)^2 * z"))
+    # the Milnor dimensions grow (6 -> 7 for x^2*y) instead of settling;
+    # S/J has dimension two, so no degree is certified regular
+    for text in ("x^2*y", "(x + y)^2 * z"):
+        cd = CurveData(parse_poly(text))
+        with pytest.raises(NonReducedInputError, match="does not stabilize"):
+            cd.tjurina()
+        assert cd.regular_degree() is None
 
 
 def test_late_syzygy_generator_needs_full_scan():
@@ -231,3 +239,94 @@ def test_milnor_dims_bounded_by_smooth_reference(data):
     ref = smooth_reference_dims(d, cd.kmax)
     # a singular curve can only grow the Milnor algebra
     assert all(m >= r for m, r in zip(dims, ref))
+
+
+# -- the regularity check: the chain stops one degree above a certified
+# -- degree m and reads every higher rank as dim S_k - tau
+
+REGULAR_CASES = {
+    "smooth-quartic": "x^4 + y^4 + z^4",
+    "nodal-cubic": "x*y*z + x^3 + y^3",
+    "cuspidal-cubic": "y^2*z - x^3",
+}
+
+
+def _certified(name):
+    """(the ideal after the analysis certified it, a fresh copy)."""
+    if name == "three-forms":
+        forms = [parse_poly(t) for t in THREE_FORMS]
+        fresh = FormsIdeal([primitivize(g).int_vector() for g in forms],
+                           (3,) * 3)
+        return saturate_three_forms(*forms).engine.data, fresh
+    if name in REGULAR_CASES:
+        f = parse_poly(REGULAR_CASES[name])
+    else:
+        obj = catalog.load(name)
+        f = obj.product() if isinstance(obj, Arrangement) else obj
+    cd = CurveData(f)
+    saturate(cd)
+    return cd, CurveData(f)
+
+
+@pytest.mark.parametrize("name", [*REGULAR_CASES, "generic-5", "braid",
+                                  "nf-d7-k3", "three-forms"])
+def test_certified_ranks_match_the_chain(name):
+    ideal, fresh = _certified(name)
+    m, tau = ideal.regular_degree()
+    assert ideal._chain.k == m + 1
+    ranks = [ideal.rank_at(k) for k in range(ideal.kmax + 2)]
+    assert ranks == [len(fresh.rref_at(k)[0]) for k in range(ideal.kmax + 2)]
+    assert slice_dim(m) - ranks[m] == tau
+
+
+@pytest.mark.parametrize("name", ["generic-5", "braid", "nf-d7-k3"])
+def test_certified_degree_is_the_regularity_of_j(name):
+    cd, _ = _certified(name)
+    assert cd.regular_degree()[0] == saturate(cd).reg_jacobian() + 1
+
+
+def test_a_certified_degree_below_the_regularity_raises(monkeypatch):
+    # Bayer-Stillman bounds reg(J) <= m, the saturation gives r_J + 1
+    real = FormsIdeal.regular_degree
+
+    def one_lower(self):
+        m, tau = real(self)
+        return m - 1, tau
+
+    monkeypatch.setattr(FormsIdeal, "regular_degree", one_lower)
+    obj = catalog.load("generic-5")
+    with pytest.raises(KmaxExhaustedError, match="regularity check"):
+        saturate(obj.product())
+
+
+DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "report_digests.json").read_text())
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_a_form_through_a_singular_point_is_never_certified(monkeypatch):
+    # x vanishes at a singular point of generic-5, so multiplication by x
+    # never maps one high slice of S/J onto the next: the check is
+    # refused wherever it runs, the chain reaches kmax, and the report is
+    # unchanged
+    tried = []
+    check = FormsIdeal._h_onto
+
+    def watched(self, m):
+        tried.append((m, check(self, m)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(FormsIdeal, "_h_onto", watched)
+    monkeypatch.setattr(jacobian, "LINEAR_FORM", (1, 0, 0))
+    cd = CurveData(catalog.load("generic-5").product())
+    cd.tjurina()
+    assert cd.regular_degree() is None
+    assert 6 in dict(tried) and not any(ok for _, ok in tried)
+    cd.milnor_dims()
+    assert cd._chain.k == cd.kmax
+    report = analyze_catalog("generic-5")
+    assert {"text": _sha(report.to_text()),
+            "json": _sha(emit_json(report))} == DIGESTS["generic-5"]
