@@ -147,7 +147,10 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
         times[label] = time.perf_counter() - t0
         return out
 
-    if isinstance(obj, Arrangement):
+    def read_input():
+        # (curve data, forms, combinatorics), forms None for a polynomial
+        if not isinstance(obj, Arrangement):
+            return CurveData(obj), None, None
         f = obj.product()
         forms = tuple(str(g) for g in obj.forms)
         combi = combinatorics(obj)
@@ -157,16 +160,12 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
                                for m, c in combi.multiplicity_counts.items()},
             "tau": combi.tau,
         }
-        is_arrangement = True
-        if irreducible is None:
-            irreducible = False
-    else:
-        f = obj
-        forms = None
-        combi_json = None
-        is_arrangement = False
+        return CurveData(f), forms, combi_json
 
-    cd = CurveData(f)
+    cd, forms, combi_json = clock("input", read_input)
+    is_arrangement = forms is not None
+    if is_arrangement and irreducible is None:
+        irreducible = False
 
     def coincidence():
         try:

@@ -71,7 +71,12 @@ def _cmd_analyze(args) -> int:
         irreducible = entry.irreducible
     elif args.arrangement is not None:
         with open(args.arrangement, encoding="utf-8") as fh:
-            obj = parse_arrangement(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{args.arrangement} is not UTF-8 text "
+                                 f"(byte {exc.start})") from None
+        obj = parse_arrangement(text)
         name = None
         irreducible = None
     else:

@@ -15,8 +15,14 @@ Three building blocks carry every exact operation:
       r := (a // g) * r - (b // g) * p,        g = gcd(a, b)
 
   and the result is divided by its content (gcd of its entries).
-  Pivoting is deterministic: columns are processed left to right and
-  the first row with a nonzero entry in the current column wins.
+  Pivoting is deterministic: columns are processed left to right, and
+  the pivot is the row with the smallest nonzero entry in absolute
+  value in the current column (the first such row, the scan stopping
+  at a unit).  Every row below is scaled by a // g, so a small pivot
+  keeps the growth down; a unit pivot scales nothing and entries grow
+  only additively.  The choice changes the echelon rows but not the
+  pivot columns or the canonical RREF, which depend on the row span
+  alone, so no result of this module depends on it.
 - ``_residuals``, the one-step reduction of vectors modulo a canonical
   RREF, whose rows are zero at every pivot but their own.
 - ``_clear``, the one row update of a reduced echelon form: a row is
@@ -72,6 +78,15 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
     Afterwards rows[:len(pivots)] are the echelon rows, primitive.
     Every row below the pivot row is zero left of the current column,
     so content stripping the whole row strips its live part.
+
+    The pivot of a column is the row with the smallest |entry| there,
+    the first among ties, and the scan stops at a unit.  A row below
+    with entry b is scaled by a / gcd(a, b), so a small pivot entry a
+    bounds the growth, and with a = ±1 nothing is scaled.  The pivot
+    columns are the first columns where the rank of the leading columns
+    grows, and the echelon rows span the input, so callers that read
+    the pivots or reduce to the canonical RREF see the same result
+    under any choice of pivot row.
     """
     nrows = len(rows)
     for i in range(nrows):
@@ -79,11 +94,13 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
     pivots = []
     r = 0
     for col in range(ncols):
-        p = -1
+        p, best = -1, 0
         for i in range(r, nrows):
-            if rows[i][col]:
-                p = i
-                break
+            v = abs(rows[i][col])
+            if v and (p < 0 or v < best):
+                p, best = i, v
+                if v == 1:
+                    break
         if p < 0:
             continue
         if p != r:

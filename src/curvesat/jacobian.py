@@ -417,6 +417,9 @@ class CurveData(FormsIdeal):
         return slice_dim(k) - self.rank_at(k) if k >= 0 else 0
 
     def milnor_dims(self) -> list[int]:
+        """dim M(f)_k for k = 0..kmax; above a degree ``regular_degree``
+        certifies they are read as tau, so the chain stops there too."""
+        self.regular_degree()
         return [self.milnor_dim(k) for k in range(self.kmax + 1)]
 
     def tjurina(self) -> int:

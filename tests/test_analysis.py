@@ -30,12 +30,16 @@ def test_report_is_frozen():
 
 
 def test_timing_phases_present_when_requested():
-    rep = analyze(parse_poly("x*y"), timing=True)
-    assert rep.timing is not None
-    assert set(rep.timing) == {
-        "jacobian", "mdr", "ct", "milnorTable", "saturation", "nGenerators",
-        "resolution", "jacobianResolution", "classify", "verdicts"}
-    assert all(t >= 0 for t in rep.timing.values())
+    # "input" times the arrangement product, its combinatorics and the
+    # curve data set-up
+    for obj in (parse_poly("x*y"), parse_arrangement("x\ny\nz\n")):
+        rep = analyze(obj, timing=True)
+        assert rep.timing is not None
+        assert set(rep.timing) == {
+            "input", "jacobian", "mdr", "ct", "milnorTable", "saturation",
+            "nGenerators", "resolution", "jacobianResolution", "classify",
+            "verdicts"}
+        assert all(t >= 0 for t in rep.timing.values())
 
 
 def test_arrangement_report_has_combinatorics():

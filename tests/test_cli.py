@@ -99,6 +99,16 @@ def test_missing_arrangement_file_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_arrangement_file_not_utf8_is_rejected_input(tmp_path, capsys):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, ["analyze", "--arrangement", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_catalog_list(capsys):
     rc, out, _ = run(capsys, ["catalog", "list"])
     assert rc == 0

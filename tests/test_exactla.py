@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from curvesat.exactla import (
     IncrementalSpan,
+    _eliminate,
     clear_row,
     kernel_int,
     rank_growth,
@@ -45,6 +46,16 @@ def test_clear_row_clears_denominators():
     assert clear_row([0, 0]) == [0, 0]
 
 
+def test_pivot_is_the_smallest_entry_of_its_column():
+    rows = [[6, 1], [1, 5]]
+    assert _eliminate(rows, 2) == [0, 1]
+    assert rows == [[1, 5], [0, -1]]
+    # the first of two smallest entries wins
+    rows = [[4, 1], [-2, 3], [2, 7]]
+    assert _eliminate(rows, 2) == [0, 1]
+    assert rows[0] == [-2, 3]
+
+
 def test_rref_is_canonical():
     # rows reduced upward, positive primitive pivots
     pivots, rows = rref_int([[2, 2, 4], [0, 3, 3]], 3)
@@ -63,10 +74,22 @@ def int_matrices(draw, min_dim=1, max_dim=6, bound=9):
     return rows, ncols
 
 
+@st.composite
+def hidden_unit_matrices(draw):
+    """7x7 matrices of 40-bit entries with a +-1 below the top row in
+    some columns, so the pivot search passes big entries to reach it."""
+    rows, ncols = draw(int_matrices(min_dim=7, max_dim=7, bound=10 ** 12))
+    for col in draw(st.sets(st.integers(0, ncols - 1), min_size=1)):
+        i = draw(st.integers(min_value=1, max_value=len(rows) - 1))
+        rows[i][col] = draw(st.sampled_from((1, -1)))
+    return rows, ncols
+
+
 # fraction-free elimination grows entries fast; 7x7 matrices with
 # 40-bit entries keep the big-integer paths covered
 small_or_large_matrices = st.one_of(
-    int_matrices(), int_matrices(min_dim=7, max_dim=7, bound=10 ** 12))
+    int_matrices(), int_matrices(min_dim=7, max_dim=7, bound=10 ** 12),
+    hidden_unit_matrices())
 
 
 @given(int_matrices())
@@ -147,7 +170,11 @@ def _scaled(vec, at):
 
 
 def _fraction_rref(rows, ncols):
-    """(pivots, rows) of the reduced echelon form over Q, pivots 1."""
+    """(pivots, rows) of the reduced echelon form over Q, pivots 1.
+
+    It pivots on the first nonzero entry of a column, not on the
+    engine's smallest one, so the two agree only through the row span.
+    """
     mat = [[Fraction(v) for v in row] for row in rows]
     pivots = []
     for col in range(ncols):

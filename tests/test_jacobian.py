@@ -285,6 +285,21 @@ def test_certified_degree_is_the_regularity_of_j(name):
     assert cd.regular_degree()[0] == saturate(cd).reg_jacobian() + 1
 
 
+@pytest.mark.parametrize("name", ["generic-5", "braid", "nf-d7-k3"])
+def test_milnor_dims_alone_stops_the_chain_above_the_certified_degree(name):
+    # a library caller of the Milnor table pays no slice above m + 1
+    obj = catalog.load(name)
+    f = obj.product() if isinstance(obj, Arrangement) else obj
+    cd = CurveData(f)
+    dims = cd.milnor_dims()
+    m, _ = cd.regular_degree()
+    assert cd._chain.k <= m + 1 < cd.kmax
+    ref = CurveData(f)
+    ref.tjurina()
+    assert dims == ref.milnor_dims()
+    assert milnor_dims(f) == dims
+
+
 def test_a_certified_degree_below_the_regularity_raises(monkeypatch):
     # Bayer-Stillman bounds reg(J) <= m, the saturation gives r_J + 1
     real = FormsIdeal.regular_degree
