@@ -25,6 +25,18 @@ EXIT_NONREDUCED = 3
 EXIT_INTERNAL = 4
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvesat",
@@ -46,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analyze)
 
     ps = sub.add_parser("suite", help="run the property suite")
-    ps.add_argument("--random", type=int, default=25, metavar="N",
+    ps.add_argument("--random", type=_count, default=25, metavar="N",
                     help="number of random arrangements (default 25)")
     ps.add_argument("--seed", type=int, default=0,
                     help="seed for the random arrangements")

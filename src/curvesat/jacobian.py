@@ -14,8 +14,9 @@ canonical echelon form of each slice (chained upward by ``ShiftChain``)
 and the relations among its generators.  J_f is the ideal case, one
 block and three generators of degree d - 1.  ``FormsIdeal.relations``
 is the one relation walk, with kernels only below its top degree where
-a relation appears: on J_f it gives AR(f), on AR(f) and on I_f the
-later positions of the two resolutions in ``resolution``.
+a relation appears and only a rank at the top degree: on J_f it gives
+AR(f), on AR(f) and on I_f the later positions of the two resolutions
+in ``resolution``.
 
 The chain of an ideal stops early: ``FormsIdeal.regular_degree``
 checks the Bayer-Stillman criterion with one linear form h
@@ -46,8 +47,8 @@ from .errors import (KmaxExhaustedError, NonReducedInputError,
                      SmoothCurveError, WrongShapeError, ZeroPolynomialError)
 # rref_int and poly_columns_int are unused here but stay bound:
 # perfbench/spans.py patches this module's names
-from .exactla import (kernel_int, rank_int, rref_extend,  # noqa: F401
-                      rref_insert, rref_int)
+from .exactla import (kernel_int, rank_growth, rank_int,  # noqa: F401
+                      rref_extend, rref_insert, rref_int)
 from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
                    monomial_index, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
@@ -170,7 +171,12 @@ class ShiftChain:
         S_1*M_(k+1) = x*M_(k+1) + y*span N_(k+1) + z*span N_(k+1).
 
     So each step is one ``rref_extend`` of the padded rows by the y and
-    z shifts of the new rows and by extra.  Vectors added to the current
+    z shifts of the new rows and by extra.  ``next_rank(extra)`` reads
+    the rank of that slice without building it: the padded rows are
+    already a canonical RREF, so the rank is their number plus the
+    ``rank_growth`` of the same vectors, a forward phase on their
+    residuals with no back phase and no clearing of the old rows; the
+    chain does not move.  Vectors added to the current
     slice with ``insert`` only add pivots, which are not x-shifted ones,
     so the new rows stay the rows on the other pivots.  ``insert``
     changes the current rows in place; ``step`` only reads them, so a
@@ -187,7 +193,10 @@ class ShiftChain:
     def ncols(self) -> int:
         return sum(slice_dim(self.k - t) for t in self.block_shifts)
 
-    def step(self, extra=()) -> None:
+    def _next(self, extra):
+        """(x_pivots, x_rows, vecs, ncols) of the next degree: the
+        padded RREF x*M_k, the y and z shifts of the new rows and extra,
+        and the width of the degree-(k+1) slice."""
         k = self.k
         blocks = []                   # (start, end, start at k+1) per block
         x_index = []                  # x shift of each index at degree k
@@ -210,9 +219,19 @@ class ShiftChain:
         vecs = [shift_block_vector(row, var, k, self.block_shifts)
                 for var in (1, 2) for row in new]
         vecs.extend(extra)
-        self.pivots, self.rows = rref_extend(x_pivots, x_rows, vecs, out)
+        return x_pivots, x_rows, vecs, out
+
+    def step(self, extra=()) -> None:
+        x_pivots, x_rows, vecs, ncols = self._next(extra)
+        self.pivots, self.rows = rref_extend(x_pivots, x_rows, vecs, ncols)
         self._x_pivots = set(x_pivots)
-        self.k = k + 1
+        self.k += 1
+
+    def next_rank(self, extra=()) -> int:
+        """Rank of the slice ``step(extra)`` would build; the chain
+        does not move."""
+        x_pivots, x_rows, vecs, ncols = self._next(extra)
+        return len(x_pivots) + rank_growth(x_pivots, x_rows, vecs, ncols)
 
     def insert(self, vec) -> bool:
         """Add one vector to the current slice; True when it grew."""
@@ -367,19 +386,25 @@ class FormsIdeal:
         and the new relations at k number the difference.  Below top,
         where there are any, the vectors of ``kernel_at(k - e)`` that
         enlarge the chain are picked in order; at top they are only
-        counted.  degrees are total degrees, the twists of a
-        resolution; module is the ``FormsIdeal`` the picks generate in
-        ⊕_i S(-a_i), handed the chain's ranks up to top (the span of
-        the picks' multiples), so a walk over it rebuilds no slice.
+        counted, from ``ShiftChain.next_rank``: the chain steps up to
+        top - 1, and the slice at top is never built.  degrees are
+        total degrees, the twists of a resolution; module is the
+        ``FormsIdeal`` the picks generate in ⊕_i S(-a_i), handed the
+        chain's ranks up to top (the span of the picks' multiples), so
+        a walk over it rebuilds no slice.
         """
         degrees: list[int] = []
         vectors: list[list[int]] = []
         ranks: dict[int, int] = {}
         chain = ShiftChain(self.degrees, self.e - 1)
         for k in range(self.e, top + 1):
-            chain.step()
+            if k == top:
+                rank = chain.next_rank()
+            else:
+                chain.step()
+                rank = len(chain.pivots)
             count = (sum(slice_dim(k - a) for a in self.degrees)
-                     - self.rank_at(k) - len(chain.pivots))
+                     - self.rank_at(k) - rank)
             degrees.extend([k] * count)
             if count and k < top:
                 picked = [vec for vec in self.kernel_at(k - self.e)
@@ -387,7 +412,8 @@ class FormsIdeal:
                 if len(picked) != count:
                     raise KmaxExhaustedError("inconsistent relation count")
                 vectors.extend(picked)
-            ranks[k] = len(chain.pivots)
+                rank += count
+            ranks[k] = rank
         module = FormsIdeal(vectors, [k for k in degrees if k < top],
                             self.degrees)
         module._ranks = ranks

@@ -8,6 +8,9 @@ Polynomial grammar (explicit ``*`` everywhere, ``^`` for powers):
     base    := NUMBER | 'x' | 'y' | 'z' | '(' expr ')'
     NUMBER  := INT ('/' INT)?
 
+No exponent and no product may exceed degree ``MAX_DEGREE`` (64); the
+check runs before each ``^`` or ``*`` is expanded, so input like
+``x^99999999`` is rejected at once instead of being multiplied out.
 The expression is expanded to a sparse polynomial and then checked: it
 must be nonzero and homogeneous (the check runs on the expanded result,
 so mixed-degree intermediates inside parentheses are fine as long as
@@ -33,6 +36,10 @@ from .poly import HomogeneousPoly, Monomial
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xyz])|([()+\-*/^]))")
 
 _VARS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+
+# The largest exponent and the largest degree of any product the parser
+# expands; every catalog curve has degree at most 10.
+MAX_DEGREE = 64
 
 
 def _tokenize(text: str):
@@ -102,8 +109,10 @@ class _Parser:
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
-                self.take()
-                acc = _mul(acc, self.factor())
+                _, _, pos = self.take()
+                rhs = self.factor()
+                _check_degree(_degree(acc) + _degree(rhs), pos)
+                acc = _mul(acc, rhs)
             else:
                 return acc
 
@@ -120,6 +129,10 @@ class _Parser:
             if kind != "int":
                 raise PolySyntaxError("exponent must be a non-negative integer",
                                       pos)
+            if val > MAX_DEGREE:
+                raise PolySyntaxError(
+                    f"exponent {val} exceeds the cap {MAX_DEGREE}", pos)
+            _check_degree(_degree(base) * val, pos)
             return _pow(base, val)
         return base
 
@@ -144,6 +157,17 @@ class _Parser:
             return inner
         raise PolySyntaxError(
             "expected a number, variable or parenthesized expression", pos)
+
+
+def _degree(a) -> int:
+    """Largest total degree of a term of a (0 for the zero dict)."""
+    return max((sum(e) for e in a), default=0)
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise PolySyntaxError(
+            f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
 
 
 def _add(a, b):

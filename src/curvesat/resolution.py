@@ -9,7 +9,9 @@ the partials give AR(f), AR(f) gives its relations, the generators of
 I_f give theirs.  The walk carries the relations found so far up a
 shift chain (``jacobian.ShiftChain``), so a kernel is computed only in
 a degree below the top where a new relation appears; at the top
-degree relations are only counted.  The AR(f) module a walk returns
+degree relations are only counted, from the rank of the chain's next
+slice (``ShiftChain.next_rank``, a forward phase with no reduced
+echelon form built).  The AR(f) module a walk returns
 carries the slice ranks that walk reached, so the walk over its own
 relations rebuilds no slice; the I_f module is built from its
 generators and eliminates its own slices, a check independent of the

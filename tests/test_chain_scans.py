@@ -6,10 +6,13 @@ the variable shifts of the previous degree's kernel.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvesat import catalog
+from curvesat import catalog, jacobian
 from curvesat.exactla import IncrementalSpan, kernel_int, rank_int
-from curvesat.jacobian import CurveData, FormsIdeal, shift_block_vector
+from curvesat.jacobian import (CurveData, FormsIdeal, ShiftChain,
+                               shift_block_vector)
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, monomial_index, slice_dim
 from curvesat.resolution import betti_jacobian, min_generators
@@ -182,3 +185,71 @@ def test_the_relations_of_ar_rebuild_no_slice(monkeypatch, name):
     betti_jacobian(_curve(name))
     assert modules
     assert all(isinstance(m, CurveData) for m in modules)
+
+
+def _walks(name):
+    # the three walks of the resolutions: AR(f) among the partials, the
+    # relations of AR(f), and those of the generators of the saturation
+    cd = CurveData(_curve(name))
+    sat = saturate(cd)
+    top = sat.reg_jacobian() + 3
+    a, gens = min_generators(sat)
+    ideal = FormsIdeal([g.int_vector() for g in gens], a)
+    return [(cd, top), (cd.relations(top)[1], top),
+            (ideal, sat.reg_saturated() + 2)]
+
+
+def _vectors(draw, count, ncols):
+    entries = st.integers(-3, 3) | st.just(0)
+    return [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_next_rank_is_the_rank_step_builds(data):
+    # next_rank(extra) counts the slice step(extra) would build and
+    # leaves the chain where it was, after any prior steps and inserts
+    draw = data.draw
+    shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    chain = ShiftChain(shifts, min(shifts) - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        if chain.ncols():
+            for vec in _vectors(draw, draw(st.integers(0, 2)), chain.ncols()):
+                chain.insert(vec)
+        ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
+        chain.step(_vectors(draw, draw(st.integers(0, 2)), ncols))
+    ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
+    extra = _vectors(draw, draw(st.integers(0, 3)), ncols)
+    before = (chain.k, [list(r) for r in chain.rows], list(chain.pivots))
+    rank = chain.next_rank(extra)
+    assert (chain.k, chain.rows, chain.pivots) == before
+    chain.step(extra)
+    assert rank == len(chain.pivots)
+
+
+@pytest.mark.parametrize("name", ["fermat-5", "nf-d7-k3"])
+def test_the_top_degree_of_a_walk_is_only_counted(monkeypatch, name):
+    # a walk steps its chain to top - 1 and takes the rank at top
+    # without building that slice: one rref_extend per degree below top
+    for module, top in _walks(name):
+        first = module.relations(top)      # every slice of module cached
+        steps, widths = [], []
+        step, rref_extend = ShiftChain.step, jacobian.rref_extend
+
+        def counted_step(chain, extra=()):
+            steps.append(chain.k + 1)
+            step(chain, extra)
+
+        def recorded(pivots, rows, vecs, ncols):
+            widths.append(ncols)
+            return rref_extend(pivots, rows, vecs, ncols)
+
+        monkeypatch.setattr(ShiftChain, "step", counted_step)
+        monkeypatch.setattr(jacobian, "rref_extend", recorded)
+        again = module.relations(top)
+        monkeypatch.undo()
+        assert again[0] == first[0]
+        assert steps == list(range(module.e, top))
+        assert widths == [sum(slice_dim(k - a) for a in module.degrees)
+                          for k in range(module.e, top)]

@@ -1,6 +1,10 @@
 """Command line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +130,26 @@ def test_suite_single_property(capsys):
     assert rc == 0
     assert "property duality:" in out
     assert "suite: PASS" in out
+
+
+@pytest.mark.parametrize("expr", ["x^99999999", "(x+y+z)^999999"])
+def test_huge_power_is_rejected_before_expansion(expr):
+    # a subprocess with a timeout: expanding these would spin for minutes
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvesat.cli", "analyze", "--poly", expr],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "exceeds the cap 64" in proc.stderr
+
+
+def test_suite_rejects_a_negative_random_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--random", "-1"])
+    assert exc.value.code == 2
+    assert "--random" in capsys.readouterr().err

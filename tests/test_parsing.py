@@ -34,6 +34,19 @@ def test_parse_expands_products_and_powers():
     assert parse_poly("-(x - y)") == parse_poly("y - x")
 
 
+def test_degree_cap_rejects_before_expanding():
+    # up to the cap a power or product expands; one past it is refused
+    # at the offending operator, whatever the base
+    assert parse_poly("x^64").degree == parsing.MAX_DEGREE == 64
+    assert parse_poly("x^32*y^32").degree == 64
+    cases = [("x^65", 2), ("(x + y)^33*(x - y)^32", 10), ("x^40*y^30", 4),
+             ("1^65", 2), ("(x^2 + y)^40", 10)]
+    for text, pos in cases:
+        with pytest.raises(PolySyntaxError, match="exceeds the cap 64") as exc:
+            parse_poly(text)
+        assert exc.value.position == pos
+
+
 def test_parse_fraction_coefficients():
     f = parse_poly("2/3 * x^2 + y^2 - z^2")
     assert f.terms[Monomial(2, 0, 0)] == Fraction(2, 3)
