@@ -21,7 +21,7 @@ from .errors import BadExponentError, InconsistentClassificationError
 # rank_int is unused here but stays bound: perfbench/spans.py patches
 # this module's name
 from .exactla import rank_int  # noqa: F401
-from .jacobian import CurveData
+from .jacobian import CurveData, _data
 from .resolution import BettiTable, regularity, regularity_total
 from .saturation import SaturationData, saturate
 
@@ -69,7 +69,7 @@ class Verdict:
 
 def classify(f, sat: SaturationData | None = None) -> Classification:
     """Classify a reduced curve, cross-checking against the N(f) table."""
-    cd = f if isinstance(f, CurveData) else CurveData(f)
+    cd = _data(f)
     tau = cd.tjurina()
     r = cd.mdr()
     d = cd.d

@@ -263,7 +263,6 @@ class FormsIdeal:
         self._chain = ShiftChain(self.block_shifts, self.e - 1)
         # slice ranks handed on by the relation walk that built this module
         self._ranks: dict[int, int] = {}
-        self._kernel: dict[int, list] = {}
         # (m, tau) once regular_degree certifies m, and the last degree
         # it tested
         self._regular: tuple | None = None
@@ -367,15 +366,10 @@ class FormsIdeal:
         coordinates of ⊕_i S(-a_i)."""
         if m < 0:
             return []
-        got = self._kernel.get(m)
-        if got is None:
-            k = m + self.e
-            cols = [col for v, a in zip(self.vectors, self.degrees)
-                    for col in mono_multiples(v, a, k, self.block_shifts)]
-            rows = [list(t) for t in zip(*cols)]
-            got = kernel_int(rows, len(cols))
-            self._kernel[m] = got
-        return got
+        k = m + self.e
+        cols = [col for v, a in zip(self.vectors, self.degrees)
+                for col in mono_multiples(v, a, k, self.block_shifts)]
+        return kernel_int([list(t) for t in zip(*cols)], len(cols))
 
     def relations(self, top: int):
         """Minimal relations among the generators in total degrees up to
@@ -428,7 +422,6 @@ class CurveData(FormsIdeal):
             raise ZeroPolynomialError("the zero polynomial defines no curve")
         if f.degree < 1:
             raise WrongShapeError("a curve needs degree at least 1")
-        self.f_input = f
         self.f = primitivize(f)
         self.d = f.degree
         self.T = 3 * (self.d - 2)

@@ -11,6 +11,10 @@ Polynomial grammar (explicit ``*`` everywhere, ``^`` for powers):
 No exponent and no product may exceed degree ``MAX_DEGREE`` (64); the
 check runs before each ``^`` or ``*`` is expanded, so input like
 ``x^99999999`` is rejected at once instead of being multiplied out.
+The degree cap does not bound the term counts, so a product of a
+terms by b terms is also refused, before it is expanded, when a * b
+exceeds ``MAX_TERM_PAIRS``; ``^`` expands by repeated squaring, at most
+two products per binary digit of the exponent.
 The expression is expanded to a sparse polynomial and then checked: it
 must be nonzero and homogeneous (the check runs on the expanded result,
 so mixed-degree intermediates inside parentheses are fine as long as
@@ -40,6 +44,12 @@ _VARS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 # The largest exponent and the largest degree of any product the parser
 # expands; every catalog curve has degree at most 10.
 MAX_DEGREE = 64
+
+# The most term pairs one product may multiply, about a second of
+# Fraction arithmetic: any two forms of degree at most 24 (325 terms
+# each).  The catalog, the tests and the benchmark workloads multiply at
+# most 289 pairs at once; (x+y+z+1)^32 needs 969^2.
+MAX_TERM_PAIRS = 125_000
 
 
 def _tokenize(text: str):
@@ -112,7 +122,7 @@ class _Parser:
                 _, _, pos = self.take()
                 rhs = self.factor()
                 _check_degree(_degree(acc) + _degree(rhs), pos)
-                acc = _mul(acc, rhs)
+                acc = _mul(acc, rhs, pos)
             else:
                 return acc
 
@@ -133,7 +143,7 @@ class _Parser:
                 raise PolySyntaxError(
                     f"exponent {val} exceeds the cap {MAX_DEGREE}", pos)
             _check_degree(_degree(base) * val, pos)
-            return _pow(base, val)
+            return _pow(base, val, pos)
         return base
 
     def base(self):
@@ -185,7 +195,11 @@ def _neg(a):
     return {e: -c for e, c in a.items()}
 
 
-def _mul(a, b):
+def _mul(a, b, pos):
+    if len(a) * len(b) > MAX_TERM_PAIRS:
+        raise PolySyntaxError(
+            f"product of {len(a)} by {len(b)} terms exceeds the cap of "
+            f"{MAX_TERM_PAIRS} term pairs", pos)
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -198,10 +212,13 @@ def _mul(a, b):
     return out
 
 
-def _pow(a, n):
+def _pow(a, n, pos):
+    """a^n by repeated squaring, over the bits of n from the top."""
     out = {(0, 0, 0): Fraction(1)}
-    for _ in range(n):
-        out = _mul(out, a)
+    for bit in bin(n)[2:]:
+        out = _mul(out, out, pos)
+        if bit == "1":
+            out = _mul(out, a, pos)
     return out
 
 
@@ -294,10 +311,6 @@ class ArrangementCombinatorics:
     points: tuple                  # ((point triple, line index tuple), ...)
     multiplicity_counts: dict      # multiplicity -> number of points
     tau: int                       # sum of (multiplicity - 1)^2
-
-    @property
-    def point_count(self) -> int:
-        return len(self.points)
 
 
 def _cross(a, b):

@@ -135,12 +135,6 @@ class HomogeneousPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def to_vector(self) -> list[Fraction]:
-        vec = [Fraction(0)] * slice_dim(self.degree)
-        for mono, coeff in self.terms.items():
-            vec[monomial_index(mono)] = coeff
-        return vec
-
     def int_vector(self) -> list[int]:
         """Coordinate vector for integer-coefficient polynomials."""
         vec = [0] * slice_dim(self.degree)

@@ -1,21 +1,23 @@
 """Minimal graded free resolutions of S/J_f and S/I_f.
 
-Generators of I_f are found degree by degree with Nakayama counts:
-new generators at degree k are dim V_k minus the rank of the variable
-shifts of the previous slice.  Every later position of either table
-holds the minimal relations among the previous position's generators,
-and all of them come from one walk, ``jacobian.FormsIdeal.relations``:
-the partials give AR(f), AR(f) gives its relations, the generators of
-I_f give theirs.  The walk carries the relations found so far up a
-shift chain (``jacobian.ShiftChain``), so a kernel is computed only in
-a degree below the top where a new relation appears; at the top
-degree relations are only counted, from the rank of the chain's next
-slice (``ShiftChain.next_rank``, a forward phase with no reduced
-echelon form built).  The AR(f) module a walk returns
-carries the slice ranks that walk reached, so the walk over its own
-relations rebuilds no slice; the I_f module is built from its
-generators and eliminates its own slices, a check independent of the
-saturation's.
+Every entry point takes a curve or the ``SaturationData`` of one;
+``saturate`` hands the latter back unchanged, so one saturation object
+serves both tables, and its slices, regularities and generators are all
+read off it.  Generators of I_f are found there degree by degree with
+Nakayama counts: new generators at degree k are dim I_k minus the rank
+of the variable shifts of the previous slice.  Every later position of
+either table holds the minimal relations among the previous position's
+generators, and all of them come from one walk,
+``jacobian.FormsIdeal.relations``: the partials give AR(f), AR(f) gives
+its relations, the generators of I_f give theirs.  The walk carries the
+relations found so far up a shift chain (``jacobian.ShiftChain``), so a
+kernel is computed only in a degree below the top where a new relation
+appears; at the top degree relations are only counted, from the rank of
+the chain's next slice (``ShiftChain.next_rank``, a forward phase with
+no reduced echelon form built).  The AR(f) module a walk returns carries
+the slice ranks that walk reached, so the walk over its own relations
+rebuilds no slice; the I_f module is built from its generators and
+eliminates its own slices, a check independent of the saturation's.
 Every scan stops at a top degree read off the regularity
 (``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
 regularity r has its generators in degrees at most r and their
@@ -84,17 +86,11 @@ def regularity_total(table: BettiTable) -> int:
     return best
 
 
-def _sat(f) -> SaturationData:
-    if isinstance(f, SaturationData):
-        return f
-    return saturate(f)
-
-
 def min_generators(f):
     """Minimal generators of the saturated ideal: (degrees, polynomials),
     read off the generator scan (``SaturationData.generators``), which
     covers degrees 0..r_I + 1 = reg(I)."""
-    scan = _sat(f).generators
+    scan = saturate(f).generators
     return list(scan.i_degrees), list(scan.i_gens)
 
 
@@ -117,7 +113,7 @@ def syzygies(gens, f=None, kmax=None):
             raise WrongShapeError(
                 "syzygies without saturation data needs kmax")
         return FormsIdeal(vectors, a).relations(kmax)[0]
-    sat = _sat(f)
+    sat = saturate(f)
     b = FormsIdeal(vectors, a).relations(sat.reg_saturated() + 2)[0]
     _check_ideal_resolution(sat, a, b)
     return b
@@ -141,7 +137,7 @@ def _check_ideal_resolution(sat: SaturationData, a, b):
             f"rank mismatch: {len(a)} generators vs {len(b)} relations")
     for k in range(sat.kmax + 1):
         predicted = _hilbert_from_twists((a, b), k)
-        actual = slice_dim(k) - sat.engine.i_dim(k)
+        actual = slice_dim(k) - sat.i_dim(k)
         if predicted != actual:
             raise FreenessCheckFailedError(
                 f"Hilbert function of S/I disagrees at degree {k}: "
@@ -150,7 +146,7 @@ def _check_ideal_resolution(sat: SaturationData, a, b):
 
 def betti_saturated(f) -> BettiTable:
     """Betti table of S/I_f: (generators, relations), Hilbert-certified."""
-    sat = _sat(f)
+    sat = saturate(f)
     a, gens = min_generators(sat)
     b = syzygies(gens, sat)
     return BettiTable((tuple(sorted(a)), tuple(sorted(b))))
@@ -170,8 +166,8 @@ def betti_jacobian(f) -> BettiTable:
     whole table is certified against the Hilbert function of M(f); a
     mismatch raises FreenessCheckFailed.
     """
-    sat = _sat(f)
-    cd = sat.engine.data
+    sat = saturate(f)
+    cd = sat.data
     if not isinstance(cd, CurveData):
         raise WrongShapeError("the S/J_f table needs the Jacobian of a curve")
     if cd.mdr() == 0:

@@ -1,5 +1,9 @@
 """Saturation of the Jacobian ideal, slice by slice.
 
+One object, ``SaturationData``, is the saturation I of J: its
+constructor runs the descent below, and it then carries the slices of
+I, the table of N = I/J, the regularities and the minimal generators.
+
 Below its top degree the saturation I_f of J_f is characterized one
 degree at a time: g lies in the degree-k slice exactly when x g, y g and
 z g all lie in the degree-(k+1) slice.  For a reduced curve the Jacobian
@@ -20,8 +24,8 @@ that degree.
 
 The dimensions n_k of N are known before the descent starts: they
 follow from the Hilbert function m_k of S/J alone,
-n_k = m_k + m_(T-k) - c_k - tau (see ``_descend``), with ranks the
-slice chain of J has already built.  N lives only in degrees
+n_k = m_k + m_(T-k) - c_k - tau (see ``SaturationData``), with ranks
+the slice chain of J has already built.  N lives only in degrees
 sigma..T - sigma, so most steps have n_k = 0; those do no work, and
 I_k is J_k's cached slice.  Every other step runs the exact
 fraction-free kernel of multiplication by l.  That kernel contains the
@@ -33,14 +37,14 @@ saturation kernels check each other on every run.  The form l is
 ``jacobian.LINEAR_FORM`` and its matrix comes from
 ``jacobian.colon_rows``, shared with the regularity check that ends the
 slice chain of J; the degree that check certifies is an upper bound
-for reg(J), and ``_descend`` raises when it lies below the regularity
-the saturation gives.
+for reg(J), and the constructor raises when it lies below the
+regularity the saturation gives.
 
 The same descent, one-form steps and fallback included, saturates any
 codimension-two ideal J generated by three forms of degree e, from the
 base 3e - 2: the quotient I/J by its saturation I vanishes above
-3e - 3 and is self-dual, n_k = n_(3e-3-k) (see ``_descend``).  The
-Jacobian ideal is the case e = d - 1, where 3e - 3 = T.
+3e - 3 and is self-dual, n_k = n_(3e-3-k).  The Jacobian ideal is the
+case e = d - 1, where 3e - 3 = T.
 
 The minimal generators of I and of N = I/J come from one scan
 (``SaturationData.generators``): both counts, and the correction term
@@ -60,24 +64,143 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
 # this module's names
 from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
                       rref_extend, rref_insert)
-from .jacobian import (LINEAR_FORM, CurveData, FormsIdeal, colon_rows,
+from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows,
                        complement, shift_block_vector, smooth_reference_dims)
 from .poly import HomogeneousPoly, primitivize, slice_dim
 
 
-class SaturationEngine:
-    """Runs the descending recursion against a FormsIdeal's slices,
-    stepping only where the predicted quotient dimension is nonzero.
-    Each step takes the kernel of multiplication by ``LINEAR_FORM``,
-    certified by that dimension, and falls back to x, y and z where the
-    two differ."""
+@dataclass(frozen=True)
+class GeneratorScan:
+    """Minimal generators of the saturation I and of N = I/J."""
 
-    def __init__(self, data: FormsIdeal, predicted: list[int]):
-        self.data = data
-        self.predicted = predicted      # n_k for k = 0..3e - 3
+    i_degrees: tuple        # generator degrees of I, ascending
+    i_gens: tuple           # canonical generator polynomials of I
+    n_degrees: tuple        # generator degrees of N, ascending
+    e2: int                 # 3 - dim(J_e meet S_1 * I_(e-1))
+
+
+class SaturationData:
+    """The saturation I of a Jacobian (or three-form) ideal J, slice by
+    slice, and the quotient N = I/J."""
+
+    def __init__(self, data: FormsIdeal, tau: int):
+        """Saturate the ideal J of data's forms of degree e, of
+        codimension two with constant Hilbert polynomial tau, tabulating
+        I/J on degrees 0..T, T = 3e - 3; above T, I = J.
+
+        The bound: let N = I/J = H^0_m(S/J).  Over S = Q[x, y, z], local
+        duality makes (N_k)^* the degree -k - 3 part of Ext^3(S/J, S).
+        The Koszul complex of the three forms gives a second
+        description: its only homology besides S/J is H_1 ≅ Ext^2(S/J,
+        S)(-3e), Ext^2(H_1, S) = S/I(3e), and together Ext^3(S/J, S) ≅
+        N(3e).  So n_k = n_(T-k), and n_k = 0 above T as it is below 0
+        (Hassanzadeh and Simis, "Plane Cremona maps: saturation and
+        regularity of the base ideal", J. Algebra 2012; for J_f this is
+        the self-duality of N(f) about T, see also Sernesi, "The local
+        cohomology of the jacobian ring", Doc. Math. 19, 2014).
+
+        The table itself follows from m_k = dim (S/J)_k and the
+        coefficients c_k of ((1 - t^e)/(1 - t))^3:
+
+        - the Koszul complex has H_2 = H_3 = 0, so m_k - dim (H_1)_k =
+          c_k;
+        - by local duality H_1 ≅ Ext^2(S/J, S)(-3e) gives dim (H_1)_k =
+          h^1_m(S/J)_(T-k);
+        - Grothendieck-Serre gives m_j - tau = n_j - h^1_m(S/J)_j;
+        - at j = T - k, with n_(T-k) = n_k: n_k = m_k + m_(T-k) - c_k -
+          tau.
+
+        The m_k are ranks the slice chain of J has already built, so the
+        descent from I_(T+1) = J_(T+1) steps only where n_k > 0, and
+        each such step checks its kernel against n_k.
+
+        A degree m certified by ``FormsIdeal.regular_degree`` bounds
+        reg(J) <= m, and the saturation gives reg(J) = r_J + 1
+        (``reg_jacobian``); an m below that raises.
+        """
+        self.data = data                # the FormsIdeal of J
+        self.top = top = 3 * data.e - 3     # the largest degree of the table
+        m = [slice_dim(k) - data.rank_at(k) for k in range(top + 1)]
+        c = smooth_reference_dims(data.e + 1, top)
+        # quotient dimensions for degrees 0..top
+        self.n_table = table = [m[k] + m[top - k] - c[k] - tau
+                                for k in range(top + 1)]
+        if any(n < 0 for n in table):
+            raise KmaxExhaustedError(
+                f"negative quotient dimension predicted: {table}")
+        # the lifts that span I_k over J_k, at each k with n_k > 0
         self.extras: dict[int, list[list[int]]] = {}
         self._irref: dict[int, tuple] = {}
         self._shifts: dict[int, list] = {}
+        for k in range(top, -1, -1):
+            if table[k]:
+                self._step(k)
+        nonzero = [k for k, n in enumerate(table) if n]
+        # the least degree with nonzero quotient, and the largest quotient
+        self.sigma = nonzero[0] if nonzero else None
+        self.nu = max(table, default=0)
+        regular = data.regular_degree()
+        if regular is not None and regular[0] <= self.reg_jacobian():
+            raise KmaxExhaustedError(
+                f"regularity check certified degree {regular[0]}, below "
+                f"reg(J) = r_J + 1 = {self.reg_jacobian() + 1}")
+
+    def _step(self, k: int):
+        """One degree of the descent, run only where the identity of the
+        constructor gives n_k > 0: the steps with n_k = 0 do no work, as
+        I_k = J_k there.
+
+        The new lifts are the kernel of g -> LINEAR_FORM * g mod I_(k+1)
+        on the complement of J_k.  That kernel contains the true one,
+        {g : x g, y g, z g in I_(k+1)}, whose dimension is n_k, so a
+        kernel of dimension n_k is the true one; ``kernel_int`` reads
+        its canonical basis off the row space, the annihilator of the
+        kernel, so the lifts do not depend on the form.  A kernel of
+        another dimension (the form passes through a singular point)
+        makes this step alone take the kernel of x, y and z together,
+        which must have dimension n_k, or the ranks of J and the kernel
+        disagree and it raises.  Where I_(k+1) = S_(k+1), I_k = S_k and
+        no matrix is built."""
+        n_k = self.n_table[k]
+        dim_here = slice_dim(k)
+        jpiv, jrows = self.data.rref_at(k)
+        ipiv, irows = self.i_rref(k + 1)
+        comp_here = complement(jpiv, dim_here)
+        comp_next = complement(ipiv, slice_dim(k + 1))
+
+        if not comp_next:
+            if len(comp_here) != n_k:
+                raise _mismatch(k, len(comp_here), n_k)
+            self.extras[k] = [_unit(c, dim_here) for c in comp_here]
+            self._irref[k] = (list(range(dim_here)),
+                              [_unit(c, dim_here) for c in range(dim_here)])
+            return
+
+        kern = kernel_int(colon_rows(k, LINEAR_FORM, comp_here, comp_next,
+                                     ipiv, irows), len(comp_here))
+        if len(kern) != n_k:
+            rows = [row for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                    for row in colon_rows(k, var, comp_here, comp_next,
+                                          ipiv, irows)]
+            kern = kernel_int(rows, len(comp_here))
+            if len(kern) != n_k:
+                raise _mismatch(k, len(kern), n_k)
+
+        extras = []
+        for w in kern:
+            vec = [0] * dim_here
+            for u, c in enumerate(comp_here):
+                vec[c] = w[u]
+            extras.append(vec)
+        self.extras[k] = extras
+
+        self._irref[k] = rref_extend(jpiv, [list(r) for r in jrows], extras,
+                                     dim_here)
+
+    @property
+    def kmax(self) -> int:
+        """Top degree of the slices of J the data was built on."""
+        return self.data.kmax
 
     def i_rref(self, k: int):
         """Canonical RREF of the saturated slice at degree k: the slice
@@ -92,12 +215,6 @@ class SaturationEngine:
         """dim of the quotient (saturation / ideal) at degree k."""
         return len(self.extras.get(k, ()))
 
-    def run(self):
-        for k in range(len(self.predicted) - 1, -1, -1):
-            if self.predicted[k]:
-                self._step(k)
-        return self
-
     def lift_shifts(self, k: int) -> list:
         """The x, y and z shifts of each lift at degree k, cached: the
         generator scan and every sampled form of ``lefschetz_check``
@@ -109,95 +226,6 @@ class SaturationEngine:
                       for var in range(3))
                 for vec in self.extras.get(k, ())]
         return got
-
-    def _step(self, k: int):
-        """One degree of the descent, run only where the identity of
-        ``_descend`` predicts n_k > 0: the steps with n_k = 0 do no
-        work, as I_k = J_k there.
-
-        The new lifts are the kernel of g -> LINEAR_FORM * g mod I_(k+1)
-        on the complement of J_k.  That kernel contains the true one,
-        {g : x g, y g, z g in I_(k+1)}, whose dimension is n_k, so a
-        kernel of dimension n_k is the true one; ``kernel_int`` reads
-        its canonical basis off the row space, the annihilator of the
-        kernel, so the lifts do not depend on the form.  A kernel of
-        another dimension (the form passes through a singular point)
-        makes this step alone take the kernel of x, y and z together,
-        which must have dimension n_k, or the ranks of J and the kernel
-        disagree and it raises.  Where I_(k+1) = S_(k+1), I_k = S_k and
-        no matrix is built."""
-        dim_here = slice_dim(k)
-        jpiv, jrows = self.data.rref_at(k)
-        ipiv, irows = self.i_rref(k + 1)
-        comp_here = complement(jpiv, dim_here)
-        comp_next = complement(ipiv, slice_dim(k + 1))
-
-        if not comp_next:
-            if len(comp_here) != self.predicted[k]:
-                raise _mismatch(k, len(comp_here), self.predicted[k])
-            self.extras[k] = [_unit(c, dim_here) for c in comp_here]
-            self._irref[k] = (list(range(dim_here)),
-                              [_unit(c, dim_here) for c in range(dim_here)])
-            return
-
-        kern = kernel_int(colon_rows(k, LINEAR_FORM, comp_here, comp_next,
-                                     ipiv, irows), len(comp_here))
-        if len(kern) != self.predicted[k]:
-            rows = [row for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-                    for row in colon_rows(k, var, comp_here, comp_next,
-                                          ipiv, irows)]
-            kern = kernel_int(rows, len(comp_here))
-            if len(kern) != self.predicted[k]:
-                raise _mismatch(k, len(kern), self.predicted[k])
-
-        extras = []
-        for w in kern:
-            vec = [0] * dim_here
-            for u, c in enumerate(comp_here):
-                vec[c] = w[u]
-            extras.append(vec)
-        self.extras[k] = extras
-
-        self._irref[k] = rref_extend(jpiv, [list(r) for r in jrows], extras,
-                                     dim_here)
-
-
-def _unit(c: int, dim: int) -> list[int]:
-    vec = [0] * dim
-    vec[c] = 1
-    return vec
-
-
-def _mismatch(k: int, got: int, predicted: int) -> KmaxExhaustedError:
-    return KmaxExhaustedError(
-        f"saturation kernel of dimension {got} at degree {k}, "
-        f"the Hilbert-function identity gives {predicted}")
-
-
-@dataclass(frozen=True)
-class GeneratorScan:
-    """Minimal generators of the saturation I and of N = I/J."""
-
-    i_degrees: tuple        # generator degrees of I, ascending
-    i_gens: tuple           # canonical generator polynomials of I
-    n_degrees: tuple        # generator degrees of N, ascending
-    e2: int                 # 3 - dim(J_e meet S_1 * I_(e-1))
-
-
-@dataclass
-class SaturationData:
-    """Result of saturating a Jacobian (or three-form) ideal J."""
-
-    engine: SaturationEngine
-    top: int                # 3e - 3, the largest degree of the table
-    n_table: list           # quotient dimensions for degrees 0..top
-    sigma: int | None       # least degree with nonzero quotient
-    nu: int                 # maximal quotient dimension
-
-    @property
-    def kmax(self) -> int:
-        """Top degree of the slices of J the data was built on."""
-        return self.engine.data.kmax
 
     def end_degree(self) -> int | None:
         """Largest degree with nonzero quotient, None when the quotient is 0."""
@@ -213,14 +241,12 @@ class SaturationData:
         is constant from there on (Eisenbud, The Geometry of Syzygies,
         ch. 4: the first difference is the Hilbert function of an
         Artinian reduction by a nonzerodivisor linear form, whose last
-        nonzero degree is the regularity).  Read off slices the engine
+        nonzero degree is the regularity).  Read off slices the descent
         has already built; T - ct is not used, so the regularity verdict
         stays an independent check.
         """
-        engine = self.engine
-
         def h(k):
-            return slice_dim(k) - engine.i_dim(k)
+            return slice_dim(k) - self.i_dim(k)
 
         k = self.kmax
         stable = h(k)
@@ -262,18 +288,17 @@ class SaturationData:
         are the rows of RREF(I_k), in order, that enlarge RREF(S_1
         I_(k-1)), which is built only where mu_I(k) > 0.
         """
-        engine = self.engine
-        data = engine.data
+        data = self.data
         e = data.e
         i_degrees, i_gens, n_degrees = [], [], []
         e2 = 3 - data.rank_at(e)
         for k in range(self.reg_saturated() + 2):
-            n_k = engine.n_dim(k)
+            n_k = self.n_dim(k)
             if not n_k and k != e:
                 continue
             ncols = slice_dim(k)
             jpiv, jrows = data.rref_at(k)
-            shifted = [vec for trio in engine.lift_shifts(k - 1)
+            shifted = [vec for trio in self.lift_shifts(k - 1)
                        for vec in trio]
             grew = rank_growth(jpiv, jrows, shifted, ncols)
             count = n_k - grew
@@ -281,7 +306,7 @@ class SaturationData:
             if k == e:
                 rank_sh = rank_growth((), (), shifted, ncols)
                 e2 = 3 - rank_sh + grew
-                count = engine.i_dim(k) - rank_sh
+                count = self.i_dim(k) - rank_sh
             if not count:
                 continue
             if k > e:
@@ -290,7 +315,7 @@ class SaturationData:
             else:
                 piv, rows = rref_extend([], [], shifted, ncols)
             picked = 0
-            for row in engine.i_rref(k)[1]:
+            for row in self.i_rref(k)[1]:
                 if rref_insert(piv, rows, list(row), ncols):
                     i_degrees.append(k)
                     i_gens.append(HomogeneousPoly.from_vector(k, row))
@@ -302,96 +327,55 @@ class SaturationData:
                              tuple(n_degrees), e2)
 
 
-def _descend(data: FormsIdeal, tau: int) -> SaturationData:
-    """Saturate the ideal J of data's forms of degree e, of codimension
-    two with constant Hilbert polynomial tau, tabulating I/J on degrees
-    0..T, T = 3e - 3; above T, I = J.
+def _unit(c: int, dim: int) -> list[int]:
+    vec = [0] * dim
+    vec[c] = 1
+    return vec
 
-    The bound: let N = I/J = H^0_m(S/J).  Over S = Q[x, y, z], local
-    duality makes (N_k)^* the degree -k - 3 part of Ext^3(S/J, S).  The
-    Koszul complex of the three forms gives a second description: its
-    only homology besides S/J is H_1 ≅ Ext^2(S/J, S)(-3e),
-    Ext^2(H_1, S) = S/I(3e), and together Ext^3(S/J, S) ≅ N(3e).  So
-    n_k = n_(T-k), and n_k = 0 above T as it is below 0 (Hassanzadeh
-    and Simis, "Plane Cremona maps: saturation and regularity of the
-    base ideal", J. Algebra 2012; for J_f this is the self-duality of
-    N(f) about T, see also Sernesi, "The local cohomology of the
-    jacobian ring", Doc. Math. 19, 2014).
 
-    The table itself follows from m_k = dim (S/J)_k and the
-    coefficients c_k of ((1 - t^e)/(1 - t))^3:
-
-    - the Koszul complex has H_2 = H_3 = 0, so m_k - dim (H_1)_k = c_k;
-    - by local duality H_1 ≅ Ext^2(S/J, S)(-3e) gives dim (H_1)_k =
-      h^1_m(S/J)_(T-k);
-    - Grothendieck-Serre gives m_j - tau = n_j - h^1_m(S/J)_j;
-    - at j = T - k, with n_(T-k) = n_k: n_k = m_k + m_(T-k) - c_k - tau.
-
-    The m_k are ranks the slice chain of J has already built, so the
-    descent from I_(T+1) = J_(T+1) steps only where n_k > 0, and each
-    such step checks its kernel against n_k.
-
-    A degree m certified by ``FormsIdeal.regular_degree`` bounds
-    reg(J) <= m, and the saturation gives reg(J) = r_J + 1
-    (``SaturationData.reg_jacobian``); an m below that raises.
-    """
-    top = 3 * data.e - 3
-    m = [slice_dim(k) - data.rank_at(k) for k in range(top + 1)]
-    c = smooth_reference_dims(data.e + 1, top)
-    table = [m[k] + m[top - k] - c[k] - tau for k in range(top + 1)]
-    if any(n < 0 for n in table):
-        raise KmaxExhaustedError(
-            f"negative quotient dimension predicted: {table}")
-    engine = SaturationEngine(data, table).run()
-    nonzero = [k for k, n in enumerate(table) if n]
-    sigma = nonzero[0] if nonzero else None
-    nu = max(table, default=0)
-    sat = SaturationData(engine, top, table, sigma, nu)
-    regular = data.regular_degree()
-    if regular is not None and regular[0] <= sat.reg_jacobian():
-        raise KmaxExhaustedError(
-            f"regularity check certified degree {regular[0]}, below "
-            f"reg(J) = r_J + 1 = {sat.reg_jacobian() + 1}")
-    return sat
+def _mismatch(k: int, got: int, predicted: int) -> KmaxExhaustedError:
+    return KmaxExhaustedError(
+        f"saturation kernel of dimension {got} at degree {k}, "
+        f"the Hilbert-function identity gives {predicted}")
 
 
 def saturate(f) -> SaturationData:
-    """Saturation data of the Jacobian ideal of a reduced curve."""
-    cd = f if isinstance(f, CurveData) else CurveData(f)
+    """Saturation data of the Jacobian ideal of a reduced curve; f
+    itself when it already is saturation data."""
+    if isinstance(f, SaturationData):
+        return f
+    cd = _data(f)
     # tjurina rejects non-reduced input
-    return _descend(cd, cd.tjurina())
+    return SaturationData(cd, cd.tjurina())
 
 
 def n_table(f) -> list[int]:
     """Graded dimensions of the Jacobian module N(f), degrees 0..3d-6."""
-    sat = f if isinstance(f, SaturationData) else saturate(f)
-    return list(sat.n_table)
+    return list(saturate(f).n_table)
 
 
 def n_min_generators(f) -> list[int]:
     """Sorted minimal generator degrees of N(f) as a graded S-module
     (see ``SaturationData.generators``)."""
-    sat = f if isinstance(f, SaturationData) else saturate(f)
-    return list(sat.generators.n_degrees)
+    return list(saturate(f).generators.n_degrees)
 
 
 def saturate_three_forms(g1, g2, g3) -> SaturationData:
     """Saturate the ideal of three forms of one degree e >= 1 and of
-    codimension two, by the descent from 3e - 2 (see ``_descend``).
+    codimension two, by the descent from 3e - 2 (see ``SaturationData``).
 
     The codimension check is exact, and the constant quotient dimension
-    it reads is the tau of ``_descend``.  In codimension two the Hilbert
-    function of S/J equals its constant Hilbert polynomial from 3e - 2
-    on, since end H^0_m(S/J) <= 3e - 3 and end H^1_m(S/J) <= 2e - 3 -
-    mdr, mdr the least degree of a relation among the forms: the
-    quotient dimensions at 3e - 2, 3e - 1 and 3e are equal and
-    positive.  A common factor h of degree c, J = hJ', adds
-    dim (S/(h))_k, which grows by c per degree there, to the dimension
-    of (S/J')_(k-c), which the same bound keeps constant; an ideal
-    primary to the irrelevant ideal gives 0.  ``regular_degree`` runs
-    first: where it certifies a degree, the three dimensions all read
-    its tau (a common factor never passes it), and no slice above it
-    plus one is built.
+    it reads is the tau of ``SaturationData``.  In codimension two the
+    Hilbert function of S/J equals its constant Hilbert polynomial from
+    3e - 2 on, since end H^0_m(S/J) <= 3e - 3 and end H^1_m(S/J) <=
+    2e - 3 - mdr, mdr the least degree of a relation among the forms: the
+    quotient dimensions at 3e - 2, 3e - 1 and 3e are equal and positive.
+    A common factor h of degree c, J = hJ', adds dim (S/(h))_k, which
+    grows by c per degree there, to the dimension of (S/J')_(k-c), which
+    the same bound keeps constant; an ideal primary to the irrelevant
+    ideal gives 0.  ``regular_degree`` runs first: where it certifies a
+    degree, the three dimensions all read its tau (a common factor never
+    passes it), and no slice above it plus one is built.
     """
     forms = tuple(primitivize(g) for g in (g1, g2, g3))
     degs = {g.degree for g in forms}
@@ -412,7 +396,7 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
         raise NotCodimensionTwoError(
             "quotient Hilbert function is still moving at degree 3e: "
             "the forms share a common factor or e is malformed")
-    return _descend(data, dims[0])
+    return SaturationData(data, dims[0])
 
 
 @dataclass
@@ -440,8 +424,7 @@ def lefschetz_check(f, ell: tuple | None = None,
     random integer coefficients and are resampled on failure, up to
     MAX_ATTEMPTS of them.
     """
-    sat = f if isinstance(f, SaturationData) else saturate(f)
-    engine = sat.engine
+    sat = saturate(f)
     table = sat.n_table
     steps = range(len(table) - 1)
     rng = random.Random(seed)
@@ -463,11 +446,11 @@ def lefschetz_check(f, ell: tuple | None = None,
         attempts += 1
         ranks = []
         for s in steps:
-            shifts = engine.lift_shifts(s)
+            shifts = sat.lift_shifts(s)
             if not shifts:
                 ranks.append(0)
                 continue
-            piv, rows = engine.data.rref_at(s + 1)
+            piv, rows = sat.data.rref_at(s + 1)
             images = [[form[0] * a + form[1] * b + form[2] * c
                        for a, b, c in zip(x, y, z)]
                       for x, y, z in shifts]

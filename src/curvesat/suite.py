@@ -149,11 +149,10 @@ def _lifts_outside(sat) -> tuple:
     slice, so the two are equal and the step is exact without the
     Hilbert-function identity that sized it.
     """
-    engine = sat.engine
     return tuple(
         k for k, n in enumerate(sat.n_table)
-        if n and rank_growth(*engine.i_rref(k + 1),
-                             [v for t in engine.lift_shifts(k) for v in t],
+        if n and rank_growth(*sat.i_rref(k + 1),
+                             [v for t in sat.lift_shifts(k) for v in t],
                              slice_dim(k + 1)))
 
 

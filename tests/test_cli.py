@@ -132,9 +132,9 @@ def test_suite_single_property(capsys):
     assert "suite: PASS" in out
 
 
-@pytest.mark.parametrize("expr", ["x^99999999", "(x+y+z)^999999"])
-def test_huge_power_is_rejected_before_expansion(expr):
-    # a subprocess with a timeout: expanding these would spin for minutes
+def _analyze_in_subprocess(expr):
+    # a subprocess with a timeout: expanding these inputs would spin for
+    # minutes
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -145,7 +145,21 @@ def test_huge_power_is_rejected_before_expansion(expr):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
-    assert "exceeds the cap 64" in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("expr", ["x^99999999", "(x+y+z)^999999"])
+def test_huge_power_is_rejected_before_expansion(expr):
+    assert "exceeds the cap 64" in _analyze_in_subprocess(expr)
+
+
+@pytest.mark.parametrize("expr", [
+    "(x+y+z+1)^32*(x+y+z+1)^32 - (x+y+z+1)^64 + x",
+    "(x+y+z+1)^40 - (x+y+z+1)^40 + x^40",
+])
+def test_huge_product_is_rejected_before_expansion(expr):
+    # every degree stays within the cap, but the term counts do not
+    assert "term pairs" in _analyze_in_subprocess(expr)
 
 
 def test_suite_rejects_a_negative_random_count(capsys):

@@ -36,30 +36,28 @@ def _sat(name):
     return saturate(obj.product() if isinstance(obj, Arrangement) else obj)
 
 
-def _shifted(engine, k):
+def _shifted(sat, k):
     return [shift_block_vector(vec, var, k - 1, (0,))
-            for vec in engine.extras.get(k - 1, ())
+            for vec in sat.extras.get(k - 1, ())
             for var in range(3)]
 
 
 def reference_n_generators(sat):
-    engine = sat.engine
     degrees = []
     for k, n_k in enumerate(sat.n_table):
         if not n_k:
             continue
-        piv, rows = engine.data.rref_at(k)
-        grew = rank_growth(piv, rows, _shifted(engine, k), slice_dim(k))
+        piv, rows = sat.data.rref_at(k)
+        grew = rank_growth(piv, rows, _shifted(sat, k), slice_dim(k))
         degrees.extend([k] * (n_k - grew))
     return degrees
 
 
 def reference_i_generators(sat):
-    engine = sat.engine
-    data = engine.data
+    data = sat.data
     degrees, gens = [], []
     for k in range(sat.reg_saturated() + 2):
-        dim_i = engine.i_dim(k)
+        dim_i = sat.i_dim(k)
         if not dim_i:
             continue
         if k >= data.e + 1:
@@ -67,11 +65,11 @@ def reference_i_generators(sat):
             rows = [list(r) for r in rows]
         else:
             piv, rows = [], []
-        piv, rows = rref_extend(piv, rows, _shifted(engine, k), slice_dim(k))
+        piv, rows = rref_extend(piv, rows, _shifted(sat, k), slice_dim(k))
         count = dim_i - len(piv)
         if count:
             picked = 0
-            for row in engine.i_rref(k)[1]:
+            for row in sat.i_rref(k)[1]:
                 if rref_insert(piv, rows, list(row), slice_dim(k)):
                     degrees.append(k)
                     gens.append(HomogeneousPoly.from_vector(k, row))
@@ -83,9 +81,9 @@ def reference_i_generators(sat):
 
 def reference_e2(sat):
     """3 - dim(J_e meet S_1 * I_(e-1)) from three separate ranks."""
-    data = sat.engine.data
+    data = sat.data
     e = data.e
-    shifted = _shifted(sat.engine, e)
+    shifted = _shifted(sat, e)
     ncols = slice_dim(e)
     dim_b = rank_int([list(r) for r in shifted], ncols)
     dim_a = data.rank_at(e)
@@ -127,7 +125,7 @@ def test_scan_extends_no_copy_of_a_jacobian_slice(monkeypatch):
     # e = 9, so S_1 I_(k-1) never needs J_k added to an echelon form;
     # above e every n_k > 0 is reached by S_1 I_(k-1) alone
     sat = _sat("nf-d10-k3")
-    assert sat.engine.data.e == 9
+    assert sat.data.e == 9
     extended = []
 
     def recording(pivots, rows, vecs, ncols):

@@ -257,7 +257,7 @@ def _certified(name):
         forms = [parse_poly(t) for t in THREE_FORMS]
         fresh = FormsIdeal([primitivize(g).int_vector() for g in forms],
                            (3,) * 3)
-        return saturate_three_forms(*forms).engine.data, fresh
+        return saturate_three_forms(*forms).data, fresh
     if name in REGULAR_CASES:
         f = parse_poly(REGULAR_CASES[name])
     else:

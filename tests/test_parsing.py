@@ -47,6 +47,17 @@ def test_degree_cap_rejects_before_expanding():
         assert exc.value.position == pos
 
 
+def test_term_pair_cap_rejects_before_multiplying():
+    # (x+y+z+1)^16 has 969 terms, squared from 165; squaring it once
+    # more is refused at the exponent
+    assert 969 ** 2 > parsing.MAX_TERM_PAIRS > 165 ** 2
+    assert parse_poly("(x+y+z+1)^16 - (x+y+z+1)^16 + x^16") == \
+        parse_poly("x^16")
+    with pytest.raises(PolySyntaxError, match="969 by 969 terms") as exc:
+        parse_poly("(x+y+z+1)^32 - (x+y+z+1)^32 + x^32")
+    assert exc.value.position == 10
+
+
 def test_parse_fraction_coefficients():
     f = parse_poly("2/3 * x^2 + y^2 - z^2")
     assert f.terms[Monomial(2, 0, 0)] == Fraction(2, 3)
@@ -115,14 +126,14 @@ def test_parse_arrangement_line_prefix_on_syntax_error():
 
 def test_combinatorics_concurrent_triple():
     c = combinatorics(parse_arrangement("x\ny\nx + y\n"))
-    assert c.point_count == 1
+    assert len(c.points) == 1
     assert dict(c.multiplicity_counts) == {3: 1}
     assert c.tau == 4
 
 
 def test_combinatorics_triangle():
     c = combinatorics(parse_arrangement("x\ny\nz\n"))
-    assert c.point_count == 3
+    assert len(c.points) == 3
     assert dict(c.multiplicity_counts) == {2: 3}
     assert c.tau == 3
 
@@ -131,7 +142,7 @@ def test_combinatorics_ziegler_fixtures():
     # both members of the pair share this intersection lattice size
     for name in ("ziegler-A", "ziegler-Aprime"):
         c = combinatorics(parse_arrangement(entry(name).text))
-        assert c.point_count == 24
+        assert len(c.points) == 24
         assert dict(c.multiplicity_counts) == {2: 18, 3: 6}
         assert c.tau == 42
 

@@ -80,7 +80,7 @@ def test_degree_mismatch_rejected():
 
 def test_from_vector_round_trip():
     f = parse_poly("x^2 - 2*x*y + 3*z^2")
-    assert HomogeneousPoly.from_vector(2, f.to_vector()) == f
+    assert HomogeneousPoly.from_vector(2, f.int_vector()) == f
 
 
 def test_int_vector_rejects_fractions():

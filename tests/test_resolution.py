@@ -19,7 +19,7 @@ from curvesat.resolution import (
     regularity_total,
     syzygies,
 )
-from curvesat.saturation import (SaturationEngine, saturate,
+from curvesat.saturation import (SaturationData, saturate,
                                  saturate_three_forms)
 
 EX1_D4 = "y^4 + x*z^3"
@@ -165,7 +165,7 @@ def test_saturated_table_reproduces_hilbert_function(text):
     sat = saturate(parse_poly(text))
     table = betti_saturated(sat)
     for k in range(sat.kmax + 1):
-        expect = comb(k + 2, 2) - sat.engine.i_dim(k)
+        expect = comb(k + 2, 2) - sat.i_dim(k)
         assert table_hilbert(table, k) == expect
 
 
@@ -194,15 +194,15 @@ def test_three_form_saturation_gives_the_curve_table(monkeypatch, name):
     f = _curve(name)
     curve = saturate(f)
     runs = []
-    run = SaturationEngine.run
+    init = SaturationData.__init__
 
-    def counted_run(self):
-        runs.append(list(self.predicted))
-        return run(self)
+    def counted_init(self, data, tau):
+        init(self, data, tau)
+        runs.append(list(self.n_table))
 
-    monkeypatch.setattr(SaturationEngine, "run", counted_run)
+    monkeypatch.setattr(SaturationData, "__init__", counted_init)
     three = saturate_three_forms(*partials(primitivize(f)))
-    assert runs == [curve.engine.predicted]
+    assert runs == [curve.n_table]
     assert three.n_table == curve.n_table
     assert three.top == curve.top
     assert betti_saturated(three) == betti_saturated(curve)

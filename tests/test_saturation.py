@@ -28,8 +28,8 @@ NODAL3 = "x*y*z + x^3 + y^3"
 def test_line_pair_saturation():
     sat = saturate(parse_poly("x*y"))
     # I = (x, y); already saturated from degree one on
-    assert sat.engine.i_dim(1) == 2
-    assert sat.engine.i_dim(2) == 5
+    assert sat.i_dim(1) == 2
+    assert sat.i_dim(2) == 5
     assert sat.n_table == [0]
     assert sat.sigma is None
     assert sat.nu == 0
@@ -39,13 +39,19 @@ def test_line_pair_saturation():
 def test_ex1_d4_saturation():
     sat = saturate(parse_poly(EX1_D4))
     # one new element below the Jacobian ideal: z^2 in degree 2
-    assert sat.engine.i_dim(2) == 1
-    assert sat.engine.i_dim(3) == 4
+    assert sat.i_dim(2) == 1
+    assert sat.i_dim(3) == 4
     assert sat.n_table == [0, 0, 1, 1, 1, 0, 0]
     assert sat.sigma == 2
     assert sat.nu == 1
     assert sat.top == 6
     assert sat.end_degree() == 4
+
+
+def test_saturating_saturation_data_returns_it():
+    sat = saturate(parse_poly(EX1_D4))
+    assert saturate(sat) is sat
+    assert n_table(sat) == sat.n_table
 
 
 def test_ex1_d4_module_generators():
@@ -65,7 +71,7 @@ def test_fermat_cubic_module_is_full_complete_intersection():
     f = parse_poly(FERMAT3)
     sat = saturate(f)
     # smooth curve: I_f = S, so N(f) is the whole Milnor algebra
-    assert sat.engine.i_dim(0) == 1
+    assert sat.i_dim(0) == 1
     assert sat.n_table == [1, 3, 3, 1]
     assert sat.sigma == 0
     assert sat.nu == 3
@@ -79,7 +85,7 @@ def test_three_forms_matches_curve_saturation():
     assert got.n_table == ref.n_table
     assert got.sigma == ref.sigma and got.nu == ref.nu
     top = min(got.kmax, ref.kmax)
-    assert all(got.engine.i_dim(k) == ref.engine.i_dim(k)
+    assert all(got.i_dim(k) == ref.i_dim(k)
                for k in range(top + 1))
 
 
@@ -160,7 +166,7 @@ def _watch_kernels(monkeypatch):
     each kernel matrix, and the number of complement columns of I_(k+1)
     at each step, filled as they run."""
     exact, current, nrows, comp_next = [], [], [], {}
-    step = saturation.SaturationEngine._step
+    step = saturation.SaturationData._step
     kernel = saturation.kernel_int
 
     def watched_step(self, k):
@@ -174,7 +180,7 @@ def _watch_kernels(monkeypatch):
         nrows.append(len(rows))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(saturation.SaturationEngine, "_step", watched_step)
+    monkeypatch.setattr(saturation.SaturationData, "_step", watched_step)
     monkeypatch.setattr(saturation, "kernel_int", watched_kernel)
     return exact, nrows, comp_next
 
@@ -205,13 +211,15 @@ def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     ref = saturate(_catalog_curve(name))
     assert (ref.n_table[k] == 0) == (delta > 0)
     exact, _, _ = _watch_kernels(monkeypatch)
-    run = saturation.SaturationEngine.run
+    reference_dims = saturation.smooth_reference_dims
 
-    def corrupted_run(self):
-        self.predicted[k] += delta
-        return run(self)
+    def corrupted_dims(d, kmax):
+        # n_k = m_k + m_(T-k) - c_k - tau: lowering c_k raises n_k alone
+        dims = reference_dims(d, kmax)
+        dims[k] -= delta
+        return dims
 
-    monkeypatch.setattr(saturation.SaturationEngine, "run", corrupted_run)
+    monkeypatch.setattr(saturation, "smooth_reference_dims", corrupted_dims)
     with pytest.raises(KmaxExhaustedError, match="Hilbert-function identity"):
         saturate(_catalog_curve(name))
     assert exact[-1] == raised_at
@@ -239,7 +247,7 @@ def _forced_through_x(monkeypatch, build, degrees):
     assert nrows == [c for k in degrees
                      for c in (comp_next[k], 3 * comp_next[k])]
     assert got.n_table == ref.n_table
-    assert got.engine.extras == ref.engine.extras
+    assert got.extras == ref.extras
 
 
 def test_a_form_through_a_singular_point_falls_back(monkeypatch):

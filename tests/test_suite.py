@@ -89,11 +89,11 @@ def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
 
     def corrupted(*args, **kwargs):
         report, cd, sat = analyze_full(*args, **kwargs)
-        engine, k = sat.engine, sat.sigma
-        pivots = set(engine.i_rref(k)[0])
+        k = sat.sigma
+        pivots = set(sat.i_rref(k)[0])
         c = next(c for c in range(slice_dim(k)) if c not in pivots)
-        engine.extras[k][0] = [int(j == c) for j in range(slice_dim(k))]
-        engine._shifts.clear()
+        sat.extras[k][0] = [int(j == c) for j in range(slice_dim(k))]
+        sat._shifts.clear()
         return report, cd, sat
 
     oracle = dict(PROPERTIES)["saturation-oracle"]
