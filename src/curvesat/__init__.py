@@ -33,7 +33,6 @@ from .resolution import (
     betti_saturated,
     min_generators,
     regularity,
-    syzygies,
 )
 from .saturation import (
     LefschetzData,
@@ -81,7 +80,6 @@ __all__ = [
     "saturate",
     "saturate_three_forms",
     "smooth_reference_dims",
-    "syzygies",
     "tjurina",
     "verify_identities",
 ]

@@ -22,7 +22,7 @@ from .errors import BadExponentError, InconsistentClassificationError
 # this module's name
 from .exactla import rank_int  # noqa: F401
 from .jacobian import CurveData, _data
-from .resolution import BettiTable, regularity, regularity_total
+from .resolution import BettiTable, regularity
 from .saturation import SaturationData, saturate
 
 SMOOTH = "SMOOTH"
@@ -203,7 +203,7 @@ def verify_identities(cd: CurveData, sat: SaturationData,
     # the defect vanishes in degree d-2.
     if (singular and sat.sigma is not None and n_low == 0
             and table_jac is not None):
-        reg = regularity_total(table_jac)
+        reg = regularity(table_jac)
         add("regularity-from-initial-degree", True,
             reg == 3 * d - 6 - sat.sigma,
             regularity=reg, expected=3 * d - 6 - sat.sigma)

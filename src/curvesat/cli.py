@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import catalog
-from .analysis import analyze, emit_json
+from .analysis import analyze, analyze_catalog, emit_json
 from .errors import CurvesatError, NonReducedInputError, ParseError
 from .parsing import parse_arrangement, parse_poly
 from .suite import property_names, run_suite
@@ -77,10 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     if args.catalog is not None:
-        entry = catalog.entry(args.catalog)
-        obj = catalog.load(args.catalog)
-        name = entry.name
-        irreducible = entry.irreducible
+        report = analyze_catalog(args.catalog, timing=args.timing)
     elif args.arrangement is not None:
         with open(args.arrangement, encoding="utf-8") as fh:
             try:
@@ -88,15 +85,9 @@ def _cmd_analyze(args) -> int:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{args.arrangement} is not UTF-8 text "
                                  f"(byte {exc.start})") from None
-        obj = parse_arrangement(text)
-        name = None
-        irreducible = None
+        report = analyze(parse_arrangement(text), timing=args.timing)
     else:
-        obj = parse_poly(args.poly)
-        name = None
-        irreducible = None
-    report = analyze(obj, timing=args.timing, name=name,
-                     irreducible=irreducible)
+        report = analyze(parse_poly(args.poly), timing=args.timing)
     if args.format == "json":
         sys.stdout.write(emit_json(report))
     else:

@@ -244,8 +244,6 @@ class Arrangement:
     """A reduced arrangement of distinct projective lines."""
 
     forms: tuple          # HomogeneousPoly, degree 1 each
-    form_texts: tuple     # cleaned source line per form
-    source_text: str
 
     @property
     def degree(self) -> int:
@@ -294,7 +292,7 @@ def parse_arrangement(text: str) -> Arrangement:
         texts.append(line)
     if not forms:
         raise ZeroPolynomialError("arrangement file contains no forms")
-    arr = Arrangement(tuple(forms), tuple(texts), text)
+    arr = Arrangement(tuple(forms))
     rows = arr.coefficient_rows()
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):

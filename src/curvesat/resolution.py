@@ -21,16 +21,19 @@ eliminates its own slices, a check independent of the saturation's.
 Every scan stops at a top degree read off the regularity
 (``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
 regularity r has its generators in degrees at most r and their
-relations in degrees at most r + 1.  Each finished table is then
-certified against the Hilbert function of the module on the whole
-degree range; a failed certificate raises FreenessCheckFailed.  No
-Groebner bases anywhere: everything is exact linear algebra against
-fixed monomial bases.
+relations in degrees at most r + 1.  Both tables take one path:
+generator degrees, one relation walk per later position, then one
+certificate, ``_certify``, which checks the twists against the
+Hilbert function of the quotient (read off the slices) on degrees
+0..kmax and raises FreenessCheckFailed on a mismatch.  No Groebner
+bases anywhere: everything is exact linear algebra against fixed
+monomial bases.
 
-Explicit generator polynomials are picked canonically (rows of the
-canonical slice basis, in order, that enlarge the span of the shifts),
-so repeated runs reproduce them bit for bit; those of the saturation
-come from ``SaturationData.generators``.
+The generators of I_f are integer rows of the canonical slice basis,
+picked in order where they enlarge the span of the shifts, so repeated
+runs reproduce them bit for bit; the walk of the S/I_f table reads
+them straight from the scan (``SaturationData.generators``), and only
+``min_generators`` turns them into polynomials.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .errors import FreenessCheckFailedError, WrongShapeError
 # perfbench/spans.py patches this module's names
 from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
 from .jacobian import CurveData, FormsIdeal
-from .poly import slice_dim
-from .saturation import SaturationData, saturate
+from .poly import HomogeneousPoly, slice_dim
+from .saturation import saturate
 
 
 @dataclass(frozen=True)
@@ -65,20 +68,10 @@ class BettiTable:
 
 
 def regularity(table: BettiTable) -> int:
-    """Castelnuovo-Mumford regularity from a length-two table:
+    """Castelnuovo-Mumford regularity of S/M: max(t - p) over the
+    twists t of each position p, with the S in position zero
+    contributing 0.  For a length-two table with some a_i > 0 this is
     max(a_i - 1, b_j - 2) over generators a and relations b."""
-    if table.pd != 2:
-        raise WrongShapeError("expected a projective dimension 2 table")
-    a, b = table.twists
-    if not a:
-        raise WrongShapeError("empty generator position")
-    return max([v - 1 for v in a] + [v - 2 for v in b])
-
-
-def regularity_total(table: BettiTable) -> int:
-    """max over all positions (twist - position), with the S in position
-    zero contributing 0; agrees with ``regularity`` whenever some a_i
-    is positive."""
     best = 0
     for p, twists in enumerate(table.twists, start=1):
         for t in twists:
@@ -91,64 +84,46 @@ def min_generators(f):
     read off the generator scan (``SaturationData.generators``), which
     covers degrees 0..r_I + 1 = reg(I)."""
     scan = saturate(f).generators
-    return list(scan.i_degrees), list(scan.i_gens)
+    return list(scan.i_degrees), [HomogeneousPoly.from_vector(k, row)
+                                  for k, row in zip(scan.i_degrees,
+                                                    scan.i_rows)]
 
 
-def syzygies(gens, f=None, kmax=None):
-    """Minimal relation degrees among ideal generators.
-
-    When saturation data (or a curve) is supplied, the scan stops at
-    r_I + 2: relations of I sit in degrees at most reg(I) + 1 =
-    reg(S/I) + 2.  The finished resolution is then checked against the
-    Hilbert function of the ideal on all degrees up to kmax; a mismatch
-    raises FreenessCheckFailed.  Without it the caller must state the
-    top degree kmax of the scan; relations above kmax are not found,
-    and that result is not certified.  With neither, WrongShapeError is
-    raised: arbitrary generators have no stated bound here.
-    """
-    a = [g.degree for g in gens]
-    vectors = [g.int_vector() for g in gens]
-    if f is None:
-        if kmax is None:
-            raise WrongShapeError(
-                "syzygies without saturation data needs kmax")
-        return FormsIdeal(vectors, a).relations(kmax)[0]
-    sat = saturate(f)
-    b = FormsIdeal(vectors, a).relations(sat.reg_saturated() + 2)[0]
-    _check_ideal_resolution(sat, a, b)
-    return b
-
-
-def _hilbert_from_twists(twists, k: int) -> int:
-    """dim (S/M)_k read off the twists of a free resolution of S/M:
-    dim S_k plus the alternating sum over positions p of the
-    dim S_(k-t), sign (-1)^p."""
-    value = slice_dim(k)
-    sign = -1
-    for position in twists:
-        value += sign * sum(slice_dim(k - t) for t in position)
-        sign = -sign
-    return value
-
-
-def _check_ideal_resolution(sat: SaturationData, a, b):
-    if b and len(b) != len(a) - 1:
-        raise FreenessCheckFailedError(
-            f"rank mismatch: {len(a)} generators vs {len(b)} relations")
-    for k in range(sat.kmax + 1):
-        predicted = _hilbert_from_twists((a, b), k)
-        actual = slice_dim(k) - sat.i_dim(k)
+def _certify(twists, hilbert, kmax: int, name: str):
+    """Check the twists of a free resolution of S/M against the Hilbert
+    function of S/M on degrees 0..kmax: dim S_k plus the alternating
+    sum over positions p of the dim S_(k-t), sign (-1)^p, must equal
+    hilbert(k).  A mismatch raises FreenessCheckFailed."""
+    for k in range(kmax + 1):
+        predicted = slice_dim(k)
+        sign = -1
+        for position in twists:
+            predicted += sign * sum(slice_dim(k - t) for t in position)
+            sign = -sign
+        actual = hilbert(k)
         if predicted != actual:
             raise FreenessCheckFailedError(
-                f"Hilbert function of S/I disagrees at degree {k}: "
-                f"resolution says {predicted}, slices say {actual}")
+                f"Betti table of {name} fails its Hilbert function check "
+                f"at degree {k}: resolution says {predicted}, slices say "
+                f"{actual}")
 
 
 def betti_saturated(f) -> BettiTable:
-    """Betti table of S/I_f: (generators, relations), Hilbert-certified."""
+    """Betti table of S/I_f: (generators, relations), Hilbert-certified.
+
+    The generators are the rows of the scan (``SaturationData.generators``),
+    their relations one ``FormsIdeal.relations`` walk up to r_I + 2:
+    relations of I sit in degrees at most reg(I) + 1 = reg(S/I) + 2.
+    S/I has projective dimension at most two, so a nonzero relation
+    position has one entry fewer than the generator position."""
     sat = saturate(f)
-    a, gens = min_generators(sat)
-    b = syzygies(gens, sat)
+    scan = sat.generators
+    a = scan.i_degrees
+    b = FormsIdeal(scan.i_rows, a).relations(sat.reg_saturated() + 2)[0]
+    if b and len(b) != len(a) - 1:
+        raise FreenessCheckFailedError(
+            f"rank mismatch: {len(a)} generators vs {len(b)} relations")
+    _certify((a, b), lambda k: slice_dim(k) - sat.i_dim(k), sat.kmax, "S/I_f")
     return BettiTable((tuple(sorted(a)), tuple(sorted(b))))
 
 
@@ -179,8 +154,5 @@ def betti_jacobian(f) -> BettiTable:
     twists = [cd.degrees, ar.degrees]
     if rels:
         twists.append(tuple(rels))
-    for k in range(cd.kmax + 1):
-        if _hilbert_from_twists(twists, k) != cd.milnor_dim(k):
-            raise FreenessCheckFailedError(
-                "Betti table of S/J_f fails its Hilbert function check")
+    _certify(twists, cd.milnor_dim, cd.kmax, "S/J_f")
     return BettiTable(tuple(twists))

@@ -66,7 +66,7 @@ from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
                       rref_extend, rref_insert)
 from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows,
                        complement, shift_block_vector, smooth_reference_dims)
-from .poly import HomogeneousPoly, primitivize, slice_dim
+from .poly import primitivize, slice_dim
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class GeneratorScan:
     """Minimal generators of the saturation I and of N = I/J."""
 
     i_degrees: tuple        # generator degrees of I, ascending
-    i_gens: tuple           # canonical generator polynomials of I
+    i_rows: tuple           # canonical generator rows of I, integer vectors
     n_degrees: tuple        # generator degrees of N, ascending
     e2: int                 # 3 - dim(J_e meet S_1 * I_(e-1))
 
@@ -290,7 +290,7 @@ class SaturationData:
         """
         data = self.data
         e = data.e
-        i_degrees, i_gens, n_degrees = [], [], []
+        i_degrees, i_rows, n_degrees = [], [], []
         e2 = 3 - data.rank_at(e)
         for k in range(self.reg_saturated() + 2):
             n_k = self.n_dim(k)
@@ -318,12 +318,12 @@ class SaturationData:
             for row in self.i_rref(k)[1]:
                 if rref_insert(piv, rows, list(row), ncols):
                     i_degrees.append(k)
-                    i_gens.append(HomogeneousPoly.from_vector(k, row))
+                    i_rows.append(tuple(row))
                     picked += 1
             if picked != count:
                 raise KmaxExhaustedError(
                     "inconsistent generator count for the saturation")
-        return GeneratorScan(tuple(i_degrees), tuple(i_gens),
+        return GeneratorScan(tuple(i_degrees), tuple(i_rows),
                              tuple(n_degrees), e2)
 
 

@@ -98,10 +98,11 @@ def test_scan_matches_the_three_reference_scans(name):
     assert list(scan.n_degrees) == reference_n_generators(_sat(name))
     degrees, gens = reference_i_generators(_sat(name))
     assert list(scan.i_degrees) == degrees
-    assert [str(g) for g in scan.i_gens] == [str(g) for g in gens]
+    assert [list(row) for row in scan.i_rows] == [g.int_vector()
+                                                  for g in gens]
     assert scan.e2 == reference_e2(_sat(name))
     assert n_min_generators(sat) == list(scan.n_degrees)
-    assert min_generators(sat) == (list(scan.i_degrees), list(scan.i_gens))
+    assert min_generators(sat) == (degrees, gens)
 
 
 def test_one_analysis_runs_one_scan(monkeypatch):

@@ -89,7 +89,7 @@ def test_syntax_error_carries_offset():
 def test_parse_arrangement_basic():
     arr = parse_arrangement("x\ny\nx + y\n")
     assert arr.degree == 3
-    assert arr.form_texts == ("x", "y", "x + y")
+    assert [str(g) for g in arr.forms] == ["x", "y", "x + y"]
     assert str(arr.product()) == "x^2*y + x*y^2"
     assert arr.coefficient_rows() == [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
 
@@ -97,7 +97,7 @@ def test_parse_arrangement_basic():
 def test_parse_arrangement_comments_and_blanks():
     arr = parse_arrangement("# triangle\nx\n\ny   # second line\nz\n")
     assert arr.degree == 3
-    assert arr.form_texts == ("x", "y", "z")
+    assert [str(g) for g in arr.forms] == ["x", "y", "z"]
 
 
 def test_parse_arrangement_rejects_nonlinear():

@@ -16,8 +16,6 @@ from curvesat.resolution import (
     betti_saturated,
     min_generators,
     regularity,
-    regularity_total,
-    syzygies,
 )
 from curvesat.saturation import (SaturationData, saturate,
                                  saturate_three_forms)
@@ -50,18 +48,22 @@ def test_ex1_d4_saturated_table_keeps_its_relation():
     assert table.twists == ((2, 3), (5,))
 
 
+def _relations(texts, top):
+    gens = [parse_poly(t) for t in texts]
+    ideal = FormsIdeal([g.int_vector() for g in gens],
+                       [g.degree for g in gens])
+    return ideal.relations(top)[0]
+
+
 def test_syzygies_standalone_koszul():
-    assert syzygies([parse_poly("x"), parse_poly("y")], kmax=2) == [2]
+    assert _relations(["x", "y"], 2) == [2]
 
 
 def test_syzygies_without_saturation_data_needs_a_top_degree():
     # the Koszul relation of x^7, y^7 sits at 14, far above the degrees
-    # of the generators; without a stated top it would be missed
-    gens = [parse_poly("x^7"), parse_poly("y^7")]
-    assert syzygies(gens, kmax=14) == [14]
-    assert syzygies(gens, kmax=13) == []
-    with pytest.raises(WrongShapeError, match="kmax"):
-        syzygies(gens)
+    # of the generators; a walk whose stated top lies below it misses it
+    assert _relations(["x^7", "y^7"], 14) == [14]
+    assert _relations(["x^7", "y^7"], 13) == []
 
 
 def test_betti_saturated_line_pair():
@@ -89,7 +91,7 @@ def test_betti_tables_of_free_curve_agree():
 def test_betti_jacobian_ex1_d4():
     table = betti_jacobian(parse_poly(EX1_D4))
     assert table.twists == ((3, 3, 3), (4, 6, 6), (7,))
-    assert regularity_total(table) == 4
+    assert regularity(table) == 4
 
 
 def test_betti_jacobian_nodal_sextic_certified():
@@ -131,17 +133,9 @@ def test_betti_jacobian_rejects_a_three_form_saturation():
         betti_jacobian(saturate_three_forms(*forms))
 
 
-def test_regularity_requires_length_two():
-    with pytest.raises(WrongShapeError):
-        regularity(BettiTable(((3, 3, 3), (4, 6, 6), (7,))))
-    with pytest.raises(WrongShapeError):
-        regularity(BettiTable(((), ())))
-
-
 def test_regularity_values():
     assert regularity(BettiTable(((2, 3), (5,)))) == 3
     assert regularity(BettiTable(((1, 1), (2,)))) == 0
-    assert regularity_total(BettiTable(((2, 3), (5,)))) == 3
 
 
 def test_betti_table_positions():
@@ -243,4 +237,4 @@ def test_scan_bounds_are_the_regularities(name):
     assert r_i == regularity(report.betti_saturated)
     assert r_i == cd.T - cd.coincidence_threshold()
     if report.mdr >= 1:
-        assert sat.reg_jacobian() == regularity_total(report.betti_jacobian)
+        assert sat.reg_jacobian() == regularity(report.betti_jacobian)

@@ -81,6 +81,21 @@ def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
     assert _worker_count() == 1
 
 
+def test_worker_pool_gives_the_serial_records(monkeypatch):
+    # two catalog curves and one arrangement text, analyzed in this
+    # process and then by a pool of two workers (one when the machine
+    # has a single CPU)
+    tasks = [("braid", "catalog", "braid", 0),
+             ("nf-d5-k2", "catalog", "nf-d5-k2", 1000),
+             ("four-lines", "text", "x\ny\nz\nx + y + z\n", 2000)]
+    monkeypatch.delenv("CURVESAT_THREADS", raising=False)
+    serial = suite._run_tasks(tasks)
+    monkeypatch.setenv("CURVESAT_THREADS", "2")
+    pooled = suite._run_tasks(tasks)
+    assert [r.name for r in serial] == ["braid", "nf-d5-k2", "four-lines"]
+    assert pooled == serial
+
+
 def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
     # replace the first lift of generic-5 (n = 2 at degrees 4 and 5) by
     # a monomial outside I_4; I is saturated, so one of its shifts
