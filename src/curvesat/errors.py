@@ -34,6 +34,10 @@ class ZeroPolynomialError(ParseError):
     pass
 
 
+class ConstantPolynomialError(ParseError):
+    """A nonzero constant: degree 0 defines no curve."""
+
+
 class NotLinearError(ParseError):
     pass
 

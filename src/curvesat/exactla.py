@@ -28,21 +28,26 @@ Three building blocks carry every exact operation:
 - ``_clear``, the one row update of a reduced echelon form: a row is
   cleared of all the pivot columns it hits in one combined step and
   stripped of its content once.
+- ``_reduce``, the sequential reduction of a vector modulo a forward
+  echelon form, one row after another in pivot order, with one content
+  strip at the end by its callers.
 
 ``rank_int`` is the forward phase.  ``rref_int`` adds one ``_clear``
 per echelon row and positive pivots: the unique canonical integer
 echelon form of the row span, from which ``kernel_int`` reads a
 canonical kernel basis.  ``rank_growth``, ``rref_extend`` and
 ``rref_insert`` add vectors to a canonical RREF through ``_residuals``
-(and ``_clear``).  ``IncrementalSpan`` keeps its own sequential
-reduction in a cheaper, non-canonical echelon form; the program does
-not use it, it stays as the chain-scan tests' reference and a benchmark
-trace site.
+(and ``_clear``); callers that read the rows use these.
+``IncrementalSpan`` keeps a span in forward echelon form through
+``_reduce`` and ``_eliminate``, with no back phase: its pivots, rank and
+grew/did-not-grow answers are those of the canonical form, and the
+relation walk of ``jacobian.FormsIdeal.relations``, which reads nothing
+else, runs on it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -329,46 +334,91 @@ def rref_extend(pivots: Sequence[int], rows: list[list[int]],
     return [pc for pc, _ in merged], [row for _, row in merged]
 
 
-class IncrementalSpan:
-    """Growing row span with cheap membership tests.
+def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+            vec: list[int]) -> list[int]:
+    """vec reduced modulo forward echelon rows, one row after another.
 
-    Rows are kept in (non-canonical) echelon form ordered by pivot; the
-    grew/did-not-grow answer of ``insert`` depends only on the span, so
-    generator selection built on it is deterministic.
+    rows have distinct leading columns pivots, in increasing order.
+    Each hit is one fraction-free update r := (a // g) * r - (b // g) *
+    row, g = gcd(a, b), of a new list; a row is zero left of its pivot,
+    so it never refills an earlier pivot column, and the result is zero
+    at every pivot.  It is nonzero exactly when vec lies outside the
+    span, since a combination of rows with distinct leading columns is
+    nonzero at the first of them.  The content is not stripped.
     """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows: list[tuple[int, list[int]]] = []  # (pivot, row), sorted
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def _residual(self, vec: list[int]) -> tuple[int, list[int]]:
-        for pc, row in self._rows:
-            b = vec[pc]
-            if not b:
-                continue
+    for pc, row in zip(pivots, rows):
+        b = vec[pc]
+        if b:
             a = row[pc]
             g = gcd(a, b)
             ma = a // g
             mb = b // g
-            for c in range(self.ncols):
-                vec[c] = ma * vec[c] - mb * row[c]
-        lead = -1
-        for c in range(self.ncols):
-            if vec[c]:
-                lead = c
-                break
-        return lead, vec
+            vec = [ma * u - mb * v for u, v in zip(vec, row)]
+    return vec
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        lead, _ = self._residual(list(vec))
-        return lead < 0
+
+class IncrementalSpan:
+    """Growing row span in forward echelon form.
+
+    The rows have distinct leading columns, kept in pivot order, and are
+    never back-substituted: a vector is reduced against them with
+    ``_reduce``.  The pivot columns are the first columns where the rank
+    of the leading columns grows, so they, the rank and the
+    grew/did-not-grow answer of ``insert`` depend on the span alone, and
+    generator selection built on it is deterministic.  The rows
+    themselves depend on the order of insertion; no caller reads them.
+    """
+
+    def __init__(self, ncols: int, pivots=(), rows=()):
+        self.ncols = ncols
+        self.pivots = list(pivots)
+        self.rows = list(rows)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
 
     def insert(self, vec: Sequence[int]) -> bool:
-        lead, res = self._residual(list(vec))
+        """Add one vector; True when the span grew."""
+        res = _reduce(self.pivots, self.rows, list(vec))
+        lead = next((c for c, v in enumerate(res) if v), -1)
         if lead < 0:
             return False
-        insort(self._rows, (lead, primitive(res)))
+        pos = bisect(self.pivots, lead)
+        self.pivots.insert(pos, lead)
+        self.rows.insert(pos, primitive(res))
         return True
+
+    def _residuals(self, vecs: Iterable[Sequence[int]]):
+        """(free, residuals): the non-pivot columns and the nonzero
+        residuals of vecs, restricted to them (zero at every pivot)."""
+        pivset = set(self.pivots)
+        free = [c for c in range(self.ncols) if c not in pivset]
+        residuals = []
+        for vec in vecs:
+            res = _reduce(self.pivots, self.rows, vec)
+            if any(res):
+                residuals.append([res[c] for c in free])
+        return free, residuals
+
+    def growth(self, vecs: Iterable[Sequence[int]]) -> int:
+        """dim(span + span vecs) - len(self); the span does not move."""
+        free, residuals = self._residuals(vecs)
+        return rank_int(residuals, len(free))
+
+    def extend(self, vecs: Iterable[Sequence[int]]) -> None:
+        """Add vecs at once: the forward phase (``_eliminate``) on their
+        residuals, whose echelon rows are merged in by pivot."""
+        free, residuals = self._residuals(vecs)
+        new = _eliminate(residuals, len(free))
+        if not new:
+            return
+        merged = list(zip(self.pivots, self.rows))
+        for j, red in zip(new, residuals):
+            row = [0] * self.ncols
+            for c, v in zip(free, red):
+                if v:
+                    row[c] = v
+            merged.append((free[j], row))
+        merged.sort(key=lambda t: t[0])
+        self.pivots[:] = [pc for pc, _ in merged]
+        self.rows[:] = [row for _, row in merged]

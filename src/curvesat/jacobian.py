@@ -18,6 +18,14 @@ a relation appears and only a rank at the top degree: on J_f it gives
 AR(f), on AR(f) and on I_f the later positions of the two resolutions
 in ``resolution``.
 
+Two kinds of chain carry the slices.  Slices whose rows are read, the
+ones ``FormsIdeal.rref_at`` hands to the saturation steps, to
+``colon_rows``, to the generator scan and to the Lefschetz check, are
+canonical reduced echelon forms (``ShiftChain``).  The walk of
+``relations`` reads only ranks and whether a vector enlarges its
+slice, which depend on the span alone, so its chain (``EchelonChain``)
+keeps a forward echelon form and does no back substitution.
+
 The chain of an ideal stops early: ``FormsIdeal.regular_degree``
 checks the Bayer-Stillman criterion with one linear form h
 (``LINEAR_FORM``) as the chain goes up, and the first degree m that
@@ -34,21 +42,23 @@ for the saturation steps.
 canonical integer representative of f (rescaling f changes nothing) so
 that every matrix is integer from the start.
 
-Determinism: slice bases are canonical reduced echelon forms, kernels
-are canonical, and generator picks walk candidates in canonical order,
-so repeated runs give identical answers.
+Determinism: the slice bases handed out are canonical reduced echelon
+forms, kernels are canonical, and generator picks walk candidates in
+canonical order and keep those that enlarge a span, so repeated runs
+give identical answers.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .errors import (KmaxExhaustedError, NonReducedInputError,
-                     SmoothCurveError, WrongShapeError, ZeroPolynomialError)
-# rref_int and poly_columns_int are unused here but stay bound:
-# perfbench/spans.py patches this module's names
-from .exactla import (kernel_int, rank_growth, rank_int,  # noqa: F401
-                      rref_extend, rref_insert, rref_int)
+from .errors import (ConstantPolynomialError, KmaxExhaustedError,
+                     NonReducedInputError, SmoothCurveError,
+                     ZeroPolynomialError)
+# rref_insert, rref_int and poly_columns_int are unused here but stay
+# bound: perfbench/spans.py patches this module's names
+from .exactla import (IncrementalSpan, kernel_int, rank_growth,  # noqa: F401
+                      rank_int, rref_extend, rref_insert, rref_int)
 from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
                    monomial_index, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
@@ -159,16 +169,20 @@ class ShiftChain:
 
     ``step(extra)`` replaces the degree-k slice by the degree-(k+1)
     slice S_1*M_k + span(extra).  The x shift re-indexes each block into
-    the next degree without moving any index inside it, so RREF(M_k)
-    with every block padded by zeros is the RREF of x*M_k.  Call the
-    rows of RREF(M_(k+1)) whose pivot is not such an x-shifted pivot its
-    new rows N_(k+1) (at the first slice, all rows).  Their pivots are
-    not leading positions of x*M_k, so counting dimensions gives
-    M_(k+1) = x*M_k + span N_(k+1).  As S_1*M_k lies in M_(k+1),
-    y*M_(k+1) = xy*M_k + y*span N_(k+1) lies in x*M_(k+1) +
-    y*span N_(k+1), likewise for z, and
+    the next degree without moving any index inside it, so an echelon
+    basis of M_k with every block padded by zeros is an echelon basis of
+    x*M_k, on the x-shifted pivots; a canonical RREF stays canonical.
+    Call the rows of the degree-(k+1) basis whose pivot is not such an
+    x-shifted pivot its new rows N_(k+1) (at the first slice, all rows).
+    The leading columns of a span are the same for every echelon basis
+    of it, so their pivots are not leading positions of x*M_k, and
+    counting dimensions gives M_(k+1) = x*M_k + span N_(k+1).  As
+    S_1*M_k lies in M_(k+1), y*M_(k+1) = xy*M_k + y*span N_(k+1) lies
+    in x*M_(k+1) + y*span N_(k+1), likewise for z, and
 
-        S_1*M_(k+1) = x*M_(k+1) + y*span N_(k+1) + z*span N_(k+1).
+        S_1*M_(k+1) = x*M_(k+1) + y*span N_(k+1) + z*span N_(k+1)
+
+    for any echelon basis, canonical or not.
 
     So each step is one ``rref_extend`` of the padded rows by the y and
     z shifts of the new rows and by extra.  ``next_rank(extra)`` reads
@@ -176,18 +190,20 @@ class ShiftChain:
     already a canonical RREF, so the rank is their number plus the
     ``rank_growth`` of the same vectors, a forward phase on their
     residuals with no back phase and no clearing of the old rows; the
-    chain does not move.  Vectors added to the current
-    slice with ``insert`` only add pivots, which are not x-shifted ones,
-    so the new rows stay the rows on the other pivots.  ``insert``
-    changes the current rows in place; ``step`` only reads them, so a
+    chain does not move.  ``step`` only reads the current rows, so a
     slice handed out before a step stays valid.
+
+    This canonical chain carries the slices ``FormsIdeal.rref_at``
+    hands out, whose rows the saturation steps, ``colon_rows``, the
+    generator scan and the Lefschetz check read.  A relation walk reads
+    no rows and uses ``EchelonChain``.
     """
 
-    def __init__(self, block_shifts, k: int, pivots=(), rows=()):
+    def __init__(self, block_shifts, k: int):
         self.block_shifts = tuple(block_shifts)
         self.k = k
-        self.pivots = list(pivots)
-        self.rows = list(rows)
+        self.pivots: list = []
+        self.rows: list = []
         self._x_pivots: set = set()
 
     def ncols(self) -> int:
@@ -195,7 +211,7 @@ class ShiftChain:
 
     def _next(self, extra):
         """(x_pivots, x_rows, vecs, ncols) of the next degree: the
-        padded RREF x*M_k, the y and z shifts of the new rows and extra,
+        padded rows x*M_k, the y and z shifts of the new rows and extra,
         and the width of the degree-(k+1) slice."""
         k = self.k
         blocks = []                   # (start, end, start at k+1) per block
@@ -233,9 +249,42 @@ class ShiftChain:
         x_pivots, x_rows, vecs, ncols = self._next(extra)
         return len(x_pivots) + rank_growth(x_pivots, x_rows, vecs, ncols)
 
+
+class EchelonChain(ShiftChain):
+    """A ``ShiftChain`` whose slices are forward echelon forms, for the
+    relation walk of ``FormsIdeal.relations``.
+
+    The slice is an ``IncrementalSpan``: rows with distinct leading
+    columns in pivot order, never back-substituted.  A step keeps the
+    padded x-shifted rows as they are, reduces the y and z shifts of the
+    new rows and extra against them one after another, and merges the
+    forward phase of the nonzero residuals in by pivot; ``next_rank`` is
+    the x-shifted pivot count plus the rank of those residuals; and
+    ``insert``, after a first step, adds one vector to the current
+    slice, in place, as one residual row.  Its pivot is not an x-shifted one, so the new rows
+    stay the rows on the other pivots.  The walk reads only the pivot
+    count, ``next_rank`` and ``insert``'s answers, which depend on the
+    span alone, so they are those of the canonical chain; no back
+    substitution is spent on rows nobody reads.
+    """
+
+    def step(self, extra=()) -> None:
+        x_pivots, x_rows, vecs, ncols = self._next(extra)
+        self._span = IncrementalSpan(ncols, x_pivots, x_rows)
+        self._span.extend(vecs)
+        # pivots and rows are the span's own lists, which insert grows
+        self.pivots, self.rows = self._span.pivots, self._span.rows
+        self._x_pivots = set(x_pivots)
+        self.k += 1
+
+    def next_rank(self, extra=()) -> int:
+        x_pivots, x_rows, vecs, ncols = self._next(extra)
+        return len(x_pivots) + IncrementalSpan(
+            ncols, x_pivots, x_rows).growth(vecs)
+
     def insert(self, vec) -> bool:
         """Add one vector to the current slice; True when it grew."""
-        return rref_insert(self.pivots, self.rows, vec, self.ncols())
+        return self._span.insert(vec)
 
 
 class FormsIdeal:
@@ -376,11 +425,11 @@ class FormsIdeal:
         top, a bound the caller states: (degrees, module).
 
         The kernel K of the generator map has dim K_k = sum dim
-        S_(k-a_i) - dim M_k; a ``ShiftChain`` on K gives S_1 K_(k-1),
+        S_(k-a_i) - dim M_k; an ``EchelonChain`` on K gives S_1 K_(k-1),
         and the new relations at k number the difference.  Below top,
         where there are any, the vectors of ``kernel_at(k - e)`` that
         enlarge the chain are picked in order; at top they are only
-        counted, from ``ShiftChain.next_rank``: the chain steps up to
+        counted, from ``EchelonChain.next_rank``: the chain steps up to
         top - 1, and the slice at top is never built.  degrees are
         total degrees, the twists of a resolution; module is the
         ``FormsIdeal`` the picks generate in ⊕_i S(-a_i), handed the
@@ -390,7 +439,7 @@ class FormsIdeal:
         degrees: list[int] = []
         vectors: list[list[int]] = []
         ranks: dict[int, int] = {}
-        chain = ShiftChain(self.degrees, self.e - 1)
+        chain = EchelonChain(self.degrees, self.e - 1)
         for k in range(self.e, top + 1):
             if k == top:
                 rank = chain.next_rank()
@@ -421,7 +470,7 @@ class CurveData(FormsIdeal):
         if f.is_zero():
             raise ZeroPolynomialError("the zero polynomial defines no curve")
         if f.degree < 1:
-            raise WrongShapeError("a curve needs degree at least 1")
+            raise ConstantPolynomialError("a curve needs degree at least 1")
         self.f = primitivize(f)
         self.d = f.degree
         self.T = 3 * (self.d - 2)

@@ -10,11 +10,14 @@ either table holds the minimal relations among the previous position's
 generators, and all of them come from one walk,
 ``jacobian.FormsIdeal.relations``: the partials give AR(f), AR(f) gives
 its relations, the generators of I_f give theirs.  The walk carries the
-relations found so far up a shift chain (``jacobian.ShiftChain``), so a
-kernel is computed only in a degree below the top where a new relation
-appears; at the top degree relations are only counted, from the rank of
-the chain's next slice (``ShiftChain.next_rank``, a forward phase with
-no reduced echelon form built).  The AR(f) module a walk returns carries
+relations found so far up a shift chain (``jacobian.EchelonChain``), so
+a kernel is computed only in a degree below the top where a new
+relation appears; at the top degree relations are only counted, from
+the rank of the chain's next slice (``EchelonChain.next_rank``).  That
+chain is a forward echelon form, never back-substituted: the walk reads
+only its ranks and which kernel vectors enlarge it, and both depend on
+the span alone.  The slices of J_f, whose rows the saturation reads,
+stay canonical.  The AR(f) module a walk returns carries
 the slice ranks that walk reached, so the walk over its own relations
 rebuilds no slice; the I_f module is built from its generators and
 eliminates its own slices, a check independent of the saturation's.

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesat import catalog, jacobian
-from curvesat.exactla import IncrementalSpan, kernel_int, rank_int
-from curvesat.jacobian import (CurveData, FormsIdeal, ShiftChain,
-                               shift_block_vector)
+from curvesat import catalog
+from curvesat.exactla import (IncrementalSpan, kernel_int, rank_int,
+                              rref_insert, rref_int)
+from curvesat.jacobian import (CurveData, EchelonChain, FormsIdeal,
+                               ShiftChain, shift_block_vector)
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, monomial_index, slice_dim
 from curvesat.resolution import betti_jacobian, min_generators
@@ -216,7 +217,7 @@ def test_next_rank_is_the_rank_step_builds(data):
     for _ in range(draw(st.integers(0, 3))):
         if chain.ncols():
             for vec in _vectors(draw, draw(st.integers(0, 2)), chain.ncols()):
-                chain.insert(vec)
+                rref_insert(chain.pivots, chain.rows, vec, chain.ncols())
         ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
         chain.step(_vectors(draw, draw(st.integers(0, 2)), ncols))
     ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
@@ -228,25 +229,56 @@ def test_next_rank_is_the_rank_step_builds(data):
     assert rank == len(chain.pivots)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
+    # the walk's forward echelon chain and the canonical chain, driven
+    # through the same steps, inserts and extras, agree on the pivots,
+    # on next_rank and on every insert answer, and their rows span the
+    # same slice
+    draw = data.draw
+    shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    canonical = ShiftChain(shifts, min(shifts) - 1)
+    echelon = EchelonChain(shifts, min(shifts) - 1)
+    for _ in range(draw(st.integers(1, 4))):
+        ncols = sum(slice_dim(canonical.k + 1 - t) for t in shifts)
+        extra = _vectors(draw, draw(st.integers(0, 3)), ncols)
+        rank = canonical.next_rank(extra)
+        assert echelon.next_rank(extra) == rank
+        canonical.step(extra)
+        echelon.step(extra)
+        assert echelon.pivots == canonical.pivots
+        assert len(echelon.pivots) == rank
+        ncols = canonical.ncols()
+        for vec in _vectors(draw, draw(st.integers(0, 2)), ncols):
+            grew = rref_insert(canonical.pivots, canonical.rows, list(vec),
+                               ncols)
+            assert echelon.insert(vec) == grew
+        assert echelon.pivots == canonical.pivots
+        assert (rref_int([list(r) for r in echelon.rows], ncols)
+                == (canonical.pivots, canonical.rows))
+
+
 @pytest.mark.parametrize("name", ["fermat-5", "nf-d7-k3"])
 def test_the_top_degree_of_a_walk_is_only_counted(monkeypatch, name):
     # a walk steps its chain to top - 1 and takes the rank at top
-    # without building that slice: one rref_extend per degree below top
+    # without building that slice: one extension of the walk's echelon
+    # span per degree below top
     for module, top in _walks(name):
         first = module.relations(top)      # every slice of module cached
         steps, widths = [], []
-        step, rref_extend = ShiftChain.step, jacobian.rref_extend
+        step, extend = EchelonChain.step, IncrementalSpan.extend
 
         def counted_step(chain, extra=()):
             steps.append(chain.k + 1)
             step(chain, extra)
 
-        def recorded(pivots, rows, vecs, ncols):
-            widths.append(ncols)
-            return rref_extend(pivots, rows, vecs, ncols)
+        def recorded(span, vecs):
+            widths.append(span.ncols)
+            return extend(span, vecs)
 
-        monkeypatch.setattr(ShiftChain, "step", counted_step)
-        monkeypatch.setattr(jacobian, "rref_extend", recorded)
+        monkeypatch.setattr(EchelonChain, "step", counted_step)
+        monkeypatch.setattr(IncrementalSpan, "extend", recorded)
         again = module.relations(top)
         monkeypatch.undo()
         assert again[0] == first[0]

@@ -84,6 +84,14 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("expr", ["3", "x^0", "0"])
+def test_a_constant_is_rejected_input(capsys, expr):
+    # a nonzero constant defines no curve, as the zero polynomial does not
+    rc, _, err = run(capsys, ["analyze", "--poly", expr])
+    assert rc == 2
+    assert "error:" in err
+
+
 def test_non_reduced_exit_code(capsys):
     rc, _, err = run(capsys, ["analyze", "--poly", "x^2*y"])
     assert rc == 3

@@ -195,6 +195,15 @@ def test_exact_operations_match_a_fraction_reference(mat):
     for row in rows:
         rref_insert(*built, list(row), ncols)
     assert built == want
+    # the forward echelon span: same pivots and rank, rows of that span
+    span = IncrementalSpan(ncols)
+    for row in rows[:half]:
+        span.insert(row)
+    assert span.pivots == hpiv
+    assert span.growth(rest) == len(pivots) - len(hpiv)
+    span.extend(rest)
+    assert span.pivots == pivots
+    assert rref_int([list(r) for r in span.rows], ncols) == want
     # null space: one vector per free column, 1 there, -row[fc] at pivots
     kernel = []
     for fc in range(ncols):
@@ -212,7 +221,8 @@ def test_incremental_span_membership():
     span = IncrementalSpan(3)
     assert span.insert([1, 1, 0])
     assert not span.insert([2, 2, 0])
-    assert span.contains([3, 3, 0])
-    assert not span.contains([1, 0, 0])
+    assert span.growth([[3, 3, 0]]) == 0
+    assert span.growth([[1, 0, 0], [0, 1, 0]]) == 1
     assert span.insert([0, 0, 5])
     assert len(span) == 2
+    assert span.rows == [[1, 1, 0], [0, 0, 1]]
