@@ -3,7 +3,8 @@
 `analyze` runs the full pipeline on one curve, `suite` sweeps the
 catalog plus random arrangements, `catalog list` shows the fixtures.
 Exit codes: 0 success, 1 suite property failure, 2 rejected input
-text, 3 non-reduced curve, 4 any other computation failure.
+text, 3 non-reduced curve, 4 any other computation failure, running
+out of memory included.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ def main(argv=None) -> int:
         return EXIT_NONREDUCED
     except (CurvesatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
 
 

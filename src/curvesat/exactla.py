@@ -41,7 +41,7 @@ canonical kernel basis.  ``rank_growth``, ``rref_extend`` and
 ``IncrementalSpan`` keeps a span in forward echelon form through
 ``_reduce`` and ``_eliminate``, with no back phase: its pivots, rank and
 grew/did-not-grow answers are those of the canonical form, and the
-relation walk of ``jacobian.FormsIdeal.relations``, which reads nothing
+Nakayama walk of ``jacobian.minimal_generators``, which reads nothing
 else, runs on it.
 """
 

@@ -12,19 +12,20 @@ c f_z = 0.
 ⊕_b S(-t_b) generated by integer vectors of given degrees, with the
 canonical echelon form of each slice (chained upward by ``ShiftChain``)
 and the relations among its generators.  J_f is the ideal case, one
-block and three generators of degree d - 1.  ``FormsIdeal.relations``
-is the one relation walk, with kernels only below its top degree where
-a relation appears and only a rank at the top degree: on J_f it gives
-AR(f), on AR(f) and on I_f the later positions of the two resolutions
-in ``resolution``.
+block and three generators of degree d - 1.  ``minimal_generators`` is
+the one Nakayama walk, which picks minimal generators of a module
+degree by degree: over the slices of I_f it gives the generators of
+I_f (``saturation.SaturationData.generators``), and over the kernel of
+a generator map (``FormsIdeal.relations``) AR(f) from J_f and the later
+positions of the two resolutions in ``resolution``.
 
 Two kinds of chain carry the slices.  Slices whose rows are read, the
 ones ``FormsIdeal.rref_at`` hands to the saturation steps, to
-``colon_rows``, to the generator scan and to the Lefschetz check, are
-canonical reduced echelon forms (``ShiftChain``).  The walk of
-``relations`` reads only ranks and whether a vector enlarges its
-slice, which depend on the span alone, so its chain (``EchelonChain``)
-keeps a forward echelon form and does no back substitution.
+``colon_rows``, to the generator walk as candidates and to the
+Lefschetz check, are canonical reduced echelon forms (``ShiftChain``).
+The walk reads only ranks and whether a vector enlarges its slice,
+which depend on the span alone, so its chain (``EchelonChain``) keeps
+a forward echelon form and does no back substitution.
 
 The chain of an ideal stops early: ``FormsIdeal.regular_degree``
 checks the Bayer-Stillman criterion with one linear form h
@@ -57,8 +58,8 @@ from .errors import (ConstantPolynomialError, KmaxExhaustedError,
                      ZeroPolynomialError)
 # rref_insert, rref_int and poly_columns_int are unused here but stay
 # bound: perfbench/spans.py patches this module's names
-from .exactla import (IncrementalSpan, kernel_int, rank_growth,  # noqa: F401
-                      rank_int, rref_extend, rref_insert, rref_int)
+from .exactla import (IncrementalSpan, kernel_int, rank_int,  # noqa: F401
+                      rref_extend, rref_insert, rref_int)
 from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
                    monomial_index, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
@@ -185,18 +186,14 @@ class ShiftChain:
     for any echelon basis, canonical or not.
 
     So each step is one ``rref_extend`` of the padded rows by the y and
-    z shifts of the new rows and by extra.  ``next_rank(extra)`` reads
-    the rank of that slice without building it: the padded rows are
-    already a canonical RREF, so the rank is their number plus the
-    ``rank_growth`` of the same vectors, a forward phase on their
-    residuals with no back phase and no clearing of the old rows; the
-    chain does not move.  ``step`` only reads the current rows, so a
-    slice handed out before a step stays valid.
+    z shifts of the new rows and by extra.  ``step`` only reads the
+    current rows, so a slice handed out before a step stays valid.
 
     This canonical chain carries the slices ``FormsIdeal.rref_at``
     hands out, whose rows the saturation steps, ``colon_rows``, the
-    generator scan and the Lefschetz check read.  A relation walk reads
-    no rows and uses ``EchelonChain``.
+    candidates of the generator walk and the Lefschetz check read.  The
+    walk of ``minimal_generators`` reads no rows and uses
+    ``EchelonChain``.
     """
 
     def __init__(self, block_shifts, k: int):
@@ -243,29 +240,23 @@ class ShiftChain:
         self._x_pivots = set(x_pivots)
         self.k += 1
 
-    def next_rank(self, extra=()) -> int:
-        """Rank of the slice ``step(extra)`` would build; the chain
-        does not move."""
-        x_pivots, x_rows, vecs, ncols = self._next(extra)
-        return len(x_pivots) + rank_growth(x_pivots, x_rows, vecs, ncols)
-
 
 class EchelonChain(ShiftChain):
     """A ``ShiftChain`` whose slices are forward echelon forms, for the
-    relation walk of ``FormsIdeal.relations``.
+    walk of ``minimal_generators``.
 
     The slice is an ``IncrementalSpan``: rows with distinct leading
     columns in pivot order, never back-substituted.  A step keeps the
     padded x-shifted rows as they are, reduces the y and z shifts of the
     new rows and extra against them one after another, and merges the
-    forward phase of the nonzero residuals in by pivot; ``next_rank`` is
-    the x-shifted pivot count plus the rank of those residuals; and
+    forward phase of the nonzero residuals in by pivot; ``next_rank``
+    is the x-shifted pivot count plus the rank of those residuals.
     ``insert``, after a first step, adds one vector to the current
-    slice, in place, as one residual row.  Its pivot is not an x-shifted one, so the new rows
-    stay the rows on the other pivots.  The walk reads only the pivot
-    count, ``next_rank`` and ``insert``'s answers, which depend on the
-    span alone, so they are those of the canonical chain; no back
-    substitution is spent on rows nobody reads.
+    slice, in place, as one residual row; its pivot is not an x-shifted
+    one, so the new rows stay the rows on the other pivots.  The walk
+    reads only the pivot count, ``next_rank`` and ``insert``'s answers,
+    which depend on the span alone, so they are those of the canonical
+    chain; no back substitution is spent on rows nobody reads.
     """
 
     def step(self, extra=()) -> None:
@@ -278,6 +269,8 @@ class EchelonChain(ShiftChain):
         self.k += 1
 
     def next_rank(self, extra=()) -> int:
+        """Rank of the slice ``step(extra)`` would build; the chain
+        does not move."""
         x_pivots, x_rows, vecs, ncols = self._next(extra)
         return len(x_pivots) + IncrementalSpan(
             ncols, x_pivots, x_rows).growth(vecs)
@@ -310,7 +303,7 @@ class FormsIdeal:
         self._rref: dict[int, tuple] = {}
         # the top slice built so far, see rref_at
         self._chain = ShiftChain(self.block_shifts, self.e - 1)
-        # slice ranks handed on by the relation walk that built this module
+        # slice ranks handed on by the walk that built this module
         self._ranks: dict[int, int] = {}
         # (m, tau) once regular_degree certifies m, and the last degree
         # it tested
@@ -320,9 +313,10 @@ class FormsIdeal:
     # -- module slices --------------------------------------------------
 
     def rank_at(self, k: int) -> int:
-        """Rank of the degree-k slice: handed on by a relation walk,
-        dim S_k - tau at k >= m once ``regular_degree`` has certified
-        (m, tau), else read off ``rref_at``."""
+        """Rank of the degree-k slice: handed on by the
+        ``minimal_generators`` walk that built the module, dim S_k - tau
+        at k >= m once ``regular_degree`` has certified (m, tau), else
+        read off ``rref_at``."""
         rank = self._ranks.get(k)
         if rank is not None:
             return rank
@@ -422,45 +416,61 @@ class FormsIdeal:
 
     def relations(self, top: int):
         """Minimal relations among the generators in total degrees up to
-        top, a bound the caller states: (degrees, module).
+        top, a bound the caller states: (degrees, module), the
+        ``minimal_generators`` walk of the kernel K ⊂ ⊕_i S(-a_i) of the
+        generator map, dim K_k = sum dim S_(k-a_i) - dim M_k, over the
+        canonical ``kernel_at(k - e)``.  degrees are total degrees, the
+        twists of a resolution."""
+        return minimal_generators(
+            self.degrees, self.e, top,
+            lambda k: (sum(slice_dim(k - a) for a in self.degrees)
+                       - self.rank_at(k)),
+            lambda k: self.kernel_at(k - self.e))
 
-        The kernel K of the generator map has dim K_k = sum dim
-        S_(k-a_i) - dim M_k; an ``EchelonChain`` on K gives S_1 K_(k-1),
-        and the new relations at k number the difference.  Below top,
-        where there are any, the vectors of ``kernel_at(k - e)`` that
-        enlarge the chain are picked in order; at top they are only
-        counted, from ``EchelonChain.next_rank``: the chain steps up to
-        top - 1, and the slice at top is never built.  degrees are
-        total degrees, the twists of a resolution; module is the
-        ``FormsIdeal`` the picks generate in ⊕_i S(-a_i), handed the
-        chain's ranks up to top (the span of the picks' multiples), so
-        a walk over it rebuilds no slice.
-        """
-        degrees: list[int] = []
-        vectors: list[list[int]] = []
-        ranks: dict[int, int] = {}
-        chain = EchelonChain(self.degrees, self.e - 1)
-        for k in range(self.e, top + 1):
-            if k == top:
-                rank = chain.next_rank()
-            else:
-                chain.step()
-                rank = len(chain.pivots)
-            count = (sum(slice_dim(k - a) for a in self.degrees)
-                     - self.rank_at(k) - rank)
-            degrees.extend([k] * count)
-            if count and k < top:
-                picked = [vec for vec in self.kernel_at(k - self.e)
-                          if chain.insert(vec)]
-                if len(picked) != count:
-                    raise KmaxExhaustedError("inconsistent relation count")
-                vectors.extend(picked)
-                rank += count
-            ranks[k] = rank
-        module = FormsIdeal(vectors, [k for k in degrees if k < top],
-                            self.degrees)
-        module._ranks = ranks
-        return degrees, module
+
+def minimal_generators(block_shifts, start: int, top: int, dim_at,
+                       candidates_at):
+    """Minimal generators, in degrees start..top, of a graded submodule
+    K of ⊕_b S(-t_b) with dim K_k = dim_at(k) and K_k spanned by
+    candidates_at(k): (degrees, module), one Nakayama walk.
+
+    An ``EchelonChain`` carries S_1 M_(k-1), M the module of the picks
+    so far; the new generators at k number dim_at(k) minus its rank.
+    Below top the candidates that enlarge the chain are picked in
+    order, so the picks depend only on the spans and that order; at top
+    they are only counted, from ``EchelonChain.next_rank``.  A negative
+    count, or picks other than the count, raises.  degrees includes the
+    count at top; module, the ``FormsIdeal`` of the picks, is handed the
+    chain's ranks on start..top, so a walk over it rebuilds no slice.
+    """
+    degrees: list[int] = []
+    vectors: list[list[int]] = []
+    ranks: dict[int, int] = {}
+    chain = EchelonChain(block_shifts, start - 1)
+    for k in range(start, top + 1):
+        if k == top:
+            rank = chain.next_rank()
+        else:
+            chain.step()
+            rank = len(chain.pivots)
+        count = dim_at(k) - rank
+        if count < 0:
+            raise KmaxExhaustedError(
+                f"negative generator count {count} at degree {k}")
+        degrees.extend([k] * count)
+        if count and k < top:
+            picked = [vec for vec in candidates_at(k) if chain.insert(vec)]
+            if len(picked) != count:
+                raise KmaxExhaustedError(
+                    f"{len(picked)} generators picked at degree {k}, "
+                    f"the count is {count}")
+            vectors.extend(picked)
+            rank += count
+        ranks[k] = rank
+    module = FormsIdeal(vectors, [k for k in degrees if k < top],
+                        block_shifts)
+    module._ranks = ranks
+    return degrees, module
 
 
 class CurveData(FormsIdeal):

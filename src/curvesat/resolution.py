@@ -3,39 +3,31 @@
 Every entry point takes a curve or the ``SaturationData`` of one;
 ``saturate`` hands the latter back unchanged, so one saturation object
 serves both tables, and its slices, regularities and generators are all
-read off it.  Generators of I_f are found there degree by degree with
-Nakayama counts: new generators at degree k are dim I_k minus the rank
-of the variable shifts of the previous slice.  Every later position of
-either table holds the minimal relations among the previous position's
-generators, and all of them come from one walk,
-``jacobian.FormsIdeal.relations``: the partials give AR(f), AR(f) gives
-its relations, the generators of I_f give theirs.  The walk carries the
-relations found so far up a shift chain (``jacobian.EchelonChain``), so
-a kernel is computed only in a degree below the top where a new
-relation appears; at the top degree relations are only counted, from
-the rank of the chain's next slice (``EchelonChain.next_rank``).  That
-chain is a forward echelon form, never back-substituted: the walk reads
-only its ranks and which kernel vectors enlarge it, and both depend on
-the span alone.  The slices of J_f, whose rows the saturation reads,
-stay canonical.  The AR(f) module a walk returns carries
-the slice ranks that walk reached, so the walk over its own relations
-rebuilds no slice; the I_f module is built from its generators and
-eliminates its own slices, a check independent of the saturation's.
-Every scan stops at a top degree read off the regularity
+read off it.  Every position of either table past the first comes from
+one Nakayama walk, ``jacobian.minimal_generators``: the generators of
+I_f are that walk over the slices of I_f (``SaturationData.generators``),
+and each later position holds the minimal relations among the previous
+position's generators, the walk over their kernel
+(``jacobian.FormsIdeal.relations``): the partials give AR(f), AR(f)
+gives its relations, the generators of I_f give theirs.  The walk
+carries the span of what it has picked up a forward echelon chain
+(``jacobian.EchelonChain``), never back-substituted, so candidates are
+read only in a degree below the top where a generator appears, and at
+the top degree generators are only counted.  The module a walk returns
+carries the slice ranks that walk reached, so the walk over its
+relations rebuilds no slice: only the slices of J_f, whose rows the
+saturation reads, are eliminated as canonical echelon forms.  Every
+walk stops at a top degree read off the regularity
 (``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
 regularity r has its generators in degrees at most r and their
-relations in degrees at most r + 1.  Both tables take one path:
-generator degrees, one relation walk per later position, then one
-certificate, ``_certify``, which checks the twists against the
-Hilbert function of the quotient (read off the slices) on degrees
-0..kmax and raises FreenessCheckFailed on a mismatch.  No Groebner
-bases anywhere: everything is exact linear algebra against fixed
-monomial bases.
+relations in degrees at most r + 1.  Both tables end in one
+certificate, ``_certify``, which checks the twists against the Hilbert
+function of the quotient (read off the slices) on degrees 0..kmax and
+raises FreenessCheckFailed on a mismatch.  No Groebner bases anywhere:
+everything is exact linear algebra against fixed monomial bases.
 
 The generators of I_f are integer rows of the canonical slice basis,
-picked in order where they enlarge the span of the shifts, so repeated
-runs reproduce them bit for bit; the walk of the S/I_f table reads
-them straight from the scan (``SaturationData.generators``), and only
+picked in order, so repeated runs reproduce them bit for bit; only
 ``min_generators`` turns them into polynomials.
 """
 
@@ -47,7 +39,7 @@ from .errors import FreenessCheckFailedError, WrongShapeError
 # kernel_int, rank_int and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
 from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
-from .jacobian import CurveData, FormsIdeal
+from .jacobian import CurveData
 from .poly import HomogeneousPoly, slice_dim
 from .saturation import saturate
 
@@ -86,10 +78,10 @@ def min_generators(f):
     """Minimal generators of the saturated ideal: (degrees, polynomials),
     read off the generator scan (``SaturationData.generators``), which
     covers degrees 0..r_I + 1 = reg(I)."""
-    scan = saturate(f).generators
-    return list(scan.i_degrees), [HomogeneousPoly.from_vector(k, row)
-                                  for k, row in zip(scan.i_degrees,
-                                                    scan.i_rows)]
+    gens = saturate(f).generators.module
+    return list(gens.degrees), [HomogeneousPoly.from_vector(k, row)
+                                for k, row in zip(gens.degrees,
+                                                  gens.vectors)]
 
 
 def _certify(twists, hilbert, kmax: int, name: str):
@@ -114,15 +106,18 @@ def _certify(twists, hilbert, kmax: int, name: str):
 def betti_saturated(f) -> BettiTable:
     """Betti table of S/I_f: (generators, relations), Hilbert-certified.
 
-    The generators are the rows of the scan (``SaturationData.generators``),
-    their relations one ``FormsIdeal.relations`` walk up to r_I + 2:
-    relations of I sit in degrees at most reg(I) + 1 = reg(S/I) + 2.
-    S/I has projective dimension at most two, so a nonzero relation
-    position has one entry fewer than the generator position."""
+    The generators are the module of the scan
+    (``SaturationData.generators``), their relations one
+    ``FormsIdeal.relations`` walk over it up to r_I + 2: relations of I
+    sit in degrees at most reg(I) + 1 = reg(S/I) + 2.  The walk reads
+    the ranks the generator walk handed on, so no slice of I is
+    eliminated again.  S/I has projective dimension at most two, so a
+    nonzero relation position has one entry fewer than the generator
+    position."""
     sat = saturate(f)
-    scan = sat.generators
-    a = scan.i_degrees
-    b = FormsIdeal(scan.i_rows, a).relations(sat.reg_saturated() + 2)[0]
+    gens = sat.generators.module
+    a = gens.degrees
+    b = gens.relations(sat.reg_saturated() + 2)[0]
     if b and len(b) != len(a) - 1:
         raise FreenessCheckFailedError(
             f"rank mismatch: {len(a)} generators vs {len(b)} relations")

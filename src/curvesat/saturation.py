@@ -47,9 +47,10 @@ base 3e - 2: the quotient I/J by its saturation I vanishes above
 case e = d - 1, where 3e - 3 = T.
 
 The minimal generators of I and of N = I/J come from one scan
-(``SaturationData.generators``): both counts, and the correction term
-e2 of the generator bound, are read off one reduction of the variable
-shifts of the previous degree's lifts against the slice of J.
+(``SaturationData.generators``): the Nakayama walk of
+``jacobian.minimal_generators`` over the slices of I.  Those of N are
+those of I except at the generator degree e of J, where they and the
+correction term e2 of the generator bound take one more rank.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ from functools import cached_property
 
 from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
-# clear_row is unused here but stays bound: perfbench/spans.py patches
-# this module's names
+# clear_row and rref_insert are unused here but stay bound:
+# perfbench/spans.py patches this module's names
 from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
                       rref_extend, rref_insert)
 from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows,
-                       complement, shift_block_vector, smooth_reference_dims)
+                       complement, minimal_generators, shift_block_vector,
+                       smooth_reference_dims)
 from .poly import primitivize, slice_dim
 
 
@@ -73,8 +75,7 @@ from .poly import primitivize, slice_dim
 class GeneratorScan:
     """Minimal generators of the saturation I and of N = I/J."""
 
-    i_degrees: tuple        # generator degrees of I, ascending
-    i_rows: tuple           # canonical generator rows of I, integer vectors
+    module: FormsIdeal      # generated by those of I, canonical rows
     n_degrees: tuple        # generator degrees of N, ascending
     e2: int                 # 3 - dim(J_e meet S_1 * I_(e-1))
 
@@ -267,64 +268,49 @@ class SaturationData:
 
     @cached_property
     def generators(self) -> GeneratorScan:
-        """Minimal generators of I and of N = I/J, and e2, in one scan.
+        """Minimal generators of I and of N = I/J, and e2, in one walk.
 
-        With e the generator degree of J, Sh_k the variable shifts of
-        the lifts at degree k - 1 and g_k = rank_growth(RREF(J_k),
-        Sh_k):
+        The generators of I are one ``jacobian.minimal_generators`` walk
+        over I, block (0,), on degrees 0..r_I + 2: dim_at is ``i_dim``
+        and the candidates at k are the rows of RREF(I_k), so each
+        generator is a canonical row, picked in order where it enlarges
+        S_1 I_(k-1).  The walk stops at reg(I) + 1 = r_I + 2, where it
+        only counts: generators of I lie in degrees at most reg(I), so a
+        nonzero count there raises.  N/mN = I/(mI + J) is a quotient of
+        I/mI, so those of N lie in degrees at most reg(I) too.
+
+        With e the generator degree of J, Sh_e the variable shifts of
+        the lifts at degree e - 1 and g_e = rank_growth(RREF(J_e),
+        Sh_e):
 
         - I_(k-1) = J_(k-1) + lifts and J_k = S_1 J_(k-1) for k > e, so
           S_1 I_(k-1) = J_k + Sh_k for k > e and Sh_k for k <= e;
-        - mu_N(k) = dim N_k - dim (S_1 I_(k-1) + J_k)/J_k = n_k - g_k;
-        - mu_I(k) = mu_N(k) for k != e, and mu_I(e) = dim I_e - rank Sh_e;
-        - e2 = 3 - dim(J_e meet S_1 I_(e-1)) = 3 - rank Sh_e + g_e.
+        - so mu_N(k) = n_k - dim(S_1 I_(k-1) + J_k)/J_k = mu_I(k) at
+          every k != e, and mu_N(e) = n_e - g_e;
+        - J_(e-1) = 0, so rank Sh_e = dim I_e - mu_I(e), and
+          e2 = 3 - dim(J_e meet S_1 I_(e-1)) = 3 - rank Sh_e + g_e.
 
-        A degree k > e with n_k = 0 has g_k <= n_k = 0 and needs no
-        work, nor does k < e with I_k = 0.  The scan stops at
-        reg(I) = r_I + 1: generators of I lie in degrees at most
-        reg(I), and N/mN = I/(mI + J) is a quotient of I/mI, so those
-        of N lie there too.  When e > r_I + 1, S_1 I_(e-1) = I_e
-        contains J_e and e2 = 3 - dim J_e.  Explicit generators of I
-        are the rows of RREF(I_k), in order, that enlarge RREF(S_1
-        I_(k-1)), which is built only where mu_I(k) > 0.
+        When e > r_I + 1, S_1 I_(e-1) = I_e contains J_e, e2 = 3 - dim
+        J_e, and mu_N(e) = 0.
         """
         data = self.data
         e = data.e
-        i_degrees, i_rows, n_degrees = [], [], []
+        top = self.reg_saturated() + 2
+        degrees, module = minimal_generators(
+            (0,), 0, top, self.i_dim, lambda k: self.i_rref(k)[1])
+        if top in degrees:
+            raise KmaxExhaustedError(
+                f"a generator of the saturation in degree {top}, "
+                "above reg(I)")
+        n_degrees = [k for k in degrees if k != e]
         e2 = 3 - data.rank_at(e)
-        for k in range(self.reg_saturated() + 2):
-            n_k = self.n_dim(k)
-            if not n_k and k != e:
-                continue
-            ncols = slice_dim(k)
-            jpiv, jrows = data.rref_at(k)
-            shifted = [vec for trio in self.lift_shifts(k - 1)
+        if e < top:
+            shifted = [vec for trio in self.lift_shifts(e - 1)
                        for vec in trio]
-            grew = rank_growth(jpiv, jrows, shifted, ncols)
-            count = n_k - grew
-            n_degrees.extend([k] * count)
-            if k == e:
-                rank_sh = rank_growth((), (), shifted, ncols)
-                e2 = 3 - rank_sh + grew
-                count = self.i_dim(k) - rank_sh
-            if not count:
-                continue
-            if k > e:
-                piv, rows = rref_extend(list(jpiv), [list(r) for r in jrows],
-                                        shifted, ncols)
-            else:
-                piv, rows = rref_extend([], [], shifted, ncols)
-            picked = 0
-            for row in self.i_rref(k)[1]:
-                if rref_insert(piv, rows, list(row), ncols):
-                    i_degrees.append(k)
-                    i_rows.append(tuple(row))
-                    picked += 1
-            if picked != count:
-                raise KmaxExhaustedError(
-                    "inconsistent generator count for the saturation")
-        return GeneratorScan(tuple(i_degrees), tuple(i_rows),
-                             tuple(n_degrees), e2)
+            grew = rank_growth(*data.rref_at(e), shifted, slice_dim(e))
+            e2 = 3 - (self.i_dim(e) - degrees.count(e)) + grew
+            n_degrees.extend([e] * (self.n_dim(e) - grew))
+        return GeneratorScan(module, tuple(sorted(n_degrees)), e2)
 
 
 def _unit(c: int, dim: int) -> list[int]:

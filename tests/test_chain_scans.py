@@ -16,7 +16,8 @@ from curvesat.jacobian import (CurveData, EchelonChain, FormsIdeal,
                                ShiftChain, shift_block_vector)
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, monomial_index, slice_dim
-from curvesat.resolution import betti_jacobian, min_generators
+from curvesat.resolution import (betti_jacobian, betti_saturated,
+                                 min_generators)
 from curvesat.saturation import saturate
 
 NODAL6 = "x*y*z^4 + x^6 + y^6"
@@ -139,6 +140,11 @@ def test_a_walk_hands_on_the_ranks_of_its_module(name):
                           walked.block_shifts)
         assert walked._ranks == {k: cold.rank_at(k)
                                  for k in range(module.e, top + 1)}
+    # and the generator walk of the saturation, over degrees 0..r_I + 2
+    walked = sat.generators.module
+    cold = FormsIdeal(walked.vectors, walked.degrees)
+    assert walked._ranks == {k: cold.rank_at(k)
+                             for k in range(sat.reg_saturated() + 3)}
 
 
 def _count_kernels(monkeypatch):
@@ -188,6 +194,24 @@ def test_the_relations_of_ar_rebuild_no_slice(monkeypatch, name):
     assert all(isinstance(m, CurveData) for m in modules)
 
 
+@pytest.mark.parametrize("name", ["nf-d7-k3", "nodal-5", "braid"])
+def test_the_saturated_walk_rebuilds_no_slice(monkeypatch, name):
+    # the S/I_f table walks the relations of the module the generator
+    # walk returned, which carries that walk's ranks: no slice of the
+    # I_f module is eliminated, only those of J_f
+    modules = []
+    rref_at = FormsIdeal.rref_at
+
+    def recorded(self, k):
+        modules.append(self)
+        return rref_at(self, k)
+
+    monkeypatch.setattr(FormsIdeal, "rref_at", recorded)
+    betti_saturated(_curve(name))
+    assert modules
+    assert all(isinstance(m, CurveData) for m in modules)
+
+
 def _walks(name):
     # the three walks of the resolutions: AR(f) among the partials, the
     # relations of AR(f), and those of the generators of the saturation
@@ -213,11 +237,11 @@ def test_next_rank_is_the_rank_step_builds(data):
     # leaves the chain where it was, after any prior steps and inserts
     draw = data.draw
     shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    chain = ShiftChain(shifts, min(shifts) - 1)
+    chain = EchelonChain(shifts, min(shifts) - 1)
     for _ in range(draw(st.integers(0, 3))):
         if chain.ncols():
             for vec in _vectors(draw, draw(st.integers(0, 2)), chain.ncols()):
-                rref_insert(chain.pivots, chain.rows, vec, chain.ncols())
+                chain.insert(vec)
         ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
         chain.step(_vectors(draw, draw(st.integers(0, 2)), ncols))
     ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
@@ -234,8 +258,8 @@ def test_next_rank_is_the_rank_step_builds(data):
 def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
     # the walk's forward echelon chain and the canonical chain, driven
     # through the same steps, inserts and extras, agree on the pivots,
-    # on next_rank and on every insert answer, and their rows span the
-    # same slice
+    # on every insert answer, and next_rank counts the slice the
+    # canonical step builds; their rows span the same slice
     draw = data.draw
     shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
     canonical = ShiftChain(shifts, min(shifts) - 1)
@@ -243,12 +267,11 @@ def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
     for _ in range(draw(st.integers(1, 4))):
         ncols = sum(slice_dim(canonical.k + 1 - t) for t in shifts)
         extra = _vectors(draw, draw(st.integers(0, 3)), ncols)
-        rank = canonical.next_rank(extra)
-        assert echelon.next_rank(extra) == rank
+        rank = echelon.next_rank(extra)
         canonical.step(extra)
+        assert rank == len(canonical.pivots)
         echelon.step(extra)
         assert echelon.pivots == canonical.pivots
-        assert len(echelon.pivots) == rank
         ncols = canonical.ncols()
         for vec in _vectors(draw, draw(st.integers(0, 2)), ncols):
             grew = rref_insert(canonical.pivots, canonical.rows, list(vec),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from curvesat import cli
 from curvesat.cli import main
 
 EX1_D4 = "y^4 + x*z^3"
@@ -175,3 +176,16 @@ def test_suite_rejects_a_negative_random_count(capsys):
         main(["suite", "--random", "-1"])
     assert exc.value.code == 2
     assert "--random" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_is_an_internal_failure(capsys, monkeypatch):
+    # a run that exhausts memory ends with an error line and exit 4,
+    # not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "analyze", exhausted)
+    rc, out, err = run(capsys, ["analyze", "--poly", EX1_D4])
+    assert rc == 4
+    assert out == ""
+    assert err == "error: out of memory\n"

@@ -97,9 +97,9 @@ def test_scan_matches_the_three_reference_scans(name):
     scan = sat.generators
     assert list(scan.n_degrees) == reference_n_generators(_sat(name))
     degrees, gens = reference_i_generators(_sat(name))
-    assert list(scan.i_degrees) == degrees
-    assert [list(row) for row in scan.i_rows] == [g.int_vector()
-                                                  for g in gens]
+    assert list(scan.module.degrees) == degrees
+    assert [list(row) for row in scan.module.vectors] == [g.int_vector()
+                                                          for g in gens]
     assert scan.e2 == reference_e2(_sat(name))
     assert n_min_generators(sat) == list(scan.n_degrees)
     assert min_generators(sat) == (degrees, gens)
@@ -122,19 +122,45 @@ def test_one_analysis_runs_one_scan(monkeypatch):
 
 
 def test_scan_extends_no_copy_of_a_jacobian_slice(monkeypatch):
-    # the generators of I_f for nf-d10-k3 sit at 8 and 9, both at most
-    # e = 9, so S_1 I_(k-1) never needs J_k added to an echelon form;
-    # above e every n_k > 0 is reached by S_1 I_(k-1) alone
+    # the generators of I_f for nf-d10-k3 sit at 8 and 9, that of N at
+    # 8; the walk carries S_1 I_(k-1) on its own echelon chain, so the
+    # scan neither extends nor inserts into a canonical slice
     sat = _sat("nf-d10-k3")
     assert sat.data.e == 9
-    extended = []
+    calls = []
 
-    def recording(pivots, rows, vecs, ncols):
-        extended.append(len(pivots))
-        return rref_extend(pivots, rows, vecs, ncols)
+    def recording(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
 
     for module in (saturation, resolution):
-        monkeypatch.setattr(module, "rref_extend", recording, raising=False)
+        for name in ("rref_extend", "rref_insert"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recording(name, getattr(module, name)))
     assert min_generators(sat)[0] == [8, 9]
     assert n_min_generators(sat) == [8]
-    assert extended and not any(extended)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["nodal-5", "nf-d7-k3"])
+def test_a_corrupted_dimension_makes_the_walk_raise(monkeypatch, name):
+    # the walk checks dim I_k against the rank of its own chain at every
+    # degree it reaches: one too many is never reached by the picks, and
+    # one too few lies below the rank of S_1 I_(k-1) wherever no
+    # generator sits at k or above
+    sat = _sat(name)
+    top = sat.reg_saturated() + 2
+    last = sat.generators.module.degrees[-1]
+    bad = [(k, 1) for k in range(top + 1)]
+    bad += [(k, -1) for k in range(last + 1, top + 1)]
+    for degree, delta in bad:
+        sat = _sat(name)
+        i_dim = sat.i_dim
+        monkeypatch.setattr(
+            sat, "i_dim",
+            lambda k, d=degree, x=delta: i_dim(k) + (x if k == d else 0))
+        with pytest.raises(KmaxExhaustedError):
+            sat.generators

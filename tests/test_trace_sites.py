@@ -2,15 +2,13 @@
 
 ``perfbench/spans.py`` replaces names at the places their callers look
 them up: module globals, and methods read from the ``__dict__`` of the
-class that defines them.  A rename or a method moved to a base class
-would make ``install`` fail; this runs it once and puts everything back.
+class that defines them.  A rename, a method moved to a base class or a
+deleted binding would make ``install`` fail; this checks every name in
+the tracer's tables, runs ``install`` once and puts everything back.
 """
 
 import importlib.util
 from pathlib import Path
-
-from curvesat import analysis, jacobian, resolution, saturation
-from curvesat.jacobian import CurveData, FormsIdeal
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -22,28 +20,44 @@ def _load_spans():
     return module
 
 
-def _wrapped_names():
-    """A sample of the names the tracer wraps, as their callers see them."""
-    return {
-        "FormsIdeal.rref_at": FormsIdeal.__dict__["rref_at"],
-        "FormsIdeal.kernel_at": FormsIdeal.__dict__["kernel_at"],
-        "CurveData.tjurina": CurveData.__dict__["tjurina"],
-        "CurveData.milnor_dims": CurveData.__dict__["milnor_dims"],
-        "CurveData.ar_min_generators": CurveData.__dict__["ar_min_generators"],
-        "jacobian.rref_int": jacobian.rref_int,
-        "jacobian.poly_columns_int": jacobian.poly_columns_int,
-        "resolution.kernel_int": resolution.kernel_int,
-        "saturation.lefschetz_check": saturation.lefschetz_check,
-        "analysis.saturate": analysis.saturate,
-    }
+def _patched_names(spans):
+    """(owner, attribute) of every name ``Tracer.install`` replaces."""
+    names = [(owner, attr) for _, _, owner, attr in spans.SITES]
+    names += [(owner, attr) for owner, attr, _ in spans.INSERT_SITES]
+    names += [(owner, attr) for owner, attr in spans.BATCH_SITES]
+    # the two patches install makes outside the tables
+    names += [("curvesat.saturation", "lefschetz_check"),
+              ("curvesat.jacobian:CurveData", "ar_min_generators")]
+    return names
+
+
+def _bound(spans, names):
+    """The object each name is bound to, as its callers see it; None
+    where the name is missing."""
+    out = {}
+    for owner, attr in names:
+        obj = spans._resolve(owner)
+        where = obj.__dict__ if isinstance(obj, type) else vars(obj)
+        out[owner, attr] = where.get(attr)
+    return out
+
+
+def test_every_traced_name_is_bound():
+    spans = _load_spans()
+    bound = _bound(spans, _patched_names(spans))
+    assert [name for name, obj in bound.items() if obj is None] == []
 
 
 def test_tracer_installs_and_uninstalls():
-    before = _wrapped_names()
-    tracer = _load_spans().Tracer().install()
+    spans = _load_spans()
+    names = _patched_names(spans)
+    before = _bound(spans, names)
+    tracer = spans.Tracer().install()
     try:
-        during = _wrapped_names()
+        during = _bound(spans, names)
+        patched = {(obj, attr) for obj, attr, _ in tracer._saved}
     finally:
         tracer.uninstall()
-    assert all(during[name] is not before[name] for name in before)
-    assert _wrapped_names() == before
+    assert patched == {(spans._resolve(owner), attr) for owner, attr in names}
+    assert [name for name in names if during[name] is before[name]] == []
+    assert _bound(spans, names) == before
