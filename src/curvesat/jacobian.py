@@ -25,7 +25,12 @@ ones ``FormsIdeal.rref_at`` hands to the saturation steps, to
 Lefschetz check, are canonical reduced echelon forms (``ShiftChain``).
 The walk reads only ranks and whether a vector enlarges its slice,
 which depend on the span alone, so its chain (``EchelonChain``) keeps
-a forward echelon form and does no back substitution.
+a forward echelon form and does no back substitution.  A relation walk
+also leaves one block out of its chain: for a nonzero generator v_b, a
+relation zero outside block b is h v_b = 0, so h = 0 as S is a domain,
+and forgetting block b is injective on the kernel.  ``relations``
+leaves out the block of the first nonzero generator of least degree,
+the widest; on J_f that is one of three equal blocks.
 
 The chain of an ideal stops early: ``FormsIdeal.regular_degree``
 checks the Bayer-Stillman criterion with one linear form h
@@ -291,7 +296,7 @@ class FormsIdeal:
     degree the saturation and the Hilbert-function checks read.  On an
     ideal, ``regular_degree`` may certify a degree m from which the
     Hilbert function of S/J is a constant tau; the chain then stops at
-    m + 1 and every higher rank is dim S_k - tau.
+    m + 1, at m when tau = 0, and every higher rank is dim S_k - tau.
     """
 
     def __init__(self, vectors, degrees, block_shifts=(0,)):
@@ -376,15 +381,25 @@ class FormsIdeal:
         at a time, each degree tested once; it stops at the first pass
         or at kmax - 1, the top slice ``CurveData.tjurina``'s
         stabilization check reads.  From a pass on ``rank_at`` reads
-        dim S_k - tau at k >= m, so no slice above m + 1 is built.  Only
-        ideals call this: the relation walks of ``relations`` stop two
-        or three degrees above the regularity anyway.
+        dim S_k - tau at k >= m, so no slice above m + 1 is built.
+
+        The first m with J_m = S_m is certified as (m, 0) before slice
+        m + 1 is built: S_(m+1) = S_1 J_m lies in J, and the check
+        would pass there.  No earlier degree can pass, as its tau would
+        be the constant H(m) = 0, so m is the one the check certifies;
+        a smooth curve saves its largest slice.  Only ideals call this:
+        the relation walks of ``relations`` stop two or three degrees
+        above the regularity anyway.
         """
         m = self._tested + 1
         while self._regular is None and m <= self.kmax - 2:
-            dims = [slice_dim(k) - self.rank_at(k) for k in (m - 1, m, m + 1)]
-            if dims[1] == dims[2] <= dims[0] and self._h_onto(m):
-                self._regular = (m, dims[1])
+            if self.rank_at(m) == slice_dim(m):
+                self._regular = (m, 0)
+            else:
+                dims = [slice_dim(k) - self.rank_at(k)
+                        for k in (m - 1, m, m + 1)]
+                if dims[1] == dims[2] <= dims[0] and self._h_onto(m):
+                    self._regular = (m, dims[1])
             self._tested = m
             m += 1
         return self._regular
@@ -420,16 +435,25 @@ class FormsIdeal:
         ``minimal_generators`` walk of the kernel K ⊂ ⊕_i S(-a_i) of the
         generator map, dim K_k = sum dim S_(k-a_i) - dim M_k, over the
         canonical ``kernel_at(k - e)``.  degrees are total degrees, the
-        twists of a resolution."""
+        twists of a resolution.
+
+        The walk leaves out block b, that of the first nonzero generator
+        of least degree, whose slices are the widest: a relation that
+        is zero outside block b is h v_b = 0, so h = 0 as S is a domain,
+        and forgetting block b is injective on K.  A zero generator
+        v_i puts S(-a_i) e_i into K and is never left out; with no
+        nonzero generator every block is kept."""
+        nonzero = [i for i, v in enumerate(self.vectors) if any(v)]
+        drop = min(nonzero, key=self.degrees.__getitem__, default=None)
         return minimal_generators(
             self.degrees, self.e, top,
             lambda k: (sum(slice_dim(k - a) for a in self.degrees)
                        - self.rank_at(k)),
-            lambda k: self.kernel_at(k - self.e))
+            lambda k: self.kernel_at(k - self.e), drop)
 
 
 def minimal_generators(block_shifts, start: int, top: int, dim_at,
-                       candidates_at):
+                       candidates_at, drop=None):
     """Minimal generators, in degrees start..top, of a graded submodule
     K of ⊕_b S(-t_b) with dim K_k = dim_at(k) and K_k spanned by
     candidates_at(k): (degrees, module), one Nakayama walk.
@@ -442,11 +466,22 @@ def minimal_generators(block_shifts, start: int, top: int, dim_at,
     count, or picks other than the count, raises.  degrees includes the
     count at top; module, the ``FormsIdeal`` of the picks, is handed the
     chain's ranks on start..top, so a walk over it rebuilds no slice.
+
+    drop, when given, names a block b such that forgetting its
+    coordinates is injective on K: ``FormsIdeal.relations`` passes the
+    block of a nonzero generator v_b, as a relation zero outside block
+    b is h v_b = 0, so h = 0.  The chain then carries the other blocks
+    only and each candidate enters it without block drop.  An
+    injective linear map keeps ranks and enlargement answers, so the
+    picks, counts and ranks are those of the full coordinates; module
+    keeps the full vectors and block_shifts.  The generator walk of
+    I_f passes no block.
     """
     degrees: list[int] = []
     vectors: list[list[int]] = []
     ranks: dict[int, int] = {}
-    chain = EchelonChain(block_shifts, start - 1)
+    chain = EchelonChain([t for b, t in enumerate(block_shifts) if b != drop],
+                         start - 1)
     for k in range(start, top + 1):
         if k == top:
             rank = chain.next_rank()
@@ -459,7 +494,13 @@ def minimal_generators(block_shifts, start: int, top: int, dim_at,
                 f"negative generator count {count} at degree {k}")
         degrees.extend([k] * count)
         if count and k < top:
-            picked = [vec for vec in candidates_at(k) if chain.insert(vec)]
+            # the coordinates lo..hi of block drop at degree k
+            lo = hi = 0
+            if drop is not None:
+                lo = sum(slice_dim(k - t) for t in block_shifts[:drop])
+                hi = lo + slice_dim(k - block_shifts[drop])
+            picked = [vec for vec in candidates_at(k)
+                      if chain.insert([*vec[:lo], *vec[hi:]])]
             if len(picked) != count:
                 raise KmaxExhaustedError(
                     f"{len(picked)} generators picked at degree {k}, "

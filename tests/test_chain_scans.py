@@ -5,11 +5,13 @@ kept here as the reference: a kernel at every degree, and the rank of
 the variable shifts of the previous degree's kernel.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesat import catalog
+from curvesat import catalog, jacobian
 from curvesat.exactla import (IncrementalSpan, kernel_int, rank_int,
                               rref_insert, rref_int)
 from curvesat.jacobian import (CurveData, EchelonChain, FormsIdeal,
@@ -286,8 +288,12 @@ def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
 def test_the_top_degree_of_a_walk_is_only_counted(monkeypatch, name):
     # a walk steps its chain to top - 1 and takes the rank at top
     # without building that slice: one extension of the walk's echelon
-    # span per degree below top
+    # span per degree below top, on every block but the first one of
+    # least degree (every generator here is nonzero)
     for module, top in _walks(name):
+        assert all(any(v) for v in module.vectors)
+        b = module.degrees.index(module.e)
+        kept = [a for i, a in enumerate(module.degrees) if i != b]
         first = module.relations(top)      # every slice of module cached
         steps, widths = [], []
         step, extend = EchelonChain.step, IncrementalSpan.extend
@@ -306,5 +312,124 @@ def test_the_top_degree_of_a_walk_is_only_counted(monkeypatch, name):
         monkeypatch.undo()
         assert again[0] == first[0]
         assert steps == list(range(module.e, top))
-        assert widths == [sum(slice_dim(k - a) for a in module.degrees)
+        assert widths == [sum(slice_dim(k - a) for a in kept)
                           for k in range(module.e, top)]
+
+
+# -- the walk leaves one block out of its chain: the same picks, counts
+# -- and ranks as a walk on full coordinates
+
+
+def reference_walk(module, top):
+    """(degrees, vectors, ranks) of ``module.relations(top)`` on full
+    coordinates: at each degree the span of the variable shifts of the
+    previous degree's span, grown by the kernel vectors that enlarge it,
+    in order; at top the new relations are only counted."""
+    shifts = module.degrees
+    degrees, vectors, ranks = [], [], {}
+    rows = []
+    for k in range(module.e, top + 1):
+        ncols = sum(slice_dim(k - a) for a in shifts)
+        span = IncrementalSpan(ncols)
+        span.extend(_shifted(rows, k - 1, shifts))
+        count = ncols - module.rank_at(k) - len(span)
+        degrees.extend([k] * count)
+        if count and k < top:
+            picked = [vec for vec in module.kernel_at(k - module.e)
+                      if span.insert(vec)]
+            assert len(picked) == count
+            vectors.extend(picked)
+        ranks[k] = len(span)
+        rows = span.rows
+    return degrees, vectors, ranks
+
+
+def _spy():
+    # records the relation walks and the block each is handed to leave
+    # out; the generator walk of I_f calls its own binding
+    return mock.patch.object(jacobian, "minimal_generators",
+                             wraps=jacobian.minimal_generators)
+
+
+def _drops(spy):
+    return [c.args[5] if len(c.args) > 5 else None
+            for c in spy.call_args_list]
+
+
+def _matches_reference(module, top):
+    degrees, walked = module.relations(top)
+    expected = reference_walk(module, top)
+    assert (degrees, [list(v) for v in walked.vectors], walked._ranks) \
+        == expected
+    assert walked.block_shifts == module.degrees
+    return degrees
+
+
+@pytest.mark.parametrize("name", ["fermat-5", "nf-d7-k3", "generic-5",
+                                  "braid"])
+def test_relation_walks_match_a_walk_on_full_coordinates(name):
+    # J_f, AR(f) and the generators of I_f
+    for module, top in _walks(name):
+        _matches_reference(module, top)
+
+
+def test_a_zero_partial_keeps_its_block():
+    # f = xy: f_z = 0 puts e_3 among the relations of J_f, in degree 1,
+    # beside the Koszul relation of x and y in degree 2
+    cd = CurveData(parse_poly("x*y"))
+    sat = saturate(cd)
+    top = sat.reg_jacobian() + 3
+    with _spy() as spy:
+        assert _matches_reference(cd, top) == [1, 2]
+    assert _drops(spy) == [0]
+    a, gens = min_generators(sat)
+    _matches_reference(cd.relations(top)[1], top)
+    _matches_reference(FormsIdeal([g.int_vector() for g in gens], a),
+                       sat.reg_saturated() + 2)
+
+
+@pytest.mark.parametrize("vectors, degrees, drop", [
+    ([[0] * 3, [0, 1, 0], [1, 0, 0]], (1, 1, 1), 1),
+    ([[0] * 3, [0] * 6, [1, 0, 0, 0, 0, 0]], (1, 2, 2), 2),
+    ([[0] * 6, [0, 0, 1]], (2, 1), 1),
+    ([[0] * 3, [0] * 3], (1, 1), None),
+])
+def test_relations_never_leave_out_a_zero_generator(vectors, degrees, drop):
+    # the left-out block is that of the first nonzero generator of least
+    # degree, and no block is left out when every generator is zero
+    with _spy() as spy:
+        _matches_reference(FormsIdeal(vectors, degrees), max(degrees) + 2)
+    assert _drops(spy) == [drop]
+
+
+@st.composite
+def small_modules(draw):
+    """(vectors, degrees, block_shifts) of a module with one to four
+    generators, some of them zero, in one or two blocks."""
+    shifts = tuple(draw(st.lists(st.integers(0, 1), min_size=1,
+                                 max_size=2)))
+    degrees = draw(st.lists(st.integers(max(shifts), max(shifts) + 2),
+                            min_size=1, max_size=4))
+    vectors = []
+    for a in degrees:
+        ncols = sum(slice_dim(a - t) for t in shifts)
+        if draw(st.booleans()):
+            vectors.append([0] * ncols)
+        else:
+            vectors.append(_vectors(draw, 1, ncols)[0])
+    return vectors, degrees, shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_modules())
+def test_relation_walks_of_small_modules_match_full_coordinates(module):
+    vectors, degrees, shifts = module
+    with _spy() as spy:
+        _matches_reference(FormsIdeal(vectors, degrees, shifts),
+                           max(degrees) + 2)
+    drop, = _drops(spy)
+    nonzero = [a for v, a in zip(vectors, degrees) if any(v)]
+    if drop is None:
+        assert not nonzero
+    else:
+        assert any(vectors[drop]) and degrees[drop] == min(nonzero)
