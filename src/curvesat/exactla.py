@@ -6,7 +6,9 @@ integers row by row (``clear_row``) before it gets here; scaling a row
 changes neither the row span nor the kernel, so ranks, spans and
 kernels of the cleared matrix are those of the rational one.
 
-Three building blocks carry every exact operation:
+A forward echelon form is a list of rows with distinct leading
+columns, its pivots, in increasing order.  Three building blocks carry
+every exact operation:
 
 - ``_eliminate``, the forward phase.  It is fraction-free: a pivot row
   p and a target row r with entries a = p[c], b = r[c] in the pivot
@@ -23,26 +25,26 @@ Three building blocks carry every exact operation:
   only additively.  The choice changes the echelon rows but not the
   pivot columns or the canonical RREF, which depend on the row span
   alone, so no result of this module depends on it.
-- ``_residuals``, the one-step reduction of vectors modulo a canonical
-  RREF, whose rows are zero at every pivot but their own.
-- ``_clear``, the one row update of a reduced echelon form: a row is
-  cleared of all the pivot columns it hits in one combined step and
-  stripped of its content once.
-- ``_reduce``, the sequential reduction of a vector modulo a forward
-  echelon form, one row after another in pivot order, with one content
-  strip at the end by its callers.
+- ``_reduce``, the one reduction of a vector modulo a forward echelon
+  form, by the same update, one row after another in pivot order.  A
+  canonical RREF is a forward echelon form, so it is reduced the same
+  way.
+- ``_back``, the back phase: from the bottom up, each echelon row is
+  cleared of the pivot columns of the rows below it in one combined
+  update (``_clear``) and made positive at its pivot.  The result is
+  the canonical RREF of the span: primitive rows, positive pivots and
+  zeros above and below each pivot, which depends on the span alone.
 
-``rank_int`` is the forward phase.  ``rref_int`` adds one ``_clear``
-per echelon row and positive pivots: the unique canonical integer
-echelon form of the row span, from which ``kernel_int`` reads a
-canonical kernel basis.  ``rank_growth``, ``rref_extend`` and
-``rref_insert`` add vectors to a canonical RREF through ``_residuals``
-(and ``_clear``); callers that read the rows use these.
-``IncrementalSpan`` keeps a span in forward echelon form through
-``_reduce`` and ``_eliminate``, with no back phase: its pivots, rank and
-grew/did-not-grow answers are those of the canonical form, and the
-Nakayama walk of ``jacobian.minimal_generators``, which reads nothing
-else, runs on it.
+``rank_int`` is the forward phase, ``rref_int`` the forward and the
+back phase, and ``kernel_int`` reads a canonical kernel basis off
+``rref_int``.  Vectors are added to a span through their residuals
+(``_residuals``, built on ``_reduce``): ``rank_growth`` is their rank,
+``IncrementalSpan.extend`` merges their forward phase in by pivot, and
+``rref_extend`` and ``rref_insert`` are that extension followed by the
+back phase.  ``IncrementalSpan`` keeps a span in forward echelon form,
+with no back phase: its pivots, rank and grew/did-not-grow answers are
+those of the canonical form, and the Nakayama walk of
+``jacobian.minimal_generators``, which reads nothing else, runs on it.
 """
 
 from __future__ import annotations
@@ -156,21 +158,14 @@ def _clear(row: list[int], pc: int, hits, cols) -> list[int]:
     return primitive(row)
 
 
-def rank_int(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix; consumes its argument."""
-    return len(_eliminate(rows, ncols))
+def _back(pivots: Sequence[int], rows: list[list[int]], ncols: int) -> None:
+    """Back phase in place: forward echelon rows with pivots become the
+    canonical RREF of their span.
 
-
-def rref_int(rows: list[list[int]], ncols: int):
-    """Canonical (pivots, rows) reduced echelon form; consumes its argument.
-
-    The rows returned are the nonzero ones: primitive, with positive
-    pivot entries and zeros above and below each pivot.  Each echelon
-    row is cleared once (``_clear``), against the final rows below it.
+    Each row is cleared once (``_clear``), against the final rows below
+    it, and made positive at its pivot.
     """
-    pivots = _eliminate(rows, ncols)
     npiv = len(pivots)
-    del rows[npiv:]
     # a row changes only at its own turn, after every row below it, so
     # its hits are read off the echelon rows in one pass up front
     hits = [[] for _ in range(npiv)]
@@ -189,6 +184,22 @@ def rref_int(rows: list[list[int]], ncols: int):
         if row[pc] < 0:
             for c in range(pc, ncols):
                 row[c] = -row[c]
+
+
+def rank_int(rows: list[list[int]], ncols: int) -> int:
+    """Rank of an integer matrix; consumes its argument."""
+    return len(_eliminate(rows, ncols))
+
+
+def rref_int(rows: list[list[int]], ncols: int):
+    """Canonical (pivots, rows) reduced echelon form; consumes its argument.
+
+    The rows returned are the nonzero ones: primitive, with positive
+    pivot entries and zeros above and below each pivot.
+    """
+    pivots = _eliminate(rows, ncols)
+    del rows[len(pivots):]
+    _back(pivots, rows, ncols)
     return pivots, rows
 
 
@@ -228,115 +239,9 @@ def kernel_int(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return kernel_from_rref(pivots, red, ncols)
 
 
-def _residuals(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-               vecs: Iterable[Sequence[int]], ncols: int):
-    """(free, residuals): the free columns of a canonical RREF and the
-    nonzero residuals of vecs modulo its span, on those columns.
-
-    Each row of a canonical RREF is zero at every other pivot, so a
-    vector v is reduced in one step, L*v - sum (L/a_i) v[p_i] row_i with
-    L the lcm of the pivot entries a_i it hits, and its residual lives
-    on the free columns alone.  Neither rows nor vecs are modified.
-    """
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    residuals = []
-    for vec in vecs:
-        hits = [(row, vec[pc], row[pc])
-                for pc, row in zip(pivots, rows) if vec[pc]]
-        scale = lcm(*(a for _, _, a in hits))
-        res = [scale * vec[c] for c in free]
-        for row, b, a in hits:
-            m = (scale // a) * b
-            for j, c in enumerate(free):
-                v = row[c]
-                if v:
-                    res[j] -= m * v
-        if any(res):
-            residuals.append(res)
-    return free, residuals
-
-
-def rref_insert(pivots: list[int], rows: list[list[int]], vec: Sequence[int],
-                ncols: int) -> bool:
-    """Insert one vector into a canonical RREF in place.
-
-    Returns True when the span grew.  The updated (pivots, rows) stay the
-    canonical RREF of the enlarged span: the residual of vec (see
-    ``_residuals``), primitive with a positive leading entry, becomes a
-    new row and is cleared out of the old rows it hits.
-    """
-    free, residuals = _residuals(pivots, rows, (vec,), ncols)
-    if not residuals:
-        return False
-    res = primitive(residuals[0])
-    lead = next(j for j, v in enumerate(res) if v)
-    if res[lead] < 0:
-        res = [-v for v in res]
-    new = [0] * ncols
-    for c, v in zip(free, res):
-        new[c] = v
-    pc = free[lead]
-    cols = free[:lead] + free[lead + 1:]
-    pos = bisect(pivots, pc)
-    for i in range(pos):
-        if rows[i][pc]:
-            rows[i] = _clear(rows[i], pivots[i], [(pc, new)], cols)
-    pivots.insert(pos, pc)
-    rows.insert(pos, new)
-    return True
-
-
-def rank_growth(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-                vecs: Iterable[Sequence[int]], ncols: int) -> int:
-    """dim(span rows + span vecs) - len(pivots).
-
-    (pivots, rows) must be a canonical RREF; it is not consumed.  The
-    growth is the rank of the residuals of vecs on the free columns.
-    """
-    free, residuals = _residuals(pivots, rows, vecs, ncols)
-    return rank_int(residuals, len(free))
-
-
-def rref_extend(pivots: Sequence[int], rows: list[list[int]],
-                vecs: Iterable[Sequence[int]], ncols: int):
-    """Canonical RREF (pivots, rows) of span(rows) + span(vecs).
-
-    (pivots, rows) must be a canonical RREF; its rows are consumed.  The
-    residuals of vecs (see ``_residuals``) are row-reduced on the
-    free columns only, and each old row is then cleared of the new
-    pivot columns in one combined update.
-    """
-    free, residuals = _residuals(pivots, rows, vecs, ncols)
-    npiv, nred = rref_int(residuals, len(free))
-    if not npiv:
-        return list(pivots), rows
-
-    new_pivots = [free[j] for j in npiv]
-    new_rows = []
-    for red in nred:
-        row = [0] * ncols
-        for j, v in enumerate(red):
-            if v:
-                row[free[j]] = v
-        new_rows.append(row)
-
-    # an old row keeps its pivot and the free columns left after this step
-    taken = set(new_pivots)
-    rest = [c for c in free if c not in taken]
-    for i, (pc, row) in enumerate(zip(pivots, rows)):
-        hits = [(q, new) for q, new in zip(new_pivots, new_rows) if row[q]]
-        if hits:
-            rows[i] = _clear(row, pc, hits, rest)
-
-    merged = sorted(zip(list(pivots) + new_pivots, rows + new_rows),
-                    key=lambda t: t[0])
-    return [pc for pc, _ in merged], [row for _, row in merged]
-
-
 def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
             vec: list[int]) -> list[int]:
-    """vec reduced modulo forward echelon rows, one row after another.
+    """vec reduced modulo a forward echelon form, one row after another.
 
     rows have distinct leading columns pivots, in increasing order.
     Each hit is one fraction-free update r := (a // g) * r - (b // g) *
@@ -357,6 +262,33 @@ def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
     return vec
 
 
+def _residuals(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+               vecs: Iterable[Sequence[int]], ncols: int):
+    """(free, residuals): the non-pivot columns of a forward echelon
+    form and the nonzero residuals (``_reduce``) of vecs modulo its
+    span, restricted to them.  Neither rows nor vecs are modified."""
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    residuals = []
+    for vec in vecs:
+        res = _reduce(pivots, rows, vec)
+        if any(res):
+            residuals.append([res[c] for c in free])
+    return free, residuals
+
+
+def rank_growth(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+                vecs: Iterable[Sequence[int]], ncols: int) -> int:
+    """dim(span rows + span vecs) - len(pivots).
+
+    (pivots, rows) may be any forward echelon form, a canonical RREF
+    included; it is not consumed, and neither are vecs.  The growth is
+    the rank of the residuals of vecs on the free columns.
+    """
+    free, residuals = _residuals(pivots, rows, vecs, ncols)
+    return rank_int(residuals, len(free))
+
+
 class IncrementalSpan:
     """Growing row span in forward echelon form.
 
@@ -366,7 +298,7 @@ class IncrementalSpan:
     of the leading columns grows, so they, the rank and the
     grew/did-not-grow answer of ``insert`` depend on the span alone, and
     generator selection built on it is deterministic.  The rows
-    themselves depend on the order of insertion; no caller reads them.
+    themselves depend on the order of insertion; the walk reads none.
     """
 
     def __init__(self, ncols: int, pivots=(), rows=()):
@@ -388,27 +320,10 @@ class IncrementalSpan:
         self.rows.insert(pos, primitive(res))
         return True
 
-    def _residuals(self, vecs: Iterable[Sequence[int]]):
-        """(free, residuals): the non-pivot columns and the nonzero
-        residuals of vecs, restricted to them (zero at every pivot)."""
-        pivset = set(self.pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        residuals = []
-        for vec in vecs:
-            res = _reduce(self.pivots, self.rows, vec)
-            if any(res):
-                residuals.append([res[c] for c in free])
-        return free, residuals
-
-    def growth(self, vecs: Iterable[Sequence[int]]) -> int:
-        """dim(span + span vecs) - len(self); the span does not move."""
-        free, residuals = self._residuals(vecs)
-        return rank_int(residuals, len(free))
-
     def extend(self, vecs: Iterable[Sequence[int]]) -> None:
         """Add vecs at once: the forward phase (``_eliminate``) on their
         residuals, whose echelon rows are merged in by pivot."""
-        free, residuals = self._residuals(vecs)
+        free, residuals = _residuals(self.pivots, self.rows, vecs, self.ncols)
         new = _eliminate(residuals, len(free))
         if not new:
             return
@@ -422,3 +337,33 @@ class IncrementalSpan:
         merged.sort(key=lambda t: t[0])
         self.pivots[:] = [pc for pc, _ in merged]
         self.rows[:] = [row for _, row in merged]
+
+
+def rref_extend(pivots: Sequence[int], rows: list[list[int]],
+                vecs: Iterable[Sequence[int]], ncols: int):
+    """Canonical RREF (pivots, rows) of span(rows) + span(vecs).
+
+    (pivots, rows) may be any forward echelon form, a canonical RREF
+    included.  Its rows are consumed; the pivots list and vecs are not
+    modified.  This is ``IncrementalSpan.extend`` followed by the back
+    phase (``_back``).
+    """
+    span = IncrementalSpan(ncols, pivots, rows)
+    span.extend(vecs)
+    _back(span.pivots, span.rows, ncols)
+    return span.pivots, span.rows
+
+
+def rref_insert(pivots: list[int], rows: list[list[int]], vec: Sequence[int],
+                ncols: int) -> bool:
+    """Insert one vector into a forward echelon form in place; True when
+    the span grew.
+
+    (pivots, rows) may be any forward echelon form, a canonical RREF
+    included; both lists are updated in place to the canonical RREF of
+    the enlarged span (a one-vector ``rref_extend``), and vec is not
+    modified.
+    """
+    npiv = len(pivots)
+    pivots[:], rows[:] = rref_extend(pivots, rows, (vec,), ncols)
+    return len(pivots) > npiv

@@ -63,8 +63,8 @@ from .errors import (ConstantPolynomialError, KmaxExhaustedError,
                      ZeroPolynomialError)
 # rref_insert, rref_int and poly_columns_int are unused here but stay
 # bound: perfbench/spans.py patches this module's names
-from .exactla import (IncrementalSpan, kernel_int, rank_int,  # noqa: F401
-                      rref_extend, rref_insert, rref_int)
+from .exactla import (IncrementalSpan, kernel_int, rank_growth,  # noqa: F401
+                      rank_int, rref_extend, rref_insert, rref_int)
 from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
                    monomial_index, partials, poly_columns_int, primitivize,
                    shift_maps, slice_dim)
@@ -277,8 +277,7 @@ class EchelonChain(ShiftChain):
         """Rank of the slice ``step(extra)`` would build; the chain
         does not move."""
         x_pivots, x_rows, vecs, ncols = self._next(extra)
-        return len(x_pivots) + IncrementalSpan(
-            ncols, x_pivots, x_rows).growth(vecs)
+        return len(x_pivots) + rank_growth(x_pivots, x_rows, vecs, ncols)
 
     def insert(self, vec) -> bool:
         """Add one vector to the current slice; True when it grew."""

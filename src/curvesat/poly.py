@@ -179,21 +179,10 @@ class HomogeneousPoly:
             return HomogeneousPoly(self.degree + other.degree, terms)
         return self.scale(other)
 
-    def __rmul__(self, other) -> "HomogeneousPoly":
-        return self.scale(other)
-
     def scale(self, c: Coeff) -> "HomogeneousPoly":
         c = Fraction(c)
         return HomogeneousPoly(self.degree,
                                {m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "HomogeneousPoly":
-        if n < 0:
-            raise WrongShapeError("negative power")
-        out = HomogeneousPoly(0, [(Monomial(0, 0, 0), 1)])
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomogeneousPoly)

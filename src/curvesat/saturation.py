@@ -408,8 +408,14 @@ def lefschetz_check(f, ell: tuple | None = None,
     rank min(n_s, n_(s+1)) in every degree (true for nearly free curves;
     informational otherwise).  Without ell, candidate forms have small
     random integer coefficients and are resampled on failure, up to
-    MAX_ATTEMPTS of them.
+    MAX_ATTEMPTS of them.  A given ell must be three integers, not all
+    zero, or WrongShapeError is raised.
     """
+    if ell is not None and not (isinstance(ell, (tuple, list))
+                                and len(ell) == 3 and any(ell)
+                                and all(isinstance(v, int) for v in ell)):
+        raise WrongShapeError(
+            "ell must be a linear form: three integers, not all zero")
     sat = saturate(f)
     table = sat.n_table
     steps = range(len(table) - 1)

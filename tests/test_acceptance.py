@@ -16,8 +16,11 @@ from curvesat.resolution import regularity
 from curvesat.suite import run_suite
 
 _SUITE_CACHE = {}
-DIGESTS = json.loads(
-    (Path(__file__).parent / "data" / "report_digests.json").read_text())
+DATA = Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "report_digests.json").read_text())
+# the seed-0 random reports of ``full_suite``, pinned apart from the
+# catalog's digests, which hold exactly the catalog names
+SUITE_DIGESTS = json.loads((DATA / "suite_digests.json").read_text())
 
 
 def _sha(text: str) -> str:
@@ -166,6 +169,17 @@ def test_criterion_5_property_suite(capsys):
     check(failures, len(result.records) >= 25,
           f"only {len(result.records)} curves analyzed")
     finish("5 property-suite", failures, capsys)
+
+
+def test_seed_0_random_reports_are_pinned():
+    """The text and JSON report of every random curve of ``full_suite``
+    keep their SHA-256; a change meant to alter a report regenerates
+    ``data/suite_digests.json`` and says which curves moved and why."""
+    result, _elapsed = full_suite()
+    got = {rec.name: {"text": _sha(rec.report.to_text()),
+                      "json": _sha(emit_json(rec.report))}
+           for rec in result.records if rec.name.startswith("random-")}
+    assert got == SUITE_DIGESTS
 
 
 def test_criterion_6_nearly_free_predictions(capsys):

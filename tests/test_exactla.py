@@ -200,7 +200,8 @@ def test_exact_operations_match_a_fraction_reference(mat):
     for row in rows[:half]:
         span.insert(row)
     assert span.pivots == hpiv
-    assert span.growth(rest) == len(pivots) - len(hpiv)
+    assert (rank_growth(span.pivots, span.rows, rest, ncols)
+            == len(pivots) - len(hpiv))
     span.extend(rest)
     assert span.pivots == pivots
     assert rref_int([list(r) for r in span.rows], ncols) == want
@@ -221,8 +222,41 @@ def test_incremental_span_membership():
     span = IncrementalSpan(3)
     assert span.insert([1, 1, 0])
     assert not span.insert([2, 2, 0])
-    assert span.growth([[3, 3, 0]]) == 0
-    assert span.growth([[1, 0, 0], [0, 1, 0]]) == 1
+    assert rank_growth(span.pivots, span.rows, [[3, 3, 0]], 3) == 0
+    assert rank_growth(span.pivots, span.rows,
+                       [[1, 0, 0], [0, 1, 0]], 3) == 1
     assert span.insert([0, 0, 5])
     assert len(span) == 2
     assert span.rows == [[1, 1, 0], [0, 0, 1]]
+
+
+@given(small_or_large_matrices, small_or_large_matrices)
+def test_growth_and_extension_of_a_forward_echelon_form(mat, more):
+    """A forward echelon form that is not back-substituted, as
+    ``IncrementalSpan.extend`` builds it, is a valid input of
+    ``rank_growth``, ``rref_extend`` and ``rref_insert``."""
+    rows, ncols = mat
+    vecs = [(list(v) + [0] * ncols)[:ncols] for v in more[0]]
+    span = IncrementalSpan(ncols)
+    span.extend([list(v) for v in rows])
+    pivots, red = _fraction_rref(rows + vecs, ncols)
+    want = (pivots, [_scaled(row, pc) for pc, row in zip(pivots, red)])
+    fpiv, frows = list(span.pivots), [list(r) for r in span.rows]
+    assert rank_growth(fpiv, frows, vecs, ncols) == len(pivots) - len(fpiv)
+    assert (fpiv, frows) == (span.pivots, span.rows)
+    assert rref_extend(fpiv, [list(r) for r in frows], vecs, ncols) == want
+    assert fpiv == span.pivots
+    for vec in vecs:
+        rref_insert(fpiv, frows, list(vec), ncols)
+    if vecs:
+        assert (fpiv, frows) == want
+
+
+def test_rank_growth_of_a_forward_form_with_shared_columns():
+    # rows 0 and 1 of this forward form are both nonzero at column 1, so
+    # a vector must be reduced against them one after the other
+    pivots, rows = [0, 1], [[1, 1, 0], [0, 1, 1]]
+    assert rank_growth(pivots, rows, [[1, 0, -1]], 3) == 0
+    assert rank_growth(pivots, rows, [[1, 0, 0]], 3) == 1
+    assert rref_extend(pivots, [list(r) for r in rows], [[1, 0, -1]], 3) == (
+        [0, 1], [[1, 0, -1], [0, 1, 1]])

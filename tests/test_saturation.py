@@ -9,7 +9,8 @@ import pytest
 
 from curvesat import catalog, saturation
 from curvesat.analysis import analyze_catalog, emit_json
-from curvesat.errors import KmaxExhaustedError, NotCodimensionTwoError
+from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
+                             WrongShapeError)
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import partials, slice_dim
 from curvesat.saturation import (
@@ -140,6 +141,14 @@ def test_lefschetz_smooth_full_module():
     assert out.ranks == [1, 3, 1]
     assert out.expected == [1, 3, 1]
     assert out.pattern_ok
+
+
+@pytest.mark.parametrize("ell", [(1, 2), (0, 0, 0), (1, 2, 3, 4),
+                                 (1, 0.5, 0), ("1", 0, 0), 7])
+def test_lefschetz_rejects_a_malformed_form(ell):
+    sat = saturate(parse_poly(EX1_D4))
+    with pytest.raises(WrongShapeError, match="linear form"):
+        lefschetz_check(sat, ell=ell)
 
 
 def test_lefschetz_needs_at_least_one_sampled_form():
