@@ -4,7 +4,8 @@ Entries are stored as input text in the same grammar the CLI accepts,
 so every fixture goes through the ordinary parser.  The irreducible
 flag is only set where irreducibility is classically known (smooth
 curves; the binomial family y^d + x^k z^(d-k) exactly when
-gcd(d, k) = 1); it gates the verdicts that need it.
+gcd(d, k) = 1; the rational cuspidal quartics); it gates the verdicts
+that need it.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def _build():
                 "Ziegler arrangement, six triple points on a conic")
     arrangement("ziegler-Aprime", _ZIEGLER_A_OFF_CONIC,
                 "Ziegler arrangement, six triple points not on a conic")
+    poly("tricuspidal-4",
+         "x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*x*y*z*(x + y + z)", True,
+         "rational cuspidal quartic with three A2 cusps")
+    poly("a6-quartic", "(y*z - x^2)^2 - x*y^3", True,
+         "rational cuspidal quartic with one A6 cusp")
     return {e.name: e for e in entries}
 
 

@@ -29,10 +29,10 @@ every exact operation:
   form, by the same update, one row after another in pivot order.  A
   canonical RREF is a forward echelon form, so it is reduced the same
   way.
-- ``_back``, the back phase: from the bottom up, each echelon row is
-  cleared of the pivot columns of the rows below it in one combined
-  update (``_clear``) and made positive at its pivot.  The result is
-  the canonical RREF of the span: primitive rows, positive pivots and
+- ``back_phase``: from the bottom up, each echelon row is cleared of
+  the pivot columns of the rows below it in one combined update
+  (``_clear``) and made positive at its pivot.  The result is the
+  canonical RREF of the span: primitive rows, positive pivots and
   zeros above and below each pivot, which depends on the span alone.
 
 ``rank_int`` is the forward phase, ``rref_int`` the forward and the
@@ -43,8 +43,10 @@ back phase, and ``kernel_int`` reads a canonical kernel basis off
 ``rref_extend`` and ``rref_insert`` are that extension followed by the
 back phase.  ``IncrementalSpan`` keeps a span in forward echelon form,
 with no back phase: its pivots, rank and grew/did-not-grow answers are
-those of the canonical form, and the Nakayama walk of
-``jacobian.minimal_generators``, which reads nothing else, runs on it.
+those of the canonical form.  ``jacobian.ShiftChain`` is one: the
+Nakayama walk of ``jacobian.minimal_generators`` reads nothing else,
+and ``jacobian.FormsIdeal.rref_at`` runs ``back_phase`` on the slices
+whose rows it hands out.
 """
 
 from __future__ import annotations
@@ -158,7 +160,8 @@ def _clear(row: list[int], pc: int, hits, cols) -> list[int]:
     return primitive(row)
 
 
-def _back(pivots: Sequence[int], rows: list[list[int]], ncols: int) -> None:
+def back_phase(pivots: Sequence[int], rows: list[list[int]],
+               ncols: int) -> None:
     """Back phase in place: forward echelon rows with pivots become the
     canonical RREF of their span.
 
@@ -199,7 +202,7 @@ def rref_int(rows: list[list[int]], ncols: int):
     """
     pivots = _eliminate(rows, ncols)
     del rows[len(pivots):]
-    _back(pivots, rows, ncols)
+    back_phase(pivots, rows, ncols)
     return pivots, rows
 
 
@@ -306,9 +309,6 @@ class IncrementalSpan:
         self.pivots = list(pivots)
         self.rows = list(rows)
 
-    def __len__(self) -> int:
-        return len(self.pivots)
-
     def insert(self, vec: Sequence[int]) -> bool:
         """Add one vector; True when the span grew."""
         res = _reduce(self.pivots, self.rows, list(vec))
@@ -346,11 +346,11 @@ def rref_extend(pivots: Sequence[int], rows: list[list[int]],
     (pivots, rows) may be any forward echelon form, a canonical RREF
     included.  Its rows are consumed; the pivots list and vecs are not
     modified.  This is ``IncrementalSpan.extend`` followed by the back
-    phase (``_back``).
+    phase (``back_phase``).
     """
     span = IncrementalSpan(ncols, pivots, rows)
     span.extend(vecs)
-    _back(span.pivots, span.rows, ncols)
+    back_phase(span.pivots, span.rows, ncols)
     return span.pivots, span.rows
 
 

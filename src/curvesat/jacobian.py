@@ -10,39 +10,43 @@ c f_z = 0.
 
 ``FormsIdeal`` is the one graded module type: the submodule of
 ⊕_b S(-t_b) generated by integer vectors of given degrees, with the
-canonical echelon form of each slice (chained upward by ``ShiftChain``)
-and the relations among its generators.  J_f is the ideal case, one
-block and three generators of degree d - 1.  ``minimal_generators`` is
-the one Nakayama walk, which picks minimal generators of a module
-degree by degree: over the slices of I_f it gives the generators of
-I_f (``saturation.SaturationData.generators``), and over the kernel of
-a generator map (``FormsIdeal.relations``) AR(f) from J_f and the later
+canonical echelon form of each slice and the relations among its
+generators.  J_f is the ideal case, one block and three generators of
+degree d - 1.  ``minimal_generators`` is the one Nakayama walk, which
+picks minimal generators of a module degree by degree: over the slices
+of I_f it gives the generators of I_f
+(``saturation.SaturationData.generators``), and over the kernel of a
+generator map (``FormsIdeal.relations``) AR(f) from J_f and the later
 positions of the two resolutions in ``resolution``.
 
-Two kinds of chain carry the slices.  Slices whose rows are read, the
-ones ``FormsIdeal.rref_at`` hands to the saturation steps, to
-``colon_rows``, to the generator walk as candidates and to the
-Lefschetz check, are canonical reduced echelon forms (``ShiftChain``).
-The walk reads only ranks and whether a vector enlarges its slice,
-which depend on the span alone, so its chain (``EchelonChain``) keeps
-a forward echelon form and does no back substitution.  A relation walk
-also leaves one block out of its chain: for a nonzero generator v_b, a
+One chain carries every slice upward: ``ShiftChain``, an
+``exactla.IncrementalSpan`` in forward echelon form, stepped one degree
+at a time.  The walk reads only ranks and whether a vector enlarges its
+slice, which depend on the span alone, so it does no back substitution.
+The one back phase runs in ``FormsIdeal.rref_at``, on the slices whose
+rows are read: the ones it hands to the saturation steps, to
+``colon_rows``, to the generator walk as candidates and to the Lefschetz
+check, which are canonical reduced echelon forms.  A relation walk also
+leaves one block out of its chain: for a nonzero generator v_b, a
 relation zero outside block b is h v_b = 0, so h = 0 as S is a domain,
-and forgetting block b is injective on the kernel.  ``relations``
-leaves out the block of the first nonzero generator of least degree,
-the widest; on J_f that is one of three equal blocks.
+and forgetting block b is injective on the kernel.  ``relations`` leaves
+out the block of the first nonzero generator of least degree, the
+widest; on J_f that is one of three equal blocks.
 
-The chain of an ideal stops early: ``FormsIdeal.regular_degree``
-checks the Bayer-Stillman criterion with one linear form h
-(``LINEAR_FORM``) as the chain goes up, and the first degree m that
-passes proves that the Hilbert function of S/J is a constant tau from
-m on.  Every higher rank is then dim S_k - tau, so no slice above
-m + 1 is eliminated; on the catalog curves m = reg(J_f) = r_J + 1.
+The chain of an ideal stops early: ``FormsIdeal.regular_degree`` checks
+the Bayer-Stillman criterion with one linear form h (``LINEAR_FORM``) as
+the chain goes up, and the first degree m that passes proves that the
+Hilbert function of S/J is a constant tau from m on.  Every higher rank
+is then dim S_k - tau, so no slice above m + 1 is eliminated; on the
+catalog curves m = reg(J_f) = r_J + 1.  For a reduced curve J_f has
+codimension two, which bounds each dim (S/J)_k by the Hilbert function
+of a complete intersection of two forms of degree d - 1; where the chain
+passes that bound f has a repeated factor, and the chain stops there.
 Where no degree passes (h vanishes at a singular point, or f has a
-repeated factor) the chain runs to kmax and tau comes from the
-stabilization check of ``CurveData.tjurina``.  ``colon_rows`` builds
-the matrix of multiplication by h modulo a slice, for this check and
-for the saturation steps.
+repeated factor the bound has not caught) the chain runs to kmax and tau
+comes from the stabilization check of ``CurveData.tjurina``.
+``colon_rows`` builds the matrix of multiplication by h modulo a slice,
+for this check and for the saturation steps.
 
 ``CurveData`` is the per-curve cache built on J_f.  It works on a
 canonical integer representative of f (rescaling f changes nothing) so
@@ -63,11 +67,12 @@ from .errors import (ConstantPolynomialError, KmaxExhaustedError,
                      ZeroPolynomialError)
 # rref_insert, rref_int and poly_columns_int are unused here but stay
 # bound: perfbench/spans.py patches this module's names
-from .exactla import (IncrementalSpan, kernel_int, rank_growth,  # noqa: F401
-                      rank_int, rref_extend, rref_insert, rref_int)
+from .exactla import (IncrementalSpan, back_phase,  # noqa: F401
+                      kernel_int, rank_growth, rank_int, rref_insert,
+                      rref_int)
 from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
                    monomial_index, partials, poly_columns_int, primitivize,
-                   shift_maps, slice_dim)
+                   shift_maps, slice_dim, twists_dim)
 
 
 def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
@@ -169,47 +174,45 @@ def colon_rows(k: int, form, comp_here, comp_next, ipiv, irows) -> list:
     return rows
 
 
-class ShiftChain:
-    """Canonical RREF of one slice of a graded submodule M of
-    ⊕_b S(-t_b), moved up one degree at a time.
+class ShiftChain(IncrementalSpan):
+    """One slice of a graded submodule M of ⊕_b S(-t_b), moved up one
+    degree at a time: an ``IncrementalSpan``, rows with distinct leading
+    columns in pivot order.
 
     ``step(extra)`` replaces the degree-k slice by the degree-(k+1)
     slice S_1*M_k + span(extra).  The x shift re-indexes each block into
     the next degree without moving any index inside it, so an echelon
     basis of M_k with every block padded by zeros is an echelon basis of
-    x*M_k, on the x-shifted pivots; a canonical RREF stays canonical.
-    Call the rows of the degree-(k+1) basis whose pivot is not such an
-    x-shifted pivot its new rows N_(k+1) (at the first slice, all rows).
-    The leading columns of a span are the same for every echelon basis
-    of it, so their pivots are not leading positions of x*M_k, and
-    counting dimensions gives M_(k+1) = x*M_k + span N_(k+1).  As
-    S_1*M_k lies in M_(k+1), y*M_(k+1) = xy*M_k + y*span N_(k+1) lies
-    in x*M_(k+1) + y*span N_(k+1), likewise for z, and
+    x*M_k, on the x-shifted pivots.  Call the rows of the degree-(k+1)
+    basis whose pivot is not such an x-shifted pivot its new rows
+    N_(k+1) (at the first slice, all rows).  The leading columns of a
+    span are the same for every echelon basis of it, so their pivots are
+    not leading positions of x*M_k, and counting dimensions gives
+    M_(k+1) = x*M_k + span N_(k+1).  As S_1*M_k lies in M_(k+1),
+    y*M_(k+1) = xy*M_k + y*span N_(k+1) lies in x*M_(k+1) + y*span
+    N_(k+1), likewise for z, and
 
         S_1*M_(k+1) = x*M_(k+1) + y*span N_(k+1) + z*span N_(k+1)
 
     for any echelon basis, canonical or not.
 
-    So each step is one ``rref_extend`` of the padded rows by the y and
-    z shifts of the new rows and by extra.  ``step`` only reads the
-    current rows, so a slice handed out before a step stays valid.
-
-    This canonical chain carries the slices ``FormsIdeal.rref_at``
-    hands out, whose rows the saturation steps, ``colon_rows``, the
-    candidates of the generator walk and the Lefschetz check read.  The
-    walk of ``minimal_generators`` reads no rows and uses
-    ``EchelonChain``.
+    So each step is one ``extend`` of the padded rows by the y and z
+    shifts of the new rows and by extra, on fresh lists: a slice read
+    before a step is never written again.  ``insert`` adds one vector to
+    the current slice as one residual row; its pivot is not an
+    x-shifted one, so the new rows stay the rows on the other pivots.
+    The slice is a forward echelon form, never back-substituted here:
+    the walk of ``minimal_generators`` reads only the pivot count,
+    ``next_rank`` and ``insert``'s answers, which depend on the span
+    alone, and ``FormsIdeal.rref_at`` runs the back phase on the slices
+    whose rows it hands out.
     """
 
     def __init__(self, block_shifts, k: int):
+        super().__init__(sum(slice_dim(k - t) for t in block_shifts))
         self.block_shifts = tuple(block_shifts)
         self.k = k
-        self.pivots: list = []
-        self.rows: list = []
         self._x_pivots: set = set()
-
-    def ncols(self) -> int:
-        return sum(slice_dim(self.k - t) for t in self.block_shifts)
 
     def _next(self, extra):
         """(x_pivots, x_rows, vecs, ncols) of the next degree: the
@@ -241,36 +244,10 @@ class ShiftChain:
 
     def step(self, extra=()) -> None:
         x_pivots, x_rows, vecs, ncols = self._next(extra)
-        self.pivots, self.rows = rref_extend(x_pivots, x_rows, vecs, ncols)
+        # taken before extend rewrites the pivots list in place
         self._x_pivots = set(x_pivots)
-        self.k += 1
-
-
-class EchelonChain(ShiftChain):
-    """A ``ShiftChain`` whose slices are forward echelon forms, for the
-    walk of ``minimal_generators``.
-
-    The slice is an ``IncrementalSpan``: rows with distinct leading
-    columns in pivot order, never back-substituted.  A step keeps the
-    padded x-shifted rows as they are, reduces the y and z shifts of the
-    new rows and extra against them one after another, and merges the
-    forward phase of the nonzero residuals in by pivot; ``next_rank``
-    is the x-shifted pivot count plus the rank of those residuals.
-    ``insert``, after a first step, adds one vector to the current
-    slice, in place, as one residual row; its pivot is not an x-shifted
-    one, so the new rows stay the rows on the other pivots.  The walk
-    reads only the pivot count, ``next_rank`` and ``insert``'s answers,
-    which depend on the span alone, so they are those of the canonical
-    chain; no back substitution is spent on rows nobody reads.
-    """
-
-    def step(self, extra=()) -> None:
-        x_pivots, x_rows, vecs, ncols = self._next(extra)
-        self._span = IncrementalSpan(ncols, x_pivots, x_rows)
-        self._span.extend(vecs)
-        # pivots and rows are the span's own lists, which insert grows
-        self.pivots, self.rows = self._span.pivots, self._span.rows
-        self._x_pivots = set(x_pivots)
+        self.pivots, self.rows, self.ncols = x_pivots, x_rows, ncols
+        self.extend(vecs)
         self.k += 1
 
     def next_rank(self, extra=()) -> int:
@@ -278,10 +255,6 @@ class EchelonChain(ShiftChain):
         does not move."""
         x_pivots, x_rows, vecs, ncols = self._next(extra)
         return len(x_pivots) + rank_growth(x_pivots, x_rows, vecs, ncols)
-
-    def insert(self, vec) -> bool:
-        """Add one vector to the current slice; True when it grew."""
-        return self._span.insert(vec)
 
 
 class FormsIdeal:
@@ -309,9 +282,11 @@ class FormsIdeal:
         self._chain = ShiftChain(self.block_shifts, self.e - 1)
         # slice ranks handed on by the walk that built this module
         self._ranks: dict[int, int] = {}
-        # (m, tau) once regular_degree certifies m, and the last degree
-        # it tested
+        # (m, tau) once regular_degree certifies m, the degree where it
+        # found S/J above the complete-intersection bound, and the last
+        # degree it tested
         self._regular: tuple | None = None
+        self._excess: int | None = None
         self._tested = max(self.degrees, default=0) - 1
 
     # -- module slices --------------------------------------------------
@@ -332,7 +307,8 @@ class FormsIdeal:
         """Canonical RREF (pivots, rows) of the degree-k slice.
 
         Slices are chained upward from e: each degree is one
-        ``ShiftChain.step``, as M_k = S_1*M_(k-1) + span(v_i : a_i = k).
+        ``ShiftChain.step``, as M_k = S_1*M_(k-1) + span(v_i : a_i = k),
+        and one ``back_phase``, the only one a chain of this module runs.
         """
         if k < self.e:
             return [], []
@@ -340,6 +316,7 @@ class FormsIdeal:
         while chain.k < k:
             chain.step([v for v, a in zip(self.vectors, self.degrees)
                         if a == chain.k + 1])
+            back_phase(chain.pivots, chain.rows, chain.ncols)
             self._rref[chain.k] = (chain.pivots, chain.rows)
         return self._rref[k]
 
@@ -376,6 +353,15 @@ class FormsIdeal:
         tau, and dim A <= 1.  A repeated factor of the forms makes dim A
         = 2, and then no degree passes.
 
+        Every tested degree m is also held to a complete-intersection
+        bound.  Let a be the top generator degree.  If J has codimension
+        two, as J_f has for a reduced curve, so has the ideal J_a
+        generates, with the same radical, and two general forms g_1, g_2
+        of J_a are a regular sequence, so H(m) <= dim (S/(g_1, g_2))_m =
+        ``twists_dim(((a, a), (2a,)), m)``.  The first m above it is
+        recorded in ``_excess`` and the chain stops there: the forms
+        share a factor, and ``CurveData.tjurina`` raises.
+
         The chain is stepped up from the top generator degree one degree
         at a time, each degree tested once; it stops at the first pass
         or at kmax - 1, the top slice ``CurveData.tjurina``'s
@@ -390,15 +376,20 @@ class FormsIdeal:
         the relation walks of ``relations`` stop two or three degrees
         above the regularity anyway.
         """
+        a = max(self.degrees, default=0)
         m = self._tested + 1
-        while self._regular is None and m <= self.kmax - 2:
-            if self.rank_at(m) == slice_dim(m):
+        while (self._regular is None and self._excess is None
+               and m <= self.kmax - 2):
+            dim = slice_dim(m) - self.rank_at(m)
+            if not dim:
                 self._regular = (m, 0)
+            elif dim > twists_dim(((a, a), (2 * a,)), m):
+                self._excess = m
             else:
-                dims = [slice_dim(k) - self.rank_at(k)
-                        for k in (m - 1, m, m + 1)]
-                if dims[1] == dims[2] <= dims[0] and self._h_onto(m):
-                    self._regular = (m, dims[1])
+                low, high = [slice_dim(k) - self.rank_at(k)
+                             for k in (m - 1, m + 1)]
+                if high == dim <= low and self._h_onto(m):
+                    self._regular = (m, dim)
             self._tested = m
             m += 1
         return self._regular
@@ -409,8 +400,6 @@ class FormsIdeal:
         comp_here = complement(self.rref_at(m - 1)[0], slice_dim(m - 1))
         piv, rows = self.rref_at(m)
         comp_next = complement(piv, slice_dim(m))
-        if not comp_next:
-            return True
         return len(comp_next) == rank_int(
             colon_rows(m - 1, LINEAR_FORM, comp_here, comp_next, piv, rows),
             len(comp_here))
@@ -421,8 +410,6 @@ class FormsIdeal:
         """Canonical basis of the relations of total degree m + e among
         the generators: tuples (h_i) with sum h_i v_i = 0, in the
         coordinates of ⊕_i S(-a_i)."""
-        if m < 0:
-            return []
         k = m + self.e
         cols = [col for v, a in zip(self.vectors, self.degrees)
                 for col in mono_multiples(v, a, k, self.block_shifts)]
@@ -457,11 +444,12 @@ def minimal_generators(block_shifts, start: int, top: int, dim_at,
     K of ⊕_b S(-t_b) with dim K_k = dim_at(k) and K_k spanned by
     candidates_at(k): (degrees, module), one Nakayama walk.
 
-    An ``EchelonChain`` carries S_1 M_(k-1), M the module of the picks
-    so far; the new generators at k number dim_at(k) minus its rank.
+    A ``ShiftChain`` carries S_1 M_(k-1), M the module of the picks so
+    far, in forward echelon form; the new generators at k number
+    dim_at(k) minus its rank.
     Below top the candidates that enlarge the chain are picked in
     order, so the picks depend only on the spans and that order; at top
-    they are only counted, from ``EchelonChain.next_rank``.  A negative
+    they are only counted, from ``ShiftChain.next_rank``.  A negative
     count, or picks other than the count, raises.  degrees includes the
     count at top; module, the ``FormsIdeal`` of the picks, is handed the
     chain's ranks on start..top, so a walk over it rebuilds no slice.
@@ -479,8 +467,8 @@ def minimal_generators(block_shifts, start: int, top: int, dim_at,
     degrees: list[int] = []
     vectors: list[list[int]] = []
     ranks: dict[int, int] = {}
-    chain = EchelonChain([t for b, t in enumerate(block_shifts) if b != drop],
-                         start - 1)
+    chain = ShiftChain([t for b, t in enumerate(block_shifts) if b != drop],
+                       start - 1)
     for k in range(start, top + 1):
         if k == top:
             rank = chain.next_rank()
@@ -532,7 +520,7 @@ class CurveData(FormsIdeal):
     # -- Milnor algebra -------------------------------------------------
 
     def milnor_dim(self, k: int) -> int:
-        return slice_dim(k) - self.rank_at(k) if k >= 0 else 0
+        return slice_dim(k) - self.rank_at(k)
 
     def milnor_dims(self) -> list[int]:
         """dim M(f)_k for k = 0..kmax; above a degree ``regular_degree``
@@ -546,21 +534,25 @@ class CurveData(FormsIdeal):
 
         ``regular_degree`` certifies a degree m <= 3d - 5 and tau =
         dim M(f)_m where it can; the ranks at 3d - 5 and 3d - 4 then
-        both read tau.  Where no degree is certified they are real
-        slices, and their comparison is the stabilization check:
-        failure to stabilize means f was not reduced."""
+        both read tau.  Where it finds M(f) above the complete-
+        intersection bound of a reduced curve, f is not reduced.  Where
+        it does neither, the ranks at 3d - 5 and 3d - 4 are real slices,
+        and their comparison is the stabilization check: failure to
+        stabilize means f was not reduced."""
         if self._tau is None:
-            if self.d == 1:
-                self._tau = 0
-            else:
-                self.regular_degree()
-                m1 = self.milnor_dim(3 * self.d - 5)
-                m2 = self.milnor_dim(3 * self.d - 4)
-                if m1 != m2:
-                    raise NonReducedInputError(
-                        f"Milnor algebra does not stabilize ({m1} -> {m2}): "
-                        "f has a repeated factor")
-                self._tau = m1
+            self.regular_degree()
+            if self._excess is not None:
+                raise NonReducedInputError(
+                    "Milnor algebra does not stabilize: at degree "
+                    f"{self._excess} it exceeds the complete-intersection "
+                    "bound of a reduced curve, so f has a repeated factor")
+            m1 = self.milnor_dim(3 * self.d - 5)
+            m2 = self.milnor_dim(3 * self.d - 4)
+            if m1 != m2:
+                raise NonReducedInputError(
+                    f"Milnor algebra does not stabilize ({m1} -> {m2}): "
+                    "f has a repeated factor")
+            self._tau = m1
         return self._tau
 
     def is_smooth(self) -> bool:
@@ -569,8 +561,6 @@ class CurveData(FormsIdeal):
     # -- Jacobian syzygies ---------------------------------------------
 
     def ar_dim(self, m: int) -> int:
-        if m < 0:
-            return 0
         return 3 * slice_dim(m) - self.rank_at(m + self.d - 1)
 
     def mdr(self) -> int:
@@ -615,20 +605,14 @@ class CurveData(FormsIdeal):
 def smooth_reference_dims(d: int, kmax: int) -> list[int]:
     """Hilbert function of the Milnor algebra of any smooth degree-d curve.
 
-    The partials of a smooth curve form a regular sequence, so the
-    series is ((1 - t^(d-1)) / (1 - t))^3: the cube of 1 + t + ... +
-    t^(d-2), and zero in degrees above 3(d-2).
+    The partials of a smooth curve form a regular sequence of three
+    forms of degree e = d - 1, so their Koszul complex resolves it, with
+    twists (e)^3, (2e)^3 and (3e): on degrees 0..kmax, the series
+    ((1 - t^e) / (1 - t))^3, zero in degrees above 3(d-2).
     """
-    base = [1] * (d - 1)
-    conv = base
-    for _ in range(2):
-        out = [0] * (len(conv) + len(base) - 1) if conv and base else []
-        for i, a in enumerate(conv):
-            for j, b in enumerate(base):
-                out[i + j] += a * b
-        conv = out
-    dims = conv + [0] * (kmax + 1)
-    return dims[:kmax + 1]
+    e = d - 1
+    twists = ((e,) * 3, (2 * e,) * 3, (3 * e,))
+    return [twists_dim(twists, k) for k in range(kmax + 1)]
 
 
 # -- module-level wrappers --------------------------------------------

@@ -51,6 +51,18 @@ def slice_dim(k: int) -> int:
     return (k + 1) * (k + 2) // 2 if k >= 0 else 0
 
 
+def twists_dim(twists, k: int) -> int:
+    """dim (S/M)_k read off the twists of a graded free resolution of
+    S/M: dim S_k plus, over positions p = 1, 2, ..., (-1)^p times the
+    sum of dim S_(k-t) over the twists t of position p."""
+    total = slice_dim(k)
+    sign = -1
+    for position in twists:
+        total += sign * sum(slice_dim(k - t) for t in position)
+        sign = -sign
+    return total
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(k: int) -> tuple[Monomial, ...]:
     """Degree-k monomials in graded lex order (x > y > z)."""
@@ -114,14 +126,6 @@ class HomogeneousPoly:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, degree: int) -> "HomogeneousPoly":
-        return cls(degree)
-
-    @classmethod
-    def monomial(cls, mono: Monomial, coeff: Coeff = 1) -> "HomogeneousPoly":
-        return cls(mono.degree, [(mono, coeff)])
 
     @classmethod
     def from_vector(cls, degree: int, coords: Sequence[Coeff]) -> "HomogeneousPoly":

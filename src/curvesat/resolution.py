@@ -10,13 +10,14 @@ and each later position holds the minimal relations among the previous
 position's generators, the walk over their kernel
 (``jacobian.FormsIdeal.relations``): the partials give AR(f), AR(f)
 gives its relations, the generators of I_f give theirs.  The walk
-carries the span of what it has picked up a forward echelon chain
-(``jacobian.EchelonChain``), never back-substituted, so candidates are
-read only in a degree below the top where a generator appears, and at
-the top degree generators are only counted.  The module a walk returns
-carries the slice ranks that walk reached, so the walk over its
-relations rebuilds no slice: only the slices of J_f, whose rows the
-saturation reads, are eliminated as canonical echelon forms.  Every
+carries the span of what it has picked up the one slice chain
+(``jacobian.ShiftChain``), a forward echelon form it never
+back-substitutes, so candidates are read only in a degree below the
+top where a generator appears, and at the top degree generators are
+only counted.  The module a walk returns carries the slice ranks that
+walk reached, so the walk over its relations rebuilds no slice: only
+the slices of J_f, whose rows the saturation reads, are eliminated,
+and ``FormsIdeal.rref_at`` makes them canonical echelon forms.  Every
 walk stops at a top degree read off the regularity
 (``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
 regularity r has its generators in degrees at most r and their
@@ -40,7 +41,7 @@ from .errors import FreenessCheckFailedError, WrongShapeError
 # perfbench/spans.py patches this module's names
 from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
 from .jacobian import CurveData
-from .poly import HomogeneousPoly, slice_dim
+from .poly import HomogeneousPoly, slice_dim, twists_dim
 from .saturation import saturate
 
 
@@ -86,15 +87,11 @@ def min_generators(f):
 
 def _certify(twists, hilbert, kmax: int, name: str):
     """Check the twists of a free resolution of S/M against the Hilbert
-    function of S/M on degrees 0..kmax: dim S_k plus the alternating
-    sum over positions p of the dim S_(k-t), sign (-1)^p, must equal
-    hilbert(k).  A mismatch raises FreenessCheckFailed."""
+    function of S/M on degrees 0..kmax: the alternating sum
+    ``twists_dim(twists, k)`` must equal hilbert(k).  A mismatch raises
+    FreenessCheckFailed."""
     for k in range(kmax + 1):
-        predicted = slice_dim(k)
-        sign = -1
-        for position in twists:
-            predicted += sign * sum(slice_dim(k - t) for t in position)
-            sign = -sign
+        predicted = twists_dim(twists, k)
         actual = hilbert(k)
         if predicted != actual:
             raise FreenessCheckFailedError(

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvesat import catalog, jacobian
-from curvesat.exactla import (IncrementalSpan, kernel_int, rank_int,
-                              rref_insert, rref_int)
-from curvesat.jacobian import (CurveData, EchelonChain, FormsIdeal,
-                               ShiftChain, shift_block_vector)
+from curvesat.exactla import (IncrementalSpan, back_phase, kernel_int,
+                              rank_int, rref_insert, rref_int)
+from curvesat.jacobian import (CurveData, FormsIdeal, ShiftChain,
+                               shift_block_vector)
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, monomial_index, slice_dim
 from curvesat.resolution import (betti_jacobian, betti_saturated,
@@ -64,7 +64,7 @@ def reference_ar_generators(cd, top):
             if span.insert(vec):
                 degrees.append(m)
                 vectors.append(list(vec))
-        assert len(span) == len(kernel)
+        assert len(span.pivots) == len(kernel)
     return degrees, vectors
 
 
@@ -239,10 +239,10 @@ def test_next_rank_is_the_rank_step_builds(data):
     # leaves the chain where it was, after any prior steps and inserts
     draw = data.draw
     shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    chain = EchelonChain(shifts, min(shifts) - 1)
+    chain = ShiftChain(shifts, min(shifts) - 1)
     for _ in range(draw(st.integers(0, 3))):
-        if chain.ncols():
-            for vec in _vectors(draw, draw(st.integers(0, 2)), chain.ncols()):
+        if chain.ncols:
+            for vec in _vectors(draw, draw(st.integers(0, 2)), chain.ncols):
                 chain.insert(vec)
         ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
         chain.step(_vectors(draw, draw(st.integers(0, 2)), ncols))
@@ -258,23 +258,25 @@ def test_next_rank_is_the_rank_step_builds(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
-    # the walk's forward echelon chain and the canonical chain, driven
-    # through the same steps, inserts and extras, agree on the pivots,
-    # on every insert answer, and next_rank counts the slice the
-    # canonical step builds; their rows span the same slice
+    # the walk's forward echelon chain and a chain made canonical by a
+    # back phase after each step, as rref_at does, driven through the
+    # same steps, inserts and extras, agree on the pivots, on every
+    # insert answer, and next_rank counts the slice the canonical step
+    # builds; their rows span the same slice
     draw = data.draw
     shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
     canonical = ShiftChain(shifts, min(shifts) - 1)
-    echelon = EchelonChain(shifts, min(shifts) - 1)
+    echelon = ShiftChain(shifts, min(shifts) - 1)
     for _ in range(draw(st.integers(1, 4))):
         ncols = sum(slice_dim(canonical.k + 1 - t) for t in shifts)
         extra = _vectors(draw, draw(st.integers(0, 3)), ncols)
         rank = echelon.next_rank(extra)
         canonical.step(extra)
+        back_phase(canonical.pivots, canonical.rows, canonical.ncols)
         assert rank == len(canonical.pivots)
         echelon.step(extra)
         assert echelon.pivots == canonical.pivots
-        ncols = canonical.ncols()
+        ncols = canonical.ncols
         for vec in _vectors(draw, draw(st.integers(0, 2)), ncols):
             grew = rref_insert(canonical.pivots, canonical.rows, list(vec),
                                ncols)
@@ -296,7 +298,7 @@ def test_the_top_degree_of_a_walk_is_only_counted(monkeypatch, name):
         kept = [a for i, a in enumerate(module.degrees) if i != b]
         first = module.relations(top)      # every slice of module cached
         steps, widths = [], []
-        step, extend = EchelonChain.step, IncrementalSpan.extend
+        step, extend = ShiftChain.step, IncrementalSpan.extend
 
         def counted_step(chain, extra=()):
             steps.append(chain.k + 1)
@@ -306,7 +308,7 @@ def test_the_top_degree_of_a_walk_is_only_counted(monkeypatch, name):
             widths.append(span.ncols)
             return extend(span, vecs)
 
-        monkeypatch.setattr(EchelonChain, "step", counted_step)
+        monkeypatch.setattr(ShiftChain, "step", counted_step)
         monkeypatch.setattr(IncrementalSpan, "extend", recorded)
         again = module.relations(top)
         monkeypatch.undo()
@@ -332,14 +334,14 @@ def reference_walk(module, top):
         ncols = sum(slice_dim(k - a) for a in shifts)
         span = IncrementalSpan(ncols)
         span.extend(_shifted(rows, k - 1, shifts))
-        count = ncols - module.rank_at(k) - len(span)
+        count = ncols - module.rank_at(k) - len(span.pivots)
         degrees.extend([k] * count)
         if count and k < top:
             picked = [vec for vec in module.kernel_at(k - module.e)
                       if span.insert(vec)]
             assert len(picked) == count
             vectors.extend(picked)
-        ranks[k] = len(span)
+        ranks[k] = len(span.pivots)
         rows = span.rows
     return degrees, vectors, ranks
 

@@ -120,6 +120,20 @@ def test_verdicts_nearly_free_quartic():
     assert verdict(report, "free-resolution-shape").status == "NOT_APPLICABLE"
 
 
+@pytest.mark.parametrize("name", ["tricuspidal-4", "a6-quartic"])
+def test_rational_cuspidal_quartics(name):
+    # three A2 cusps and one A6 cusp both give tau = 6; a rational
+    # cuspidal curve is free or nearly free, and I_f of these needs four
+    # generators, the most a nearly free curve's saturation can have
+    report = analyze_catalog(name)
+    assert report.tau == 6
+    cls = report.classification
+    assert (cls.kind, cls.exponents) == (NEARLY_FREE, (2, 2))
+    assert report.betti_saturated.twists == ((3, 3, 3, 3), (4, 4, 4))
+    assert all(v.status in ("PASS", "NOT_APPLICABLE")
+               for v in report.verdicts)
+
+
 def test_verdicts_nearly_free_sextic_regularity():
     report = analyze(parse_poly("y^6 + x*z^5"))
     assert report.classification.exponents == (1, 5)

@@ -99,6 +99,14 @@ def test_non_reduced_exit_code(capsys):
     assert "error:" in err
 
 
+def test_the_largest_non_reduced_power_exits_3(capsys):
+    # x^64 is the largest power the parser accepts; its first slice of
+    # J_f already leaves the bound of a reduced curve
+    rc, _, err = run(capsys, ["analyze", "--poly", "x^64"])
+    assert rc == 3
+    assert "degree 63" in err
+
+
 def test_unknown_catalog_exit_code(capsys):
     rc, _, err = run(capsys, ["analyze", "--catalog", "no-such-entry"])
     assert rc == 4

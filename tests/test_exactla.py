@@ -226,7 +226,7 @@ def test_incremental_span_membership():
     assert rank_growth(span.pivots, span.rows,
                        [[1, 0, 0], [0, 1, 0]], 3) == 1
     assert span.insert([0, 0, 5])
-    assert len(span) == 2
+    assert len(span.pivots) == 2
     assert span.rows == [[1, 1, 0], [0, 0, 1]]
 
 

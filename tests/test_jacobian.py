@@ -57,6 +57,8 @@ def test_fermat_cubic_invariants():
 def test_smooth_reference_dims():
     assert smooth_reference_dims(3, 9) == [1, 3, 3, 1, 0, 0, 0, 0, 0, 0]
     assert smooth_reference_dims(2, 4) == [1, 0, 0, 0, 0]
+    # degrees 0..kmax: none at all for a negative kmax
+    assert smooth_reference_dims(3, -2) == []
     dims = smooth_reference_dims(5, 12)
     assert sum(dims) == 4 ** 3
     assert dims[9] == 1 and dims[10] == 0
@@ -112,6 +114,19 @@ def test_non_reduced_input_rejected():
         with pytest.raises(NonReducedInputError, match="does not stabilize"):
             cd.tjurina()
         assert cd.regular_degree() is None
+
+
+@pytest.mark.parametrize("text, degree", [("x^64", 63), ("x^2*y", 3)])
+def test_non_reduced_input_stops_at_the_complete_intersection_bound(
+        text, degree):
+    # a reduced curve has dim M(f)_k at most that of two general forms of
+    # degree d - 1 in J_f; x^64 leaves that bound at its first slice,
+    # and the chain stops at the degree it is left, not at kmax = 189
+    cd = CurveData(parse_poly(text))
+    with pytest.raises(NonReducedInputError,
+                       match=f"does not stabilize: at degree {degree} "):
+        cd.tjurina()
+    assert cd._chain.k == degree
 
 
 def test_late_syzygy_generator_needs_full_scan():
