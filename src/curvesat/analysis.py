@@ -190,8 +190,7 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
     ct = clock("ct", coincidence)
     milnor = clock("milnorTable", cd.milnor_dims)
     sat = clock("saturation", lambda: saturate(cd))
-    n_gens = clock("nGenerators", lambda: (
-        sorted(n_min_generators(sat)) if sat.nu > 0 else []))
+    n_gens = clock("nGenerators", lambda: n_min_generators(sat))
     table_sat = clock("resolution", lambda: betti_saturated(sat))
     table_jac, ar_degs = clock("jacobianResolution", syzygy_side)
     cls = clock("classify", lambda: classify(cd, sat))

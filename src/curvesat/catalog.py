@@ -104,6 +104,13 @@ def _build():
          "rational cuspidal quartic with three A2 cusps")
     poly("a6-quartic", "(y*z - x^2)^2 - x*y^3", True,
          "rational cuspidal quartic with one A6 cusp")
+    b3 = ["x", "y", "z", "x + y", "x - y", "x + z", "x - z", "y + z", "y - z"]
+    arrangement("b3", b3, "reflection arrangement of the Coxeter group B3")
+    arrangement("b3-deleted", b3[:-1], "B3 arrangement with y - z removed")
+    arrangement("grid-4x4",
+                ["x", "x - z", "x - 2*z", "x - 3*z",
+                 "y", "y - z", "y - 2*z", "y - 3*z", "z"],
+                "4x4 grid of lines plus the line at infinity")
     return {e.name: e for e in entries}
 
 

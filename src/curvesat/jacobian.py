@@ -524,8 +524,10 @@ class CurveData(FormsIdeal):
 
     def milnor_dims(self) -> list[int]:
         """dim M(f)_k for k = 0..kmax; above a degree ``regular_degree``
-        certifies they are read as tau, so the chain stops there too."""
-        self.regular_degree()
+        certifies they are read as tau, so the chain stops there too.
+        ``tjurina`` runs first, so a non-reduced f raises where the chain
+        leaves the reduced bound rather than after stepping to kmax."""
+        self.tjurina()
         return [self.milnor_dim(k) for k in range(self.kmax + 1)]
 
     def tjurina(self) -> int:
@@ -642,9 +644,11 @@ def ar_min_generators(f) -> list[int]:
     The scan runs to the closed bound 2(d-1): AR(f)(-(d-1)) sits in
     position two of the resolution of M(f), whose regularity is at most
     T = 3(d-2) for a reduced curve, so AR(f) is generated in degrees at
-    most T - d + 3 < 2(d-1).
+    most T - d + 3 < 2(d-1).  That bound holds for reduced f only, so
+    ``tjurina`` runs first and rejects the rest.
     """
     cd = _data(f)
+    cd.tjurina()
     degrees, _ = cd.ar_min_generators(2 * (cd.d - 1))
     return sorted(degrees)
 

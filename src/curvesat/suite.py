@@ -7,17 +7,11 @@ resolution twist identities, generator-count bounds, and the
 generic-form rank pattern.
 Each property only counts curves where its hypothesis applies, so the
 summary reports applicable counts rather than the raw curve total.
-
-Set CURVESAT_THREADS to a value above 1 to analyze curves in worker
-processes, at most one per CPU.  Results are deterministic for a fixed
-seed either way.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import catalog
@@ -120,15 +114,7 @@ def _form_text(row) -> str:
     return text
 
 
-def _run_one(task):
-    name, kind, payload, seed = task
-    if kind == "catalog":
-        e = catalog.entry(payload)
-        obj = catalog.load(payload)
-        irreducible = e.irreducible
-    else:
-        obj = parse_arrangement(payload)
-        irreducible = False
+def _run_one(name, obj, irreducible, seed):
     report, _cd, sat = analyze_full(obj, name=name, irreducible=irreducible)
     samples = ()
     if report.classification.kind == NEARLY_FREE and report.tau > 0:
@@ -154,23 +140,6 @@ def _lifts_outside(sat) -> tuple:
         if n and rank_growth(*sat.i_rref(k + 1),
                              [v for t in sat.lift_shifts(k) for v in t],
                              slice_dim(k + 1)))
-
-
-def _worker_count() -> int:
-    """CURVESAT_THREADS clamped to 1..os.cpu_count(); 1 when unset."""
-    try:
-        wanted = int(os.environ.get("CURVESAT_THREADS", ""))
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
-
-
-def _run_tasks(tasks):
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, tasks))
-    return [_run_one(t) for t in tasks]
 
 
 # Per-record checks return None when not applicable, else (ok, detail).
@@ -352,15 +321,14 @@ def run_suite(random_count: int = 25, seed: int = 0,
         if unknown:
             raise ValueError(f"unknown suite properties: {sorted(unknown)}")
 
-    tasks = []
-    for i, name in enumerate(catalog.names()):
-        tasks.append((name, "catalog", name, 1000 * i))
+    records = [_run_one(name, catalog.load(name),
+                        catalog.entry(name).irreducible, 1000 * i)
+               for i, name in enumerate(catalog.names())]
     rng = random.Random(seed)
     for i in range(random_count):
-        text = random_arrangement_text(rng)
-        tasks.append((f"random-{i}", "text", text, 10 ** 6 + 1000 * i))
-
-    records = _run_tasks(tasks)
+        arr = parse_arrangement(random_arrangement_text(rng))
+        records.append(_run_one(f"random-{i}", arr, False,
+                                10 ** 6 + 1000 * i))
 
     results = []
     for pname, fn in PROPERTIES:

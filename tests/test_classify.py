@@ -134,6 +134,30 @@ def test_rational_cuspidal_quartics(name):
                for v in report.verdicts)
 
 
+@pytest.mark.parametrize("name, tau, exponents", [
+    ("b3", 49, (3, 5)),
+    ("b3-deleted", 37, (3, 4)),
+    ("grid-4x4", 48, (4, 4)),
+])
+def test_free_arrangements_known_without_the_engine(name, tau, exponents):
+    # tau is the sum of (m - 1)^2 over the intersection points.  B3's
+    # exponents are its reflection exponents 1, 3, 5 without the Euler
+    # one (Orlik-Terao 1992).  y - z meets the other lines of B3 in
+    # 4 = 3 + 1 points, so deleting it lowers 5 to 4 (Terao 1980).  The
+    # grid is supersolvable: every intersection point lies on one of
+    # the 5 lines through (0:1:0), so its exponents are (5 - 1, 9 - 5)
+    # (Jambu-Terao 1984).
+    report = analyze_catalog(name)
+    assert report.tau == report.combinatorics["tau"] == tau
+    cls = report.classification
+    assert (cls.kind, cls.exponents) == (FREE, exponents)
+    d = report.degree
+    assert report.betti_saturated.twists == (
+        (d - 1,) * 3, tuple(d - 1 + e for e in exponents))
+    assert all(v.status in ("PASS", "NOT_APPLICABLE")
+               for v in report.verdicts)
+
+
 def test_verdicts_nearly_free_sextic_regularity():
     report = analyze(parse_poly("y^6 + x*z^5"))
     assert report.classification.exponents == (1, 5)

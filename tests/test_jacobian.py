@@ -129,6 +129,16 @@ def test_non_reduced_input_stops_at_the_complete_intersection_bound(
     assert cd._chain.k == degree
 
 
+@pytest.mark.parametrize("entry", [CurveData.milnor_dims, ar_min_generators])
+def test_library_entry_points_reject_non_reduced_input_at_once(entry):
+    # x^24 leaves the reduced bound at degree 23, far below kmax = 69;
+    # the syzygy scan's bound 2(d - 1) holds for reduced f only
+    cd = CurveData(parse_poly("x^24"))
+    with pytest.raises(NonReducedInputError, match="at degree 23 "):
+        entry(cd)
+    assert cd._chain.k < 24
+
+
 def test_late_syzygy_generator_needs_full_scan():
     # the degree-8 generator comes three quiet degrees after the last
     # degree-5 one; the scan must run all the way to its bound

@@ -2,14 +2,17 @@
 
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from curvesat import catalog, suite
 from curvesat.parsing import parse_arrangement
 from curvesat.poly import slice_dim
-from curvesat.suite import (PROPERTIES, _worker_count, property_names,
+from curvesat.suite import (PROPERTIES, property_names,
                             random_arrangement_text, run_suite)
 
 EXPECTED_PROPERTIES = [
@@ -71,29 +74,19 @@ def test_run_suite_small_sweep():
     assert all(p["failures"] == [] for p in data["properties"])
 
 
-def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
-    # reads the setting only; no worker process is started
-    monkeypatch.setenv("CURVESAT_THREADS", str(10 ** 9))
-    assert _worker_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("CURVESAT_THREADS", "-3")
-    assert _worker_count() == 1
-    monkeypatch.setenv("CURVESAT_THREADS", "many")
-    assert _worker_count() == 1
-
-
-def test_worker_pool_gives_the_serial_records(monkeypatch):
-    # two catalog curves and one arrangement text, analyzed in this
-    # process and then by a pool of two workers (one when the machine
-    # has a single CPU)
-    tasks = [("braid", "catalog", "braid", 0),
-             ("nf-d5-k2", "catalog", "nf-d5-k2", 1000),
-             ("four-lines", "text", "x\ny\nz\nx + y + z\n", 2000)]
-    monkeypatch.delenv("CURVESAT_THREADS", raising=False)
-    serial = suite._run_tasks(tasks)
-    monkeypatch.setenv("CURVESAT_THREADS", "2")
-    pooled = suite._run_tasks(tasks)
-    assert [r.name for r in serial] == ["braid", "nf-d5-k2", "four-lines"]
-    assert pooled == serial
+def test_import_starts_no_process_pool():
+    # the suite runs every curve in this process; a fresh interpreter, so
+    # that no other test's imports are counted
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, curvesat; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
@@ -111,11 +104,14 @@ def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
         sat._shifts.clear()
         return report, cd, sat
 
+    def run():
+        return suite._run_one("generic-5", catalog.load("generic-5"),
+                              False, 0)
+
     oracle = dict(PROPERTIES)["saturation-oracle"]
-    task = ("generic-5", "catalog", "generic-5", 0)
-    assert oracle(suite._run_one(task)) == (True, "")
+    assert oracle(run()) == (True, "")
     monkeypatch.setattr(suite, "analyze_full", corrupted)
-    rec = suite._run_one(task)
+    rec = run()
     assert rec.lifts_outside == (4,)
     ok, detail = oracle(rec)
     assert not ok and "k = [4]" in detail
