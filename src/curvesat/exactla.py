@@ -2,9 +2,12 @@
 
 There is one kernel, in pure Python, and no Fraction entry points:
 every vector is a list of Python ints.  Rational input is cleared to
-integers row by row (``clear_row``) before it gets here; scaling a row
-changes neither the row span nor the kernel, so ranks, spans and
-kernels of the cleared matrix are those of the rational one.
+integers before it gets here, each polynomial by ``poly.primitivize``;
+scaling a row changes neither the row span nor the kernel, so ranks,
+spans and kernels of the cleared matrix are those of the rational one.
+``clear_row`` no longer receives that input and has no caller in the
+package: ``saturation`` keeps it bound only for the benchmark's tracer
+(``perfbench/spans.py``).
 
 A forward echelon form is a list of rows with distinct leading
 columns, its pivots, in increasing order.  Three building blocks carry

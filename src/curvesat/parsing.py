@@ -15,13 +15,21 @@ The degree cap does not bound the term counts, so a product of a
 terms by b terms is also refused, before it is expanded, when a * b
 exceeds ``MAX_TERM_PAIRS``; ``^`` expands by repeated squaring, at most
 two products per binary digit of the exponent.
-The expression is expanded to a sparse polynomial and then checked: it
-must be nonzero and homogeneous (the check runs on the expanded result,
-so mixed-degree intermediates inside parentheses are fine as long as
-they cancel).
+No more than ``MAX_NESTING`` (100) parentheses and unary minuses may
+be open at once; the one past it is refused at its offset, so the
+accepted depth is fixed and never depends on the interpreter's stack.
+The expression is expanded to a sparse polynomial, with the sum and
+product of ``poly.add_terms`` and ``poly.mul_terms``, and then checked:
+it must be nonzero and homogeneous (the check runs on the expanded
+result, so mixed-degree intermediates inside parentheses are fine as
+long as they cancel).
 
 Arrangement files contain one linear form per line; ``#`` starts a
-comment, blank lines are skipped, the file is UTF-8.
+comment, blank lines are skipped, the file is UTF-8.  A file may hold
+at most ``MAX_DEGREE`` forms, the degree cap of their product; the form
+past it is refused before it is parsed, and before any product is
+formed.  Lines and intersection points are normalized by
+``poly.primitivize``.
 """
 
 from __future__ import annotations
@@ -29,13 +37,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import (InconsistentCombinatoricsError, NotHomogeneousError,
                      NotLinearError, ParseError, PolySyntaxError,
                      ProportionalLinesError, ZeroPolynomialError)
-from .exactla import clear_row
-from .poly import HomogeneousPoly, Monomial
+from .poly import (HomogeneousPoly, Monomial, add_terms, mul_terms,
+                   primitivize)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xyz])|([()+\-*/^]))")
 
@@ -50,6 +58,11 @@ MAX_DEGREE = 64
 # each).  The catalog, the tests and the benchmark workloads multiply at
 # most 289 pairs at once; (x+y+z+1)^32 needs 969^2.
 MAX_TERM_PAIRS = 125_000
+
+# The most '(' and unary '-' open at once.  Each one nests a few frames
+# of the recursive descent, so this keeps every accepted input well
+# inside the interpreter's default recursion limit, whatever the caller.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -82,6 +95,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0      # '(' and unary '-' open at the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -95,6 +109,14 @@ class _Parser:
         kind, val, pos = self.take()
         if kind != "op" or val != op:
             raise PolySyntaxError(f"expected {op!r}", pos)
+
+    def enter(self, pos):
+        """Enter the '(' or unary '-' at offset pos; the caller leaves
+        it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolySyntaxError(
+                f"nesting exceeds the cap {MAX_NESTING}", pos)
 
     def parse(self):
         result = self.expr()
@@ -110,7 +132,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                acc = _add(acc, rhs if val == "+" else _neg(rhs))
+                acc = add_terms(acc, rhs if val == "+" else _neg(rhs))
             else:
                 return acc
 
@@ -130,7 +152,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return _neg(self.factor())
+            self.enter(pos)
+            inner = _neg(self.factor())
+            self.depth -= 1
+            return inner
         base = self.base()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -162,8 +187,10 @@ class _Parser:
         if kind == "var":
             return {_VARS[val]: Fraction(1)}
         if kind == "op" and val == "(":
+            self.enter(pos)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise PolySyntaxError(
             "expected a number, variable or parenthesized expression", pos)
@@ -180,17 +207,6 @@ def _check_degree(degree: int, pos: int) -> None:
             f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
 
 
-def _add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
 def _neg(a):
     return {e: -c for e, c in a.items()}
 
@@ -200,16 +216,7 @@ def _mul(a, b, pos):
         raise PolySyntaxError(
             f"product of {len(a)} by {len(b)} terms exceeds the cap of "
             f"{MAX_TERM_PAIRS} term pairs", pos)
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+    return mul_terms(a, b)
 
 
 def _pow(a, n, pos):
@@ -235,8 +242,7 @@ def parse_poly(text: str) -> HomogeneousPoly:
         raise NotHomogeneousError(
             f"mixed degrees {sorted(degrees)} after expansion")
     (degree,) = degrees
-    return HomogeneousPoly(degree,
-                           {Monomial(*e): c for e, c in expanded.items()})
+    return HomogeneousPoly(degree, expanded)
 
 
 @dataclass(frozen=True)
@@ -257,20 +263,7 @@ class Arrangement:
 
     def coefficient_rows(self) -> list[list[int]]:
         """Primitive integer (cx, cy, cz) per line, sign of first nonzero > 0."""
-        out = []
-        for form in self.forms:
-            row = clear_row([
-                form.terms.get(Monomial(1, 0, 0), Fraction(0)),
-                form.terms.get(Monomial(0, 1, 0), Fraction(0)),
-                form.terms.get(Monomial(0, 0, 1), Fraction(0)),
-            ])
-            g = gcd(gcd(abs(row[0]), abs(row[1])), abs(row[2]))
-            row = [v // g for v in row]
-            lead = next(v for v in row if v)
-            if lead < 0:
-                row = [-v for v in row]
-            out.append(row)
-        return out
+        return [primitivize(f).int_vector() for f in self.forms]
 
 
 def parse_arrangement(text: str) -> Arrangement:
@@ -281,6 +274,10 @@ def parse_arrangement(text: str) -> Arrangement:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if len(forms) == MAX_DEGREE:
+            raise ParseError(
+                f"line {lineno}: more than {MAX_DEGREE} forms, so the "
+                f"product would exceed the degree cap {MAX_DEGREE}")
         try:
             form = parse_poly(line)
         except ParseError as exc:
@@ -329,12 +326,8 @@ def combinatorics(arr: Arrangement) -> ArrangementCombinatorics:
     seen = {}
     for i in range(d):
         for j in range(i + 1, d):
-            p = _cross(rows[i], rows[j])
-            g = gcd(gcd(abs(p[0]), abs(p[1])), abs(p[2]))
-            p = [v // g for v in p]
-            lead = next(v for v in p if v)
-            if lead < 0:
-                p = [-v for v in p]
+            p = primitivize(HomogeneousPoly.from_vector(
+                1, _cross(rows[i], rows[j]))).int_vector()
             key = tuple(p)
             if key in seen:
                 continue

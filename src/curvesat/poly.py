@@ -96,6 +96,33 @@ def shift_maps(k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
     return tuple(xs), tuple(ys), tuple(zs)
 
 
+def add_terms(a: dict, b: dict) -> dict:
+    """Sum of two sparse term dicts, exponent triple -> Fraction, with
+    cancelled terms dropped; neither need be homogeneous."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """Product of two sparse term dicts, as in ``add_terms``."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
 class HomogeneousPoly:
     """Homogeneous polynomial with a degree tag and Fraction coefficients."""
 
@@ -161,26 +188,18 @@ class HomogeneousPoly:
 
     def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         self._check_degree(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return HomogeneousPoly(self.degree, terms)
+        return HomogeneousPoly(self.degree, add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.degree,
-                               {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "HomogeneousPoly":
         if isinstance(other, HomogeneousPoly):
-            terms: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-            return HomogeneousPoly(self.degree + other.degree, terms)
+            return HomogeneousPoly(self.degree + other.degree,
+                                   mul_terms(self.terms, other.terms))
         return self.scale(other)
 
     def scale(self, c: Coeff) -> "HomogeneousPoly":

@@ -361,7 +361,9 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     the same bound keeps constant; an ideal primary to the irrelevant
     ideal gives 0.  ``regular_degree`` runs first: where it certifies a
     degree, the three dimensions all read its tau (a common factor never
-    passes it), and no slice above it plus one is built.
+    passes it), and no slice above it plus one is built; where it finds
+    the quotient above the complete-intersection bound, the forms share
+    a factor, and the call raises with no slice above that degree built.
     """
     forms = tuple(primitivize(g) for g in (g1, g2, g3))
     degs = {g.degree for g in forms}
@@ -372,6 +374,10 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
         raise WrongShapeError("constant forms cannot cut out a codim-2 ideal")
     data = FormsIdeal([g.int_vector() for g in forms], (e,) * 3)
     data.regular_degree()
+    if data._excess is not None:
+        raise NotCodimensionTwoError(
+            f"quotient dimension at degree {data._excess} exceeds the "
+            "complete-intersection bound: the forms share a common factor")
     dims = [slice_dim(k) - data.rank_at(k)
             for k in range(3 * e - 2, 3 * e + 1)]
     if dims[-1] == 0:

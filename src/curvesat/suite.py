@@ -19,7 +19,7 @@ from .analysis import analyze_full
 from .classify import FAIL, FREE, NEARLY_FREE
 from .exactla import rank_growth
 from .parsing import parse_arrangement
-from .poly import slice_dim
+from .poly import HomogeneousPoly, slice_dim
 from .saturation import lefschetz_check
 
 _LEFSCHETZ_SAMPLES = 3
@@ -93,25 +93,14 @@ def random_arrangement_text(rng: random.Random) -> str:
         if any(_proportional(cand, old) for old in rows):
             continue
         rows.append(cand)
-    return "\n".join(_form_text(row) for row in rows) + "\n"
+    return "".join(f"{HomogeneousPoly.from_vector(1, row)}\n"
+                   for row in rows)
 
 
 def _proportional(u, v) -> bool:
     return (u[0] * v[1] == u[1] * v[0]
             and u[0] * v[2] == u[2] * v[0]
             and u[1] * v[2] == u[2] * v[1])
-
-
-def _form_text(row) -> str:
-    parts = []
-    for coef, var in zip(row, "xyz"):
-        if coef:
-            parts.append(("-" if coef < 0 else "+", f"{abs(coef)}*{var}"))
-    sign, head = parts[0]
-    text = ("-" if sign == "-" else "") + head
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
 
 
 def _run_one(name, obj, irreducible, seed):

@@ -149,15 +149,15 @@ def test_suite_single_property(capsys):
     assert "suite: PASS" in out
 
 
-def _analyze_in_subprocess(expr):
-    # a subprocess with a timeout: expanding these inputs would spin for
-    # minutes
+def _analyze_in_subprocess(*args):
+    # a subprocess with a timeout: expanding or analyzing these inputs
+    # would spin for minutes
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "curvesat.cli", "analyze", "--poly", expr],
+        [sys.executable, "-m", "curvesat.cli", "analyze", *args],
         capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -167,7 +167,7 @@ def _analyze_in_subprocess(expr):
 
 @pytest.mark.parametrize("expr", ["x^99999999", "(x+y+z)^999999"])
 def test_huge_power_is_rejected_before_expansion(expr):
-    assert "exceeds the cap 64" in _analyze_in_subprocess(expr)
+    assert "exceeds the cap 64" in _analyze_in_subprocess("--poly", expr)
 
 
 @pytest.mark.parametrize("expr", [
@@ -176,7 +176,32 @@ def test_huge_power_is_rejected_before_expansion(expr):
 ])
 def test_huge_product_is_rejected_before_expansion(expr):
     # every degree stays within the cap, but the term counts do not
-    assert "term pairs" in _analyze_in_subprocess(expr)
+    assert "term pairs" in _analyze_in_subprocess("--poly", expr)
+
+
+def test_arrangement_above_the_degree_cap_is_rejected(tmp_path):
+    # 65 distinct lines: the product of degree 65 is never formed
+    path = tmp_path / "lines.txt"
+    path.write_text("".join(f"x + {i}*y + {i * i}*z\n" for i in range(65)))
+    err = _analyze_in_subprocess("--arrangement", str(path))
+    assert "line 65: more than 64 forms" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "(" * 1000 + "x*y" + ")" * 1000],
+    ["--poly=" + "-" * 3000 + "x*y"],
+    ["--arrangement", "nested.txt"],
+])
+def test_deep_nesting_is_rejected_input(tmp_path, monkeypatch, capsys, argv):
+    # a fixed nesting cap, not the interpreter's recursion limit
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nested.txt").write_text("x\n" + "(" * 1000 + "y"
+                                         + ")" * 1000 + "\n")
+    rc, out, err = run(capsys, ["analyze", *argv])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "nesting exceeds the cap 100" in err
+    assert "Traceback" not in err
 
 
 def test_suite_rejects_a_negative_random_count(capsys):

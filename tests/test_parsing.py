@@ -13,12 +13,13 @@ from curvesat.errors import (
     InconsistentCombinatoricsError,
     NotHomogeneousError,
     NotLinearError,
+    ParseError,
     PolySyntaxError,
     ProportionalLinesError,
     ZeroPolynomialError,
 )
 from curvesat.parsing import combinatorics, parse_arrangement, parse_poly
-from curvesat.poly import Monomial
+from curvesat.poly import HomogeneousPoly, Monomial, monomial_basis
 
 
 def test_parse_simple_polynomial():
@@ -56,6 +57,49 @@ def test_term_pair_cap_rejects_before_multiplying():
     with pytest.raises(PolySyntaxError, match="969 by 969 terms") as exc:
         parse_poly("(x+y+z+1)^32 - (x+y+z+1)^32 + x^32")
     assert exc.value.position == 10
+
+
+def test_nesting_cap_rejects_at_the_offending_token():
+    # up to the cap, parentheses and unary minuses nest, in any mix; the
+    # one past it is refused at its offset, before the recursion deepens
+    assert parsing.MAX_NESTING == 100
+    xy = parse_poly("x*y")
+    assert parse_poly("(" * 100 + "x*y" + ")" * 100) == xy
+    assert parse_poly("-" * 100 + "x*y") == xy
+    assert parse_poly("-(" * 50 + "x*y" + ")" * 50) == xy
+    for text in ("(" * 101 + "x*y" + ")" * 101, "-" * 101 + "x*y",
+                 "(" * 50 + "-" * 51 + "x*y" + ")" * 50):
+        with pytest.raises(PolySyntaxError,
+                           match="nesting exceeds the cap 100") as exc:
+            parse_poly(text)
+        assert exc.value.position == 100
+
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def forms(draw):
+    d = draw(st.integers(min_value=0, max_value=4))
+    basis = monomial_basis(d)
+    vec = draw(st.lists(fractions, min_size=len(basis), max_size=len(basis)))
+    return HomogeneousPoly(d, zip(basis, vec))
+
+
+@given(forms().filter(lambda f: not f.is_zero()),
+       forms().filter(lambda f: not f.is_zero()))
+def test_parser_and_poly_share_one_arithmetic(a, b):
+    # the printed forms parse back, and the parser's product, sum and
+    # difference are those of HomogeneousPoly
+    assert parse_poly(f"({a})*({b})") == a * b
+    if a.degree != b.degree:
+        return
+    for text, want in ((f"({a}) + ({b})", a + b), (f"({a}) - ({b})", a - b)):
+        if want.is_zero():
+            with pytest.raises(ZeroPolynomialError):
+                parse_poly(text)
+        else:
+            assert parse_poly(text) == want
 
 
 def test_parse_fraction_coefficients():
@@ -117,6 +161,15 @@ def test_parse_arrangement_rejects_proportional_lines():
         parse_arrangement("x\n2*x\ny\n")
     with pytest.raises(ProportionalLinesError):
         parse_arrangement("x - y\n-1/2*x + 1/2*y\n")
+
+
+def test_parse_arrangement_caps_the_line_count():
+    # 65 distinct lines would multiply to a curve above the degree cap;
+    # the 65th form is refused before it is parsed
+    lines = [f"x + {i}*y + {i * i}*z" for i in range(65)]
+    assert parse_arrangement("\n".join(lines[:64])).degree == 64
+    with pytest.raises(ParseError, match="line 65: more than 64 forms"):
+        parse_arrangement("\n".join(lines))
 
 
 def test_parse_arrangement_line_prefix_on_syntax_error():

@@ -11,8 +11,9 @@ from curvesat import catalog, saturation
 from curvesat.analysis import analyze_catalog, emit_json
 from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
                              WrongShapeError)
+from curvesat.jacobian import FormsIdeal
 from curvesat.parsing import Arrangement, parse_poly
-from curvesat.poly import partials, slice_dim
+from curvesat.poly import X, Y, Z, partials, slice_dim
 from curvesat.saturation import (
     lefschetz_check,
     n_min_generators,
@@ -109,6 +110,25 @@ def test_three_forms_rejects_common_factor():
     with pytest.raises(NotCodimensionTwoError, match="common factor"):
         saturate_three_forms(parse_poly("x^2"), parse_poly("x*y"),
                              parse_poly("x*z"))
+
+
+def test_three_forms_stop_at_the_complete_intersection_bound(monkeypatch):
+    # x*g, y*g, z*g of degree e = 14 leave the bound at degree 16; no
+    # slice above it is built, none of the slices up to 3e = 42 that the
+    # stabilization check would read
+    asked = []
+    rref_at = FormsIdeal.rref_at
+
+    def watched(self, k):
+        asked.append(k)
+        return rref_at(self, k)
+
+    monkeypatch.setattr(FormsIdeal, "rref_at", watched)
+    g = parse_poly("x^13 + y^13 + z^13")
+    with pytest.raises(NotCodimensionTwoError,
+                       match="at degree 16 .* common factor"):
+        saturate_three_forms(X * g, Y * g, Z * g)
+    assert max(asked) == 16
 
 
 def test_lefschetz_good_hyperplane():
