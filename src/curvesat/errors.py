@@ -38,6 +38,11 @@ class ConstantPolynomialError(ParseError):
     """A nonzero constant: degree 0 defines no curve."""
 
 
+class CoefficientTooLargeError(ParseError):
+    """A coefficient of the curve's integer representative above
+    ``poly.MAX_COEFF_BITS`` bits."""
+
+
 class NotLinearError(ParseError):
     pass
 
@@ -47,7 +52,8 @@ class ProportionalLinesError(ParseError):
 
 
 class NonReducedInputError(CurvesatError):
-    """The Tjurina dimension count failed to stabilize: f has a repeated factor."""
+    """J_f is not of codimension two (``FormsIdeal.tau``): the partials
+    share a common factor, so f has a repeated factor."""
 
 
 class SmoothCurveError(CurvesatError):
@@ -55,9 +61,11 @@ class SmoothCurveError(CurvesatError):
 
 
 class NotCodimensionTwoError(CurvesatError):
-    """Three forms whose quotient dimensions at 3e - 2..3e are not one
-    positive constant: the forms share a factor, or their ideal is
-    primary to the irrelevant ideal."""
+    """Three forms whose ideal is not of codimension two: the forms
+    share a factor, as the quotient dimensions at 3e - 2 and 3e - 1
+    differ or one below them exceeds the complete-intersection bound
+    (``FormsIdeal.tau``); or the ideal is primary to the irrelevant
+    ideal, as those dimensions are zero."""
 
 
 class FreenessCheckFailedError(CurvesatError):

@@ -43,10 +43,10 @@ codimension two, which bounds each dim (S/J)_k by the Hilbert function
 of a complete intersection of two forms of degree d - 1; where the chain
 passes that bound f has a repeated factor, and the chain stops there.
 Where no degree passes (h vanishes at a singular point, or f has a
-repeated factor the bound has not caught) the chain runs to kmax and tau
-comes from the stabilization check of ``CurveData.tjurina``.
+repeated factor the bound has not caught) the chain runs to kmax - 1,
+where ``FormsIdeal.tau`` checks that the Hilbert function stabilizes.
 ``colon_rows`` builds the matrix of multiplication by h modulo a slice,
-for this check and for the saturation steps.
+for the regularity check and for the saturation steps.
 
 ``CurveData`` is the per-curve cache built on J_f.  It works on a
 canonical integer representative of f (rescaling f changes nothing) so
@@ -62,17 +62,19 @@ from __future__ import annotations
 
 from math import lcm
 
-from .errors import (ConstantPolynomialError, KmaxExhaustedError,
-                     NonReducedInputError, SmoothCurveError,
+from .errors import (CoefficientTooLargeError, ConstantPolynomialError,
+                     KmaxExhaustedError, NonReducedInputError,
+                     NotCodimensionTwoError, SmoothCurveError,
                      ZeroPolynomialError)
 # rref_insert, rref_int and poly_columns_int are unused here but stay
 # bound: perfbench/spans.py patches this module's names
 from .exactla import (IncrementalSpan, back_phase,  # noqa: F401
                       kernel_int, rank_growth, rank_int, rref_insert,
                       rref_int)
-from .poly import (HomogeneousPoly, monomial_basis,  # noqa: F401
-                   monomial_index, partials, poly_columns_int, primitivize,
-                   shift_maps, slice_dim, twists_dim)
+from .poly import (MAX_COEFF_BITS, HomogeneousPoly,  # noqa: F401
+                   coefficient_bits, monomial_basis, monomial_index,
+                   partials, poly_columns_int, primitivize, shift_maps,
+                   slice_dim, twists_dim)
 
 
 def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
@@ -271,6 +273,8 @@ class FormsIdeal:
     m + 1, at m when tau = 0, and every higher rank is dim S_k - tau.
     """
 
+    not_codim_two = NotCodimensionTwoError
+
     def __init__(self, vectors, degrees, block_shifts=(0,)):
         self.vectors = tuple(vectors)
         self.degrees = tuple(degrees)
@@ -288,8 +292,18 @@ class FormsIdeal:
         self._regular: tuple | None = None
         self._excess: int | None = None
         self._tested = max(self.degrees, default=0) - 1
+        self._tau: int | None = None
 
     # -- module slices --------------------------------------------------
+
+    def milnor_dim(self, k: int) -> int:
+        """dim (S/J)_k, for an ideal J (one block)."""
+        return slice_dim(k) - self.rank_at(k)
+
+    def relation_dim(self, k: int) -> int:
+        """dim K_k, the relations of total degree k among the generators."""
+        return (sum(slice_dim(k - a) for a in self.degrees)
+                - self.rank_at(k))
 
     def rank_at(self, k: int) -> int:
         """Rank of the degree-k slice: handed on by the
@@ -360,13 +374,13 @@ class FormsIdeal:
         of J_a are a regular sequence, so H(m) <= dim (S/(g_1, g_2))_m =
         ``twists_dim(((a, a), (2a,)), m)``.  The first m above it is
         recorded in ``_excess`` and the chain stops there: the forms
-        share a factor, and ``CurveData.tjurina`` raises.
+        share a factor, and ``tau`` raises.
 
         The chain is stepped up from the top generator degree one degree
         at a time, each degree tested once; it stops at the first pass
-        or at kmax - 1, the top slice ``CurveData.tjurina``'s
-        stabilization check reads.  From a pass on ``rank_at`` reads
-        dim S_k - tau at k >= m, so no slice above m + 1 is built.
+        or at kmax - 1, the top slice ``tau`` reads.  From a pass on
+        ``rank_at`` reads dim S_k - tau at k >= m, so no slice above
+        m + 1 is built.
 
         The first m with J_m = S_m is certified as (m, 0) before slice
         m + 1 is built: S_(m+1) = S_1 J_m lies in J, and the check
@@ -380,19 +394,53 @@ class FormsIdeal:
         m = self._tested + 1
         while (self._regular is None and self._excess is None
                and m <= self.kmax - 2):
-            dim = slice_dim(m) - self.rank_at(m)
+            dim = self.milnor_dim(m)
             if not dim:
                 self._regular = (m, 0)
             elif dim > twists_dim(((a, a), (2 * a,)), m):
                 self._excess = m
             else:
-                low, high = [slice_dim(k) - self.rank_at(k)
-                             for k in (m - 1, m + 1)]
+                low, high = [self.milnor_dim(k) for k in (m - 1, m + 1)]
                 if high == dim <= low and self._h_onto(m):
                     self._regular = (m, dim)
             self._tested = m
             m += 1
         return self._regular
+
+    def tau(self) -> int:
+        """tau = dim (S/J)_k for k >= 3e - 2, J the ideal of three forms
+        of degree e; raises ``not_codim_two`` when the forms share a
+        common factor (for J_f: when f has a repeated factor).
+
+        In codimension two the Hilbert function of S/J equals its
+        constant Hilbert polynomial from 3e - 2 on, since end
+        H^0_m(S/J) <= 3e - 3 and end H^1_m(S/J) <= 2e - 3 - mdr, mdr the
+        least degree of a relation among the forms; an ideal primary to
+        the irrelevant ideal gives tau = 0.  Two degrees are enough: if
+        J = hJ' with deg h = c >= 1, h the greatest common factor, then
+        dim (S/J)_k = dim (S/(h))_k + dim (S/J')_(k-c), and from 3e - 2
+        on the first term grows by c per degree while the second, by
+        the same bound, is constant.  ``regular_degree`` runs first, so
+        the chain stops where it certifies a degree (a common factor
+        never passes) or leaves the complete-intersection bound.
+        """
+        if self._tau is None:
+            self.regular_degree()
+            if self._excess is not None:
+                raise self.not_codim_two(
+                    "quotient dimension does not stabilize: at degree "
+                    f"{self._excess} it exceeds the complete-intersection "
+                    "bound, so the forms share a common factor "
+                    "(for J_f: f has a repeated factor)")
+            low, high = [self.milnor_dim(k)
+                         for k in (3 * self.e - 2, 3 * self.e - 1)]
+            if low != high:
+                raise self.not_codim_two(
+                    f"quotient dimension does not stabilize ({low} -> "
+                    f"{high}): the forms share a common factor "
+                    "(for J_f: f has a repeated factor)")
+            self._tau = low
+        return self._tau
 
     def _h_onto(self, m: int) -> bool:
         """×h maps A_(m-1) onto A_m, for A = S/J and h = ``LINEAR_FORM``
@@ -419,7 +467,7 @@ class FormsIdeal:
         """Minimal relations among the generators in total degrees up to
         top, a bound the caller states: (degrees, module), the
         ``minimal_generators`` walk of the kernel K ⊂ ⊕_i S(-a_i) of the
-        generator map, dim K_k = sum dim S_(k-a_i) - dim M_k, over the
+        generator map, of dimensions ``relation_dim``, over the
         canonical ``kernel_at(k - e)``.  degrees are total degrees, the
         twists of a resolution.
 
@@ -432,9 +480,7 @@ class FormsIdeal:
         nonzero = [i for i, v in enumerate(self.vectors) if any(v)]
         drop = min(nonzero, key=self.degrees.__getitem__, default=None)
         return minimal_generators(
-            self.degrees, self.e, top,
-            lambda k: (sum(slice_dim(k - a) for a in self.degrees)
-                       - self.rank_at(k)),
+            self.degrees, self.e, top, self.relation_dim,
             lambda k: self.kernel_at(k - self.e), drop)
 
 
@@ -504,23 +550,28 @@ def minimal_generators(block_shifts, start: int, top: int, dim_at,
 class CurveData(FormsIdeal):
     """All cached graded computations for one curve."""
 
+    not_codim_two = NonReducedInputError
+
     def __init__(self, f: HomogeneousPoly):
         if f.is_zero():
             raise ZeroPolynomialError("the zero polynomial defines no curve")
         if f.degree < 1:
             raise ConstantPolynomialError("a curve needs degree at least 1")
         self.f = primitivize(f)
+        # clearing denominators, or an arrangement's product, can grow
+        # coefficients past the parser's cap
+        bits = coefficient_bits(self.f.terms.values())
+        if bits > MAX_COEFF_BITS:
+            raise CoefficientTooLargeError(
+                f"a coefficient of {bits} bits exceeds the cap of "
+                f"{MAX_COEFF_BITS} bits")
         self.d = f.degree
         self.T = 3 * (self.d - 2)
         super().__init__([g.int_vector() for g in partials(self.f)],
                          (self.d - 1,) * 3)
-        self._tau: int | None = None
         self._mdr: int | None = None
 
     # -- Milnor algebra -------------------------------------------------
-
-    def milnor_dim(self, k: int) -> int:
-        return slice_dim(k) - self.rank_at(k)
 
     def milnor_dims(self) -> list[int]:
         """dim M(f)_k for k = 0..kmax; above a degree ``regular_degree``
@@ -531,45 +582,19 @@ class CurveData(FormsIdeal):
         return [self.milnor_dim(k) for k in range(self.kmax + 1)]
 
     def tjurina(self) -> int:
-        """Total Tjurina number, read off where the Hilbert function of
-        M(f) stabilizes.
-
-        ``regular_degree`` certifies a degree m <= 3d - 5 and tau =
-        dim M(f)_m where it can; the ranks at 3d - 5 and 3d - 4 then
-        both read tau.  Where it finds M(f) above the complete-
-        intersection bound of a reduced curve, f is not reduced.  Where
-        it does neither, the ranks at 3d - 5 and 3d - 4 are real slices,
-        and their comparison is the stabilization check: failure to
-        stabilize means f was not reduced."""
-        if self._tau is None:
-            self.regular_degree()
-            if self._excess is not None:
-                raise NonReducedInputError(
-                    "Milnor algebra does not stabilize: at degree "
-                    f"{self._excess} it exceeds the complete-intersection "
-                    "bound of a reduced curve, so f has a repeated factor")
-            m1 = self.milnor_dim(3 * self.d - 5)
-            m2 = self.milnor_dim(3 * self.d - 4)
-            if m1 != m2:
-                raise NonReducedInputError(
-                    f"Milnor algebra does not stabilize ({m1} -> {m2}): "
-                    "f has a repeated factor")
-            self._tau = m1
-        return self._tau
+        """Total Tjurina number, ``tau`` of J_f."""
+        return self.tau()
 
     def is_smooth(self) -> bool:
         return self.tjurina() == 0
 
     # -- Jacobian syzygies ---------------------------------------------
 
-    def ar_dim(self, m: int) -> int:
-        return 3 * slice_dim(m) - self.rank_at(m + self.d - 1)
-
     def mdr(self) -> int:
         """Minimal degree of a Jacobian syzygy (Koszul forces mdr <= d-1)."""
         if self._mdr is None:
             for m in range(self.d):
-                if self.ar_dim(m):
+                if self.relation_dim(m + self.e):
                     self._mdr = m
                     break
             else:

@@ -15,6 +15,12 @@ The degree cap does not bound the term counts, so a product of a
 terms by b terms is also refused, before it is expanded, when a * b
 exceeds ``MAX_TERM_PAIRS``; ``^`` expands by repeated squaring, at most
 two products per binary digit of the exponent.
+No coefficient may exceed ``poly.MAX_COEFF_BITS`` (2048) bits: a
+literal longer than ``MAX_LITERAL_DIGITS`` is refused before it is
+read, and every ``*``, ``^`` and ``+`` or ``-`` step checks the
+coefficients it made, so no step works on numbers of more than about
+twice the cap, and every coefficient prints within the smallest
+int-to-str limit the interpreter can be set to.
 No more than ``MAX_NESTING`` (100) parentheses and unary minuses may
 be open at once; the one past it is refused at its offset, so the
 accepted depth is fixed and never depends on the interpreter's stack.
@@ -42,10 +48,11 @@ from math import comb
 from .errors import (InconsistentCombinatoricsError, NotHomogeneousError,
                      NotLinearError, ParseError, PolySyntaxError,
                      ProportionalLinesError, ZeroPolynomialError)
-from .poly import (HomogeneousPoly, Monomial, add_terms, mul_terms,
-                   primitivize)
+from .poly import (MAX_COEFF_BITS, HomogeneousPoly, Monomial, add_terms,
+                   coefficient_bits, mul_terms, primitivize)
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xyz])|([()+\-*/^]))")
+_TOKEN = re.compile(r"([0-9]+)|([xyz])|([()+\-*/^])")
+_SPACE = re.compile(r"\s*")
 
 _VARS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
@@ -59,6 +66,10 @@ MAX_DEGREE = 64
 # most 289 pairs at once; (x+y+z+1)^32 needs 969^2.
 MAX_TERM_PAIRS = 125_000
 
+# The most digits of an integer literal: 10^616 < 2^2047, so every
+# literal within it has at most MAX_COEFF_BITS bits.
+MAX_LITERAL_DIGITS = 616
+
 # The most '(' and unary '-' open at once.  Each one nests a few frames
 # of the recursive descent, so this keeps every accepted input well
 # inside the interpreter's default recursion limit, whatever the caller.
@@ -67,22 +78,22 @@ MAX_NESTING = 100
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
+    pos = _SPACE.match(text).end()
     while pos < len(text):
-        stripped = text[pos:].lstrip()
-        if not stripped:
-            break
         m = _TOKEN.match(text, pos)
         if not m:
-            at = len(text) - len(stripped)
-            raise PolySyntaxError(f"unexpected character {stripped[0]!r}", at)
+            raise PolySyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                raise PolySyntaxError(
+                    f"literal of {len(m.group(1))} digits exceeds the cap "
+                    f"of {MAX_LITERAL_DIGITS} digits", pos)
+            tokens.append(("int", int(m.group(1)), pos))
         elif m.group(2) is not None:
-            tokens.append(("var", m.group(2), m.start(2)))
+            tokens.append(("var", m.group(2), pos))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            tokens.append(("op", m.group(3), pos))
+        pos = _SPACE.match(text, m.end()).end()
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -128,11 +139,12 @@ class _Parser:
     def expr(self):
         acc = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
                 acc = add_terms(acc, rhs if val == "+" else _neg(rhs))
+                _check_bits([acc[e] for e in rhs if e in acc], pos)
             else:
                 return acc
 
@@ -182,8 +194,8 @@ class _Parser:
                     raise PolySyntaxError("expected integer denominator", dpos)
                 if dval == 0:
                     raise PolySyntaxError("zero denominator", dpos)
-                return {(0, 0, 0): Fraction(val, dval)}
-            return {(0, 0, 0): Fraction(val)}
+                return _constant(Fraction(val, dval))
+            return _constant(Fraction(val))
         if kind == "var":
             return {_VARS[val]: Fraction(1)}
         if kind == "op" and val == "(":
@@ -207,6 +219,19 @@ def _check_degree(degree: int, pos: int) -> None:
             f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
 
 
+def _check_bits(coeffs, pos: int) -> None:
+    bits = coefficient_bits(coeffs)
+    if bits > MAX_COEFF_BITS:
+        raise PolySyntaxError(
+            f"coefficient of {bits} bits exceeds the cap of "
+            f"{MAX_COEFF_BITS} bits", pos)
+
+
+def _constant(c):
+    """The term dict of the constant c: no terms when c = 0."""
+    return {(0, 0, 0): c} if c else {}
+
+
 def _neg(a):
     return {e: -c for e, c in a.items()}
 
@@ -216,7 +241,9 @@ def _mul(a, b, pos):
         raise PolySyntaxError(
             f"product of {len(a)} by {len(b)} terms exceeds the cap of "
             f"{MAX_TERM_PAIRS} term pairs", pos)
-    return mul_terms(a, b)
+    out = mul_terms(a, b)
+    _check_bits(out.values(), pos)
+    return out
 
 
 def _pow(a, n, pos):

@@ -22,6 +22,13 @@ from .errors import WrongShapeError
 
 Coeff = Union[int, Fraction]
 
+# The most bits of a numerator or denominator the parser builds and of a
+# coefficient of the integer representative of a curve: it bounds
+# parsing and printing, not the analysis.  At most 2126 bits (640
+# digits, the smallest int-to-str limit Python can be set to), so the
+# printed report never depends on the interpreter's setting.
+MAX_COEFF_BITS = 2048
+
 
 class Monomial(NamedTuple):
     ex: int
@@ -94,6 +101,13 @@ def shift_maps(k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
         ys.append(base + n + 1 + m.ez)
         zs.append(base + n + 1 + m.ez + 1)
     return tuple(xs), tuple(ys), tuple(zs)
+
+
+def coefficient_bits(coeffs) -> int:
+    """Most bits of a numerator or denominator among coeffs, ints or
+    Fractions (0 when there is none)."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in coeffs), default=0)
 
 
 def add_terms(a: dict, b: dict) -> dict:

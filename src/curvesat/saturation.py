@@ -44,7 +44,8 @@ The same descent, one-form steps and fallback included, saturates any
 codimension-two ideal J generated by three forms of degree e, from the
 base 3e - 2: the quotient I/J by its saturation I vanishes above
 3e - 3 and is self-dual, n_k = n_(3e-3-k).  The Jacobian ideal is the
-case e = d - 1, where 3e - 3 = T.
+case e = d - 1, where 3e - 3 = T.  Both read tau, and the check that J
+has codimension two, from ``jacobian.FormsIdeal.tau``.
 
 The minimal generators of I and of N = I/J come from one scan
 (``SaturationData.generators``): the Nakayama walk of
@@ -84,10 +85,10 @@ class SaturationData:
     """The saturation I of a Jacobian (or three-form) ideal J, slice by
     slice, and the quotient N = I/J."""
 
-    def __init__(self, data: FormsIdeal, tau: int):
+    def __init__(self, data: FormsIdeal):
         """Saturate the ideal J of data's forms of degree e, of
-        codimension two with constant Hilbert polynomial tau, tabulating
-        I/J on degrees 0..T, T = 3e - 3; above T, I = J.
+        codimension two with Hilbert polynomial tau = ``data.tau()``,
+        tabulating I/J on degrees 0..T, T = 3e - 3; above T, I = J.
 
         The bound: let N = I/J = H^0_m(S/J).  Over S = Q[x, y, z], local
         duality makes (N_k)^* the degree -k - 3 part of Ext^3(S/J, S).
@@ -121,7 +122,9 @@ class SaturationData:
         """
         self.data = data                # the FormsIdeal of J
         self.top = top = 3 * data.e - 3     # the largest degree of the table
-        m = [slice_dim(k) - data.rank_at(k) for k in range(top + 1)]
+        # first, so that the slice chain stops where tau certifies it
+        tau = data.tau()
+        m = [data.milnor_dim(k) for k in range(top + 1)]
         c = smooth_reference_dims(data.e + 1, top)
         # quotient dimensions for degrees 0..top
         self.n_table = table = [m[k] + m[top - k] - c[k] - tau
@@ -330,9 +333,7 @@ def saturate(f) -> SaturationData:
     itself when it already is saturation data."""
     if isinstance(f, SaturationData):
         return f
-    cd = _data(f)
-    # tjurina rejects non-reduced input
-    return SaturationData(cd, cd.tjurina())
+    return SaturationData(_data(f))
 
 
 def n_table(f) -> list[int]:
@@ -350,20 +351,9 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     """Saturate the ideal of three forms of one degree e >= 1 and of
     codimension two, by the descent from 3e - 2 (see ``SaturationData``).
 
-    The codimension check is exact, and the constant quotient dimension
-    it reads is the tau of ``SaturationData``.  In codimension two the
-    Hilbert function of S/J equals its constant Hilbert polynomial from
-    3e - 2 on, since end H^0_m(S/J) <= 3e - 3 and end H^1_m(S/J) <=
-    2e - 3 - mdr, mdr the least degree of a relation among the forms: the
-    quotient dimensions at 3e - 2, 3e - 1 and 3e are equal and positive.
-    A common factor h of degree c, J = hJ', adds dim (S/(h))_k, which
-    grows by c per degree there, to the dimension of (S/J')_(k-c), which
-    the same bound keeps constant; an ideal primary to the irrelevant
-    ideal gives 0.  ``regular_degree`` runs first: where it certifies a
-    degree, the three dimensions all read its tau (a common factor never
-    passes it), and no slice above it plus one is built; where it finds
-    the quotient above the complete-intersection bound, the forms share
-    a factor, and the call raises with no slice above that degree built.
+    ``FormsIdeal.tau`` checks the codimension exactly and raises where
+    the forms share a common factor; an ideal primary to the irrelevant
+    ideal, tau = 0, is refused here.
     """
     forms = tuple(primitivize(g) for g in (g1, g2, g3))
     degs = {g.degree for g in forms}
@@ -373,22 +363,11 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     if e < 1:
         raise WrongShapeError("constant forms cannot cut out a codim-2 ideal")
     data = FormsIdeal([g.int_vector() for g in forms], (e,) * 3)
-    data.regular_degree()
-    if data._excess is not None:
-        raise NotCodimensionTwoError(
-            f"quotient dimension at degree {data._excess} exceeds the "
-            "complete-intersection bound: the forms share a common factor")
-    dims = [slice_dim(k) - data.rank_at(k)
-            for k in range(3 * e - 2, 3 * e + 1)]
-    if dims[-1] == 0:
+    if data.tau() == 0:
         raise NotCodimensionTwoError(
             "quotient by the three forms is finite dimensional "
             "(ideal is primary to the irrelevant maximal ideal)")
-    if len(set(dims)) != 1:
-        raise NotCodimensionTwoError(
-            "quotient Hilbert function is still moving at degree 3e: "
-            "the forms share a common factor or e is malformed")
-    return SaturationData(data, dims[0])
+    return SaturationData(data)
 
 
 @dataclass

@@ -187,6 +187,30 @@ def test_arrangement_above_the_degree_cap_is_rejected(tmp_path):
     assert "line 65: more than 64 forms" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "1" * 5000 + "*x",                                # a 5000-digit literal
+    "(((10^60)^64)^2 + 1)*x*y + x^2",                 # crashed the printer
+    "(((((2^64)^64)^64)^64)^64)*x",                   # 11 s to parse
+    "((((3^64)^64)^64)^64 + 1)*x*y*z + x^3 + y^3",    # never finished
+    "1/" + "1" * 600 + "*x^2 + 1/" + "1" * 599 + "*y^2 + z^2",
+], ids=["literal", "printer", "slow-parse", "hang", "cleared-denominators"])
+def test_oversized_coefficients_are_rejected_input(expr):
+    err = _analyze_in_subprocess("--poly", expr)
+    assert "exceeds the cap of" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("0", "expression expands to the zero polynomial"),
+    ("x^\u0663", "unexpected character"),
+])
+def test_zero_and_non_ascii_digits_are_rejected_input(capsys, expr, message):
+    rc, out, err = run(capsys, ["analyze", "--poly", expr])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--poly", "(" * 1000 + "x*y" + ")" * 1000],
     ["--poly=" + "-" * 3000 + "x*y"],

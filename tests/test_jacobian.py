@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from curvesat import catalog, jacobian
 from curvesat.analysis import analyze_catalog, emit_json
-from curvesat.errors import (KmaxExhaustedError, NonReducedInputError,
-                             SmoothCurveError)
+from curvesat.errors import (CoefficientTooLargeError, KmaxExhaustedError,
+                             NonReducedInputError, SmoothCurveError)
 from curvesat.exactla import rref_int
 from curvesat.jacobian import (
     CurveData,
@@ -24,7 +24,7 @@ from curvesat.jacobian import (
     smooth_reference_dims,
     tjurina,
 )
-from curvesat.parsing import Arrangement, parse_poly
+from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
 from curvesat.poly import monomial_basis, primitivize, slice_dim
 from curvesat.resolution import min_generators
 from curvesat.saturation import saturate, saturate_three_forms
@@ -127,6 +127,13 @@ def test_non_reduced_input_stops_at_the_complete_intersection_bound(
                        match=f"does not stabilize: at degree {degree} "):
         cd.tjurina()
     assert cd._chain.k == degree
+
+
+def test_arrangement_product_coefficients_are_capped():
+    # each line within the cap, their product's x^2 coefficient 2^2048
+    arr = parse_arrangement("(2^32)^32*x + y\n(2^32)^32*x + 3*y + z\n")
+    with pytest.raises(CoefficientTooLargeError, match="2049 bits"):
+        CurveData(arr.product())
 
 
 @pytest.mark.parametrize("entry", [CurveData.milnor_dims, ar_min_generators])

@@ -1,5 +1,6 @@
 """Input grammar, arrangement files, and intersection combinatorics."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from curvesat.errors import (
     ZeroPolynomialError,
 )
 from curvesat.parsing import combinatorics, parse_arrangement, parse_poly
-from curvesat.poly import HomogeneousPoly, Monomial, monomial_basis
+from curvesat.poly import (MAX_COEFF_BITS, HomogeneousPoly, Monomial,
+                           monomial_basis)
 
 
 def test_parse_simple_polynomial():
@@ -120,10 +122,62 @@ def test_parse_rejects_zero():
         parse_poly("x*y - y*x")
 
 
+@pytest.mark.parametrize("text", ["0", "0/7", "-0"])
+def test_zero_literal_is_the_zero_polynomial(text):
+    with pytest.raises(ZeroPolynomialError):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["0 + x*y", "x*y + 0", "-0 + x*y"])
+def test_zero_literal_adds_no_term(text):
+    assert parse_poly(text) == parse_poly("x*y")
+
+
+def test_tokenizing_is_linear_in_the_input_length():
+    # 640 KB; copying the rest of the input per token took 9.8 s
+    text = "x" + " + x" * 160_000
+    start = time.perf_counter()
+    assert parse_poly(text) == HomogeneousPoly(1, {Monomial(1, 0, 0): 160_001})
+    assert time.perf_counter() - start < 4
+
+
+def test_digits_are_ascii():
+    # the grammar's INT is 0-9; an Arabic-Indic three is no exponent
+    with pytest.raises(PolySyntaxError, match="unexpected character") as exc:
+        parse_poly("x^\u0663")
+    assert exc.value.position == 2
+
+
+def test_literal_length_is_capped_before_it_is_read():
+    digits = "7" * parsing.MAX_LITERAL_DIGITS
+    assert parse_poly(digits + "*x").terms[Monomial(1, 0, 0)] == int(digits)
+    with pytest.raises(PolySyntaxError, match="617 digits exceeds") as exc:
+        parse_poly("x + 1/" + digits + "7*y")
+    assert exc.value.position == 6
+    assert 10 ** parsing.MAX_LITERAL_DIGITS < 2 ** MAX_COEFF_BITS
+
+
+@pytest.mark.parametrize("text, at", [
+    ("(2^32)^64*x", "64*"),                  # 2^2048, at the exponent
+    ("(2^32)^32*(2^32)^32*x", "*("),         # at the '*'
+    ("((1/3)^64)^20*x + ((1/2)^64)^20*x", "+"),  # a sum of fractions
+])
+def test_coefficient_bits_are_capped_as_they_grow(text, at):
+    with pytest.raises(PolySyntaxError,
+                       match="exceeds the cap of 2048 bits") as exc:
+        parse_poly(text)
+    assert exc.value.position == text.index(at)
+    assert parse_poly("(2^32)^63*2^31*x") == HomogeneousPoly(
+        1, {Monomial(1, 0, 0): 2 ** 2047})
+
+
 def test_syntax_error_carries_offset():
     with pytest.raises(PolySyntaxError) as exc:
         parse_poly("x + * y")
     assert exc.value.position == 4
+    with pytest.raises(PolySyntaxError, match="character '@'") as exc:
+        parse_poly("x +     @ y")
+    assert exc.value.position == 8
     with pytest.raises(PolySyntaxError):
         parse_poly("x + y)")
     with pytest.raises(PolySyntaxError):

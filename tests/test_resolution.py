@@ -190,8 +190,8 @@ def test_three_form_saturation_gives_the_curve_table(monkeypatch, name):
     runs = []
     init = SaturationData.__init__
 
-    def counted_init(self, data, tau):
-        init(self, data, tau)
+    def counted_init(self, data):
+        init(self, data)
         runs.append(list(self.n_table))
 
     monkeypatch.setattr(SaturationData, "__init__", counted_init)

@@ -131,6 +131,25 @@ def test_three_forms_stop_at_the_complete_intersection_bound(monkeypatch):
     assert max(asked) == 16
 
 
+def test_three_forms_with_a_common_factor_read_two_degrees(monkeypatch):
+    # J = x*(x^3, y^3, z^3), e = 4, stays under the complete-intersection
+    # bound and no degree passes the regularity check: S/J grows by one
+    # per degree from 3e - 2 = 10 on, and slice 3e = 12 is never built
+    asked = []
+    rref_at = FormsIdeal.rref_at
+
+    def watched(self, k):
+        asked.append(k)
+        return rref_at(self, k)
+
+    monkeypatch.setattr(FormsIdeal, "rref_at", watched)
+    with pytest.raises(NotCodimensionTwoError,
+                       match=r"does not stabilize \(11 -> 12\)"):
+        saturate_three_forms(parse_poly("x^4"), parse_poly("x*y^3"),
+                             parse_poly("x*z^3"))
+    assert max(asked) == 11
+
+
 def test_lefschetz_good_hyperplane():
     sat = saturate(parse_poly(EX1_D4))
     out = lefschetz_check(sat, ell=(0, 1, 0))
