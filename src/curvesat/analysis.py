@@ -17,7 +17,8 @@ from .classify import Classification, classify, verify_identities
 from .errors import SmoothCurveError
 from .jacobian import CurveData
 from .parsing import Arrangement, combinatorics
-from .resolution import BettiTable, betti_jacobian, betti_saturated
+from .resolution import (BettiTable, betti_jacobian, betti_saturated,
+                         jacobian_twists)
 from .saturation import n_min_generators, saturate
 
 SCHEMA_VERSION = 1
@@ -174,16 +175,14 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
             return None
 
     def syzygy_side():
-        # the generator degrees are read back from the certified table;
-        # with mdr = 0 there is none, and AR(f) is scanned up to
-        # r_J - d + 3 (see betti_jacobian)
+        # AR(f)(-(d - 1)) is position 2 of the S/J_f twists; with
+        # mdr = 0 the partials are not minimal and no table is reported
         if r >= 1:
             table = betti_jacobian(sat)
-            degs = [t - (cd.d - 1) for t in table.twists[1]]
+            twists = table.twists
         else:
-            table = None
-            degs = cd.ar_min_generators(sat.reg_jacobian() - cd.d + 3)[0]
-        return table, sorted(degs)
+            table, twists = None, jacobian_twists(sat)
+        return table, [t - (cd.d - 1) for t in twists[1]]
 
     tau = clock("jacobian", cd.tjurina)
     r = clock("mdr", cd.mdr)

@@ -16,8 +16,10 @@ degree d - 1.  ``minimal_generators`` is the one Nakayama walk, which
 picks minimal generators of a module degree by degree: over the slices
 of I_f it gives the generators of I_f
 (``saturation.SaturationData.generators``), and over the kernel of a
-generator map (``FormsIdeal.relations``) AR(f) from J_f and the later
-positions of the two resolutions in ``resolution``.
+generator map (``FormsIdeal.relations``) the relations of I_f in
+``resolution`` and, for the public ``ar_min_generators``, AR(f) from
+J_f; the S/J_f table reads AR(f)'s degrees off numbers the analysis
+already has and takes no such kernel.
 
 One chain carries every slice upward: ``ShiftChain``, an
 ``exactla.IncrementalSpan`` in forward echelon form, stepped one degree

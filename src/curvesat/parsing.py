@@ -24,8 +24,9 @@ int-to-str limit the interpreter can be set to.
 No more than ``MAX_NESTING`` (100) parentheses and unary minuses may
 be open at once; the one past it is refused at its offset, so the
 accepted depth is fixed and never depends on the interpreter's stack.
-The expression is expanded to a sparse polynomial, with the sum and
-product of ``poly.add_terms`` and ``poly.mul_terms``, and then checked:
+The expression is expanded to a sparse polynomial, a sum accumulated
+in place (``poly.add_into``, so a long sum parses in linear time) and
+each product by ``poly.mul_terms``, and then checked:
 it must be nonzero and homogeneous (the check runs on the expanded
 result, so mixed-degree intermediates inside parentheses are fine as
 long as they cancel).
@@ -48,7 +49,7 @@ from math import comb
 from .errors import (InconsistentCombinatoricsError, NotHomogeneousError,
                      NotLinearError, ParseError, PolySyntaxError,
                      ProportionalLinesError, ZeroPolynomialError)
-from .poly import (MAX_COEFF_BITS, HomogeneousPoly, Monomial, add_terms,
+from .poly import (MAX_COEFF_BITS, HomogeneousPoly, Monomial, add_into,
                    coefficient_bits, mul_terms, primitivize)
 
 _TOKEN = re.compile(r"([0-9]+)|([xyz])|([()+\-*/^])")
@@ -143,7 +144,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                acc = add_terms(acc, rhs if val == "+" else _neg(rhs))
+                add_into(acc, rhs if val == "+" else _neg(rhs))
                 _check_bits([acc[e] for e in rhs if e in acc], pos)
             else:
                 return acc

@@ -113,7 +113,13 @@ def coefficient_bits(coeffs) -> int:
 def add_terms(a: dict, b: dict) -> dict:
     """Sum of two sparse term dicts, exponent triple -> Fraction, with
     cancelled terms dropped; neither need be homogeneous."""
-    out = dict(a)
+    return add_into(dict(a), b)
+
+
+def add_into(out: dict, b: dict) -> dict:
+    """Add the term dict b into out in place, as in ``add_terms``, and
+    return out: a long sum accumulated this way costs the size of each
+    summand, not that of the sum so far."""
     for e, c in b.items():
         s = out.get(e, 0) + c
         if s:

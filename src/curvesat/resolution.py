@@ -3,29 +3,28 @@
 Every entry point takes a curve or the ``SaturationData`` of one;
 ``saturate`` hands the latter back unchanged, so one saturation object
 serves both tables, and its slices, regularities and generators are all
-read off it.  Every position of either table past the first comes from
-one Nakayama walk, ``jacobian.minimal_generators``: the generators of
-I_f are that walk over the slices of I_f (``SaturationData.generators``),
-and each later position holds the minimal relations among the previous
-position's generators, the walk over their kernel
-(``jacobian.FormsIdeal.relations``): the partials give AR(f), AR(f)
-gives its relations, the generators of I_f give theirs.  The walk
-carries the span of what it has picked up the one slice chain
-(``jacobian.ShiftChain``), a forward echelon form it never
-back-substitutes, so candidates are read only in a degree below the
-top where a generator appears, and at the top degree generators are
-only counted.  The module a walk returns carries the slice ranks that
-walk reached, so the walk over its relations rebuilds no slice: only
-the slices of J_f, whose rows the saturation reads, are eliminated,
-and ``FormsIdeal.rref_at`` makes them canonical echelon forms.  Every
-walk stops at a top degree read off the regularity
-(``SaturationData.reg_saturated`` and ``reg_jacobian``): a module of
-regularity r has its generators in degrees at most r and their
-relations in degrees at most r + 1.  Both tables end in one
-certificate, ``_certify``, which checks the twists against the Hilbert
-function of the quotient (read off the slices) on degrees 0..kmax and
-raises FreenessCheckFailed on a mismatch.  No Groebner bases anywhere:
-everything is exact linear algebra against fixed monomial bases.
+read off it.  No Groebner bases anywhere: everything is exact linear
+algebra against fixed monomial bases, or arithmetic on numbers it
+already gave.
+
+S/I_f comes from one Nakayama walk, ``jacobian.minimal_generators``,
+run twice: its generators are that walk over the slices of I_f
+(``SaturationData.generators``), and its relations the walk over the
+kernel of the generator map (``jacobian.FormsIdeal.relations``).  The
+module the first walk returns carries the slice ranks it reached, so
+the relation walk rebuilds no slice.  The walk stops at r_I + 2, read
+off the regularity r_I = ``SaturationData.reg_saturated``: an ideal of
+regularity r_I + 1 has its relations in degrees at most r_I + 2.  The
+table ends in one certificate, ``_certify``, which checks the twists
+against the Hilbert function of S/I_f on degrees 0..kmax and raises
+FreenessCheckFailed on a mismatch.
+
+S/J_f takes no elimination of its own: its table is a closed form in
+the Milnor table m_k and the generator degrees g_j of N(f) = I_f/J_f,
+both of which the analysis already has (see ``jacobian_twists``).  The
+AR(f) walk, ``CurveData.ar_min_generators``, which also yields the
+syzygy vectors, serves the public ``ar_min_generators`` and not the
+table.
 
 The generators of I_f are integer rows of the canonical slice basis,
 picked in order, so repeated runs reproduce them bit for bit; only
@@ -122,32 +121,70 @@ def betti_saturated(f) -> BettiTable:
     return BettiTable((tuple(sorted(a)), tuple(sorted(b))))
 
 
-def betti_jacobian(f) -> BettiTable:
-    """Betti table of S/J_f = M(f) for a curve with mdr >= 1.
+def jacobian_twists(f) -> tuple:
+    """Twists of a free resolution of S/J_f whose first position is the
+    three partials, (d - 1)^3, and whose later positions are minimal:
+    AR(f)(-(d - 1)) in position 2, its relations in position 3 when
+    there are any.  For mdr >= 1 this is the minimal resolution
+    (``betti_jacobian``); for mdr = 0 the partials are not minimal, but
+    position 2 still gives the generator degrees of AR(f) as b - (d - 1).
 
-    Positions: the three partials, then the minimal Jacobian syzygies
-    (``CurveData.ar_min_generators``), then their own relations, each
-    a ``FormsIdeal.relations`` walk in total degrees, so the twists are
-    the degrees the walks return.  With r_J = reg(S/J_f)
-    (``SaturationData.reg_jacobian``), a twist t in position p obeys
-    t - p <= r_J: syzygy generators sit in degrees at most r_J - d + 3
-    and their relations in total degrees at most r_J + 3.  The walk
-    over the syzygies reads the ranks the first walk handed on.  The
-    whole table is certified against the Hilbert function of M(f); a
-    mismatch raises FreenessCheckFailed.
+    No AR(f) kernel is taken.  The Hilbert series of M(f) = S/J_f is
+    P(t)/(1 - t)^3 with the numerator
+
+        P(t) = (1 - t)^3 sum m_k t^k = 1 - 3t^(d-1) + sum t^(b_i)
+                                        - sum t^(c_j),
+
+    m_k = ``milnor_dims()`` up to kmax = 3d - 3 and tau above it (the
+    table is tau from 3d - 5 on, see ``FormsIdeal.tau``), so P has
+    degree at most kmax + 3.  The last twists are c_j = 3d - 3 - g_j,
+    g_j the minimal generator degrees of N(f)
+    (``SaturationData.generators``): by graded local duality N(f) =
+    H^0_m(S/J_f) is dual to Ext^3(S/J_f, S)(-3), and N(f) is self-dual
+    about T = 3d - 6 (Sernesi, "The local cohomology of the Jacobian
+    ring", Doc. Math. 19, 2014), so Ext^3(S/J_f, S) = N(f)(3d - 3), with
+    minimal generators in degrees g_j - 3d + 3 = -c_j.  Ext^3 is the
+    cokernel of the dual of the last map of the resolution, which is
+    minimal, so those generators are the dual basis of the last free
+    module, ⊕ S(c_j).  With the first and last positions known no
+    cancellation is left to guess:
+
+        sum t^(b_i) = P(t) - 1 + 3t^(d-1) + sum t^(c_j),
+
+    and a negative coefficient there raises FreenessCheckFailed.  By
+    construction the twists reproduce m_k in every degree.
     """
     sat = saturate(f)
     cd = sat.data
     if not isinstance(cd, CurveData):
         raise WrongShapeError("the S/J_f table needs the Jacobian of a curve")
-    if cd.mdr() == 0:
+    # the Milnor table padded by three zeros below and tau above kmax
+    h = [0] * 3 + cd.milnor_dims() + [cd.tjurina()] * 3
+    series = [h[n + 3] - 3 * h[n + 2] + 3 * h[n + 1] - h[n]
+              for n in range(len(h) - 3)]
+    last = sorted(3 * cd.d - 3 - g for g in sat.generators.n_degrees)
+    series[0] -= 1
+    series[cd.d - 1] += 3
+    for c in last:
+        series[c] += 1
+    if any(n < 0 for n in series):
+        raise FreenessCheckFailedError(
+            "S/J_f twists of position 2 have a negative count: the "
+            "Milnor table and the generator degrees "
+            f"{list(sat.generators.n_degrees)} of N(f) disagree")
+    middle = tuple(t for t, n in enumerate(series) for _ in range(n))
+    return ((cd.d - 1,) * 3, middle) + ((tuple(last),) if last else ())
+
+
+def betti_jacobian(f) -> BettiTable:
+    """Betti table of S/J_f = M(f) for a curve with mdr >= 1: the three
+    partials, the minimal generators of AR(f)(-(d - 1)) and their
+    relations, in the closed form of ``jacobian_twists``.  With mdr = 0
+    the partials are not minimal generators of J_f, and WrongShapeError
+    is raised."""
+    sat = saturate(f)
+    twists = jacobian_twists(sat)
+    if sat.data.mdr() == 0:
         raise WrongShapeError(
             "mdr = 0: the partials are not minimal generators of J_f")
-    r_j = sat.reg_jacobian()
-    ar = cd.ar_min_generators(r_j - cd.d + 3)[1]
-    rels = ar.relations(r_j + 3)[0]
-    twists = [cd.degrees, ar.degrees]
-    if rels:
-        twists.append(tuple(rels))
-    _certify(twists, cd.milnor_dim, cd.kmax, "S/J_f")
-    return BettiTable(tuple(twists))
+    return BettiTable(twists)

@@ -3,8 +3,9 @@
 Every curve is analyzed once, then its report is screened against the
 structural identities the library certifies: graded duality of the
 saturation defect table, the saturation lifts multiplied out,
-resolution twist identities, generator-count bounds, and the
-generic-form rank pattern.
+resolution twist identities, the closed-form tables of generic line
+arrangements, generator-count bounds, and the generic-form rank
+pattern.
 Each property only counts curves where its hypothesis applies, so the
 summary reports applicable counts rather than the raw curve total.
 """
@@ -228,19 +229,23 @@ def _prop_arrangement_tau(rec):
     return True, ""
 
 
-def _prop_n_generator_degrees(rec):
+def _prop_generic_arrangement_tables(rec):
+    # d >= 4 lines with only double points: both tables depend on d
+    # alone (Rose and Terao; Yuzvinsky; J. Algebra 136, 1991), a fact
+    # that does not come from the elimination engine
     rep = rec.report
-    tj = rep.betti_jacobian
-    if tj is None:
+    d = rep.degree
+    if (rep.combinatorics is None or d < 4
+            or set(rep.combinatorics["multiplicities"]) != {"2"}):
         return None
-    pos3 = tj.position(3)
-    expected = tuple(sorted(3 * rep.degree - 3 - t for t in pos3))
+    jacobian = ((d - 1,) * 3, (2 * d - 3,) * (d - 1), (2 * d - 2,) * (d - 3))
+    saturated = ((d - 1,) * d, (d,) * (d - 1))
     problems = []
-    if rep.n_generator_degrees != expected:
-        problems.append(f"generators {list(rep.n_generator_degrees)} "
-                        f"vs dual twists {list(expected)}")
-    if len(pos3) != len(rep.ar_generator_degrees) - 2:
-        problems.append("third position size is not mu(AR) - 2")
+    for name, table, want in (("S/J_f", rep.betti_jacobian, jacobian),
+                              ("S/I_f", rep.betti_saturated, saturated)):
+        got = None if table is None else table.twists
+        if got != want:
+            problems.append(f"{name} twists {got}, expected {want}")
     if problems:
         return False, "; ".join(problems)
     return True, ""
@@ -291,7 +296,7 @@ PROPERTIES = (
     ("module-vanishing", _prop_module_vanishing),
     ("syzygy-bound", _prop_syzygy_bound),
     ("arrangement-tau", _prop_arrangement_tau),
-    ("n-generator-degrees", _prop_n_generator_degrees),
+    ("generic-arrangement-tables", _prop_generic_arrangement_tables),
     ("jacobian-table-shape", _prop_jacobian_table_shape),
     ("lefschetz-nearly-free", _prop_lefschetz_nearly_free),
     ("verdicts", _prop_verdicts),

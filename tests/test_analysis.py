@@ -1,11 +1,14 @@
 """Report assembly, serialization, and the catalog entry point."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from curvesat.analysis import analyze, analyze_catalog, emit_json
+from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import parse_arrangement, parse_poly
 
 EX1_D4 = "y^4 + x*z^3"
@@ -81,3 +84,35 @@ def test_to_text_mentions_the_headline_facts():
     assert "tau = 6" in text
     assert "NEARLY_FREE" in text
     assert "a = [2, 3], b = [5]" in text
+
+
+def test_analyze_takes_no_ar_kernel_and_walks_no_ar(monkeypatch):
+    # the AR(f) degrees and the S/J_f table are read off the Milnor
+    # table and N(f): with the AR(f) walk and every kernel or relation
+    # walk of J_f refused, each report is still the pinned one, mdr = 0
+    # (xy, concurrent-4) included; the S/I_f relation walk still runs
+    def refuse(*args):
+        raise AssertionError("AR(f) walked inside analyze")
+
+    def only_off_jf(method):
+        def guarded(self, *args):
+            if isinstance(self, CurveData):
+                refuse()
+            return method(self, *args)
+        return guarded
+
+    monkeypatch.setattr(CurveData, "ar_min_generators", refuse)
+    for name in ("kernel_at", "relations"):
+        monkeypatch.setattr(FormsIdeal, name,
+                            only_off_jf(getattr(FormsIdeal, name)))
+    digests = json.loads((Path(__file__).parent / "data"
+                          / "report_digests.json").read_text())
+    ar = {"xy": (0, 1), "concurrent-4": (0, 3), "nf-d7-k3": (1, 6, 6),
+          "braid": (2, 3)}
+    for name, degrees in ar.items():
+        report = analyze_catalog(name)
+        assert report.ar_generator_degrees == degrees
+        assert {key: hashlib.sha256(text.encode()).hexdigest()
+                for key, text in (("text", report.to_text()),
+                                  ("json", emit_json(report)))} \
+            == digests[name]

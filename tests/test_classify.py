@@ -14,7 +14,6 @@ from curvesat.classify import (
     predicted_resolution_nearly_free,
 )
 from curvesat.errors import BadExponentError
-from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import parse_poly
 
 EX1_D4 = "y^4 + x*z^3"
@@ -198,20 +197,3 @@ def test_all_catalog_style_curves_have_clean_verdicts():
         report = analyze(parse_poly(text))
         assert all(v.status in ("PASS", "NOT_APPLICABLE")
                    for v in report.verdicts), text
-
-
-def test_a_cone_walks_ar_once(monkeypatch):
-    # concurrent-4 has mdr = 0, so its AR(f) degrees come from a walk,
-    # not from the S/J_f table; the verdicts read the report's degrees
-    walks = []
-    relations = FormsIdeal.relations
-
-    def counted(self, top):
-        if isinstance(self, CurveData):
-            walks.append(top)
-        return relations(self, top)
-
-    monkeypatch.setattr(FormsIdeal, "relations", counted)
-    report = analyze_catalog("concurrent-4")
-    assert report.mdr == 0
-    assert len(walks) == 1

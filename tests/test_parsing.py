@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from curvesat.errors import (
 )
 from curvesat.parsing import combinatorics, parse_arrangement, parse_poly
 from curvesat.poly import (MAX_COEFF_BITS, HomogeneousPoly, Monomial,
-                           monomial_basis)
+                           add_terms, monomial_basis)
 
 
 def test_parse_simple_polynomial():
@@ -146,6 +147,23 @@ def test_digits_are_ascii():
     with pytest.raises(PolySyntaxError, match="unexpected character") as exc:
         parse_poly("x^\u0663")
     assert exc.value.position == 2
+
+
+def test_a_long_sum_parses_to_the_terms_of_a_pairwise_fold():
+    # every monomial of degree at most 20, with coefficient k + 1 in
+    # degree k, minus every one below degree 20: 3311 summands that
+    # leave the 231 of degree 20, with the same terms in the same order
+    # as a fold of add_terms over the summands
+    summands = [(k + 1, m) for k in range(21) for m in monomial_basis(k)]
+    summands += [(-k - 1, m) for k in range(20) for m in monomial_basis(k)]
+    assert len(summands) == 3311
+    text = " + ".join(f"{c}*x^{m.ex}*y^{m.ey}*z^{m.ez}"
+                      for c, m in summands).replace("+ -", "- ")
+    fold = reduce(add_terms, ({tuple(m): Fraction(c)} for c, m in summands))
+    f = parse_poly(text)
+    assert f.degree == 20 and len(f.terms) == 231
+    assert list(f.terms.items()) == [(Monomial(*e), c)
+                                     for e, c in fold.items()]
 
 
 def test_literal_length_is_capped_before_it_is_read():

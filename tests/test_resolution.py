@@ -1,5 +1,6 @@
 """Graded minimal resolutions of S/I_f and S/J_f and their regularity."""
 
+import dataclasses
 from math import comb
 
 import pytest
@@ -96,29 +97,26 @@ def test_betti_jacobian_ex1_d4():
 
 def test_betti_jacobian_nodal_sextic_certified():
     # the degree-8 syzygy generator (twist 13) comes three quiet degrees
-    # after the others; the scan reaches it because it runs to the bound
-    # r_J - d + 3 = 8 read off the regularity, not to a quiet stretch
+    # after the others; the closed form reads it off the Hilbert
+    # numerator, where no walk could stop at a quiet stretch
     table = betti_jacobian(parse_poly(NODAL6))
     assert table.twists == ((5, 5, 5), (10, 10, 10, 13), (14, 14))
 
 
 def test_betti_jacobian_raises_on_a_dropped_generator(monkeypatch):
-    # a generator set that misses one element fails the Hilbert check
-    # once, with no second scan behind it
-    calls = []
-    original = CurveData.ar_min_generators
+    # y^4 + x*z^3 is nearly free, N(f) has one generator, in degree 2,
+    # and position 3 the one twist 3d - 3 - 2 = 7; without it the
+    # numerator leaves -t^7 that no twist of position 2 can cancel
+    generators = SaturationData.generators.func
 
-    def drop_last(self, top):
-        calls.append(top)
-        degrees, module = original(self, top)
-        return degrees[:-1], FormsIdeal(module.vectors[:-1],
-                                        module.degrees[:-1],
-                                        module.block_shifts)
+    def drop_last(self):
+        scan = generators(self)
+        return dataclasses.replace(scan, n_degrees=scan.n_degrees[:-1])
 
-    monkeypatch.setattr(CurveData, "ar_min_generators", drop_last)
-    with pytest.raises(FreenessCheckFailedError):
-        betti_jacobian(parse_poly(NODAL6))
-    assert calls == [8]
+    assert saturate(parse_poly(EX1_D4)).generators.n_degrees == (2,)
+    monkeypatch.setattr(SaturationData, "generators", property(drop_last))
+    with pytest.raises(FreenessCheckFailedError, match="negative count"):
+        betti_jacobian(parse_poly(EX1_D4))
 
 
 def test_betti_jacobian_rejects_concurrent_lines():
@@ -238,3 +236,22 @@ def test_scan_bounds_are_the_regularities(name):
     assert r_i == cd.T - cd.coincidence_threshold()
     if report.mdr >= 1:
         assert sat.reg_jacobian() == regularity(report.betti_jacobian)
+
+
+WALKED = [n for n in catalog.names()
+          if not n.startswith("ziegler") and CurveData(_curve(n)).mdr() >= 1]
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_the_closed_form_is_the_walked_table(name):
+    # the engine's own S/J_f table, two Nakayama walks over the kernels
+    # of J_f: AR(f) up to r_J - d + 3 and its relations up to r_J + 3,
+    # must be the closed form read off the Milnor table and N(f)
+    sat = saturate(_curve(name))
+    cd = sat.data
+    r_j = sat.reg_jacobian()
+    ar = cd.ar_min_generators(r_j - cd.d + 3)[1]
+    relations = ar.relations(r_j + 3)[0]
+    walked = (cd.degrees, ar.degrees) + ((tuple(relations),)
+                                         if relations else ())
+    assert betti_jacobian(sat).twists == walked

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from curvesat import catalog, suite
+from curvesat import analysis, catalog, suite
 from curvesat.parsing import parse_arrangement
 from curvesat.poly import slice_dim
+from curvesat.resolution import BettiTable
 from curvesat.suite import (PROPERTIES, property_names,
                             random_arrangement_text, run_suite)
 
@@ -23,7 +24,7 @@ EXPECTED_PROPERTIES = [
     "module-vanishing",
     "syzygy-bound",
     "arrangement-tau",
-    "n-generator-degrees",
+    "generic-arrangement-tables",
     "jacobian-table-shape",
     "lefschetz-nearly-free",
     "verdicts",
@@ -115,3 +116,26 @@ def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
     assert rec.lifts_outside == (4,)
     ok, detail = oracle(rec)
     assert not ok and "k = [4]" in detail
+
+
+@pytest.mark.parametrize("table", ["betti_jacobian", "betti_saturated"])
+def test_generic_arrangement_tables_fail_on_one_wrong_twist(monkeypatch,
+                                                           table):
+    # generic-5 has only double points, so both tables are known from
+    # d = 5 alone; one relation twist raised by one is caught
+    build = getattr(analysis, table)
+
+    def off_by_one(sat):
+        *head, last = build(sat).twists
+        return BettiTable((*head, (*last[:-1], last[-1] + 1)))
+
+    def run():
+        return suite._run_one("generic-5", catalog.load("generic-5"),
+                              False, 0)
+
+    prop = dict(PROPERTIES)["generic-arrangement-tables"]
+    assert prop(run()) == (True, "")
+    monkeypatch.setattr(analysis, table, off_by_one)
+    ok, detail = prop(run())
+    assert not ok and detail.startswith(
+        "S/J_f" if table == "betti_jacobian" else "S/I_f")
