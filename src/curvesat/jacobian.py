@@ -14,21 +14,25 @@ canonical echelon form of each slice and the relations among its
 generators.  J_f is the ideal case, one block and three generators of
 degree d - 1.  ``minimal_generators`` is the one Nakayama walk, which
 picks minimal generators of a module degree by degree: over the slices
-of I_f it gives the generators of I_f
-(``saturation.SaturationData.generators``), and over the kernel of a
-generator map (``FormsIdeal.relations``) the relations of I_f in
-``resolution`` and, for the public ``ar_min_generators``, AR(f) from
-J_f; the S/J_f table reads AR(f)'s degrees off numbers the analysis
-already has and takes no such kernel.
+of I_f it gives the generators of I_f for the public
+``resolution.min_generators``
+(``saturation.SaturationData.generator_module``), and over the kernel
+of a generator map (``FormsIdeal.relations``) the relations among them
+and, for the public ``ar_min_generators``, AR(f) from J_f.  No analysis
+runs it: the S/J_f table reads AR(f)'s degrees off numbers the
+analysis already has, and the S/I_f table counts the generators of I_f
+and reads its relations off the Hilbert function.
 
 One chain carries every slice upward: ``ShiftChain``, an
 ``exactla.IncrementalSpan`` in forward echelon form, stepped one degree
 at a time.  The walk reads only ranks and whether a vector enlarges its
 slice, which depend on the span alone, so it does no back substitution.
-The one back phase runs in ``FormsIdeal.rref_at``, on the slices whose
-rows are read: the ones it hands to the saturation steps, to
-``colon_rows``, to the generator walk as candidates and to the Lefschetz
-check, which are canonical reduced echelon forms.  A relation walk also
+The one back phase runs in ``FormsIdeal.slice_at`` on a slice of an
+ideal before its chain steps from it, and in ``FormsIdeal.rref_at`` on
+the slices whose rows are read: the ones it hands to the saturation
+steps, to ``colon_rows``, to the generator count and walk and to the
+Lefschetz check, which are canonical reduced echelon forms.  A rank or
+pivot read of the top slice takes none.  A relation walk also
 leaves one block out of its chain: for a nonzero generator v_b, a
 relation zero outside block b is h v_b = 0, so h = 0 as S is a domain,
 and forgetting block b is injective on the kernel.  ``relations`` leaves
@@ -208,8 +212,9 @@ class ShiftChain(IncrementalSpan):
     The slice is a forward echelon form, never back-substituted here:
     the walk of ``minimal_generators`` reads only the pivot count,
     ``next_rank`` and ``insert``'s answers, which depend on the span
-    alone, and ``FormsIdeal.rref_at`` runs the back phase on the slices
-    whose rows it hands out.
+    alone, and ``FormsIdeal.slice_at`` runs the back phase on the
+    slices of an ideal that a step starts from or whose rows
+    ``rref_at`` hands out.
     """
 
     def __init__(self, block_shifts, k: int):
@@ -283,8 +288,9 @@ class FormsIdeal:
         self.block_shifts = tuple(block_shifts)
         self.e = min(self.degrees, default=0)
         self.kmax = max(3 * self.e, 1)
+        # the canonical slices, every one below the chain's top
         self._rref: dict[int, tuple] = {}
-        # the top slice built so far, see rref_at
+        # the top slice built so far, see slice_at
         self._chain = ShiftChain(self.block_shifts, self.e - 1)
         # slice ranks handed on by the walk that built this module
         self._ranks: dict[int, int] = {}
@@ -311,29 +317,53 @@ class FormsIdeal:
         """Rank of the degree-k slice: handed on by the
         ``minimal_generators`` walk that built the module, dim S_k - tau
         at k >= m once ``regular_degree`` has certified (m, tau), else
-        read off ``rref_at``."""
+        the pivot count of ``slice_at``."""
         rank = self._ranks.get(k)
         if rank is not None:
             return rank
         if self._regular is not None and k >= self._regular[0]:
             return slice_dim(k) - self._regular[1]
-        return len(self.rref_at(k)[0])
+        return len(self.slice_at(k)[0])
 
-    def rref_at(self, k: int):
-        """Canonical RREF (pivots, rows) of the degree-k slice.
+    def slice_at(self, k: int):
+        """(pivots, rows) of the degree-k slice, an echelon form whose
+        pivots are those of the canonical RREF; its rows are canonical
+        below the top slice of the chain.
 
         Slices are chained upward from e: each degree is one
-        ``ShiftChain.step``, as M_k = S_1*M_(k-1) + span(v_i : a_i = k),
-        and one ``back_phase``, the only one a chain of this module runs.
+        ``ShiftChain.step``, as M_k = S_1*M_(k-1) + span(v_i : a_i = k).
+        A slice is back-phased (``back_phase``, the only one a chain of
+        this module runs) before the chain steps from it, so every step
+        starts from canonical rows, or when ``rref_at`` hands its rows
+        out.  A rank or pivot read of the top slice takes no back phase:
+        the one above the degree ``regular_degree`` certifies is built
+        for its rank alone.
         """
         if k < self.e:
             return [], []
         chain = self._chain
         while chain.k < k:
+            self._canonical()
             chain.step([v for v, a in zip(self.vectors, self.degrees)
                         if a == chain.k + 1])
+        got = self._rref.get(k)
+        return (chain.pivots, chain.rows) if got is None else got
+
+    def _canonical(self) -> None:
+        """Back-phase the chain's top slice, once, and keep it."""
+        chain = self._chain
+        if chain.k >= self.e and chain.k not in self._rref:
             back_phase(chain.pivots, chain.rows, chain.ncols)
             self._rref[chain.k] = (chain.pivots, chain.rows)
+
+    def rref_at(self, k: int):
+        """Canonical RREF (pivots, rows) of the degree-k slice
+        (``slice_at``, back-phased)."""
+        if k < self.e:
+            return [], []
+        self.slice_at(k)
+        if k == self._chain.k:
+            self._canonical()
         return self._rref[k]
 
     def regular_degree(self):
@@ -447,7 +477,7 @@ class FormsIdeal:
     def _h_onto(self, m: int) -> bool:
         """×h maps A_(m-1) onto A_m, for A = S/J and h = ``LINEAR_FORM``
         (see ``regular_degree``)."""
-        comp_here = complement(self.rref_at(m - 1)[0], slice_dim(m - 1))
+        comp_here = complement(self.slice_at(m - 1)[0], slice_dim(m - 1))
         piv, rows = self.rref_at(m)
         comp_next = complement(piv, slice_dim(m))
         return len(comp_next) == rank_int(

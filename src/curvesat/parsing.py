@@ -248,7 +248,13 @@ def _mul(a, b, pos):
 
 
 def _pow(a, n, pos):
-    """a^n by repeated squaring, over the bits of n from the top."""
+    """a^n: in closed form for a single term, {e: c}^n = {n e: c^n},
+    else by repeated squaring over the bits of n from the top."""
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        out = {tuple(n * v for v in e): c ** n}
+        _check_bits(out.values(), pos)
+        return out
     out = {(0, 0, 0): Fraction(1)}
     for bit in bin(n)[2:]:
         out = _mul(out, out, pos)

@@ -7,28 +7,23 @@ read off it.  No Groebner bases anywhere: everything is exact linear
 algebra against fixed monomial bases, or arithmetic on numbers it
 already gave.
 
-S/I_f comes from one Nakayama walk, ``jacobian.minimal_generators``,
-run twice: its generators are that walk over the slices of I_f
-(``SaturationData.generators``), and its relations the walk over the
-kernel of the generator map (``jacobian.FormsIdeal.relations``).  The
-module the first walk returns carries the slice ranks it reached, so
-the relation walk rebuilds no slice.  The walk stops at r_I + 2, read
-off the regularity r_I = ``SaturationData.reg_saturated``: an ideal of
-regularity r_I + 1 has its relations in degrees at most r_I + 2.  The
-table ends in one certificate, ``_certify``, which checks the twists
-against the Hilbert function of S/I_f on degrees 0..kmax and raises
-FreenessCheckFailed on a mismatch.
+Neither table takes an elimination of its own; each is a closed form
+in numbers the analysis already has.  S/I_f (``betti_saturated``)
+takes its generator degrees a_i from the count of
+``SaturationData.generators`` and its relation twists from the Hilbert
+numerator of S/I_f: S/I_f has projective dimension at most two, so
+1 - sum t^(a_i) + sum t^(b_j) = (1 - t)^3 sum h_I(k) t^k fixes the b_j.
+S/J_f (``jacobian_twists``) is a closed form in the Milnor table m_k
+and the generator degrees g_j of N(f) = I_f/J_f.  Both reproduce their
+Hilbert functions by construction, and a negative count raises
+FreenessCheckFailed.
 
-S/J_f takes no elimination of its own: its table is a closed form in
-the Milnor table m_k and the generator degrees g_j of N(f) = I_f/J_f,
-both of which the analysis already has (see ``jacobian_twists``).  The
-AR(f) walk, ``CurveData.ar_min_generators``, which also yields the
-syzygy vectors, serves the public ``ar_min_generators`` and not the
-table.
-
-The generators of I_f are integer rows of the canonical slice basis,
-picked in order, so repeated runs reproduce them bit for bit; only
-``min_generators`` turns them into polynomials.
+The walks, ``jacobian.minimal_generators``, serve the public entry
+points and not the tables: ``min_generators`` reads the walk over the
+slices of I_f (``SaturationData.generator_module``), which picks
+integer rows of the canonical slice basis in order, so repeated runs
+reproduce them bit for bit, and ``ar_min_generators`` the AR(f) walk,
+``CurveData.ar_min_generators``, which also yields the syzygy vectors.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from .errors import FreenessCheckFailedError, WrongShapeError
 # perfbench/spans.py patches this module's names
 from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
 from .jacobian import CurveData
-from .poly import HomogeneousPoly, slice_dim, twists_dim
+from .poly import HomogeneousPoly, slice_dim
 from .saturation import saturate
 
 
@@ -76,49 +71,61 @@ def regularity(table: BettiTable) -> int:
 
 def min_generators(f):
     """Minimal generators of the saturated ideal: (degrees, polynomials),
-    read off the generator scan (``SaturationData.generators``), which
-    covers degrees 0..r_I + 1 = reg(I)."""
-    gens = saturate(f).generators.module
+    read off the generator walk (``SaturationData.generator_module``),
+    which covers degrees 0..r_I + 1 = reg(I)."""
+    gens = saturate(f).generator_module
     return list(gens.degrees), [HomogeneousPoly.from_vector(k, row)
                                 for k, row in zip(gens.degrees,
                                                   gens.vectors)]
 
 
-def _certify(twists, hilbert, kmax: int, name: str):
-    """Check the twists of a free resolution of S/M against the Hilbert
-    function of S/M on degrees 0..kmax: the alternating sum
-    ``twists_dim(twists, k)`` must equal hilbert(k).  A mismatch raises
-    FreenessCheckFailed."""
-    for k in range(kmax + 1):
-        predicted = twists_dim(twists, k)
-        actual = hilbert(k)
-        if predicted != actual:
-            raise FreenessCheckFailedError(
-                f"Betti table of {name} fails its Hilbert function check "
-                f"at degree {k}: resolution says {predicted}, slices say "
-                f"{actual}")
+def _numerator(values, tail: int) -> list[int]:
+    """The coefficients of (1 - t)^3 sum h_k t^k in degrees 0..K + 3,
+    where h_k = values[k] for k <= K and tail above K: the Hilbert
+    numerator of a module whose Hilbert function is constant from K
+    on."""
+    # h padded by three zeros below and the tail above K
+    h = [0] * 3 + list(values) + [tail] * 3
+    return [h[n + 3] - 3 * h[n + 2] + 3 * h[n + 1] - h[n]
+            for n in range(len(h) - 3)]
 
 
 def betti_saturated(f) -> BettiTable:
-    """Betti table of S/I_f: (generators, relations), Hilbert-certified.
+    """Betti table of S/I_f: (generators, relations), in closed form.
 
-    The generators are the module of the scan
-    (``SaturationData.generators``), their relations one
-    ``FormsIdeal.relations`` walk over it up to r_I + 2: relations of I
-    sit in degrees at most reg(I) + 1 = reg(S/I) + 2.  The walk reads
-    the ranks the generator walk handed on, so no slice of I is
-    eliminated again.  S/I has projective dimension at most two, so a
-    nonzero relation position has one entry fewer than the generator
-    position."""
+    The generator degrees a_i are the count of the scan
+    (``SaturationData.generators``).  I is saturated, so S/I has depth
+    at least one and, by Auslander-Buchsbaum, projective dimension at
+    most two: its Hilbert numerator is
+
+        P(t) = (1 - t)^3 sum h_I(k) t^k = 1 - sum t^(a_i) + sum t^(b_j),
+
+    h_I(k) = dim S_k - ``i_dim(k)`` up to kmax and tau above it (I_k =
+    J_k from 3e - 2 on).  With the generators known no cancellation is
+    left to guess, and the relation twists are
+
+        sum t^(b_j) = P(t) - 1 + sum t^(a_i).
+
+    A negative coefficient there, or a count other than len(a) - 1 when
+    there are relations, raises FreenessCheckFailed.  By construction
+    the twists reproduce h_I in every degree."""
     sat = saturate(f)
-    gens = sat.generators.module
-    a = gens.degrees
-    b = gens.relations(sat.reg_saturated() + 2)[0]
+    a = sat.generators.degrees
+    series = _numerator([slice_dim(k) - sat.i_dim(k)
+                         for k in range(sat.kmax + 1)], sat.data.tau())
+    series[0] -= 1
+    for t in a:
+        series[t] += 1
+    if any(n < 0 for n in series):
+        raise FreenessCheckFailedError(
+            "S/I_f relation twists have a negative count: the Hilbert "
+            f"function of S/I_f and the generator degrees {list(a)} "
+            "disagree")
+    b = tuple(t for t, n in enumerate(series) for _ in range(n))
     if b and len(b) != len(a) - 1:
         raise FreenessCheckFailedError(
             f"rank mismatch: {len(a)} generators vs {len(b)} relations")
-    _certify((a, b), lambda k: slice_dim(k) - sat.i_dim(k), sat.kmax, "S/I_f")
-    return BettiTable((tuple(sorted(a)), tuple(sorted(b))))
+    return BettiTable((tuple(a), b))
 
 
 def jacobian_twists(f) -> tuple:
@@ -158,10 +165,7 @@ def jacobian_twists(f) -> tuple:
     cd = sat.data
     if not isinstance(cd, CurveData):
         raise WrongShapeError("the S/J_f table needs the Jacobian of a curve")
-    # the Milnor table padded by three zeros below and tau above kmax
-    h = [0] * 3 + cd.milnor_dims() + [cd.tjurina()] * 3
-    series = [h[n + 3] - 3 * h[n + 2] + 3 * h[n + 1] - h[n]
-              for n in range(len(h) - 3)]
+    series = _numerator(cd.milnor_dims(), cd.tjurina())
     last = sorted(3 * cd.d - 3 - g for g in sat.generators.n_degrees)
     series[0] -= 1
     series[cd.d - 1] += 3

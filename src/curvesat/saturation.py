@@ -47,11 +47,17 @@ base 3e - 2: the quotient I/J by its saturation I vanishes above
 case e = d - 1, where 3e - 3 = T.  Both read tau, and the check that J
 has codimension two, from ``jacobian.FormsIdeal.tau``.
 
-The minimal generators of I and of N = I/J come from one scan
-(``SaturationData.generators``): the Nakayama walk of
-``jacobian.minimal_generators`` over the slices of I.  Those of N are
-those of I except at the generator degree e of J, where they and the
-correction term e2 of the generator bound take one more rank.
+The generator degrees of I and of N = I/J are counted, not picked
+(``SaturationData.generators``): above the generator degree e of J,
+S_1 I_(k-1) is J_k plus the x, y and z shifts of the lifts at degree
+k - 1, so the count at k is n_k less the rank those shifts add to J_k,
+read at one marker column per lift; at e, where J_(e-1) = 0, it is
+dim I_e less their rank.  Those of N are those of I except at e, where
+they and the correction term e2 of the generator bound take the rank
+the shifts add to J_e.  The generators themselves, the Nakayama walk of
+``jacobian.minimal_generators`` over the slices of I, are built on
+first use (``SaturationData.generator_module``) for the public
+``resolution.min_generators``; no analysis reads them.
 """
 
 from __future__ import annotations
@@ -59,13 +65,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
 # clear_row and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
 from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
-                      rref_extend, rref_insert)
+                      rank_int, rref_extend, rref_insert)
 from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows,
                        complement, minimal_generators, shift_block_vector,
                        smooth_reference_dims)
@@ -74,9 +81,9 @@ from .poly import primitivize, slice_dim
 
 @dataclass(frozen=True)
 class GeneratorScan:
-    """Minimal generators of the saturation I and of N = I/J."""
+    """Minimal generator degrees of the saturation I and of N = I/J."""
 
-    module: FormsIdeal      # generated by those of I, canonical rows
+    degrees: tuple          # generator degrees of I, ascending
     n_degrees: tuple        # generator degrees of N, ascending
     e2: int                 # 3 - dim(J_e meet S_1 * I_(e-1))
 
@@ -221,7 +228,7 @@ class SaturationData:
 
     def lift_shifts(self, k: int) -> list:
         """The x, y and z shifts of each lift at degree k, cached: the
-        generator scan and every sampled form of ``lefschetz_check``
+        generator count and every sampled form of ``lefschetz_check``
         read them."""
         got = self._shifts.get(k)
         if got is None:
@@ -271,36 +278,48 @@ class SaturationData:
 
     @cached_property
     def generators(self) -> GeneratorScan:
-        """Minimal generators of I and of N = I/J, and e2, in one walk.
+        """Minimal generator degrees of I and of N = I/J, and e2, counted
+        off ranks the descent already holds; no generator is picked.
 
-        The generators of I are one ``jacobian.minimal_generators`` walk
-        over I, block (0,), on degrees 0..r_I + 2: dim_at is ``i_dim``
-        and the candidates at k are the rows of RREF(I_k), so each
-        generator is a canonical row, picked in order where it enlarges
-        S_1 I_(k-1).  The walk stops at reg(I) + 1 = r_I + 2, where it
-        only counts: generators of I lie in degrees at most reg(I), so a
-        nonzero count there raises.  N/mN = I/(mI + J) is a quotient of
-        I/mI, so those of N lie in degrees at most reg(I) too.
+        Let e be the generator degree of J and Sh_k the x, y and z
+        shifts of the lifts at degree k - 1 (``lift_shifts``), so that
+        I_(k-1) = J_(k-1) + span(lifts) and S_1 I_(k-1) = S_1 J_(k-1) +
+        Sh_k.  With g_k = dim((J_k + Sh_k)/J_k) (``_growth``):
 
-        With e the generator degree of J, Sh_e the variable shifts of
-        the lifts at degree e - 1 and g_e = rank_growth(RREF(J_e),
-        Sh_e):
+        - for k != e, S_1 J_(k-1) is J_k (k > e) or 0 = J_k (k < e), so
+          S_1 I_(k-1) = J_k + Sh_k and mu_I(k) = n_k - g_k;
+        - J_(e-1) = 0, so S_1 I_(e-1) = Sh_e and mu_I(e) = dim I_e -
+          rank Sh_e;
+        - mu_N(k) = n_k - dim(S_1 I_(k-1) + J_k)/J_k is mu_I(k) at every
+          k != e, and mu_N(e) = n_e - g_e;
+        - e2 = 3 - dim(J_e meet S_1 I_(e-1)) = 3 - rank Sh_e + g_e.
 
-        - I_(k-1) = J_(k-1) + lifts and J_k = S_1 J_(k-1) for k > e, so
-          S_1 I_(k-1) = J_k + Sh_k for k > e and Sh_k for k <= e;
-        - so mu_N(k) = n_k - dim(S_1 I_(k-1) + J_k)/J_k = mu_I(k) at
-          every k != e, and mu_N(e) = n_e - g_e;
-        - J_(e-1) = 0, so rank Sh_e = dim I_e - mu_I(e), and
-          e2 = 3 - dim(J_e meet S_1 I_(e-1)) = 3 - rank Sh_e + g_e.
-
-        When e > r_I + 1, S_1 I_(e-1) = I_e contains J_e, e2 = 3 - dim
-        J_e, and mu_N(e) = 0.
+        The count runs over degrees 0..r_I + 2: generators of I lie in
+        degrees at most reg(I) = r_I + 1, so a nonzero count at r_I + 2
+        raises, as does a negative count.  N/mN = I/(mI + J) is a
+        quotient of I/mI, so those of N lie in degrees at most reg(I)
+        too.  When e > r_I + 1, S_1 I_(e-1) = I_e contains J_e, e2 = 3 -
+        dim J_e, and mu_N(e) = 0.  The generators themselves are the
+        walk of ``generator_module``, which only the public
+        ``resolution.min_generators`` reads.
         """
         data = self.data
         e = data.e
         top = self.reg_saturated() + 2
-        degrees, module = minimal_generators(
-            (0,), 0, top, self.i_dim, lambda k: self.i_rref(k)[1])
+        degrees: list[int] = []
+        for k in range(top + 1):
+            shifted = [vec for trio in self.lift_shifts(k - 1)
+                       for vec in trio]
+            if k == e:
+                grew = self._growth(k, shifted)
+                spanned = rank_int([list(v) for v in shifted], slice_dim(k))
+                count = self.i_dim(k) - spanned
+            else:
+                count = self.n_dim(k) - self._growth(k, shifted)
+            if count < 0:
+                raise KmaxExhaustedError(
+                    f"negative generator count {count} at degree {k}")
+            degrees.extend([k] * count)
         if top in degrees:
             raise KmaxExhaustedError(
                 f"a generator of the saturation in degree {top}, "
@@ -308,12 +327,66 @@ class SaturationData:
         n_degrees = [k for k in degrees if k != e]
         e2 = 3 - data.rank_at(e)
         if e < top:
-            shifted = [vec for trio in self.lift_shifts(e - 1)
-                       for vec in trio]
-            grew = rank_growth(*data.rref_at(e), shifted, slice_dim(e))
-            e2 = 3 - (self.i_dim(e) - degrees.count(e)) + grew
+            e2 = 3 - spanned + grew
             n_degrees.extend([e] * (self.n_dim(e) - grew))
-        return GeneratorScan(module, tuple(sorted(n_degrees)), e2)
+        return GeneratorScan(tuple(degrees), tuple(sorted(n_degrees)), e2)
+
+    def _growth(self, k: int, vecs) -> int:
+        """dim((J_k + span vecs)/J_k) for vectors vecs of I_k, read at
+        the marker columns of the lifts at k.
+
+        The lifts at k are a basis of I_k modulo J_k, supported on the
+        monomials outside J_k: each is a canonical kernel vector
+        (``exactla.kernel_from_rref``) written on those columns, or a
+        unit vector.  Either way its last nonzero column, its marker, is
+        zero in every other lift.  A vector v of I_k is u + sum c_j l_j
+        with u in J_k; its residual modulo the canonical RREF of J_k is
+        zero at the pivots, so it is sum c_j l_j, and c_j is its entry
+        at marker j over l_j's.  Each canonical row is zero at the other
+        pivots, so the residual at a column m is
+
+            v[m] - sum_i v[p_i] rows_i[m] / rows_i[p_i],
+
+        scaled here by the lcm of the pivot entries it divides by.  The
+        growth is the rank of those n_k-column residuals; no full
+        residual is formed.
+        """
+        lifts = self.extras.get(k)
+        if not lifts or not vecs:
+            return 0
+        markers = [max(c for c, v in enumerate(lift) if v) for lift in lifts]
+        jpiv, jrows = self.data.rref_at(k)
+        at = {c: i for i, c in enumerate(jpiv)}
+        rows = []
+        for vec in vecs:
+            hits = [(jrows[at[c]], c, v)
+                    for c, v in enumerate(vec) if v and c in at]
+            scale = lcm(*(row[pc] for row, pc, _ in hits))
+            rows.append([scale * vec[m]
+                         - sum((scale // row[pc]) * v * row[m]
+                               for row, pc, v in hits)
+                         for m in markers])
+        return rank_int(rows, len(markers))
+
+    @cached_property
+    def generator_module(self) -> FormsIdeal:
+        """The minimal generators of I as a module, from one
+        ``jacobian.minimal_generators`` walk over I, block (0,), on
+        degrees 0..r_I + 2: dim_at is ``i_dim`` and the candidates at k
+        are the rows of RREF(I_k), so each generator is a canonical row,
+        picked in order where it enlarges S_1 I_(k-1).  The walk stops
+        at reg(I) + 1 = r_I + 2, where it only counts, and raises on a
+        generator there.  The module carries the ranks the walk reached,
+        so a relation walk over it rebuilds no slice.  Computed on
+        first use: only ``resolution.min_generators`` reads it."""
+        top = self.reg_saturated() + 2
+        degrees, module = minimal_generators(
+            (0,), 0, top, self.i_dim, lambda k: self.i_rref(k)[1])
+        if top in degrees:
+            raise KmaxExhaustedError(
+                f"a generator of the saturation in degree {top}, "
+                "above reg(I)")
+        return module
 
 
 def _unit(c: int, dim: int) -> list[int]:

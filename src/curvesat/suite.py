@@ -163,6 +163,11 @@ def _prop_duality(rec):
 
 
 def _prop_resolution_identities(rec):
+    # the S/I_f relations are read off the Hilbert numerator P(t) = 1 -
+    # sum t^(a_i) + sum t^(b_j), and (1 - t)^2 divides P as S/I_f has
+    # the constant Hilbert polynomial tau: P(1) = 0, P'(1) = 0 and
+    # P''(1) = 2 tau, so the count, sum and square clauses hold by
+    # construction; the ordering clause b_i >= a_i + 1 does not
     rep = rec.report
     a, b = rep.betti_saturated.twists
     problems = []

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from curvesat.analysis import analyze, analyze_catalog, emit_json
+from curvesat import catalog, jacobian, saturation
+from curvesat.analysis import analyze, analyze_catalog, analyze_full, emit_json
 from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import parse_arrangement, parse_poly
 
@@ -86,11 +87,34 @@ def test_to_text_mentions_the_headline_facts():
     assert "a = [2, 3], b = [5]" in text
 
 
+def test_analyze_full_walks_no_generators_and_no_relations(monkeypatch):
+    # the generators of I_f are counted and the S/I_f relations read
+    # off its Hilbert function: with every Nakayama walk and relation
+    # walk refused, each report is still the pinned one
+    def refuse(*args):
+        raise AssertionError("a Nakayama walk ran inside analyze_full")
+
+    for module in (jacobian, saturation):
+        monkeypatch.setattr(module, "minimal_generators", refuse)
+    monkeypatch.setattr(FormsIdeal, "relations", refuse)
+    digests = json.loads((Path(__file__).parent / "data"
+                          / "report_digests.json").read_text())
+    for name in ("xy", "conic", "nodal-3", "nf-d7-k3", "braid", "nodal-5",
+                 "concurrent-4", "fermat-5"):
+        report, _, _ = analyze_full(catalog.load(name), name=name,
+                                    irreducible=catalog.entry(
+                                        name).irreducible)
+        assert {key: hashlib.sha256(text.encode()).hexdigest()
+                for key, text in (("text", report.to_text()),
+                                  ("json", emit_json(report)))} \
+            == digests[name]
+
+
 def test_analyze_takes_no_ar_kernel_and_walks_no_ar(monkeypatch):
     # the AR(f) degrees and the S/J_f table are read off the Milnor
     # table and N(f): with the AR(f) walk and every kernel or relation
     # walk of J_f refused, each report is still the pinned one, mdr = 0
-    # (xy, concurrent-4) included; the S/I_f relation walk still runs
+    # (xy, concurrent-4) included
     def refuse(*args):
         raise AssertionError("AR(f) walked inside analyze")
 

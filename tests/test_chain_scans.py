@@ -18,7 +18,7 @@ from curvesat.jacobian import (CurveData, FormsIdeal, ShiftChain,
                                shift_block_vector)
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import monomial_basis, monomial_index, slice_dim
-from curvesat.resolution import betti_saturated, min_generators
+from curvesat.resolution import min_generators
 from curvesat.saturation import saturate
 
 NODAL6 = "x*y*z^4 + x^6 + y^6"
@@ -142,7 +142,7 @@ def test_a_walk_hands_on_the_ranks_of_its_module(name):
         assert walked._ranks == {k: cold.rank_at(k)
                                  for k in range(module.e, top + 1)}
     # and the generator walk of the saturation, over degrees 0..r_I + 2
-    walked = sat.generators.module
+    walked = sat.generator_module
     cold = FormsIdeal(walked.vectors, walked.degrees)
     assert walked._ranks == {k: cold.rank_at(k)
                              for k in range(sat.reg_saturated() + 3)}
@@ -196,13 +196,13 @@ def test_the_relations_of_ar_rebuild_no_slice(monkeypatch, name):
     # walk handed on: only the slices of J_f are ever eliminated
     walk = _ar_walks(name)
     modules = []
-    rref_at = FormsIdeal.rref_at
+    slice_at = FormsIdeal.slice_at
 
     def recorded(self, k):
         modules.append(self)
-        return rref_at(self, k)
+        return slice_at(self, k)
 
-    monkeypatch.setattr(FormsIdeal, "rref_at", recorded)
+    monkeypatch.setattr(FormsIdeal, "slice_at", recorded)
     walk()
     assert modules
     assert all(isinstance(m, CurveData) for m in modules)
@@ -210,18 +210,19 @@ def test_the_relations_of_ar_rebuild_no_slice(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["nf-d7-k3", "nodal-5", "braid"])
 def test_the_saturated_walk_rebuilds_no_slice(monkeypatch, name):
-    # the S/I_f table walks the relations of the module the generator
-    # walk returned, which carries that walk's ranks: no slice of the
-    # I_f module is eliminated, only those of J_f
+    # a walk over the relations of the module the generator walk
+    # returned reads that walk's ranks: no slice of the I_f module is
+    # eliminated, only those of J_f
     modules = []
-    rref_at = FormsIdeal.rref_at
+    slice_at = FormsIdeal.slice_at
 
     def recorded(self, k):
         modules.append(self)
-        return rref_at(self, k)
+        return slice_at(self, k)
 
-    monkeypatch.setattr(FormsIdeal, "rref_at", recorded)
-    betti_saturated(_curve(name))
+    monkeypatch.setattr(FormsIdeal, "slice_at", recorded)
+    sat = saturate(_curve(name))
+    sat.generator_module.relations(sat.reg_saturated() + 2)
     assert modules
     assert all(isinstance(m, CurveData) for m in modules)
 

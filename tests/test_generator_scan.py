@@ -1,24 +1,30 @@
 """The generator scan of the saturation (``SaturationData.generators``).
 
-One scan gives the minimal generators of I and of N = I/J and the
-correction term e2.  It is compared with the three scans it replaced,
-kept here as the reference: the N(f) count over every degree of the
-table, the I count over degrees 0..r_I + 1 with the RREF of the shift
-span built at every degree, and e2 from three separate ranks.
+One scan counts the minimal generators of I and of N = I/J and the
+correction term e2 off ranks the descent already holds.  It is
+compared with the three scans it replaced, kept here as the reference:
+the N(f) count over every degree of the table, the I count over
+degrees 0..r_I + 1 with the RREF of the shift span built at every
+degree, and e2 from three separate ranks; and with the Nakayama walk
+of ``SaturationData.generator_module``, on every catalog entry.
 """
+
+import random
+from functools import lru_cache
 
 import pytest
 
 from curvesat import catalog, resolution, saturation
 from curvesat.analysis import analyze_full
-from curvesat.errors import KmaxExhaustedError
+from curvesat.errors import FreenessCheckFailedError, KmaxExhaustedError
 from curvesat.exactla import rank_growth, rank_int, rref_extend, rref_insert
 from curvesat.jacobian import shift_block_vector
-from curvesat.parsing import Arrangement, parse_poly
+from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
 from curvesat.poly import HomogeneousPoly, slice_dim
-from curvesat.resolution import min_generators
+from curvesat.resolution import betti_saturated, min_generators
 from curvesat.saturation import (n_min_generators, saturate,
                                  saturate_three_forms)
+from curvesat.suite import random_arrangement_text
 
 # three cubics that are not the partials of one curve, with content
 THREE_FORMS = ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")
@@ -97,9 +103,10 @@ def test_scan_matches_the_three_reference_scans(name):
     scan = sat.generators
     assert list(scan.n_degrees) == reference_n_generators(_sat(name))
     degrees, gens = reference_i_generators(_sat(name))
-    assert list(scan.module.degrees) == degrees
-    assert [list(row) for row in scan.module.vectors] == [g.int_vector()
-                                                          for g in gens]
+    walked = sat.generator_module
+    assert list(walked.degrees) == degrees
+    assert [list(row) for row in walked.vectors] == [g.int_vector()
+                                                     for g in gens]
     assert scan.e2 == reference_e2(_sat(name))
     assert n_min_generators(sat) == list(scan.n_degrees)
     assert min_generators(sat) == (degrees, gens)
@@ -153,7 +160,7 @@ def test_a_corrupted_dimension_makes_the_walk_raise(monkeypatch, name):
     # generator sits at k or above
     sat = _sat(name)
     top = sat.reg_saturated() + 2
-    last = sat.generators.module.degrees[-1]
+    last = sat.generator_module.degrees[-1]
     bad = [(k, 1) for k in range(top + 1)]
     bad += [(k, -1) for k in range(last + 1, top + 1)]
     for degree, delta in bad:
@@ -163,4 +170,101 @@ def test_a_corrupted_dimension_makes_the_walk_raise(monkeypatch, name):
             sat, "i_dim",
             lambda k, d=degree, x=delta: i_dim(k) + (x if k == d else 0))
         with pytest.raises(KmaxExhaustedError):
+            sat.generator_module
+
+
+@pytest.mark.parametrize("name", ["nodal-5", "nf-d7-k3", "braid"])
+def test_a_corrupted_quotient_dimension_makes_the_count_raise(monkeypatch,
+                                                              name):
+    # one too few in n_k leaves the count below the rank of S_1 I_(k-1)
+    # at every degree up to r_I + 2 where no generator of I sits
+    sat = _sat(name)
+    top = sat.reg_saturated() + 2
+    quiet = [k for k in range(top + 1) if k not in sat.generators.degrees]
+    assert quiet
+    for degree in quiet:
+        sat = _sat(name)
+        n_dim = sat.n_dim
+        monkeypatch.setattr(
+            sat, "n_dim", lambda k, d=degree: n_dim(k) - (k == d))
+        with pytest.raises(KmaxExhaustedError, match="negative generator"):
             sat.generators
+
+
+def test_a_corrupted_slice_at_the_generator_degree_makes_the_count_raise(
+        monkeypatch):
+    # nodal-3: J_f is generated in degree e = 2 = r_I + 2, where I_f has
+    # no generator; one too few in dim I_e makes the count there negative
+    sat = saturate(catalog.load("nodal-3"))
+    e = sat.data.e
+    assert e == sat.reg_saturated() + 2 and e not in sat.generators.degrees
+    sat = saturate(catalog.load("nodal-3"))
+    i_dim = sat.i_dim
+    monkeypatch.setattr(sat, "i_dim", lambda k: i_dim(k) - (k == e))
+    with pytest.raises(KmaxExhaustedError, match="negative generator"):
+        sat.generators
+
+
+@pytest.mark.parametrize("name", ["nodal-5", "nf-d7-k3", "braid",
+                                  "three-forms"])
+def test_a_corrupted_hilbert_function_makes_the_table_raise(monkeypatch,
+                                                            name):
+    # the S/I_f relations are read off the Hilbert function of S/I_f
+    # and the counted generators: dim I_k one off, in any degree up to
+    # kmax, leaves a negative relation count
+    for degree in range(_sat(name).kmax + 1):
+        for delta in (1, -1):
+            sat = _sat(name)
+            sat.generators
+            i_dim = sat.i_dim
+            monkeypatch.setattr(
+                sat, "i_dim",
+                lambda k, d=degree, x=delta: i_dim(k) + (x if k == d else 0))
+            with pytest.raises(FreenessCheckFailedError):
+                betti_saturated(sat)
+
+
+# every catalog entry, the three forms above and the random arrangements
+# of ``run_suite(random_count=25, seed=0)``
+_RNG = random.Random(0)
+RANDOM = {f"random-{i}": random_arrangement_text(_RNG) for i in range(25)}
+ENTRIES = [*catalog.names(), "three-forms", *RANDOM]
+
+
+@lru_cache(maxsize=None)
+def _entry(name):
+    if name in RANDOM:
+        return saturate(parse_arrangement(RANDOM[name]).product())
+    return _sat(name)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_the_count_is_the_walk(name):
+    # the generator degrees of I the scan counts are those the walk
+    # picks, and N(f)'s and e2 are what the walk's degrees gave, with
+    # the full rank growth of the lift shifts against J_e
+    sat = _entry(name)
+    scan = sat.generators
+    walked = list(sat.generator_module.degrees)
+    assert list(scan.degrees) == walked
+    data = sat.data
+    e = data.e
+    n_degrees = [k for k in walked if k != e]
+    e2 = 3 - data.rank_at(e)
+    if e < sat.reg_saturated() + 2:
+        grew = rank_growth(*data.rref_at(e), _shifted(sat, e), slice_dim(e))
+        e2 = 3 - (sat.i_dim(e) - walked.count(e)) + grew
+        n_degrees += [e] * (sat.n_dim(e) - grew)
+    assert list(scan.n_degrees) == sorted(n_degrees)
+    assert scan.e2 == e2
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_the_saturated_closed_form_is_the_walked_table(name):
+    # the S/I_f table read off the Hilbert function must be the walk's
+    # generators and the relation walk over their module up to r_I + 2
+    sat = _entry(name)
+    walked = sat.generator_module
+    relations = walked.relations(sat.reg_saturated() + 2)[0]
+    assert betti_saturated(sat).twists == (walked.degrees,
+                                           tuple(sorted(relations)))

@@ -189,6 +189,44 @@ def test_coefficient_bits_are_capped_as_they_grow(text, at):
         1, {Monomial(1, 0, 0): 2 ** 2047})
 
 
+def _power_by_multiplication(a, n, pos):
+    # n - 1 products of a, each checked against the bit cap as the
+    # parser checks a product
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        out = parsing._mul(out, a, pos)
+    return out
+
+
+@given(st.tuples(*[st.integers(0, 3)] * 3),
+       st.fractions(max_denominator=50).filter(bool)
+       | st.sampled_from([Fraction(-1), Fraction(-7, 3), Fraction(2 ** 40)]),
+       st.integers(0, 64))
+def test_a_one_term_power_is_repeated_multiplication(e, c, n):
+    # a single term is raised in closed form, {e: c}^n = {n e: c^n}; it
+    # must give what n multiplications give, and raise at the same
+    # position where a product passes the bit cap
+    try:
+        expected = _power_by_multiplication({e: c}, n, 5)
+    except PolySyntaxError as exc:
+        with pytest.raises(PolySyntaxError,
+                           match="exceeds the cap of 2048 bits") as got:
+            parsing._pow({e: c}, n, 5)
+        assert got.value.position == exc.position == 5
+    else:
+        assert parsing._pow({e: c}, n, 5) == expected
+
+
+def test_one_term_powers_parse_as_their_products():
+    assert parse_poly("(-2/3*x*y^2)^5") == parse_poly(
+        " * ".join(["(-2/3*x*y^2)"] * 5))
+    assert parse_poly("0^0*x") == parse_poly("x")
+    text = "(2^40*x)^52"
+    with pytest.raises(PolySyntaxError, match="2081 bits") as exc:
+        parse_poly(text)
+    assert exc.value.position == text.index("52")
+
+
 def test_syntax_error_carries_offset():
     with pytest.raises(PolySyntaxError) as exc:
         parse_poly("x + * y")

@@ -117,13 +117,13 @@ def test_three_forms_stop_at_the_complete_intersection_bound(monkeypatch):
     # slice above it is built, none of the slices up to 3e = 42 that the
     # stabilization check would read
     asked = []
-    rref_at = FormsIdeal.rref_at
+    slice_at = FormsIdeal.slice_at
 
     def watched(self, k):
         asked.append(k)
-        return rref_at(self, k)
+        return slice_at(self, k)
 
-    monkeypatch.setattr(FormsIdeal, "rref_at", watched)
+    monkeypatch.setattr(FormsIdeal, "slice_at", watched)
     g = parse_poly("x^13 + y^13 + z^13")
     with pytest.raises(NotCodimensionTwoError,
                        match="at degree 16 .* common factor"):
@@ -136,13 +136,13 @@ def test_three_forms_with_a_common_factor_read_two_degrees(monkeypatch):
     # bound and no degree passes the regularity check: S/J grows by one
     # per degree from 3e - 2 = 10 on, and slice 3e = 12 is never built
     asked = []
-    rref_at = FormsIdeal.rref_at
+    slice_at = FormsIdeal.slice_at
 
     def watched(self, k):
         asked.append(k)
-        return rref_at(self, k)
+        return slice_at(self, k)
 
-    monkeypatch.setattr(FormsIdeal, "rref_at", watched)
+    monkeypatch.setattr(FormsIdeal, "slice_at", watched)
     with pytest.raises(NotCodimensionTwoError,
                        match=r"does not stabilize \(11 -> 12\)"):
         saturate_three_forms(parse_poly("x^4"), parse_poly("x*y^3"),
