@@ -193,7 +193,9 @@ def back_phase(pivots: Sequence[int], rows: list[list[int]],
 
 
 def rank_int(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix; consumes its argument."""
+    """Rank of an integer matrix; consumes its argument, whose first
+    rank rows are left a forward echelon form of its row span
+    (``_eliminate``)."""
     return len(_eliminate(rows, ncols))
 
 

@@ -51,8 +51,11 @@ passes that bound f has a repeated factor, and the chain stops there.
 Where no degree passes (h vanishes at a singular point, or f has a
 repeated factor the bound has not caught) the chain runs to kmax - 1,
 where ``FormsIdeal.tau`` checks that the Hilbert function stabilizes.
-``colon_rows`` builds the matrix of multiplication by h modulo a slice,
-for the regularity check and for the saturation steps.
+``colon_rows`` builds the matrix of multiplication by h modulo a slice
+of J, with a saturation step's lift vectors projected out, for the
+regularity check and for the saturation steps; the check keeps the
+forward echelon form of the last matrix it eliminates for the step that
+reads the same matrix (``FormsIdeal.colon_echelon``).
 
 ``CurveData`` is the per-curve cache built on J_f.  It works on a
 canonical integer representative of f (rescaling f changes nothing) so
@@ -143,20 +146,39 @@ def complement(pivots, ncols: int) -> list[int]:
     return [c for c in range(ncols) if c not in pivset]
 
 
-def colon_rows(k: int, form, comp_here, comp_next, ipiv, irows) -> list:
+def marker(lift) -> int:
+    """A lift's marker: its last nonzero column (see ``colon_rows``)."""
+    return max(c for c, v in enumerate(lift) if v)
+
+
+def colon_rows(k: int, form, comp_here, jpiv, jrows, lifts=()) -> list:
     """Integer matrix of multiplication by the linear form with
     coefficients form, from the complement monomials comp_here of
-    degree k into S_(k+1) modulo the canonical RREF (ipiv, irows) of a
-    slice I_(k+1): one row per complement column npc in comp_next.
+    degree k into S_(k+1) modulo J_(k+1) + span(lifts), with (jpiv,
+    jrows) the canonical RREF of J_(k+1) and lifts vectors of degree
+    k + 1 zero at its pivots: one row per monomial outside J_(k+1)
+    that is no lift's marker.
 
     The image of a monomial under one term lands on one monomial t: on
-    npc itself when t = npc, else on the pivot of a row i of I_(k+1),
-    where its residual has -irows[i][npc] / irows[i][ipiv[i]] at npc.
-    Each row is scaled to integers by the lcm of the pivot entries it
-    touches (``kernel_int`` strips its content).
+    a complement column npc itself when t = npc, else on the pivot of a
+    row i of J_(k+1), where its residual has -jrows[i][npc] /
+    jrows[i][jpiv[i]] at npc.  Each such row is scaled to integers by
+    the lcm of the pivot entries it touches (``kernel_int`` strips its
+    content).
+
+    The lifts are projected out, not merged into the slice.  A lift's
+    marker is its last nonzero column, which must be zero in every
+    other lift, as it is for canonical kernel vectors and unit vectors.
+    A residual r modulo J_(k+1) lies in span(lifts) exactly when r -
+    sum_j (r[m_j] / l_j[m_j]) l_j is zero, so the row at each other
+    column c has the row at marker m_j subtracted l_j[c] / l_j[m_j]
+    times, in one combined update scaled by the lcm of the row scales,
+    and the marker rows are dropped.  What is left has one row per
+    monomial outside I_(k+1) = J_(k+1) + span(lifts) and the kernel of
+    multiplication modulo I_(k+1), with no slice of I_(k+1) built.
     """
     terms = [(sh, coef) for sh, coef in zip(shift_maps(k), form) if coef]
-    piv_index = {c: i for i, c in enumerate(ipiv)}
+    piv_index = {c: i for i, c in enumerate(jpiv)}
     direct: dict[int, list] = {}
     at_pivot = []
     for u, c in enumerate(comp_here):
@@ -168,16 +190,46 @@ def colon_rows(k: int, form, comp_here, comp_next, ipiv, irows) -> list:
             else:
                 at_pivot.append((u, coef, i))
     ncomp = len(comp_here)
-    rows = []
-    for npc in comp_next:
-        hits = [(u, coef * irows[i][npc], irows[i][ipiv[i]])
-                for u, coef, i in at_pivot if irows[i][npc]]
+
+    def scaled_row(npc):
+        """(row, scale): scale times the residual functional at npc."""
+        hits = [(u, coef * jrows[i][npc], jrows[i][jpiv[i]])
+                for u, coef, i in at_pivot if jrows[i][npc]]
         scale = lcm(*(a for _, _, a in hits))
         row = [0] * ncomp
         for u, coef in direct.get(npc, ()):
             row[u] = coef * scale
         for u, b, a in hits:
             row[u] -= b * (scale // a)
+        return row, scale
+
+    comp_next = complement(jpiv, slice_dim(k + 1))
+    if not lifts:
+        return [scaled_row(npc)[0] for npc in comp_next]
+    # per lift: its marker, its entry there and its row there, scaled
+    marked = []
+    for lift in lifts:
+        m = marker(lift)
+        row, scale = scaled_row(m)
+        marked.append((m, lift, scale * lift[m], row))
+    markers = {m for m, _, _, _ in marked}
+    rows = []
+    for npc in comp_next:
+        if npc in markers:
+            continue
+        row, scale = scaled_row(npc)
+        hits = [(lift[npc], den, mrow) for _, lift, den, mrow in marked
+                if lift[npc]]
+        if hits:
+            big = lcm(scale, *(den for _, den, _ in hits))
+            up = big // scale
+            if up != 1:
+                row = [up * v for v in row]
+            for c, den, mrow in hits:
+                mult = (big // den) * c
+                for u, v in enumerate(mrow):
+                    if v:
+                        row[u] -= mult * v
         rows.append(row)
     return rows
 
@@ -301,6 +353,9 @@ class FormsIdeal:
         self._excess: int | None = None
         self._tested = max(self.degrees, default=0) - 1
         self._tau: int | None = None
+        # (k, form, rows): the forward echelon rows of the last matrix
+        # _h_onto eliminated, see colon_echelon
+        self._colon: tuple | None = None
 
     # -- module slices --------------------------------------------------
 
@@ -478,11 +533,27 @@ class FormsIdeal:
         """×h maps A_(m-1) onto A_m, for A = S/J and h = ``LINEAR_FORM``
         (see ``regular_degree``)."""
         comp_here = complement(self.slice_at(m - 1)[0], slice_dim(m - 1))
-        piv, rows = self.rref_at(m)
-        comp_next = complement(piv, slice_dim(m))
-        return len(comp_next) == rank_int(
-            colon_rows(m - 1, LINEAR_FORM, comp_here, comp_next, piv, rows),
-            len(comp_here))
+        matrix = colon_rows(m - 1, LINEAR_FORM, comp_here, *self.rref_at(m))
+        nrows = len(matrix)
+        rank = rank_int(matrix, len(comp_here))
+        # rank_int leaves its first rank rows a forward echelon form of
+        # the matrix; the saturation step at m - 1 finishes its kernel
+        # from them (``colon_echelon``)
+        self._colon = (m - 1, tuple(LINEAR_FORM), matrix[:rank])
+        return rank == nrows
+
+    def colon_echelon(self, k: int, form):
+        """(pivots, rows), a forward echelon form of the matrix
+        ``colon_rows(k, form, ...)`` modulo J_(k+1) with no lifts, as
+        ``_h_onto`` left it at k + 1, the last degree ``regular_degree``
+        tested; None when that matrix was not eliminated there.  Handed
+        out once: the rows are the reader's."""
+        kept = self._colon
+        if kept is None or kept[:2] != (k, tuple(form)):
+            return None
+        self._colon = None
+        rows = kept[2]
+        return [next(c for c, v in enumerate(row) if v) for row in rows], rows
 
     # -- relations among the generators --------------------------------
 

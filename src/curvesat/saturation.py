@@ -1,8 +1,9 @@
 """Saturation of the Jacobian ideal, slice by slice.
 
 One object, ``SaturationData``, is the saturation I of J: its
-constructor runs the descent below, and it then carries the slices of
-I, the table of N = I/J, the regularities and the minimal generators.
+constructor runs the descent below, and it then carries I as the
+slices of J plus a few lift vectors per degree, the table of N = I/J,
+the regularities and the minimal generators.
 
 Below its top degree the saturation I_f of J_f is characterized one
 degree at a time: g lies in the degree-k slice exactly when x g, y g and
@@ -13,14 +14,18 @@ A step multiplies by one linear form l instead of x, y and z: the
 candidates g with l g in the degree-(k+1) slice contain the slice, and
 a count tells when they are exactly the slice.
 
-Each step works modulo J_k: candidate vectors are drawn from the
-monomial complement of J_k (which has small dimension, about tau),
-their multiples by l are reduced against the reduced echelon form of
-I_(k+1), and the kernel of that small rational matrix, with one row
-per monomial outside I_(k+1), gives the new slice as J_k plus a
+Each step reads only slices of J and the lifts: candidate vectors are
+drawn from the monomial complement of J_k (which has small dimension,
+about tau), their multiples by l are reduced against the canonical
+reduced echelon form of J_(k+1), and the lifts at k + 1 are projected
+out at their markers (each lift's last nonzero column, zero in every
+other lift), which leaves one row per monomial outside I_(k+1).  The
+kernel of that small integer matrix gives the new slice as J_k plus a
 handful of lift vectors.  The expensive eliminations thus stay on the
-small-entry generator columns of J itself, and the lifts span N(f) in
-that degree.
+small-entry generator columns of J itself, the lifts span N(f) in that
+degree, and no slice of I is built: ``SaturationData.i_rref`` builds
+one on first read, for the public generator walk and the suite's
+checks only.
 
 The dimensions n_k of N are known before the descent starts: they
 follow from the Hilbert function m_k of S/J alone,
@@ -38,7 +43,11 @@ saturation kernels check each other on every run.  The form l is
 ``jacobian.colon_rows``, shared with the regularity check that ends the
 slice chain of J; the degree that check certifies is an upper bound
 for reg(J), and the constructor raises when it lies below the
-regularity the saturation gives.
+regularity the saturation gives.  Each matrix is eliminated once: a
+step with no lift above it (the top step) has the matrix of the check
+at k + 1, and where that is the degree the check tested last it
+finishes the forward echelon form the check kept
+(``FormsIdeal.colon_echelon``) with the back phase alone.
 
 The same descent, one-form steps and fallback included, saturates any
 codimension-two ideal J generated by three forms of degree e, from the
@@ -51,7 +60,8 @@ The generator degrees of I and of N = I/J are counted, not picked
 (``SaturationData.generators``): above the generator degree e of J,
 S_1 I_(k-1) is J_k plus the x, y and z shifts of the lifts at degree
 k - 1, so the count at k is n_k less the rank those shifts add to J_k,
-read at one marker column per lift; at e, where J_(e-1) = 0, it is
+read at one marker column per lift (``SaturationData.marked_shifts``,
+which the Lefschetz check reads too); at e, where J_(e-1) = 0, it is
 dim I_e less their rank.  Those of N are those of I except at e, where
 they and the correction term e2 of the generator bound take the rank
 the shifts add to J_e.  The generators themselves, the Nakayama walk of
@@ -71,11 +81,12 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
 # clear_row and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
-from .exactla import (clear_row, kernel_int, rank_growth,  # noqa: F401
-                      rank_int, rref_extend, rref_insert)
+from .exactla import (back_phase, clear_row,  # noqa: F401
+                      kernel_from_rref, kernel_int, rank_int, rref_extend,
+                      rref_insert)
 from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows,
-                       complement, minimal_generators, shift_block_vector,
-                       smooth_reference_dims)
+                       complement, marker, minimal_generators,
+                       shift_block_vector, smooth_reference_dims)
 from .poly import primitivize, slice_dim
 
 
@@ -143,6 +154,7 @@ class SaturationData:
         self.extras: dict[int, list[list[int]]] = {}
         self._irref: dict[int, tuple] = {}
         self._shifts: dict[int, list] = {}
+        self._marked: dict[int, list] = {}
         for k in range(top, -1, -1):
             if table[k]:
                 self._step(k)
@@ -162,38 +174,50 @@ class SaturationData:
         I_k = J_k there.
 
         The new lifts are the kernel of g -> LINEAR_FORM * g mod I_(k+1)
-        on the complement of J_k.  That kernel contains the true one,
-        {g : x g, y g, z g in I_(k+1)}, whose dimension is n_k, so a
-        kernel of dimension n_k is the true one; ``kernel_int`` reads
-        its canonical basis off the row space, the annihilator of the
-        kernel, so the lifts do not depend on the form.  A kernel of
-        another dimension (the form passes through a singular point)
-        makes this step alone take the kernel of x, y and z together,
-        which must have dimension n_k, or the ranks of J and the kernel
-        disagree and it raises.  Where I_(k+1) = S_(k+1), I_k = S_k and
-        no matrix is built."""
-        n_k = self.n_table[k]
-        dim_here = slice_dim(k)
-        jpiv, jrows = self.data.rref_at(k)
-        ipiv, irows = self.i_rref(k + 1)
-        comp_here = complement(jpiv, dim_here)
-        comp_next = complement(ipiv, slice_dim(k + 1))
+        on the complement of J_k, from the ``colon_rows`` matrix modulo
+        the canonical RREF of J_(k+1) with the lifts at k + 1 projected
+        out at their markers; no slice of I is built.  That kernel
+        contains the true one, {g : x g, y g, z g in I_(k+1)}, whose
+        dimension is n_k, so a kernel of dimension n_k is the true one;
+        ``kernel_int`` reads its canonical basis off the row space, the
+        annihilator of the kernel, so the lifts do not depend on the
+        form.  A kernel of another dimension (the form passes through a
+        singular point) makes this step alone take the kernel of x, y
+        and z together, which must have dimension n_k, or the ranks of
+        J and the kernel disagree and it raises.
 
-        if not comp_next:
-            if len(comp_here) != n_k:
-                raise _mismatch(k, len(comp_here), n_k)
+        Each matrix is eliminated once: with no lift at k + 1 the
+        one-form matrix is the one ``FormsIdeal._h_onto`` eliminated at
+        k + 1 when that was the degree the regularity check tested last,
+        and its kept forward echelon form only takes the back phase.
+        Where I_(k+1) = S_(k+1), read off ``i_dim``, I_k = S_k and no
+        matrix is built."""
+        n_k = self.n_table[k]
+        data = self.data
+        dim_here = slice_dim(k)
+        comp_here = complement(data.slice_at(k)[0], dim_here)
+        ncomp = len(comp_here)
+        if self.i_dim(k + 1) == slice_dim(k + 1):
+            if ncomp != n_k:
+                raise _mismatch(k, ncomp, n_k)
             self.extras[k] = [_unit(c, dim_here) for c in comp_here]
-            self._irref[k] = (list(range(dim_here)),
-                              [_unit(c, dim_here) for c in range(dim_here)])
             return
 
-        kern = kernel_int(colon_rows(k, LINEAR_FORM, comp_here, comp_next,
-                                     ipiv, irows), len(comp_here))
+        jpiv, jrows = data.rref_at(k + 1)
+        lifts = self.extras.get(k + 1, ())
+        kept = None if lifts else data.colon_echelon(k, LINEAR_FORM)
+        if kept is None:
+            kern = kernel_int(colon_rows(k, LINEAR_FORM, comp_here, jpiv,
+                                         jrows, lifts), ncomp)
+        else:
+            pivots, rows = kept
+            back_phase(pivots, rows, ncomp)
+            kern = kernel_from_rref(pivots, rows, ncomp)
         if len(kern) != n_k:
             rows = [row for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-                    for row in colon_rows(k, var, comp_here, comp_next,
-                                          ipiv, irows)]
-            kern = kernel_int(rows, len(comp_here))
+                    for row in colon_rows(k, var, comp_here, jpiv, jrows,
+                                          lifts)]
+            kern = kernel_int(rows, ncomp)
             if len(kern) != n_k:
                 raise _mismatch(k, len(kern), n_k)
 
@@ -205,9 +229,6 @@ class SaturationData:
             extras.append(vec)
         self.extras[k] = extras
 
-        self._irref[k] = rref_extend(jpiv, [list(r) for r in jrows], extras,
-                                     dim_here)
-
     @property
     def kmax(self) -> int:
         """Top degree of the slices of J the data was built on."""
@@ -215,9 +236,20 @@ class SaturationData:
 
     def i_rref(self, k: int):
         """Canonical RREF of the saturated slice at degree k: the slice
-        of J wherever the quotient is zero."""
+        of J wherever the quotient is zero, else the canonical rows of
+        J_k extended by the lifts (``rref_extend`` over a copy), built
+        on first read and kept.  The descent and the analysis read none:
+        only the public ``generator_module`` and the suite's check that
+        the lifts' shifts stay in I read them."""
         got = self._irref.get(k)
-        return self.data.rref_at(k) if got is None else got
+        if got is None:
+            lifts = self.extras.get(k)
+            if not lifts:
+                return self.data.rref_at(k)
+            jpiv, jrows = self.data.rref_at(k)
+            got = self._irref[k] = rref_extend(
+                jpiv, [list(r) for r in jrows], lifts, slice_dim(k))
+        return got
 
     def i_dim(self, k: int) -> int:
         return self.data.rank_at(k) + self.n_dim(k)
@@ -228,14 +260,65 @@ class SaturationData:
 
     def lift_shifts(self, k: int) -> list:
         """The x, y and z shifts of each lift at degree k, cached: the
-        generator count and every sampled form of ``lefschetz_check``
-        read them."""
+        generator count and ``marked_shifts`` read them."""
         got = self._shifts.get(k)
         if got is None:
             got = self._shifts[k] = [
                 tuple(shift_block_vector(vec, var, k, (0,))
                       for var in range(3))
                 for vec in self.extras.get(k, ())]
+        return got
+
+    def marked_shifts(self, s: int) -> list:
+        """Per lift at degree s, the residuals (rx, ry, rz) of its x, y
+        and z shifts modulo J_(s+1), read at the marker columns of the
+        lifts at s + 1 and scaled to one lcm per lift; cached, as the
+        generator count and every sampled form of ``lefschetz_check``
+        read them.
+
+        The shifts lie in I_(s+1), so these residuals are their classes
+        in N_(s+1) in the basis of the lifts: the lifts at s + 1 are a
+        basis of I_(s+1) modulo J_(s+1), supported on the monomials
+        outside J_(s+1), each a canonical kernel vector
+        (``exactla.kernel_from_rref``) written on those columns, or a
+        unit vector.  Either way its last nonzero column, its marker, is
+        zero in every other lift.  A vector v of I_(s+1) is u + sum c_j
+        l_j with u in J_(s+1); its residual modulo the canonical RREF of
+        J_(s+1) is zero at the pivots, so it is sum c_j l_j, and c_j is
+        its entry at marker j over l_j's.  Each canonical row is zero at
+        the other pivots, so the residual at a column m is
+
+            v[m] - sum_i v[p_i] rows_i[m] / rows_i[p_i],
+
+        scaled here by the lcm of the pivot entries the lift's three
+        shifts divide by; no full residual is formed.  The rank of any
+        set of combinations of them is thus the rank those combinations
+        add to J_(s+1).
+        """
+        got = self._marked.get(s)
+        if got is not None:
+            return got
+        trios = self.lift_shifts(s)
+        lifts = self.extras.get(s + 1)
+        if not trios or not lifts:
+            got = [((), (), ()) for _ in trios]
+        else:
+            markers = [marker(lift) for lift in lifts]
+            jpiv, jrows = self.data.rref_at(s + 1)
+            at = {c: i for i, c in enumerate(jpiv)}
+            got = []
+            for trio in trios:
+                hits = [[(jrows[at[c]], c, v)
+                         for c, v in enumerate(vec) if v and c in at]
+                        for vec in trio]
+                scale = lcm(*(row[pc] for h in hits for row, pc, _ in h))
+                got.append(tuple(
+                    tuple(scale * vec[m]
+                          - sum((scale // row[pc]) * v * row[m]
+                                for row, pc, v in h)
+                          for m in markers)
+                    for vec, h in zip(trio, hits)))
+        self._marked[s] = got
         return got
 
     def end_degree(self) -> int | None:
@@ -284,7 +367,8 @@ class SaturationData:
         Let e be the generator degree of J and Sh_k the x, y and z
         shifts of the lifts at degree k - 1 (``lift_shifts``), so that
         I_(k-1) = J_(k-1) + span(lifts) and S_1 I_(k-1) = S_1 J_(k-1) +
-        Sh_k.  With g_k = dim((J_k + Sh_k)/J_k) (``_growth``):
+        Sh_k.  With g_k = dim((J_k + Sh_k)/J_k), the rank of their
+        residuals at the lifts' markers (``marked_shifts``):
 
         - for k != e, S_1 J_(k-1) is J_k (k > e) or 0 = J_k (k < e), so
           S_1 I_(k-1) = J_k + Sh_k and mu_I(k) = n_k - g_k;
@@ -308,14 +392,15 @@ class SaturationData:
         top = self.reg_saturated() + 2
         degrees: list[int] = []
         for k in range(top + 1):
-            shifted = [vec for trio in self.lift_shifts(k - 1)
-                       for vec in trio]
+            growth = rank_int([list(r) for trio in self.marked_shifts(k - 1)
+                               for r in trio], len(self.extras.get(k, ())))
             if k == e:
-                grew = self._growth(k, shifted)
-                spanned = rank_int([list(v) for v in shifted], slice_dim(k))
+                grew = growth
+                spanned = rank_int([list(v) for trio in self.lift_shifts(k - 1)
+                                    for v in trio], slice_dim(k))
                 count = self.i_dim(k) - spanned
             else:
-                count = self.n_dim(k) - self._growth(k, shifted)
+                count = self.n_dim(k) - growth
             if count < 0:
                 raise KmaxExhaustedError(
                     f"negative generator count {count} at degree {k}")
@@ -330,43 +415,6 @@ class SaturationData:
             e2 = 3 - spanned + grew
             n_degrees.extend([e] * (self.n_dim(e) - grew))
         return GeneratorScan(tuple(degrees), tuple(sorted(n_degrees)), e2)
-
-    def _growth(self, k: int, vecs) -> int:
-        """dim((J_k + span vecs)/J_k) for vectors vecs of I_k, read at
-        the marker columns of the lifts at k.
-
-        The lifts at k are a basis of I_k modulo J_k, supported on the
-        monomials outside J_k: each is a canonical kernel vector
-        (``exactla.kernel_from_rref``) written on those columns, or a
-        unit vector.  Either way its last nonzero column, its marker, is
-        zero in every other lift.  A vector v of I_k is u + sum c_j l_j
-        with u in J_k; its residual modulo the canonical RREF of J_k is
-        zero at the pivots, so it is sum c_j l_j, and c_j is its entry
-        at marker j over l_j's.  Each canonical row is zero at the other
-        pivots, so the residual at a column m is
-
-            v[m] - sum_i v[p_i] rows_i[m] / rows_i[p_i],
-
-        scaled here by the lcm of the pivot entries it divides by.  The
-        growth is the rank of those n_k-column residuals; no full
-        residual is formed.
-        """
-        lifts = self.extras.get(k)
-        if not lifts or not vecs:
-            return 0
-        markers = [max(c for c, v in enumerate(lift) if v) for lift in lifts]
-        jpiv, jrows = self.data.rref_at(k)
-        at = {c: i for i, c in enumerate(jpiv)}
-        rows = []
-        for vec in vecs:
-            hits = [(jrows[at[c]], c, v)
-                    for c, v in enumerate(vec) if v and c in at]
-            scale = lcm(*(row[pc] for row, pc, _ in hits))
-            rows.append([scale * vec[m]
-                         - sum((scale // row[pc]) * v * row[m]
-                               for row, pc, v in hits)
-                         for m in markers])
-        return rank_int(rows, len(markers))
 
     @cached_property
     def generator_module(self) -> FormsIdeal:
@@ -496,15 +544,12 @@ def lefschetz_check(f, ell: tuple | None = None,
         attempts += 1
         ranks = []
         for s in steps:
-            shifts = sat.lift_shifts(s)
-            if not shifts:
-                ranks.append(0)
-                continue
-            piv, rows = sat.data.rref_at(s + 1)
+            # the images lie in I_(s+1): their rank at the markers is
+            # the rank they add to J_(s+1)
             images = [[form[0] * a + form[1] * b + form[2] * c
                        for a, b, c in zip(x, y, z)]
-                      for x, y, z in shifts]
-            ranks.append(rank_growth(piv, rows, images, slice_dim(s + 1)))
+                      for x, y, z in sat.marked_shifts(s)]
+            ranks.append(rank_int(images, len(sat.extras.get(s + 1, ()))))
         expected = [min(table[s], table[s + 1]) for s in steps]
         ok = ranks == expected
         result = LefschetzData(form, ranks, expected, ok, attempts)

@@ -3,14 +3,17 @@
 import dataclasses
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from curvesat import catalog, jacobian, saturation
+from curvesat import catalog, exactla, jacobian, saturation
 from curvesat.analysis import analyze, analyze_catalog, analyze_full, emit_json
 from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import parse_arrangement, parse_poly
+from curvesat.saturation import SaturationData
+from curvesat.suite import random_arrangement_text
 
 EX1_D4 = "y^4 + x*z^3"
 
@@ -104,6 +107,35 @@ def test_analyze_full_walks_no_generators_and_no_relations(monkeypatch):
         report, _, _ = analyze_full(catalog.load(name), name=name,
                                     irreducible=catalog.entry(
                                         name).irreducible)
+        assert {key: hashlib.sha256(text.encode()).hexdigest()
+                for key, text in (("text", report.to_text()),
+                                  ("json", emit_json(report)))} \
+            == digests[name]
+
+
+def test_analyze_full_builds_no_saturated_slice(monkeypatch):
+    # the descent reduces over the slices of J_f with the lifts
+    # projected out at their markers, and the generator count and
+    # every other phase read ranks: with rref_extend and every read of
+    # a slice of I_f refused, the catalog and the random arrangements
+    # of the suite still give their pinned reports
+    def refuse(*args):
+        raise AssertionError("a slice of I_f was built inside analyze_full")
+
+    for module in (exactla, saturation):
+        monkeypatch.setattr(module, "rref_extend", refuse)
+    monkeypatch.setattr(SaturationData, "i_rref", refuse)
+    rng = random.Random(0)
+    curves = [(name, catalog.load(name), catalog.entry(name).irreducible,
+               "report_digests.json") for name in catalog.names()]
+    curves += [(f"random-{i}",
+                parse_arrangement(random_arrangement_text(rng)), False,
+                "suite_digests.json") for i in range(25)]
+    pinned = {}
+    for name, obj, irreducible, source in curves:
+        digests = pinned.setdefault(source, json.loads(
+            (Path(__file__).parent / "data" / source).read_text()))
+        report, _, _ = analyze_full(obj, name=name, irreducible=irreducible)
         assert {key: hashlib.sha256(text.encode()).hexdigest()
                 for key, text in (("text", report.to_text()),
                                   ("json", emit_json(report)))} \

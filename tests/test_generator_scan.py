@@ -130,15 +130,20 @@ def test_one_analysis_runs_one_scan(monkeypatch):
 
 def test_scan_extends_no_copy_of_a_jacobian_slice(monkeypatch):
     # the generators of I_f for nf-d10-k3 sit at 8 and 9, that of N at
-    # 8; the walk carries S_1 I_(k-1) on its own echelon chain, so the
-    # scan neither extends nor inserts into a canonical slice
+    # 8; the count reads residuals at the lifts' markers and reads no
+    # slice of I_f, and the walk carries S_1 I_(k-1) on its own echelon
+    # chain: the only slices of I_f built are the ones it picks
+    # generators from, each once, from a copy of a slice of J_f
     sat = _sat("nf-d10-k3")
-    assert sat.data.e == 9
-    calls = []
+    data = sat.data
+    assert data.e == 9
+    jacobian_rows = {k: [list(r) for r in data.rref_at(k)[1]]
+                     for k in (8, 9)}
+    calls, read = [], []
 
     def recording(name, fn):
         def wrapper(*args):
-            calls.append(name)
+            calls.append((name, args[-1]))
             return fn(*args)
         return wrapper
 
@@ -147,9 +152,21 @@ def test_scan_extends_no_copy_of_a_jacobian_slice(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     recording(name, getattr(module, name)))
-    assert min_generators(sat)[0] == [8, 9]
+    i_rref = saturation.SaturationData.i_rref
+
+    def watched(self, k):
+        read.append(k)
+        return i_rref(self, k)
+
+    monkeypatch.setattr(saturation.SaturationData, "i_rref", watched)
     assert n_min_generators(sat) == [8]
-    assert calls == []
+    assert calls == read == []
+    assert min_generators(sat)[0] == [8, 9]
+    assert read == [8, 9]
+    assert calls == [("rref_extend", slice_dim(k)) for k in (8, 9)
+                     if sat.n_dim(k)]
+    assert {k: [list(r) for r in data.rref_at(k)[1]]
+            for k in (8, 9)} == jacobian_rows
 
 
 @pytest.mark.parametrize("name", ["nodal-5", "nf-d7-k3"])

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from curvesat import catalog, saturation
+from curvesat import catalog, jacobian, saturation
 from curvesat.analysis import analyze_catalog, emit_json
 from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
                              WrongShapeError)
-from curvesat.jacobian import FormsIdeal
+from curvesat.exactla import rank_growth
+from curvesat.jacobian import FormsIdeal, marker
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import X, Y, Z, partials, slice_dim
 from curvesat.saturation import (
@@ -209,39 +210,65 @@ def _catalog_curve(name):
     return obj.product() if isinstance(obj, Arrangement) else obj
 
 
-def _watch_kernels(monkeypatch):
-    """The degrees where the exact step kernel runs, the row count of
-    each kernel matrix, and the number of complement columns of I_(k+1)
-    at each step, filled as they run."""
-    exact, current, nrows, comp_next = [], [], [], {}
+def _watch_steps(monkeypatch):
+    """The descent as it runs: the degrees of its steps in order, and
+    per step the colon matrices it takes kernels of, as (form, rows):
+    those it builds, and the one-form matrix of the regularity check
+    (``FormsIdeal._h_onto``) whose kept echelon form it finishes."""
+    steps, matrices, checked = [], {}, {}
     step = saturation.SaturationData._step
-    kernel = saturation.kernel_int
+    build = saturation.colon_rows
+    check_build = jacobian.colon_rows
+    kept = FormsIdeal.colon_echelon
 
     def watched_step(self, k):
-        current.append(k)
-        comp_next[k] = slice_dim(k + 1) - len(self.i_rref(k + 1)[0])
+        steps.append(k)
+        matrices[k] = []
         return step(self, k)
 
-    def watched_kernel(rows, ncols):
-        exact.append(current[-1])
-        # read before kernel_int consumes its argument
-        nrows.append(len(rows))
-        return kernel(rows, ncols)
+    def watched_build(k, form, *args):
+        rows = build(k, form, *args)
+        matrices[steps[-1]].append((tuple(form), len(rows)))
+        return rows
+
+    def watched_check_build(k, form, *args):
+        rows = check_build(k, form, *args)
+        checked[k] = (tuple(form), len(rows))
+        return rows
+
+    def watched_kept(self, k, form):
+        got = kept(self, k, form)
+        if got is not None:
+            matrices[k].append(checked[k])
+        return got
 
     monkeypatch.setattr(saturation.SaturationData, "_step", watched_step)
-    monkeypatch.setattr(saturation, "kernel_int", watched_kernel)
-    return exact, nrows, comp_next
+    monkeypatch.setattr(saturation, "colon_rows", watched_build)
+    monkeypatch.setattr(jacobian, "colon_rows", watched_check_build)
+    monkeypatch.setattr(FormsIdeal, "colon_echelon", watched_kept)
+    return steps, matrices
+
+
+def _complement_count(sat, k):
+    """The number of monomials of degree k + 1 outside I_(k+1)."""
+    return slice_dim(k + 1) - sat.i_dim(k + 1)
 
 
 @pytest.mark.parametrize("name", ["generic-5", "nf-d7-k3", "nodal-5",
                                   "braid"])
 def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
-    exact, nrows, comp_next = _watch_kernels(monkeypatch)
+    steps, matrices = _watch_steps(monkeypatch)
     sat = saturate(_catalog_curve(name))
-    assert exact == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
+    assert steps == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
     # one kernel per step, multiplying by one linear form: one row per
-    # complement column of I_(k+1), not three
-    assert nrows == [comp_next[k] for k in exact]
+    # complement column of I_(k+1), not three; the top step, with no
+    # lift above it, takes the regularity check's matrix, eliminated
+    # once
+    assert matrices == {k: [(saturation.LINEAR_FORM,
+                             _complement_count(sat, k))] for k in steps}
+    for top in steps[:1]:
+        assert not sat.extras.get(top + 1)
+        assert sat.data.regular_degree()[0] == top + 1
 
 
 # generic-5 has n = 2 at degrees 4 and 5 only, nf-d7-k3 has n = 1 at
@@ -258,7 +285,7 @@ def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
 def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     ref = saturate(_catalog_curve(name))
     assert (ref.n_table[k] == 0) == (delta > 0)
-    exact, _, _ = _watch_kernels(monkeypatch)
+    steps, _ = _watch_steps(monkeypatch)
     reference_dims = saturation.smooth_reference_dims
 
     def corrupted_dims(d, kmax):
@@ -270,7 +297,7 @@ def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     monkeypatch.setattr(saturation, "smooth_reference_dims", corrupted_dims)
     with pytest.raises(KmaxExhaustedError, match="Hilbert-function identity"):
         saturate(_catalog_curve(name))
-    assert exact[-1] == raised_at
+    assert steps[-1] == raised_at
 
 
 # -- a step multiplies by one linear form; where that form vanishes at a
@@ -287,13 +314,17 @@ def _sha(text: str) -> str:
 
 def _forced_through_x(monkeypatch, build, degrees):
     ref = build()
-    exact, nrows, comp_next = _watch_kernels(monkeypatch)
+    steps, matrices = _watch_steps(monkeypatch)
     monkeypatch.setattr(saturation, "LINEAR_FORM", (1, 0, 0))
     got = build()
-    # the x kernel, then the x, y, z kernel, at every step
-    assert exact == [k for k in degrees for _ in range(2)]
-    assert nrows == [c for k in degrees
-                     for c in (comp_next[k], 3 * comp_next[k])]
+    # the x kernel, then the x, y, z kernel, at every step; the top
+    # step builds its own, as the regularity check multiplied by
+    # another form
+    assert steps == degrees
+    assert matrices == {
+        k: [(form, _complement_count(got, k))
+            for form in ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for k in degrees}
     assert got.n_table == ref.n_table
     assert got.extras == ref.extras
 
@@ -312,3 +343,75 @@ def test_three_forms_fall_back_through_a_singular_point(monkeypatch):
              ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")]
     _forced_through_x(monkeypatch, lambda: saturate_three_forms(*forms),
                       [5, 4, 3, 2, 1])
+
+
+# -- each step reduces over the slice of J above it with the lifts there
+# -- projected out at their markers.  A lift moved off I_(k+1), changed
+# -- at a column outside J_(k+1) and off every marker, keeps the markers
+# -- clean and spans another space with J_(k+1); where S/J grows from k
+# -- to k + 1, multiplication by the form cannot map onto the slice
+# -- above, and the kernel of step k takes another dimension.  (Where
+# -- it maps onto it, every choice of lifts gives a kernel of the same
+# -- dimension, and only the suite's multiplied-out lifts see the
+# -- change.)
+
+
+@pytest.mark.parametrize("name", ["nf-d7-k3", "nf-d10-k3"])
+def test_a_lift_moved_off_its_slice_makes_the_step_below_raise(monkeypatch,
+                                                               name):
+    ref = saturate(_catalog_curve(name))
+    data = ref.data
+    cases = [k for k in range(ref.top) if ref.n_table[k]
+             and ref.n_table[k + 1]
+             and data.milnor_dim(k + 1) > data.milnor_dim(k)]
+    assert cases
+    step = saturation.SaturationData._step
+    for k in cases:
+        steps = []
+
+        def corrupting(self, j, k=k):
+            steps.append(j)
+            if j == k:
+                lifts = self.extras[k + 1]
+                last = max(range(len(lifts)), key=lambda i: marker(lifts[i]))
+                taken = set(self.data.slice_at(k + 1)[0])
+                taken.update(marker(lift) for lift in lifts)
+                c = next(c for c in range(slice_dim(k + 1))
+                         if c not in taken)
+                lifts[last] = list(lifts[last])
+                lifts[last][c] += 1
+            return step(self, j)
+
+        monkeypatch.setattr(saturation.SaturationData, "_step", corrupting)
+        with pytest.raises(KmaxExhaustedError,
+                           match="Hilbert-function identity"):
+            saturate(_catalog_curve(name))
+        assert steps[-1] == k
+
+
+# -- the Lefschetz ranks are read at the markers of the lifts above:
+# -- they are the ranks the images add to the slice of J there
+
+# x passes through a singular point of generic-5 (see above)
+FIXED_FORMS = [(1, 11, 101), (2, -3, 5), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_lefschetz_ranks_at_the_markers_are_the_growth_against_j(name):
+    sat = saturate(_catalog_curve(name))
+    data = sat.data
+    for form in FIXED_FORMS:
+        growth = []
+        for s in range(len(sat.n_table) - 1):
+            images = [[form[0] * a + form[1] * b + form[2] * c
+                       for a, b, c in zip(*trio)]
+                      for trio in sat.lift_shifts(s)]
+            growth.append(rank_growth(*data.rref_at(s + 1), images,
+                                      slice_dim(s + 1)))
+        assert lefschetz_check(sat, ell=form).ranks == growth
+
+
+def test_a_form_through_a_singular_point_drops_a_lefschetz_rank():
+    sat = saturate(_catalog_curve("generic-5"))
+    assert lefschetz_check(sat, ell=FIXED_FORMS[0]).pattern_ok
+    assert not lefschetz_check(sat, ell=FIXED_FORMS[2]).pattern_ok
