@@ -37,8 +37,12 @@ fraction-free kernel of multiplication by l.  That kernel contains the
 true one, of dimension n_k, so a kernel of dimension n_k is the true
 one; a larger one (l vanishes at a singular point) makes that step
 alone take the kernel of x, y and z together, which raises when its
-dimension differs from n_k.  So the slice ranks of J and the
-saturation kernels check each other on every run.  The form l is
+dimension differs from n_k.  That check compares the slice ranks of
+J with the kernels, but it does not see every wrong lift: where
+multiplication by l maps (S/J)_k onto (S/J)_(k+1), any n_(k+1) lifts
+at k + 1 give a one-form kernel of dimension n_k, so a wrong one
+passes step k.  The suite's ``saturation-oracle``, which multiplies
+the lifts out, is the check that sees it.  The form l is
 ``jacobian.LINEAR_FORM`` and its matrix comes from
 ``jacobian.colon_rows``, shared with the regularity check that ends the
 slice chain of J; the degree that check certifies is an upper bound
@@ -184,7 +188,11 @@ class SaturationData:
         form.  A kernel of another dimension (the form passes through a
         singular point) makes this step alone take the kernel of x, y
         and z together, which must have dimension n_k, or the ranks of
-        J and the kernel disagree and it raises.
+        J and the kernel disagree and it raises.  The count does not
+        vouch for the lifts at k + 1: where LINEAR_FORM maps (S/J)_k
+        onto (S/J)_(k+1), a wrong lift there still leaves a kernel of
+        dimension n_k, and only the suite's ``saturation-oracle`` (the
+        lifts multiplied out) sees it.
 
         Each matrix is eliminated once: with no lift at k + 1 the
         one-form matrix is the one ``FormsIdeal._h_onto`` eliminated at
@@ -475,6 +483,12 @@ def saturate_three_forms(g1, g2, g3) -> SaturationData:
     ``FormsIdeal.tau`` checks the codimension exactly and raises where
     the forms share a common factor; an ideal primary to the irrelevant
     ideal, tau = 0, is refused here.
+
+    The function stays public although no analysis calls it: the paper
+    discusses these saturations, such as those of the base ideals of
+    plane Cremona maps (Hassanzadeh and Simis, J. Algebra 2012), and it
+    is the one path that runs the descent on forms that are not the
+    partials of a curve, where e need not be d - 1.
     """
     forms = tuple(primitivize(g) for g in (g1, g2, g3))
     degs = {g.degree for g in forms}

@@ -146,10 +146,8 @@ def test_criterion_5_property_suite(capsys):
           f"suite took {elapsed:.0f}s, budget 600s")
     required = (
         "lefschetz-inequalities",
-        "duality",
         "resolution-identities",
         "saturation-oracle",
-        "syzygy-bound",
         "arrangement-tau",
         "module-vanishing",
         "jacobian-table-shape",

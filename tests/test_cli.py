@@ -143,10 +143,18 @@ def test_suite_single_property(capsys):
     # one full-catalog pass; JSON and filtering details are covered on
     # the library object in test_suite.py
     rc, out, _ = run(capsys, ["suite", "--random", "0",
-                              "--only", "duality"])
+                              "--only", "arrangement-tau"])
     assert rc == 0
-    assert "property duality:" in out
+    assert "property arrangement-tau:" in out
     assert "suite: PASS" in out
+
+
+@pytest.mark.parametrize("name", ["duality", "syzygy-bound"])
+def test_suite_rejects_a_removed_property(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--random", "0", "--only", name])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def _analyze_in_subprocess(*args):

@@ -4,6 +4,8 @@ import dataclasses
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvesat import catalog
 from curvesat.analysis import analyze_full
@@ -13,6 +15,7 @@ from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import partials, primitivize
 from curvesat.resolution import (
     BettiTable,
+    _numerator,
     betti_jacobian,
     betti_saturated,
     min_generators,
@@ -255,3 +258,15 @@ def test_the_closed_form_is_the_walked_table(name):
     walked = (cd.degrees, ar.degrees) + ((tuple(relations),)
                                          if relations else ())
     assert betti_jacobian(sat).twists == walked
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=30),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_the_numerator_has_the_moments_of_a_constant_tail(values, tail):
+    # (1 - t)^2 divides (1 - t)^3 sum h_k t^k when h is constant from some
+    # degree on, so P(1) = P'(1) = 0 and P''(1) = 2 tail for any table:
+    # the count, sum and square identities of the S/I_f twists
+    p = _numerator(values, tail)
+    assert sum(p) == 0
+    assert sum(n * c for n, c in enumerate(p)) == 0
+    assert sum(n * (n - 1) * c for n, c in enumerate(p)) == 2 * tail

@@ -12,9 +12,10 @@ from curvesat.analysis import analyze_catalog, emit_json
 from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
                              WrongShapeError)
 from curvesat.exactla import rank_growth
-from curvesat.jacobian import FormsIdeal, marker
+from curvesat.jacobian import FormsIdeal, marker, smooth_reference_dims
 from curvesat.parsing import Arrangement, parse_poly
 from curvesat.poly import X, Y, Z, partials, slice_dim
+from curvesat.resolution import betti_saturated
 from curvesat.saturation import (
     lefschetz_check,
     n_min_generators,
@@ -99,6 +100,37 @@ def test_three_forms_already_saturated_ideal():
     assert got.n_table == [0, 0, 0, 0]
     assert got.sigma is None
     assert got.nu == 0
+
+
+Q = "(x*z - y^2)"
+
+
+@pytest.mark.parametrize("forms, tau, twists", [
+    (("y*z", "x*z", "x*y"), 3, ((2, 2, 2), (3, 3))),
+    (("x^2", "x*y", "y*z"), 3, ((2, 2, 2), (3, 3))),
+    (("x^2", "x*y", "y^2 - x*z"), 3, ((2, 2, 2), (3, 3))),
+    # de Jonquieres: a double base point (ideal m^2, length 3) and a
+    # rest of length 4
+    ((f"x*{Q}", f"y*{Q}", "x^2*z + y^3"), 7, ((3, 3, 3), (4, 5))),
+])
+def test_cremona_base_ideals_are_saturated(forms, tau, twists):
+    # the base ideals of the quadratic and de Jonquieres plane Cremona
+    # maps are already saturated (Hassanzadeh and Simis, J. Algebra
+    # 2012): N = 0, and S/I is resolved by the three forms and two
+    # relations
+    sat = saturate_three_forms(*(parse_poly(t) for t in forms))
+    assert sat.data.tau() == tau
+    assert sat.n_table == [0] * (sat.top + 1)
+    assert betti_saturated(sat).twists == twists
+
+
+@pytest.mark.parametrize("e", range(1, 16))
+def test_the_reference_table_is_a_palindrome(e):
+    # the c_k of ((1 - t^e)/(1 - t))^3 on degrees 0..T = 3e - 3, so
+    # n_k = m_k + m_(T-k) - c_k - tau is symmetric about T by construction
+    c = smooth_reference_dims(e + 1, 3 * e - 3)
+    assert len(c) == 3 * e - 2 and sum(c) == e ** 3
+    assert c == c[::-1]
 
 
 def test_three_forms_rejects_finite_colength():

@@ -1,15 +1,18 @@
 """Property sweep over the catalog plus random arrangements."""
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 from curvesat import analysis, catalog, suite
+from curvesat.classify import FAIL
 from curvesat.parsing import parse_arrangement
 from curvesat.poly import slice_dim
 from curvesat.resolution import BettiTable
@@ -18,11 +21,9 @@ from curvesat.suite import (PROPERTIES, property_names,
 
 EXPECTED_PROPERTIES = [
     "lefschetz-inequalities",
-    "duality",
     "resolution-identities",
     "saturation-oracle",
     "module-vanishing",
-    "syzygy-bound",
     "arrangement-tau",
     "generic-arrangement-tables",
     "jacobian-table-shape",
@@ -66,7 +67,8 @@ def test_run_suite_small_sweep():
 
     lines = result.summary_lines()
     assert lines[-1].startswith("suite: PASS")
-    assert any(line.startswith("property duality:") for line in lines)
+    assert any(line.startswith("property module-vanishing:")
+               for line in lines)
 
     data = result.to_jsonable()
     assert data["ok"] is True
@@ -139,3 +141,81 @@ def test_generic_arrangement_tables_fail_on_one_wrong_twist(monkeypatch,
     ok, detail = prop(run())
     assert not ok and detail.startswith(
         "S/J_f" if table == "betti_jacobian" else "S/I_f")
+
+
+@cache
+def _record(name):
+    return suite._run_one(name, catalog.load(name),
+                          catalog.entry(name).irreducible, 0)
+
+
+def _with_report(rec, **changes):
+    return dataclasses.replace(
+        rec, report=dataclasses.replace(rec.report, **changes))
+
+
+def _n_set(rec, k, value):
+    n = list(rec.report.n_table)
+    n[k] = value
+    return _with_report(rec, n_table=tuple(n))
+
+
+def _relation_lowered(rec):
+    # generic-5: S/I_f ((4^5), (5^4)); a relation twist of 4 is not above
+    # the generator twist 4
+    a, b = rec.report.betti_saturated.twists
+    return _with_report(rec, betti_saturated=BettiTable(
+        (a, (*b[:-1], b[-1] - 1))))
+
+
+def _verdict_failed(rec, name):
+    verdicts = tuple(dataclasses.replace(v, status=FAIL) if v.name == name
+                     else v for v in rec.report.verdicts)
+    return _with_report(rec, verdicts=verdicts)
+
+
+# each property, a record it passes on, a corruption of that record it
+# must see, and the failure detail; generic-5 is an arrangement of 5
+# lines with only double points, n = 2 at degrees 4 and 5 (T = 9)
+CORRUPTIONS = {
+    "lefschetz-inequalities": (
+        "generic-5", lambda r: _n_set(r, 0, 1),
+        "monotonicity breaks at k = [0]"),
+    "resolution-identities": (
+        "generic-5", _relation_lowered,
+        "relation twist 4 not above generator 4"),
+    "saturation-oracle": (
+        "generic-5", lambda r: dataclasses.replace(r, lifts_outside=(4,)),
+        "lifts leave I_(k+1) at k = [4]"),
+    "module-vanishing": (
+        "generic-5", lambda r: _n_set(r, 3, 1),
+        "defect in degree d-2 is 1 for an arrangement"),
+    "arrangement-tau": (
+        "generic-5", lambda r: _with_report(r, tau=r.report.tau + 1),
+        "algebra gives 11, points give 10"),
+    "generic-arrangement-tables": (
+        "generic-5", _relation_lowered,
+        "S/I_f twists ((4, 4, 4, 4, 4), (5, 5, 5, 4)), "
+        "expected ((4, 4, 4, 4, 4), (5, 5, 5, 5))"),
+    "jacobian-table-shape": (
+        "generic-5", lambda r: _with_report(r, nu=0),
+        "length does not match defect vanishing"),
+    "lefschetz-nearly-free": (
+        "nf-d7-k3",
+        lambda r: dataclasses.replace(r, lefschetz=(True, False, True)),
+        "1 of 3 generic forms failed"),
+    "verdicts": (
+        "generic-5",
+        lambda r: _verdict_failed(r, "arrangement-syzygy-generator-bound"),
+        "failing verdicts: arrangement-syzygy-generator-bound"),
+}
+
+
+# over every property, so a new one must bring its corruption
+@pytest.mark.parametrize("pname", EXPECTED_PROPERTIES)
+def test_each_property_fails_on_its_corrupted_record(pname):
+    name, corrupt, detail = CORRUPTIONS[pname]
+    prop = dict(PROPERTIES)[pname]
+    rec = _record(name)
+    assert prop(rec) == (True, "")
+    assert prop(corrupt(rec)) == (False, detail)
