@@ -91,7 +91,7 @@ def classify(f, sat: SaturationData | None = None) -> Classification:
     s = None
     if kind != SMOOTH:
         if sat is None:
-            sat = saturate(cd)
+            sat = f if isinstance(f, SaturationData) else saturate(cd)
         nu = sat.nu
         if kind in (FREE, CONCURRENT_LINES) and nu != 0:
             raise InconsistentClassificationError(

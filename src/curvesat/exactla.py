@@ -47,9 +47,10 @@ back phase, and ``kernel_int`` reads a canonical kernel basis off
 back phase.  ``IncrementalSpan`` keeps a span in forward echelon form,
 with no back phase: its pivots, rank and grew/did-not-grow answers are
 those of the canonical form.  ``jacobian.ShiftChain`` is one: the
-Nakayama walk of ``jacobian.minimal_generators`` reads nothing else,
-and ``jacobian.FormsIdeal.slice_at`` runs ``back_phase`` on the slices
-a step starts from or whose rows ``rref_at`` hands out.
+Nakayama walk of ``jacobian.minimal_generators`` reads its pivot count
+and ``insert``'s answers, and ``jacobian.FormsIdeal.slice_at`` runs
+``back_phase`` on the slices a step starts from or whose rows
+``rref_at`` hands out.
 """
 
 from __future__ import annotations

@@ -32,12 +32,10 @@ ideal before its chain steps from it, and in ``FormsIdeal.rref_at`` on
 the slices whose rows are read: the ones it hands to the saturation
 steps, to ``colon_rows``, to the generator count and walk and to the
 Lefschetz check, which are canonical reduced echelon forms.  A rank or
-pivot read of the top slice takes none.  A relation walk also
-leaves one block out of its chain: for a nonzero generator v_b, a
-relation zero outside block b is h v_b = 0, so h = 0 as S is a domain,
-and forgetting block b is injective on the kernel.  ``relations`` leaves
-out the block of the first nonzero generator of least degree, the
-widest; on J_f that is one of three equal blocks.
+pivot read of the top slice takes none.  A walk steps its chain at
+every degree up to its top and carries every block; the module of its
+picks starts with no slice built, and a relation walk over it steps
+that module's own chain.
 
 The chain of an ideal stops early: ``FormsIdeal.regular_degree`` checks
 the Bayer-Stillman criterion with one linear form h (``LINEAR_FORM``) as
@@ -74,12 +72,11 @@ from math import lcm
 from .errors import (CoefficientTooLargeError, ConstantPolynomialError,
                      KmaxExhaustedError, NonReducedInputError,
                      NotCodimensionTwoError, SmoothCurveError,
-                     ZeroPolynomialError)
+                     WrongShapeError, ZeroPolynomialError)
 # rref_insert, rref_int and poly_columns_int are unused here but stay
 # bound: perfbench/spans.py patches this module's names
 from .exactla import (IncrementalSpan, back_phase,  # noqa: F401
-                      kernel_int, rank_growth, rank_int, rref_insert,
-                      rref_int)
+                      kernel_int, rank_int, rref_insert, rref_int)
 from .poly import (MAX_COEFF_BITS, HomogeneousPoly,  # noqa: F401
                    coefficient_bits, monomial_basis, monomial_index,
                    partials, poly_columns_int, primitivize, shift_maps,
@@ -262,11 +259,10 @@ class ShiftChain(IncrementalSpan):
     the current slice as one residual row; its pivot is not an
     x-shifted one, so the new rows stay the rows on the other pivots.
     The slice is a forward echelon form, never back-substituted here:
-    the walk of ``minimal_generators`` reads only the pivot count,
-    ``next_rank`` and ``insert``'s answers, which depend on the span
-    alone, and ``FormsIdeal.slice_at`` runs the back phase on the
-    slices of an ideal that a step starts from or whose rows
-    ``rref_at`` hands out.
+    the walk of ``minimal_generators`` reads only the pivot count and
+    ``insert``'s answers, which depend on the span alone, and
+    ``FormsIdeal.slice_at`` runs the back phase on the slices of a
+    module that a step starts from or whose rows ``rref_at`` hands out.
     """
 
     def __init__(self, block_shifts, k: int):
@@ -275,10 +271,7 @@ class ShiftChain(IncrementalSpan):
         self.k = k
         self._x_pivots: set = set()
 
-    def _next(self, extra):
-        """(x_pivots, x_rows, vecs, ncols) of the next degree: the
-        padded rows x*M_k, the y and z shifts of the new rows and extra,
-        and the width of the degree-(k+1) slice."""
+    def step(self, extra=()) -> None:
         k = self.k
         blocks = []                   # (start, end, start at k+1) per block
         x_index = []                  # x shift of each index at degree k
@@ -301,21 +294,11 @@ class ShiftChain(IncrementalSpan):
         vecs = [shift_block_vector(row, var, k, self.block_shifts)
                 for var in (1, 2) for row in new]
         vecs.extend(extra)
-        return x_pivots, x_rows, vecs, out
-
-    def step(self, extra=()) -> None:
-        x_pivots, x_rows, vecs, ncols = self._next(extra)
         # taken before extend rewrites the pivots list in place
         self._x_pivots = set(x_pivots)
-        self.pivots, self.rows, self.ncols = x_pivots, x_rows, ncols
+        self.pivots, self.rows, self.ncols = x_pivots, x_rows, out
         self.extend(vecs)
         self.k += 1
-
-    def next_rank(self, extra=()) -> int:
-        """Rank of the slice ``step(extra)`` would build; the chain
-        does not move."""
-        x_pivots, x_rows, vecs, ncols = self._next(extra)
-        return len(x_pivots) + rank_growth(x_pivots, x_rows, vecs, ncols)
 
 
 class FormsIdeal:
@@ -344,8 +327,6 @@ class FormsIdeal:
         self._rref: dict[int, tuple] = {}
         # the top slice built so far, see slice_at
         self._chain = ShiftChain(self.block_shifts, self.e - 1)
-        # slice ranks handed on by the walk that built this module
-        self._ranks: dict[int, int] = {}
         # (m, tau) once regular_degree certifies m, the degree where it
         # found S/J above the complete-intersection bound, and the last
         # degree it tested
@@ -369,13 +350,9 @@ class FormsIdeal:
                 - self.rank_at(k))
 
     def rank_at(self, k: int) -> int:
-        """Rank of the degree-k slice: handed on by the
-        ``minimal_generators`` walk that built the module, dim S_k - tau
-        at k >= m once ``regular_degree`` has certified (m, tau), else
-        the pivot count of ``slice_at``."""
-        rank = self._ranks.get(k)
-        if rank is not None:
-            return rank
+        """Rank of the degree-k slice: dim S_k - tau at k >= m once
+        ``regular_degree`` has certified (m, tau), else the pivot count
+        of ``slice_at``."""
         if self._regular is not None and k >= self._regular[0]:
             return slice_dim(k) - self._regular[1]
         return len(self.slice_at(k)[0])
@@ -572,82 +549,46 @@ class FormsIdeal:
         ``minimal_generators`` walk of the kernel K ⊂ ⊕_i S(-a_i) of the
         generator map, of dimensions ``relation_dim``, over the
         canonical ``kernel_at(k - e)``.  degrees are total degrees, the
-        twists of a resolution.
-
-        The walk leaves out block b, that of the first nonzero generator
-        of least degree, whose slices are the widest: a relation that
-        is zero outside block b is h v_b = 0, so h = 0 as S is a domain,
-        and forgetting block b is injective on K.  A zero generator
-        v_i puts S(-a_i) e_i into K and is never left out; with no
-        nonzero generator every block is kept."""
-        nonzero = [i for i, v in enumerate(self.vectors) if any(v)]
-        drop = min(nonzero, key=self.degrees.__getitem__, default=None)
+        twists of a resolution."""
         return minimal_generators(
             self.degrees, self.e, top, self.relation_dim,
-            lambda k: self.kernel_at(k - self.e), drop)
+            lambda k: self.kernel_at(k - self.e))
 
 
 def minimal_generators(block_shifts, start: int, top: int, dim_at,
-                       candidates_at, drop=None):
+                       candidates_at):
     """Minimal generators, in degrees start..top, of a graded submodule
     K of ⊕_b S(-t_b) with dim K_k = dim_at(k) and K_k spanned by
     candidates_at(k): (degrees, module), one Nakayama walk.
 
     A ``ShiftChain`` carries S_1 M_(k-1), M the module of the picks so
     far, in forward echelon form; the new generators at k number
-    dim_at(k) minus its rank.
-    Below top the candidates that enlarge the chain are picked in
-    order, so the picks depend only on the spans and that order; at top
-    they are only counted, from ``ShiftChain.next_rank``.  A negative
-    count, or picks other than the count, raises.  degrees includes the
-    count at top; module, the ``FormsIdeal`` of the picks, is handed the
-    chain's ranks on start..top, so a walk over it rebuilds no slice.
-
-    drop, when given, names a block b such that forgetting its
-    coordinates is injective on K: ``FormsIdeal.relations`` passes the
-    block of a nonzero generator v_b, as a relation zero outside block
-    b is h v_b = 0, so h = 0.  The chain then carries the other blocks
-    only and each candidate enters it without block drop.  An
-    injective linear map keeps ranks and enlargement answers, so the
-    picks, counts and ranks are those of the full coordinates; module
-    keeps the full vectors and block_shifts.  The generator walk of
-    I_f passes no block.
+    dim_at(k) minus its rank.  Below top the candidates that enlarge
+    the chain are picked in order, so the picks depend only on the
+    spans and that order; at top they are counted and not picked.  A
+    negative count, or picks other than the count, raises.  degrees
+    includes the count at top; module is the ``FormsIdeal`` of the
+    picks.
     """
     degrees: list[int] = []
     vectors: list[list[int]] = []
-    ranks: dict[int, int] = {}
-    chain = ShiftChain([t for b, t in enumerate(block_shifts) if b != drop],
-                       start - 1)
+    chain = ShiftChain(block_shifts, start - 1)
     for k in range(start, top + 1):
-        if k == top:
-            rank = chain.next_rank()
-        else:
-            chain.step()
-            rank = len(chain.pivots)
-        count = dim_at(k) - rank
+        chain.step()
+        count = dim_at(k) - len(chain.pivots)
         if count < 0:
             raise KmaxExhaustedError(
                 f"negative generator count {count} at degree {k}")
         degrees.extend([k] * count)
         if count and k < top:
-            # the coordinates lo..hi of block drop at degree k
-            lo = hi = 0
-            if drop is not None:
-                lo = sum(slice_dim(k - t) for t in block_shifts[:drop])
-                hi = lo + slice_dim(k - block_shifts[drop])
-            picked = [vec for vec in candidates_at(k)
-                      if chain.insert([*vec[:lo], *vec[hi:]])]
+            picked = [vec for vec in candidates_at(k) if chain.insert(vec)]
             if len(picked) != count:
                 raise KmaxExhaustedError(
                     f"{len(picked)} generators picked at degree {k}, "
                     f"the count is {count}")
             vectors.extend(picked)
-            rank += count
-        ranks[k] = rank
-    module = FormsIdeal(vectors, [k for k in degrees if k < top],
-                        block_shifts)
-    module._ranks = ranks
-    return degrees, module
+    return degrees, FormsIdeal(vectors, [k for k in degrees if k < top],
+                               block_shifts)
 
 
 class CurveData(FormsIdeal):
@@ -749,9 +690,21 @@ def smooth_reference_dims(d: int, kmax: int) -> list[int]:
 
 
 def _data(f) -> CurveData:
+    """The ``CurveData`` of a curve given as a polynomial, as its
+    ``CurveData`` or as the ``SaturationData`` of its Jacobian ideal."""
     if isinstance(f, CurveData):
         return f
-    return CurveData(f)
+    if isinstance(f, HomogeneousPoly):
+        return CurveData(f)
+    from .saturation import SaturationData   # saturation imports this module
+    if isinstance(f, SaturationData):
+        if isinstance(f.data, CurveData):
+            return f.data
+        raise WrongShapeError(
+            "the saturation data of three forms carries no curve")
+    raise WrongShapeError(
+        "expected a curve: a HomogeneousPoly, its CurveData or its "
+        f"SaturationData, not {type(f).__name__}")
 
 
 def milnor_dims(f) -> list[int]:

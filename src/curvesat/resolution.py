@@ -19,10 +19,12 @@ Hilbert functions by construction, and a negative count raises
 FreenessCheckFailed.
 
 The walks, ``jacobian.minimal_generators``, serve the public entry
-points and not the tables: ``min_generators`` reads the walk over the
-slices of I_f (``SaturationData.generator_module``), which picks
-integer rows of the canonical slice basis in order, so repeated runs
-reproduce them bit for bit, and ``ar_min_generators`` the AR(f) walk,
+points and not the tables, and no analysis runs them.  Each steps one
+chain over every degree and block up to its top.  ``min_generators``
+reads the walk over the slices of I_f
+(``SaturationData.generator_module``), which picks integer rows of the
+canonical slice basis in order, so repeated runs reproduce them bit for
+bit, and ``ar_min_generators`` the AR(f) walk,
 ``CurveData.ar_min_generators``, which also yields the syzygy vectors.
 """
 

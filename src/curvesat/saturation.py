@@ -432,9 +432,8 @@ class SaturationData:
         are the rows of RREF(I_k), so each generator is a canonical row,
         picked in order where it enlarges S_1 I_(k-1).  The walk stops
         at reg(I) + 1 = r_I + 2, where it only counts, and raises on a
-        generator there.  The module carries the ranks the walk reached,
-        so a relation walk over it rebuilds no slice.  Computed on
-        first use: only ``resolution.min_generators`` reads it."""
+        generator there.  Computed on first use: only
+        ``resolution.min_generators`` reads it."""
         top = self.reg_saturated() + 2
         degrees, module = minimal_generators(
             (0,), 0, top, self.i_dim, lambda k: self.i_rref(k)[1])

@@ -5,13 +5,11 @@ kept here as the reference: a kernel at every degree, and the rank of
 the variable shifts of the previous degree's kernel.
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvesat import catalog, jacobian
+from curvesat import catalog
 from curvesat.exactla import (IncrementalSpan, back_phase, kernel_int,
                               rank_int, rref_insert, rref_int)
 from curvesat.jacobian import (CurveData, FormsIdeal, ShiftChain,
@@ -122,32 +120,6 @@ def test_chain_scans_match_the_kernel_at_every_degree(name):
             == reference_relation_degrees(ideal, a, (0,), r_top))
 
 
-@pytest.mark.parametrize("name", CURVES)
-def test_a_walk_hands_on_the_ranks_of_its_module(name):
-    # the ranks a relation walk records for the module of its picks are
-    # those of a cold elimination of that module's generator multiples;
-    # walks: AR(f) among the partials, the relations of AR(f), and those
-    # of the generators of the saturation
-    cd = CurveData(_curve(name))
-    sat = saturate(cd)
-    top = sat.reg_jacobian() + 3
-    a, gens = min_generators(sat)
-    ideal = FormsIdeal([g.int_vector() for g in gens], a)
-    walks = [(cd, top), (cd.relations(top)[1], top),
-             (ideal, sat.reg_saturated() + 2)]
-    for module, top in walks:
-        walked = module.relations(top)[1]
-        cold = FormsIdeal(walked.vectors, walked.degrees,
-                          walked.block_shifts)
-        assert walked._ranks == {k: cold.rank_at(k)
-                                 for k in range(module.e, top + 1)}
-    # and the generator walk of the saturation, over degrees 0..r_I + 2
-    walked = sat.generator_module
-    cold = FormsIdeal(walked.vectors, walked.degrees)
-    assert walked._ranks == {k: cold.rank_at(k)
-                             for k in range(sat.reg_saturated() + 3)}
-
-
 def _count_kernels(monkeypatch):
     # AR(f) kernels are those of the curve's J_f, relation kernels those
     # of the modules the relation scans build
@@ -190,43 +162,6 @@ def test_kernels_only_where_a_generator_or_relation_appears(
     assert relation_degrees == []
 
 
-@pytest.mark.parametrize("name", ["fermat-5", "nf-d7-k3"])
-def test_the_relations_of_ar_rebuild_no_slice(monkeypatch, name):
-    # the walk over the relations of AR(f) reads the ranks the AR(f)
-    # walk handed on: only the slices of J_f are ever eliminated
-    walk = _ar_walks(name)
-    modules = []
-    slice_at = FormsIdeal.slice_at
-
-    def recorded(self, k):
-        modules.append(self)
-        return slice_at(self, k)
-
-    monkeypatch.setattr(FormsIdeal, "slice_at", recorded)
-    walk()
-    assert modules
-    assert all(isinstance(m, CurveData) for m in modules)
-
-
-@pytest.mark.parametrize("name", ["nf-d7-k3", "nodal-5", "braid"])
-def test_the_saturated_walk_rebuilds_no_slice(monkeypatch, name):
-    # a walk over the relations of the module the generator walk
-    # returned reads that walk's ranks: no slice of the I_f module is
-    # eliminated, only those of J_f
-    modules = []
-    slice_at = FormsIdeal.slice_at
-
-    def recorded(self, k):
-        modules.append(self)
-        return slice_at(self, k)
-
-    monkeypatch.setattr(FormsIdeal, "slice_at", recorded)
-    sat = saturate(_curve(name))
-    sat.generator_module.relations(sat.reg_saturated() + 2)
-    assert modules
-    assert all(isinstance(m, CurveData) for m in modules)
-
-
 def _walks(name):
     # the three walks of the resolutions: AR(f) among the partials, the
     # relations of AR(f), and those of the generators of the saturation
@@ -247,35 +182,11 @@ def _vectors(draw, count, ncols):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_next_rank_is_the_rank_step_builds(data):
-    # next_rank(extra) counts the slice step(extra) would build and
-    # leaves the chain where it was, after any prior steps and inserts
-    draw = data.draw
-    shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    chain = ShiftChain(shifts, min(shifts) - 1)
-    for _ in range(draw(st.integers(0, 3))):
-        if chain.ncols:
-            for vec in _vectors(draw, draw(st.integers(0, 2)), chain.ncols):
-                chain.insert(vec)
-        ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
-        chain.step(_vectors(draw, draw(st.integers(0, 2)), ncols))
-    ncols = sum(slice_dim(chain.k + 1 - t) for t in shifts)
-    extra = _vectors(draw, draw(st.integers(0, 3)), ncols)
-    before = (chain.k, [list(r) for r in chain.rows], list(chain.pivots))
-    rank = chain.next_rank(extra)
-    assert (chain.k, chain.rows, chain.pivots) == before
-    chain.step(extra)
-    assert rank == len(chain.pivots)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
 def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
     # the walk's forward echelon chain and a chain made canonical by a
     # back phase after each step, as rref_at does, driven through the
-    # same steps, inserts and extras, agree on the pivots, on every
-    # insert answer, and next_rank counts the slice the canonical step
-    # builds; their rows span the same slice
+    # same steps, inserts and extras, agree on the pivots and on every
+    # insert answer; their rows span the same slice
     draw = data.draw
     shifts = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
     canonical = ShiftChain(shifts, min(shifts) - 1)
@@ -283,10 +194,8 @@ def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
     for _ in range(draw(st.integers(1, 4))):
         ncols = sum(slice_dim(canonical.k + 1 - t) for t in shifts)
         extra = _vectors(draw, draw(st.integers(0, 3)), ncols)
-        rank = echelon.next_rank(extra)
         canonical.step(extra)
         back_phase(canonical.pivots, canonical.rows, canonical.ncols)
-        assert rank == len(canonical.pivots)
         echelon.step(extra)
         assert echelon.pivots == canonical.pivots
         ncols = canonical.ncols
@@ -299,49 +208,17 @@ def test_the_echelon_chain_spans_what_the_canonical_chain_spans(data):
                 == (canonical.pivots, canonical.rows))
 
 
-@pytest.mark.parametrize("name", ["fermat-5", "nf-d7-k3"])
-def test_the_top_degree_of_a_walk_is_only_counted(monkeypatch, name):
-    # a walk steps its chain to top - 1 and takes the rank at top
-    # without building that slice: one extension of the walk's echelon
-    # span per degree below top, on every block but the first one of
-    # least degree (every generator here is nonzero)
-    for module, top in _walks(name):
-        assert all(any(v) for v in module.vectors)
-        b = module.degrees.index(module.e)
-        kept = [a for i, a in enumerate(module.degrees) if i != b]
-        first = module.relations(top)      # every slice of module cached
-        steps, widths = [], []
-        step, extend = ShiftChain.step, IncrementalSpan.extend
-
-        def counted_step(chain, extra=()):
-            steps.append(chain.k + 1)
-            step(chain, extra)
-
-        def recorded(span, vecs):
-            widths.append(span.ncols)
-            return extend(span, vecs)
-
-        monkeypatch.setattr(ShiftChain, "step", counted_step)
-        monkeypatch.setattr(IncrementalSpan, "extend", recorded)
-        again = module.relations(top)
-        monkeypatch.undo()
-        assert again[0] == first[0]
-        assert steps == list(range(module.e, top))
-        assert widths == [sum(slice_dim(k - a) for a in kept)
-                          for k in range(module.e, top)]
-
-
-# -- the walk leaves one block out of its chain: the same picks, counts
-# -- and ranks as a walk on full coordinates
+# -- the walk against a reference that rebuilds each degree's span from
+# -- the variable shifts of the previous one
 
 
 def reference_walk(module, top):
-    """(degrees, vectors, ranks) of ``module.relations(top)`` on full
-    coordinates: at each degree the span of the variable shifts of the
-    previous degree's span, grown by the kernel vectors that enlarge it,
-    in order; at top the new relations are only counted."""
+    """(degrees, vectors) of ``module.relations(top)``: at each degree
+    the span of the variable shifts of the previous degree's span, grown
+    by the kernel vectors that enlarge it, in order; at top the new
+    relations are only counted."""
     shifts = module.degrees
-    degrees, vectors, ranks = [], [], {}
+    degrees, vectors = [], []
     rows = []
     for k in range(module.e, top + 1):
         ncols = sum(slice_dim(k - a) for a in shifts)
@@ -354,28 +231,14 @@ def reference_walk(module, top):
                       if span.insert(vec)]
             assert len(picked) == count
             vectors.extend(picked)
-        ranks[k] = len(span.pivots)
         rows = span.rows
-    return degrees, vectors, ranks
-
-
-def _spy():
-    # records the relation walks and the block each is handed to leave
-    # out; the generator walk of I_f calls its own binding
-    return mock.patch.object(jacobian, "minimal_generators",
-                             wraps=jacobian.minimal_generators)
-
-
-def _drops(spy):
-    return [c.args[5] if len(c.args) > 5 else None
-            for c in spy.call_args_list]
+    return degrees, vectors
 
 
 def _matches_reference(module, top):
     degrees, walked = module.relations(top)
-    expected = reference_walk(module, top)
-    assert (degrees, [list(v) for v in walked.vectors], walked._ranks) \
-        == expected
+    assert (degrees, [list(v) for v in walked.vectors]) \
+        == reference_walk(module, top)
     assert walked.block_shifts == module.degrees
     return degrees
 
@@ -394,27 +257,24 @@ def test_a_zero_partial_keeps_its_block():
     cd = CurveData(parse_poly("x*y"))
     sat = saturate(cd)
     top = sat.reg_jacobian() + 3
-    with _spy() as spy:
-        assert _matches_reference(cd, top) == [1, 2]
-    assert _drops(spy) == [0]
+    assert _matches_reference(cd, top) == [1, 2]
     a, gens = min_generators(sat)
     _matches_reference(cd.relations(top)[1], top)
     _matches_reference(FormsIdeal([g.int_vector() for g in gens], a),
                        sat.reg_saturated() + 2)
 
 
-@pytest.mark.parametrize("vectors, degrees, drop", [
-    ([[0] * 3, [0, 1, 0], [1, 0, 0]], (1, 1, 1), 1),
-    ([[0] * 3, [0] * 6, [1, 0, 0, 0, 0, 0]], (1, 2, 2), 2),
-    ([[0] * 6, [0, 0, 1]], (2, 1), 1),
-    ([[0] * 3, [0] * 3], (1, 1), None),
+@pytest.mark.parametrize("vectors, degrees", [
+    ([[0] * 3, [0, 1, 0], [1, 0, 0]], (1, 1, 1)),
+    ([[0] * 3, [0] * 6, [1, 0, 0, 0, 0, 0]], (1, 2, 2)),
+    ([[0] * 6, [0, 0, 1]], (2, 1)),
+    ([[0] * 3, [0] * 3], (1, 1)),
 ])
-def test_relations_never_leave_out_a_zero_generator(vectors, degrees, drop):
-    # the left-out block is that of the first nonzero generator of least
-    # degree, and no block is left out when every generator is zero
-    with _spy() as spy:
-        _matches_reference(FormsIdeal(vectors, degrees), max(degrees) + 2)
-    assert _drops(spy) == [drop]
+def test_relation_walks_with_zero_generators_match_full_coordinates(
+        vectors, degrees):
+    # a zero generator v_i puts S(-a_i) e_i among the relations, also
+    # where every generator is zero
+    _matches_reference(FormsIdeal(vectors, degrees), max(degrees) + 2)
 
 
 @st.composite
@@ -439,12 +299,5 @@ def small_modules(draw):
 @given(small_modules())
 def test_relation_walks_of_small_modules_match_full_coordinates(module):
     vectors, degrees, shifts = module
-    with _spy() as spy:
-        _matches_reference(FormsIdeal(vectors, degrees, shifts),
-                           max(degrees) + 2)
-    drop, = _drops(spy)
-    nonzero = [a for v, a in zip(vectors, degrees) if any(v)]
-    if drop is None:
-        assert not nonzero
-    else:
-        assert any(vectors[drop]) and degrees[drop] == min(nonzero)
+    _matches_reference(FormsIdeal(vectors, degrees, shifts),
+                       max(degrees) + 2)

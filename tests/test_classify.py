@@ -1,5 +1,7 @@
 """Freeness classification and the structural verdicts."""
 
+from importlib import import_module
+
 import pytest
 
 from curvesat.analysis import analyze, analyze_catalog
@@ -15,6 +17,7 @@ from curvesat.classify import (
 )
 from curvesat.errors import BadExponentError
 from curvesat.parsing import parse_poly
+from curvesat.saturation import saturate
 
 EX1_D4 = "y^4 + x*z^3"
 
@@ -31,6 +34,18 @@ def test_classify_nearly_free_quintic():
     assert cls.kind == NEARLY_FREE
     assert cls.exponents == (1, 4)
     assert cls.mdr == 1
+
+
+def test_classify_reads_the_saturation_it_is_given(monkeypatch):
+    sat = saturate(parse_poly("y^5 + x^2*z^3"))
+
+    def refuse(_):
+        raise AssertionError("classify saturated the curve again")
+
+    # the package exports the function classify under the module's name
+    monkeypatch.setattr(import_module("curvesat.classify"), "saturate",
+                        refuse)
+    assert classify(sat) == classify(sat.data, sat)
 
 
 def test_classify_concurrent_lines():

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from curvesat import catalog, jacobian
 from curvesat.analysis import analyze_catalog, emit_json
+from curvesat.classify import classify
 from curvesat.errors import (CoefficientTooLargeError, KmaxExhaustedError,
-                             NonReducedInputError, SmoothCurveError)
+                             NonReducedInputError, SmoothCurveError,
+                             WrongShapeError)
 from curvesat.exactla import rref_int
 from curvesat.jacobian import (
     CurveData,
@@ -144,6 +146,35 @@ def test_library_entry_points_reject_non_reduced_input_at_once(entry):
     with pytest.raises(NonReducedInputError, match="at degree 23 "):
         entry(cd)
     assert cd._chain.k < 24
+
+
+# every entry point that reads a curve through jacobian._data
+CURVE_ENTRY_POINTS = [tjurina, mdr, milnor_dims, ar_min_generators, ct,
+                      classify]
+
+
+@pytest.mark.parametrize("entry", CURVE_ENTRY_POINTS)
+def test_entry_points_read_the_curve_of_its_saturation_data(entry):
+    f = parse_poly(NODAL6)
+    assert entry(saturate(f)) == entry(f)
+
+
+def _three_forms():
+    # three cubics that are not the partials of one curve
+    return saturate_three_forms(*(parse_poly(t) for t in
+                                  ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z",
+                                   "x*z^2 - y^3")))
+
+
+@pytest.mark.parametrize("entry", CURVE_ENTRY_POINTS)
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: "x*y", "not str", id="string"),
+    pytest.param(_three_forms, "three forms carries no curve",
+                 id="three-forms"),
+])
+def test_entry_points_reject_what_is_not_a_curve(entry, make, message):
+    with pytest.raises(WrongShapeError, match=message):
+        entry(make())
 
 
 def test_late_syzygy_generator_needs_full_scan():

@@ -5,12 +5,18 @@ them up: module globals, and methods read from the ``__dict__`` of the
 class that defines them.  A rename, a method moved to a base class or a
 deleted binding would make ``install`` fail; this checks every name in
 the tracer's tables, runs ``install`` once and puts everything back.
+
+The tracer's names are also the only module-level imports the package
+may leave unread: every other imported name is read in its module.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "curvesat"
 
 
 def _load_spans():
@@ -61,3 +67,27 @@ def test_tracer_installs_and_uninstalls():
     assert patched == {(spans._resolve(owner), attr) for owner, attr in names}
     assert [name for name in names if during[name] is before[name]] == []
     assert _bound(spans, names) == before
+
+
+def _unread_imports(path: Path) -> set:
+    """The names a module imports at module level and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_unread_import_is_a_traced_name():
+    patched = set(_patched_names(_load_spans()))
+    unread = {(f"curvesat.{path.stem}", name)
+              for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unread_imports(path)}
+    assert sorted(unread - patched) == []
