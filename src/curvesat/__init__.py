@@ -18,7 +18,6 @@ from .classify import (
 )
 from .jacobian import (
     CurveData,
-    ar_min_generators,
     ct,
     mdr,
     milnor_dims,
@@ -29,6 +28,7 @@ from .parsing import Arrangement, combinatorics, parse_arrangement, parse_poly
 from .poly import HomogeneousPoly
 from .resolution import (
     BettiTable,
+    ar_min_generators,
     betti_jacobian,
     betti_saturated,
     min_generators,

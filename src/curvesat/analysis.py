@@ -17,8 +17,8 @@ from .classify import Classification, classify, verify_identities
 from .errors import SmoothCurveError
 from .jacobian import CurveData
 from .parsing import Arrangement, combinatorics
-from .resolution import (BettiTable, betti_jacobian, betti_saturated,
-                         jacobian_twists)
+from .resolution import (BettiTable, ar_degrees, betti_jacobian,
+                         betti_saturated, jacobian_twists)
 from .saturation import n_min_generators, saturate
 
 SCHEMA_VERSION = 1
@@ -177,12 +177,9 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
     def syzygy_side():
         # AR(f)(-(d - 1)) is position 2 of the S/J_f twists; with
         # mdr = 0 the partials are not minimal and no table is reported
-        if r >= 1:
-            table = betti_jacobian(sat)
-            twists = table.twists
-        else:
-            table, twists = None, jacobian_twists(sat)
-        return table, [t - (cd.d - 1) for t in twists[1]]
+        table = betti_jacobian(sat) if r >= 1 else None
+        return table, ar_degrees(table.twists if table
+                                 else jacobian_twists(sat))
 
     tau = clock("jacobian", cd.tjurina)
     r = clock("mdr", cd.mdr)

@@ -14,14 +14,13 @@ canonical echelon form of each slice and the relations among its
 generators.  J_f is the ideal case, one block and three generators of
 degree d - 1.  ``minimal_generators`` is the one Nakayama walk, which
 picks minimal generators of a module degree by degree: over the slices
-of I_f it gives the generators of I_f for the public
-``resolution.min_generators``
-(``saturation.SaturationData.generator_module``), and over the kernel
-of a generator map (``FormsIdeal.relations``) the relations among them
-and, for the public ``ar_min_generators``, AR(f) from J_f.  No analysis
-runs it: the S/J_f table reads AR(f)'s degrees off numbers the
-analysis already has, and the S/I_f table counts the generators of I_f
-and reads its relations off the Hilbert function.
+of I_f the generators of I_f (``resolution.min_generators``), over the
+kernel of a generator map (``FormsIdeal.relations``) the relations
+among them, and so AR(f) (``CurveData.ar_min_generators``).  It only
+yields vectors: no analysis and no public degree function runs it.
+Those read closed forms, the degrees of AR(f) off the Milnor table and
+N(f) (``resolution.ar_min_generators``), and the S/I_f table counts the
+generators of I_f and reads its relations off the Hilbert function.
 
 One chain carries every slice upward: ``ShiftChain``, an
 ``exactla.IncrementalSpan`` in forward echelon form, stepped one degree
@@ -650,7 +649,10 @@ class CurveData(FormsIdeal):
         module), with module AR(f)(-(d-1)) in total degrees, read off
         ``relations(top + d)``.  The caller states top, a bound on the
         generator degrees: r_J - d + 3 from the regularity r_J of M(f)
-        (``SaturationData.reg_jacobian``), or the closed bound 2(d-1).
+        (``SaturationData.reg_jacobian``), or 2(d-1), which bounds them
+        for reduced f: AR(f)(-(d-1)) sits in position two of the
+        resolution of M(f), of regularity at most T = 3(d-2), so the
+        degrees are at most T - d + 3 < 2(d-1).
         """
         module = self.relations(top + self.d)[1]
         return [a - (self.d - 1) for a in module.degrees], module
@@ -717,21 +719,6 @@ def tjurina(f) -> int:
 
 def mdr(f) -> int:
     return _data(f).mdr()
-
-
-def ar_min_generators(f) -> list[int]:
-    """Sorted minimal generator degrees of AR(f).
-
-    The scan runs to the closed bound 2(d-1): AR(f)(-(d-1)) sits in
-    position two of the resolution of M(f), whose regularity is at most
-    T = 3(d-2) for a reduced curve, so AR(f) is generated in degrees at
-    most T - d + 3 < 2(d-1).  That bound holds for reduced f only, so
-    ``tjurina`` runs first and rejects the rest.
-    """
-    cd = _data(f)
-    cd.tjurina()
-    degrees, _ = cd.ar_min_generators(2 * (cd.d - 1))
-    return sorted(degrees)
 
 
 def ct(f) -> int:

@@ -18,14 +18,14 @@ and the generator degrees g_j of N(f) = I_f/J_f.  Both reproduce their
 Hilbert functions by construction, and a negative count raises
 FreenessCheckFailed.
 
-The walks, ``jacobian.minimal_generators``, serve the public entry
-points and not the tables, and no analysis runs them.  Each steps one
-chain over every degree and block up to its top.  ``min_generators``
-reads the walk over the slices of I_f
-(``SaturationData.generator_module``), which picks integer rows of the
-canonical slice basis in order, so repeated runs reproduce them bit for
-bit, and ``ar_min_generators`` the AR(f) walk,
-``CurveData.ar_min_generators``, which also yields the syzygy vectors.
+The public degree functions read these closed forms, so
+``ar_min_generators`` is position 2 of ``jacobian_twists`` less d - 1.
+The walks, ``jacobian.minimal_generators``, only yield vectors, and no
+analysis runs them.  ``min_generators`` reads the walk over the slices
+of I_f (``SaturationData.generator_module``), which picks integer rows
+of the canonical slice basis in order, so repeated runs reproduce them
+bit for bit; the AR(f) walk, ``CurveData.ar_min_generators``, yields
+the syzygy vectors.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import FreenessCheckFailedError, WrongShapeError
 # kernel_int, rank_int and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
 from .exactla import kernel_int, rank_int, rref_insert  # noqa: F401
-from .jacobian import CurveData
+from .jacobian import _data
 from .poly import HomogeneousPoly, slice_dim
 from .saturation import saturate
 
@@ -134,7 +134,8 @@ def jacobian_twists(f) -> tuple:
     AR(f)(-(d - 1)) in position 2, its relations in position 3 when
     there are any.  For mdr >= 1 this is the minimal resolution
     (``betti_jacobian``); for mdr = 0 the partials are not minimal, but
-    position 2 still gives the generator degrees of AR(f) as b - (d - 1).
+    position 2 still gives the generator degrees of AR(f) as b - (d - 1)
+    (``ar_degrees``).
 
     No AR(f) kernel is taken.  The Hilbert series of M(f) = S/J_f is
     P(t)/(1 - t)^3 with the numerator
@@ -162,9 +163,7 @@ def jacobian_twists(f) -> tuple:
     construction the twists reproduce m_k in every degree.
     """
     sat = saturate(f)
-    cd = sat.data
-    if not isinstance(cd, CurveData):
-        raise WrongShapeError("the S/J_f table needs the Jacobian of a curve")
+    cd = _data(sat)
     series = _numerator(cd.milnor_dims(), cd.tjurina())
     last = sorted(3 * cd.d - 3 - g for g in sat.generators.n_degrees)
     series[0] -= 1
@@ -178,6 +177,19 @@ def jacobian_twists(f) -> tuple:
             f"{list(sat.generators.n_degrees)} of N(f) disagree")
     middle = tuple(t for t, n in enumerate(series) for _ in range(n))
     return ((cd.d - 1,) * 3, middle) + ((tuple(last),) if last else ())
+
+
+def ar_degrees(twists) -> list[int]:
+    """The generator degrees of AR(f), ascending, from the twists of
+    ``jacobian_twists``: position 2 less d - 1, that of position 1."""
+    return [b - twists[0][0] for b in twists[1]]
+
+
+def ar_min_generators(f) -> list[int]:
+    """Sorted minimal generator degrees of AR(f), mdr = 0 included, with
+    no AR(f) kernel taken (``CurveData.ar_min_generators`` walks for
+    the generators themselves)."""
+    return ar_degrees(jacobian_twists(f))
 
 
 def betti_jacobian(f) -> BettiTable:

@@ -18,7 +18,6 @@ from curvesat.exactla import rref_int
 from curvesat.jacobian import (
     CurveData,
     FormsIdeal,
-    ar_min_generators,
     ct,
     mdr,
     milnor_dims,
@@ -28,7 +27,7 @@ from curvesat.jacobian import (
 )
 from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
 from curvesat.poly import monomial_basis, primitivize, slice_dim
-from curvesat.resolution import min_generators
+from curvesat.resolution import ar_min_generators, min_generators
 from curvesat.saturation import saturate, saturate_three_forms
 
 FERMAT3 = "x^3 + y^3 + z^3"

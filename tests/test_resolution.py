@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvesat import catalog
+from curvesat import catalog, jacobian, saturation
 from curvesat.analysis import analyze_full
+from curvesat.classify import (CONCURRENT_LINES, FREE, NEARLY_FREE,
+                               classify)
 from curvesat.errors import FreenessCheckFailedError, WrongShapeError
 from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import Arrangement, parse_poly
@@ -16,6 +18,7 @@ from curvesat.poly import partials, primitivize
 from curvesat.resolution import (
     BettiTable,
     _numerator,
+    ar_min_generators,
     betti_jacobian,
     betti_saturated,
     min_generators,
@@ -258,6 +261,43 @@ def test_the_closed_form_is_the_walked_table(name):
     walked = (cd.degrees, ar.degrees) + ((tuple(relations),)
                                          if relations else ())
     assert betti_jacobian(sat).twists == walked
+
+
+def test_ar_min_generators_walks_nothing(monkeypatch):
+    # the public AR(f) degrees are the closed form: with every walk and
+    # every relation kernel refused they still come out, mdr = 0 (xy,
+    # concurrent-4) and a generator three degrees after the last
+    # (nodal-6) included
+    def refuse(*args, **kwargs):
+        raise AssertionError("AR(f) walked for its degrees")
+
+    monkeypatch.setattr(CurveData, "ar_min_generators", refuse)
+    for name in ("relations", "kernel_at"):
+        monkeypatch.setattr(FormsIdeal, name, refuse)
+    for module in (jacobian, saturation):
+        monkeypatch.setattr(module, "minimal_generators", refuse)
+    ar = {"xy": [0, 1], "concurrent-4": [0, 3], "nf-d7-k3": [1, 6, 6],
+          "braid": [2, 3], "nodal-6": [5, 5, 5, 8]}
+    for name, degrees in ar.items():
+        assert ar_min_generators(_curve(name)) == degrees
+
+
+def test_ar_degrees_are_the_exponents():
+    # a paper fact (Dimca and Sticlaru), not an engine's: AR(f) of a
+    # free curve with exponents (d1, d2) is free on generators of
+    # degrees d1 and d2, of a nearly free one three generators of
+    # degrees d1, d2 and d2, and concurrent lines (mdr = 0) have
+    # generators of degrees 0 and d - 1
+    expected, computed = {}, {}
+    for name in catalog.names():
+        sat = saturate(_curve(name))
+        cls = classify(sat)
+        if cls.kind in (FREE, NEARLY_FREE, CONCURRENT_LINES):
+            d1, d2 = cls.exponents
+            expected[name] = [d1, d2] + [d2] * (cls.kind == NEARLY_FREE)
+            computed[name] = ar_min_generators(sat)
+    assert len(expected) == 57
+    assert computed == expected
 
 
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=30),

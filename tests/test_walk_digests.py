@@ -5,8 +5,9 @@ what the walks of ``jacobian.minimal_generators`` hand out is pinned in
 
 - ``min_generators(f)``: the generator degrees of I_f and the printed
   generators;
-- ``CurveData.ar_min_generators(2(d - 1))``: the degrees of AR(f) and
-  the syzygy vectors of its module;
+- ``CurveData.ar_min_generators(2(d - 1))``: the degrees of AR(f),
+  which must also be the closed form ``resolution.ar_min_generators``,
+  and the syzygy vectors of its module;
 - the relation degrees of ``SaturationData.generator_module`` up to
   r_I + 2.
 
@@ -25,7 +26,7 @@ import pytest
 from curvesat import catalog
 from curvesat.jacobian import CurveData
 from curvesat.parsing import Arrangement
-from curvesat.resolution import min_generators
+from curvesat.resolution import ar_min_generators, min_generators
 from curvesat.saturation import saturate
 
 PATH = Path(__file__).parent / "data" / "walk_digests.json"
@@ -38,6 +39,9 @@ def walks(name) -> dict:
     sat = saturate(cd)
     degrees, gens = min_generators(sat)
     ar_degrees, ar = cd.ar_min_generators(2 * (cd.d - 1))
+    # the walked degrees of AR(f) are the closed form's, mdr = 0 and
+    # the Ziegler pair included
+    assert sorted(ar_degrees) == ar_min_generators(sat)
     relations = sat.generator_module.relations(sat.reg_saturated() + 2)[0]
     return {"min_generators": [degrees, [str(g) for g in gens]],
             "ar_min_generators": [ar_degrees, [list(v) for v in ar.vectors]],
