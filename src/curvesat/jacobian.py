@@ -50,9 +50,10 @@ repeated factor the bound has not caught) the chain runs to kmax - 1,
 where ``FormsIdeal.tau`` checks that the Hilbert function stabilizes.
 ``colon_rows`` builds the matrix of multiplication by h modulo a slice
 of J, with a saturation step's lift vectors projected out, for the
-regularity check and for the saturation steps; the check keeps the
-forward echelon form of the last matrix it eliminates for the step that
-reads the same matrix (``FormsIdeal.colon_echelon``).
+regularity check and for the saturation steps.  With no lift the
+matrix's canonical kernel is ``FormsIdeal.h_kernel``, kept per degree:
+the check reads its dimension and the top saturation step its vectors,
+so that matrix is eliminated once.
 
 ``CurveData`` is the per-curve cache built on J_f.  It works on a
 canonical integer representative of f (rescaling f changes nothing) so
@@ -72,8 +73,8 @@ from .errors import (CoefficientTooLargeError, ConstantPolynomialError,
                      KmaxExhaustedError, NonReducedInputError,
                      NotCodimensionTwoError, SmoothCurveError,
                      WrongShapeError, ZeroPolynomialError)
-# rref_insert, rref_int and poly_columns_int are unused here but stay
-# bound: perfbench/spans.py patches this module's names
+# rank_int, rref_insert, rref_int and poly_columns_int are unused here
+# but stay bound: perfbench/spans.py patches this module's names
 from .exactla import (IncrementalSpan, back_phase,  # noqa: F401
                       kernel_int, rank_int, rref_insert, rref_int)
 from .poly import (MAX_COEFF_BITS, HomogeneousPoly,  # noqa: F401
@@ -200,8 +201,6 @@ def colon_rows(k: int, form, comp_here, jpiv, jrows, lifts=()) -> list:
         return row, scale
 
     comp_next = complement(jpiv, slice_dim(k + 1))
-    if not lifts:
-        return [scaled_row(npc)[0] for npc in comp_next]
     # per lift: its marker, its entry there and its row there, scaled
     marked = []
     for lift in lifts:
@@ -333,9 +332,7 @@ class FormsIdeal:
         self._excess: int | None = None
         self._tested = max(self.degrees, default=0) - 1
         self._tau: int | None = None
-        # (k, form, rows): the forward echelon rows of the last matrix
-        # _h_onto eliminated, see colon_echelon
-        self._colon: tuple | None = None
+        self._h_kernels: dict[int, list] = {}
 
     # -- module slices --------------------------------------------------
 
@@ -408,8 +405,8 @@ class FormsIdeal:
         Stillman ("A criterion for detecting m-regularity", Invent.
         Math. 87, 1987, Thm 1.10) that J is m-regular.  It is tried only
         where H(m) = H(m+1) <= H(m-1), which both maps need, and there
-        it is one ``rank_int`` of a ``colon_rows`` matrix, for
-        surjectivity: S_m = hS_(m-1) + J_m gives S_(m+1) = hS_m +
+        it is one kernel, ``h_kernel(m - 1)``, of dimension H(m-1) - H(m)
+        for surjectivity: S_m = hS_(m-1) + J_m gives S_(m+1) = hS_m +
         S_1 J_m, so ×h maps A_m onto A_(m+1), a space of the same
         dimension, and is injective.  Why a pass is exact:
 
@@ -464,7 +461,8 @@ class FormsIdeal:
                 self._excess = m
             else:
                 low, high = [self.milnor_dim(k) for k in (m - 1, m + 1)]
-                if high == dim <= low and self._h_onto(m):
+                if (high == dim <= low
+                        and len(self.h_kernel(m - 1)) == low - dim):
                     self._regular = (m, dim)
             self._tested = m
             m += 1
@@ -505,31 +503,20 @@ class FormsIdeal:
             self._tau = low
         return self._tau
 
-    def _h_onto(self, m: int) -> bool:
-        """×h maps A_(m-1) onto A_m, for A = S/J and h = ``LINEAR_FORM``
-        (see ``regular_degree``)."""
-        comp_here = complement(self.slice_at(m - 1)[0], slice_dim(m - 1))
-        matrix = colon_rows(m - 1, LINEAR_FORM, comp_here, *self.rref_at(m))
-        nrows = len(matrix)
-        rank = rank_int(matrix, len(comp_here))
-        # rank_int leaves its first rank rows a forward echelon form of
-        # the matrix; the saturation step at m - 1 finishes its kernel
-        # from them (``colon_echelon``)
-        self._colon = (m - 1, tuple(LINEAR_FORM), matrix[:rank])
-        return rank == nrows
-
-    def colon_echelon(self, k: int, form):
-        """(pivots, rows), a forward echelon form of the matrix
-        ``colon_rows(k, form, ...)`` modulo J_(k+1) with no lifts, as
-        ``_h_onto`` left it at k + 1, the last degree ``regular_degree``
-        tested; None when that matrix was not eliminated there.  Handed
-        out once: the rows are the reader's."""
-        kept = self._colon
-        if kept is None or kept[:2] != (k, tuple(form)):
-            return None
-        self._colon = None
-        rows = kept[2]
-        return [next(c for c, v in enumerate(row) if v) for row in rows], rows
+    def h_kernel(self, k: int) -> list[list[int]]:
+        """Canonical kernel (``kernel_int``) of ×h from the monomials
+        outside J_k into S_(k+1)/J_(k+1), h = ``LINEAR_FORM``: the
+        ``colon_rows`` matrix with no lifts, eliminated once per k and
+        kept.  The regularity check at k + 1 reads its dimension, and
+        the saturation step at k, where no lift sits at k + 1, reads its
+        vectors."""
+        got = self._h_kernels.get(k)
+        if got is None:
+            comp_here = complement(self.slice_at(k)[0], slice_dim(k))
+            got = self._h_kernels[k] = kernel_int(
+                colon_rows(k, LINEAR_FORM, comp_here, *self.rref_at(k + 1)),
+                len(comp_here))
+        return got
 
     # -- relations among the generators --------------------------------
 

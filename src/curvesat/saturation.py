@@ -24,8 +24,8 @@ kernel of that small integer matrix gives the new slice as J_k plus a
 handful of lift vectors.  The expensive eliminations thus stay on the
 small-entry generator columns of J itself, the lifts span N(f) in that
 degree, and no slice of I is built: ``SaturationData.i_rref`` builds
-one on first read, for the public generator walk and the suite's
-checks only.
+one on each read and keeps none, for the public generator walk and the
+suite's checks only.
 
 The dimensions n_k of N are known before the descent starts: they
 follow from the Hilbert function m_k of S/J alone,
@@ -49,9 +49,8 @@ slice chain of J; the degree that check certifies is an upper bound
 for reg(J), and the constructor raises when it lies below the
 regularity the saturation gives.  Each matrix is eliminated once: a
 step with no lift above it (the top step) has the matrix of the check
-at k + 1, and where that is the degree the check tested last it
-finishes the forward echelon form the check kept
-(``FormsIdeal.colon_echelon``) with the back phase alone.
+at k + 1 and reads the kernel the check took
+(``FormsIdeal.h_kernel``).
 
 The same descent, one-form steps and fallback included, saturates any
 codimension-two ideal J generated by three forms of degree e, from the
@@ -85,9 +84,8 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
 # clear_row and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
-from .exactla import (back_phase, clear_row,  # noqa: F401
-                      kernel_from_rref, kernel_int, rank_int, rref_extend,
-                      rref_insert)
+from .exactla import (clear_row, kernel_int, rank_int,  # noqa: F401
+                      rref_extend, rref_insert)
 from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows,
                        complement, marker, minimal_generators,
                        shift_block_vector, smooth_reference_dims)
@@ -156,7 +154,6 @@ class SaturationData:
                 f"negative quotient dimension predicted: {table}")
         # the lifts that span I_k over J_k, at each k with n_k > 0
         self.extras: dict[int, list[list[int]]] = {}
-        self._irref: dict[int, tuple] = {}
         self._shifts: dict[int, list] = {}
         self._marked: dict[int, list] = {}
         for k in range(top, -1, -1):
@@ -194,12 +191,11 @@ class SaturationData:
         dimension n_k, and only the suite's ``saturation-oracle`` (the
         lifts multiplied out) sees it.
 
-        Each matrix is eliminated once: with no lift at k + 1 the
-        one-form matrix is the one ``FormsIdeal._h_onto`` eliminated at
-        k + 1 when that was the degree the regularity check tested last,
-        and its kept forward echelon form only takes the back phase.
-        Where I_(k+1) = S_(k+1), read off ``i_dim``, I_k = S_k and no
-        matrix is built."""
+        With no lift at k + 1 the one-form kernel is
+        ``FormsIdeal.h_kernel(k)``, which the regularity check at k + 1
+        has already taken, so each matrix is eliminated once.  Where
+        I_(k+1) = S_(k+1), read off ``i_dim``, I_k = S_k and no matrix
+        is built."""
         n_k = self.n_table[k]
         data = self.data
         dim_here = slice_dim(k)
@@ -213,14 +209,11 @@ class SaturationData:
 
         jpiv, jrows = data.rref_at(k + 1)
         lifts = self.extras.get(k + 1, ())
-        kept = None if lifts else data.colon_echelon(k, LINEAR_FORM)
-        if kept is None:
+        if lifts:
             kern = kernel_int(colon_rows(k, LINEAR_FORM, comp_here, jpiv,
                                          jrows, lifts), ncomp)
         else:
-            pivots, rows = kept
-            back_phase(pivots, rows, ncomp)
-            kern = kernel_from_rref(pivots, rows, ncomp)
+            kern = data.h_kernel(k)
         if len(kern) != n_k:
             rows = [row for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
                     for row in colon_rows(k, var, comp_here, jpiv, jrows,
@@ -246,18 +239,16 @@ class SaturationData:
         """Canonical RREF of the saturated slice at degree k: the slice
         of J wherever the quotient is zero, else the canonical rows of
         J_k extended by the lifts (``rref_extend`` over a copy), built
-        on first read and kept.  The descent and the analysis read none:
-        only the public ``generator_module`` and the suite's check that
-        the lifts' shifts stay in I read them."""
-        got = self._irref.get(k)
-        if got is None:
-            lifts = self.extras.get(k)
-            if not lifts:
-                return self.data.rref_at(k)
-            jpiv, jrows = self.data.rref_at(k)
-            got = self._irref[k] = rref_extend(
-                jpiv, [list(r) for r in jrows], lifts, slice_dim(k))
-        return got
+        on each read and kept nowhere.  The descent and the analysis
+        read none: only the public ``generator_module`` and the suite's
+        check that the lifts' shifts stay in I read them, each degree
+        once."""
+        lifts = self.extras.get(k)
+        if not lifts:
+            return self.data.rref_at(k)
+        jpiv, jrows = self.data.rref_at(k)
+        return rref_extend(jpiv, [list(r) for r in jrows], lifts,
+                           slice_dim(k))
 
     def i_dim(self, k: int) -> int:
         return self.data.rank_at(k) + self.n_dim(k)

@@ -21,6 +21,8 @@ DIGESTS = json.loads((DATA / "report_digests.json").read_text())
 # the seed-0 random reports of ``full_suite``, pinned apart from the
 # catalog's digests, which hold exactly the catalog names
 SUITE_DIGESTS = json.loads((DATA / "suite_digests.json").read_text())
+SUITE_JSON_SHA256 = (
+    "d7fb2adbd43d7c70ee1081a6b57a09d70a9ae28da907ed99cc4d7c142482eb10")
 
 
 def _sha(text: str) -> str:
@@ -178,6 +180,14 @@ def test_seed_0_random_reports_are_pinned():
                       "json": _sha(emit_json(rec.report))}
            for rec in result.records if rec.name.startswith("random-")}
     assert got == SUITE_DIGESTS
+
+
+def test_suite_json_bytes_are_pinned():
+    """``curvesat suite --format json`` (catalog plus 25 random curves,
+    seed 0) keeps its SHA-256; the CLI writes these bytes."""
+    result, _elapsed = full_suite()
+    text = json.dumps(result.to_jsonable(), indent=2, sort_keys=True) + "\n"
+    assert _sha(text) == SUITE_JSON_SHA256
 
 
 def test_criterion_6_nearly_free_predictions(capsys):

@@ -14,10 +14,11 @@ from curvesat.classify import classify
 from curvesat.errors import (CoefficientTooLargeError, KmaxExhaustedError,
                              NonReducedInputError, SmoothCurveError,
                              WrongShapeError)
-from curvesat.exactla import rref_int
+from curvesat.exactla import kernel_int, rref_int
 from curvesat.jacobian import (
     CurveData,
     FormsIdeal,
+    complement,
     ct,
     mdr,
     milnor_dims,
@@ -345,7 +346,13 @@ def test_certified_ranks_match_the_chain(name):
 @pytest.mark.parametrize("name", ["generic-5", "braid", "nf-d7-k3"])
 def test_certified_degree_is_the_regularity_of_j(name):
     cd, _ = _certified(name)
-    assert cd.regular_degree()[0] == saturate(cd).reg_jacobian() + 1
+    m = cd.regular_degree()[0]
+    assert m == saturate(cd).reg_jacobian() + 1
+    # the kernel the check read is the canonical kernel of its matrix
+    comp = complement(cd.slice_at(m - 1)[0], slice_dim(m - 1))
+    matrix = jacobian.colon_rows(m - 1, jacobian.LINEAR_FORM, comp,
+                                 *cd.rref_at(m))
+    assert cd.h_kernel(m - 1) == kernel_int(matrix, len(comp))
 
 
 @pytest.mark.parametrize("name", ["generic-5", "braid", "nf-d7-k3"])
@@ -391,13 +398,15 @@ def test_a_form_through_a_singular_point_is_never_certified(monkeypatch):
     # refused wherever it runs, the chain reaches kmax, and the report is
     # unchanged
     tried = []
-    check = FormsIdeal._h_onto
+    h_kernel = FormsIdeal.h_kernel
 
-    def watched(self, m):
-        tried.append((m, check(self, m)))
-        return tried[-1][1]
+    def watched(self, k):
+        got = h_kernel(self, k)
+        onto = len(got) == self.milnor_dim(k) - self.milnor_dim(k + 1)
+        tried.append((k + 1, onto))
+        return got
 
-    monkeypatch.setattr(FormsIdeal, "_h_onto", watched)
+    monkeypatch.setattr(FormsIdeal, "h_kernel", watched)
     monkeypatch.setattr(jacobian, "LINEAR_FORM", (1, 0, 0))
     cd = CurveData(catalog.load("generic-5").product())
     cd.tjurina()

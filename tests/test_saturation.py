@@ -243,42 +243,51 @@ def _catalog_curve(name):
 
 
 def _watch_steps(monkeypatch):
-    """The descent as it runs: the degrees of its steps in order, and
-    per step the colon matrices it takes kernels of, as (form, rows):
-    those it builds, and the one-form matrix of the regularity check
-    (``FormsIdeal._h_onto``) whose kept echelon form it finishes."""
-    steps, matrices, checked = [], {}, {}
+    """The descent as it runs: the degrees of its steps in order, per
+    step the colon matrices it takes kernels of, as (form, rows), and
+    every colon matrix built, as (k, form, the step that built it or
+    None).  A step takes kernels of the matrices it builds and of the
+    one-form matrix behind ``FormsIdeal.h_kernel``, which the
+    regularity check may have built before the descent."""
+    steps, matrices, checked, built = [], {}, {}, []
+    running = []
     step = saturation.SaturationData._step
     build = saturation.colon_rows
     check_build = jacobian.colon_rows
-    kept = FormsIdeal.colon_echelon
+    h_kernel = FormsIdeal.h_kernel
 
     def watched_step(self, k):
         steps.append(k)
         matrices[k] = []
-        return step(self, k)
+        running.append(k)
+        try:
+            return step(self, k)
+        finally:
+            running.pop()
 
     def watched_build(k, form, *args):
         rows = build(k, form, *args)
         matrices[steps[-1]].append((tuple(form), len(rows)))
+        built.append((k, tuple(form), steps[-1]))
         return rows
 
     def watched_check_build(k, form, *args):
         rows = check_build(k, form, *args)
         checked[k] = (tuple(form), len(rows))
+        built.append((k, tuple(form), running[-1] if running else None))
         return rows
 
-    def watched_kept(self, k, form):
-        got = kept(self, k, form)
-        if got is not None:
-            matrices[k].append(checked[k])
+    def watched_h_kernel(self, k):
+        got = h_kernel(self, k)
+        if running:
+            matrices[running[-1]].append(checked[k])
         return got
 
     monkeypatch.setattr(saturation.SaturationData, "_step", watched_step)
     monkeypatch.setattr(saturation, "colon_rows", watched_build)
     monkeypatch.setattr(jacobian, "colon_rows", watched_check_build)
-    monkeypatch.setattr(FormsIdeal, "colon_echelon", watched_kept)
-    return steps, matrices
+    monkeypatch.setattr(FormsIdeal, "h_kernel", watched_h_kernel)
+    return steps, matrices, built
 
 
 def _complement_count(sat, k):
@@ -289,18 +298,22 @@ def _complement_count(sat, k):
 @pytest.mark.parametrize("name", ["generic-5", "nf-d7-k3", "nodal-5",
                                   "braid"])
 def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
-    steps, matrices = _watch_steps(monkeypatch)
+    steps, matrices, built = _watch_steps(monkeypatch)
     sat = saturate(_catalog_curve(name))
     assert steps == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
     # one kernel per step, multiplying by one linear form: one row per
-    # complement column of I_(k+1), not three; the top step, with no
-    # lift above it, takes the regularity check's matrix, eliminated
-    # once
+    # complement column of I_(k+1), not three
     assert matrices == {k: [(saturation.LINEAR_FORM,
                              _complement_count(sat, k))] for k in steps}
+    # the top step, with no lift above it, reads the kernel of the
+    # regularity check's matrix: that matrix is built once, by the check
+    # before the descent, and the top step builds none
+    m = sat.data.regular_degree()[0]
+    assert built == [(m - 1, saturation.LINEAR_FORM, None)] + [
+        (k, saturation.LINEAR_FORM, k) for k in steps[1:]]
     for top in steps[:1]:
         assert not sat.extras.get(top + 1)
-        assert sat.data.regular_degree()[0] == top + 1
+        assert top == m - 1
 
 
 # generic-5 has n = 2 at degrees 4 and 5 only, nf-d7-k3 has n = 1 at
@@ -317,7 +330,7 @@ def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
 def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     ref = saturate(_catalog_curve(name))
     assert (ref.n_table[k] == 0) == (delta > 0)
-    steps, _ = _watch_steps(monkeypatch)
+    steps, _, _ = _watch_steps(monkeypatch)
     reference_dims = saturation.smooth_reference_dims
 
     def corrupted_dims(d, kmax):
@@ -346,12 +359,12 @@ def _sha(text: str) -> str:
 
 def _forced_through_x(monkeypatch, build, degrees):
     ref = build()
-    steps, matrices = _watch_steps(monkeypatch)
-    monkeypatch.setattr(saturation, "LINEAR_FORM", (1, 0, 0))
+    steps, matrices, _ = _watch_steps(monkeypatch)
+    for module in (jacobian, saturation):
+        monkeypatch.setattr(module, "LINEAR_FORM", (1, 0, 0))
     got = build()
     # the x kernel, then the x, y, z kernel, at every step; the top
-    # step builds its own, as the regularity check multiplied by
-    # another form
+    # step's x kernel is ``h_kernel``'s
     assert steps == degrees
     assert matrices == {
         k: [(form, _complement_count(got, k))

@@ -13,6 +13,7 @@ import pytest
 
 from curvesat import analysis, catalog, suite
 from curvesat.classify import FAIL
+from curvesat.jacobian import complement, marker
 from curvesat.parsing import parse_arrangement
 from curvesat.poly import slice_dim
 from curvesat.resolution import BettiTable
@@ -118,6 +119,36 @@ def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
     assert rec.lifts_outside == (4,)
     ok, detail = oracle(rec)
     assert not ok and "k = [4]" in detail
+
+
+@pytest.mark.parametrize("name", ["nodal-4", "nodal-5", "nodal-6",
+                                  "generic-5", "nf-d7-k3"])
+def test_saturation_oracle_sees_a_wrong_lift_at_every_degree(name):
+    # the descent's kernel count passes any lifts at k + 1 where the
+    # linear form maps (S/J)_k onto (S/J)_(k+1), and the nodal curves
+    # have such degrees; multiplying the lifts out sees a wrong one at
+    # every degree.  The lift with the largest marker, changed at the
+    # first column outside J_k that is no lift's marker, leaves I_k
+    _report, _cd, sat = suite.analyze_full(
+        catalog.load(name), name=name,
+        irreducible=catalog.entry(name).irreducible)
+    assert suite._lifts_outside(sat) == ()
+    degrees = [k for k, lifts in sat.extras.items() if lifts]
+    assert degrees
+    for k in degrees:
+        lifts = sat.extras[k]
+        markers = [marker(lift) for lift in lifts]
+        j = markers.index(max(markers))
+        c = next(c for c in complement(sat.data.rref_at(k)[0],
+                                       slice_dim(k))
+                 if c not in markers)
+        original = lifts[j]
+        lifts[j] = list(original)
+        lifts[j][c] += 1
+        sat._shifts.clear()
+        sat._marked.clear()
+        assert suite._lifts_outside(sat), k
+        lifts[j] = original
 
 
 @pytest.mark.parametrize("table", ["betti_jacobian", "betti_saturated"])
