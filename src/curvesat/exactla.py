@@ -40,15 +40,18 @@ every exact operation:
 
 ``rank_int`` is the forward phase, ``rref_int`` the forward and the
 back phase, and ``kernel_int`` reads a canonical kernel basis off
-``rref_int``.  Vectors are added to a span through their residuals
-(``_residuals``, built on ``_reduce``): ``rank_growth`` is their rank,
-``IncrementalSpan.extend`` merges their forward phase in by pivot, and
-``rref_extend`` and ``rref_insert`` are that extension followed by the
-back phase.  ``IncrementalSpan`` keeps a span in forward echelon form,
-with no back phase: its pivots, rank and grew/did-not-grow answers are
-those of the canonical form.  ``jacobian.ShiftChain`` is one: the
-Nakayama walk of ``jacobian.minimal_generators`` reads its pivot count
-and ``insert``'s answers, and ``jacobian.FormsIdeal.slice_at`` runs
+``rref_int``.  ``IncrementalSpan.extend`` is the one way vectors join
+a span: it reduces them (``_reduce``), runs the forward phase on their
+residuals on the free columns (``complement``) and merges the new rows
+in by pivot.  ``IncrementalSpan.insert`` is a one-vector ``extend``,
+``rank_growth`` the growth of an ``extend`` that shares the caller's
+rows and never writes them, and ``rref_extend`` and ``rref_insert``
+add the back phase.  ``IncrementalSpan`` keeps a span in forward
+echelon form, with no back phase: its pivots, rank and
+grew/did-not-grow answers are those of the canonical form.
+``jacobian.ShiftChain`` is one: the Nakayama walk of
+``jacobian.minimal_generators`` reads its pivot count and
+``insert``'s answers, and ``jacobian.FormsIdeal.slice_at`` runs
 ``back_phase`` on the slices a step starts from or whose rows
 ``rref_at`` hands out.
 """
@@ -83,6 +86,14 @@ def primitive(vec: list[int]) -> list[int]:
     if g > 1:
         return [v // g for v in vec]
     return vec
+
+
+def complement(pivots: Iterable[int], ncols: int) -> list[int]:
+    """The columns below ncols that are not pivots, in increasing order:
+    the free columns of an echelon form, and the monomials outside a
+    slice of an ideal given the pivots of its RREF."""
+    pivset = set(pivots)
+    return [c for c in range(ncols) if c not in pivset]
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
@@ -180,8 +191,7 @@ def back_phase(pivots: Sequence[int], rows: list[list[int]],
         for i in range(j):
             if rows[i][pc]:
                 hits[i].append((pc, j))
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    free = complement(pivots, ncols)
     for i in range(npiv - 1, -1, -1):
         pc = pivots[i]
         if hits[i]:
@@ -219,11 +229,8 @@ def kernel_from_rref(pivots: Sequence[int], rows: Sequence[Sequence[int]],
     One primitive integer vector per free column, positive at that
     column, taken in column order.
     """
-    pivset = set(pivots)
     out = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
+    for fc in complement(pivots, ncols):
         touched = []
         for i, pc in enumerate(pivots):
             if pc > fc:
@@ -249,16 +256,17 @@ def kernel_int(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-            vec: list[int]) -> list[int]:
+            vec: Sequence[int]) -> Sequence[int]:
     """vec reduced modulo a forward echelon form, one row after another.
 
     rows have distinct leading columns pivots, in increasing order.
     Each hit is one fraction-free update r := (a // g) * r - (b // g) *
-    row, g = gcd(a, b), of a new list; a row is zero left of its pivot,
-    so it never refills an earlier pivot column, and the result is zero
-    at every pivot.  It is nonzero exactly when vec lies outside the
-    span, since a combination of rows with distinct leading columns is
-    nonzero at the first of them.  The content is not stripped.
+    row, g = gcd(a, b), of a new list, so vec is never written and is
+    returned itself when nothing hits it.  A row is zero left of its
+    pivot, so it never refills an earlier pivot column, and the result
+    is zero at every pivot.  It is nonzero exactly when vec lies outside
+    the span, since a combination of rows with distinct leading columns
+    is nonzero at the first of them.  The content is not stripped.
     """
     for pc, row in zip(pivots, rows):
         b = vec[pc]
@@ -269,33 +277,6 @@ def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
             mb = b // g
             vec = [ma * u - mb * v for u, v in zip(vec, row)]
     return vec
-
-
-def _residuals(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-               vecs: Iterable[Sequence[int]], ncols: int):
-    """(free, residuals): the non-pivot columns of a forward echelon
-    form and the nonzero residuals (``_reduce``) of vecs modulo its
-    span, restricted to them.  Neither rows nor vecs are modified."""
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    residuals = []
-    for vec in vecs:
-        res = _reduce(pivots, rows, vec)
-        if any(res):
-            residuals.append([res[c] for c in free])
-    return free, residuals
-
-
-def rank_growth(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-                vecs: Iterable[Sequence[int]], ncols: int) -> int:
-    """dim(span rows + span vecs) - len(pivots).
-
-    (pivots, rows) may be any forward echelon form, a canonical RREF
-    included; it is not consumed, and neither are vecs.  The growth is
-    the rank of the residuals of vecs on the free columns.
-    """
-    free, residuals = _residuals(pivots, rows, vecs, ncols)
-    return rank_int(residuals, len(free))
 
 
 class IncrementalSpan:
@@ -316,20 +297,26 @@ class IncrementalSpan:
         self.rows = list(rows)
 
     def insert(self, vec: Sequence[int]) -> bool:
-        """Add one vector; True when the span grew."""
-        res = _reduce(self.pivots, self.rows, list(vec))
-        lead = next((c for c, v in enumerate(res) if v), -1)
-        if lead < 0:
-            return False
-        pos = bisect(self.pivots, lead)
-        self.pivots.insert(pos, lead)
-        self.rows.insert(pos, primitive(res))
-        return True
+        """Add one vector, a one-vector ``extend``; True when the span
+        grew."""
+        npiv = len(self.pivots)
+        self.extend((vec,))
+        return len(self.pivots) > npiv
 
     def extend(self, vecs: Iterable[Sequence[int]]) -> None:
-        """Add vecs at once: the forward phase (``_eliminate``) on their
-        residuals, whose echelon rows are merged in by pivot."""
-        free, residuals = _residuals(self.pivots, self.rows, vecs, self.ncols)
+        """Add vecs at once: their residuals (``_reduce``) on the free
+        columns go through the forward phase (``_eliminate``), whose
+        echelon rows are merged in by pivot.
+
+        Neither vecs nor the rows already in the span are written; the
+        pivots and rows lists are rewritten in place when the span grows.
+        """
+        free = complement(self.pivots, self.ncols)
+        residuals = []
+        for vec in vecs:
+            res = _reduce(self.pivots, self.rows, vec)
+            if any(res):
+                residuals.append([res[c] for c in free])
         new = _eliminate(residuals, len(free))
         if not new:
             return
@@ -343,6 +330,20 @@ class IncrementalSpan:
         merged.sort(key=lambda t: t[0])
         self.pivots[:] = [pc for pc, _ in merged]
         self.rows[:] = [row for _, row in merged]
+
+
+def rank_growth(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+                vecs: Iterable[Sequence[int]], ncols: int) -> int:
+    """dim(span rows + span vecs) - len(pivots).
+
+    (pivots, rows) may be any forward echelon form, a canonical RREF
+    included.  The growth is that of an ``IncrementalSpan.extend`` on a
+    span that shares the rows, which ``extend`` never writes, so
+    neither (pivots, rows) nor vecs are modified.
+    """
+    span = IncrementalSpan(ncols, pivots, rows)
+    span.extend(vecs)
+    return len(span.pivots) - len(pivots)
 
 
 def rref_extend(pivots: Sequence[int], rows: list[list[int]],

@@ -76,7 +76,8 @@ from .errors import (CoefficientTooLargeError, ConstantPolynomialError,
 # rank_int, rref_insert, rref_int and poly_columns_int are unused here
 # but stay bound: perfbench/spans.py patches this module's names
 from .exactla import (IncrementalSpan, back_phase,  # noqa: F401
-                      kernel_int, rank_int, rref_insert, rref_int)
+                      complement, kernel_int, rank_int, rref_insert,
+                      rref_int)
 from .poly import (MAX_COEFF_BITS, HomogeneousPoly,  # noqa: F401
                    coefficient_bits, monomial_basis, monomial_index,
                    partials, poly_columns_int, primitivize, shift_maps,
@@ -134,13 +135,6 @@ def mono_multiples(vec, k_from: int, k_to: int, block_shifts) -> list:
 # falls back to x, y and z and the check never passes; large ones make
 # the step matrix's entries grow.
 LINEAR_FORM = (1, 11, 101)
-
-
-def complement(pivots, ncols: int) -> list[int]:
-    """The columns below ncols that are not pivots: the monomials
-    outside a slice, given the pivots of its RREF."""
-    pivset = set(pivots)
-    return [c for c in range(ncols) if c not in pivset]
 
 
 def marker(lift) -> int:

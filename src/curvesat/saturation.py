@@ -84,11 +84,11 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
 # clear_row and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
-from .exactla import (clear_row, kernel_int, rank_int,  # noqa: F401
-                      rref_extend, rref_insert)
-from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows,
-                       complement, marker, minimal_generators,
-                       shift_block_vector, smooth_reference_dims)
+from .exactla import (clear_row, complement, kernel_int,  # noqa: F401
+                      rank_int, rref_extend, rref_insert)
+from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows, marker,
+                       minimal_generators, shift_block_vector,
+                       smooth_reference_dims)
 from .poly import primitivize, slice_dim
 
 

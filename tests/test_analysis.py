@@ -118,13 +118,19 @@ def test_analyze_full_builds_no_saturated_slice(monkeypatch):
     # projected out at their markers, and the generator count and
     # every other phase read ranks: with rref_extend and every read of
     # a slice of I_f refused, the catalog and the random arrangements
-    # of the suite still give their pinned reports
+    # of the suite still give their pinned reports.  No Nakayama walk
+    # runs either, so IncrementalSpan.insert is refused too
+    # (ShiftChain.step calls extend)
     def refuse(*args):
         raise AssertionError("a slice of I_f was built inside analyze_full")
+
+    def refuse_walk(*args):
+        raise AssertionError("a Nakayama walk ran inside analyze_full")
 
     for module in (exactla, saturation):
         monkeypatch.setattr(module, "rref_extend", refuse)
     monkeypatch.setattr(SaturationData, "i_rref", refuse)
+    monkeypatch.setattr(exactla.IncrementalSpan, "insert", refuse_walk)
     rng = random.Random(0)
     curves = [(name, catalog.load(name), catalog.entry(name).irreducible,
                "report_digests.json") for name in catalog.names()]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from curvesat.exactla import (
     IncrementalSpan,
     _eliminate,
+    back_phase,
     clear_row,
     kernel_int,
     rank_growth,
@@ -250,6 +251,29 @@ def test_growth_and_extension_of_a_forward_echelon_form(mat, more):
         rref_insert(fpiv, frows, list(vec), ncols)
     if vecs:
         assert (fpiv, frows) == want
+
+
+@given(small_or_large_matrices, small_or_large_matrices)
+def test_a_span_never_aliases_its_input(mat, more):
+    """``insert``, ``extend`` and ``rank_growth`` write no vector they
+    are given and keep none as a row, and ``rank_growth`` leaves the
+    rows it shares as they were.  ``FormsIdeal.slice_at`` hands the
+    partials of f to ``ShiftChain.step``, and ``back_phase`` rewrites
+    a span's rows in place, so an aliased row would rewrite them."""
+    rows, ncols = mat
+    vecs = [(list(v) + [0] * ncols)[:ncols] for v in more[0]]
+    given_vecs = rows + vecs
+    before = [list(v) for v in given_vecs]
+    span = IncrementalSpan(ncols)
+    for row in rows:
+        span.insert(row)
+    shared = (list(span.pivots), [list(r) for r in span.rows])
+    rank_growth(span.pivots, span.rows, vecs, ncols)
+    assert (span.pivots, span.rows) == shared
+    span.extend(vecs)
+    assert not any(r is v for r in span.rows for v in given_vecs)
+    back_phase(span.pivots, span.rows, ncols)
+    assert given_vecs == before
 
 
 def test_rank_growth_of_a_forward_form_with_shared_columns():

@@ -14,11 +14,10 @@ from curvesat.classify import classify
 from curvesat.errors import (CoefficientTooLargeError, KmaxExhaustedError,
                              NonReducedInputError, SmoothCurveError,
                              WrongShapeError)
-from curvesat.exactla import kernel_int, rref_int
+from curvesat.exactla import complement, kernel_int, rref_int
 from curvesat.jacobian import (
     CurveData,
     FormsIdeal,
-    complement,
     ct,
     mdr,
     milnor_dims,
@@ -140,8 +139,10 @@ def test_arrangement_product_coefficients_are_capped():
 
 @pytest.mark.parametrize("entry", [CurveData.milnor_dims, ar_min_generators])
 def test_library_entry_points_reject_non_reduced_input_at_once(entry):
-    # x^24 leaves the reduced bound at degree 23, far below kmax = 69;
-    # the syzygy scan's bound 2(d - 1) holds for reduced f only
+    # x^24 leaves the reduced bound at degree 23, far below kmax = 69.
+    # Both entry points call FormsIdeal.tau first: milnor_dims through
+    # tjurina, ar_min_generators through the saturate of its closed
+    # form, so the chain never steps to kmax
     cd = CurveData(parse_poly("x^24"))
     with pytest.raises(NonReducedInputError, match="at degree 23 "):
         entry(cd)

@@ -13,7 +13,8 @@ import pytest
 
 from curvesat import analysis, catalog, suite
 from curvesat.classify import FAIL
-from curvesat.jacobian import complement, marker
+from curvesat.exactla import complement
+from curvesat.jacobian import marker
 from curvesat.parsing import parse_arrangement
 from curvesat.poly import slice_dim
 from curvesat.resolution import BettiTable
