@@ -48,12 +48,13 @@ passes that bound f has a repeated factor, and the chain stops there.
 Where no degree passes (h vanishes at a singular point, or f has a
 repeated factor the bound has not caught) the chain runs to kmax - 1,
 where ``FormsIdeal.tau`` checks that the Hilbert function stabilizes.
-``colon_rows`` builds the matrix of multiplication by h modulo a slice
-of J, with a saturation step's lift vectors projected out, for the
-regularity check and for the saturation steps.  With no lift the
-matrix's canonical kernel is ``FormsIdeal.h_kernel``, kept per degree:
-the check reads its dimension and the top saturation step its vectors,
-so that matrix is eliminated once.
+``colon_rows`` builds the matrix of multiplication by a linear form
+modulo a slice of J, with a saturation step's lift vectors projected
+out.  ``FormsIdeal.h_kernel(k, lifts)`` is the one place h is read: it
+takes the canonical kernel of that matrix for h, for the regularity
+check and for every one-form saturation step.  The kernel with no
+lifts is kept per degree: the check reads its dimension and the top
+saturation step its vectors, so that matrix is eliminated once.
 
 ``CurveData`` is the per-curve cache built on J_f.  It works on a
 canonical integer representative of f (rescaling f changes nothing) so
@@ -130,10 +131,11 @@ def mono_multiples(vec, k_from: int, k_to: int, block_shifts) -> list:
 
 
 # The linear form h of the one-form saturation step and of the
-# regularity check.  Small coefficients pass through singular points of
-# arrangements whose lines have coefficients in [-3, 3], where the step
-# falls back to x, y and z and the check never passes; large ones make
-# the step matrix's entries grow.
+# regularity check, read only by ``FormsIdeal.h_kernel``.  Small
+# coefficients pass through singular points of arrangements whose lines
+# have coefficients in [-3, 3], where the step falls back to x, y and z
+# and the check never passes; large ones make the step matrix's entries
+# grow.
 LINEAR_FORM = (1, 11, 101)
 
 
@@ -497,19 +499,23 @@ class FormsIdeal:
             self._tau = low
         return self._tau
 
-    def h_kernel(self, k: int) -> list[list[int]]:
+    def h_kernel(self, k: int, lifts=()) -> list[list[int]]:
         """Canonical kernel (``kernel_int``) of ×h from the monomials
-        outside J_k into S_(k+1)/J_(k+1), h = ``LINEAR_FORM``: the
-        ``colon_rows`` matrix with no lifts, eliminated once per k and
-        kept.  The regularity check at k + 1 reads its dimension, and
-        the saturation step at k, where no lift sits at k + 1, reads its
+        outside J_k into S_(k+1) modulo J_(k+1) + span(lifts), h =
+        ``LINEAR_FORM``, the one place h is read: the ``colon_rows``
+        matrix, with lifts vectors of degree k + 1 as a saturation step
+        passes them.  A kernel with no lifts is eliminated once per k
+        and kept: the regularity check at k + 1 reads its dimension,
+        and the saturation step at k, where no lift sits at k + 1, its
         vectors."""
-        got = self._h_kernels.get(k)
+        got = None if lifts else self._h_kernels.get(k)
         if got is None:
             comp_here = complement(self.slice_at(k)[0], slice_dim(k))
-            got = self._h_kernels[k] = kernel_int(
-                colon_rows(k, LINEAR_FORM, comp_here, *self.rref_at(k + 1)),
-                len(comp_here))
+            got = kernel_int(colon_rows(k, LINEAR_FORM, comp_here,
+                                        *self.rref_at(k + 1), lifts),
+                             len(comp_here))
+            if not lifts:
+                self._h_kernels[k] = got
         return got
 
     # -- relations among the generators --------------------------------
@@ -593,7 +599,6 @@ class CurveData(FormsIdeal):
         self.T = 3 * (self.d - 2)
         super().__init__([g.int_vector() for g in partials(self.f)],
                          (self.d - 1,) * 3)
-        self._mdr: int | None = None
 
     # -- Milnor algebra -------------------------------------------------
 
@@ -616,14 +621,10 @@ class CurveData(FormsIdeal):
 
     def mdr(self) -> int:
         """Minimal degree of a Jacobian syzygy (Koszul forces mdr <= d-1)."""
-        if self._mdr is None:
-            for m in range(self.d):
-                if self.relation_dim(m + self.e):
-                    self._mdr = m
-                    break
-            else:
-                raise KmaxExhaustedError("no Jacobian syzygy up to degree d-1")
-        return self._mdr
+        for m in range(self.d):
+            if self.relation_dim(m + self.e):
+                return m
+        raise KmaxExhaustedError("no Jacobian syzygy up to degree d-1")
 
     def ar_min_generators(self, top: int):
         """Minimal generators of AR(f) in degrees up to top: (degrees,

@@ -35,8 +35,8 @@ Arrangement files contain one linear form per line; ``#`` starts a
 comment, blank lines are skipped, the file is UTF-8.  A file may hold
 at most ``MAX_DEGREE`` forms, the degree cap of their product; the form
 past it is refused before it is parsed, and before any product is
-formed.  Lines and intersection points are normalized by
-``poly.primitivize``.
+formed.  Lines are normalized by ``poly.primitivize``, intersection
+points by ``exactla.primitive`` and a sign flip.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from math import comb
 from .errors import (InconsistentCombinatoricsError, NotHomogeneousError,
                      NotLinearError, ParseError, PolySyntaxError,
                      ProportionalLinesError, ZeroPolynomialError)
+from .exactla import primitive
 from .poly import (MAX_COEFF_BITS, HomogeneousPoly, Monomial, add_into,
                    coefficient_bits, mul_terms, primitivize)
 
@@ -101,8 +102,9 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive descent over the token list; values are sparse dicts
-    mapping exponent triples to Fractions (not necessarily homogeneous
-    until the final check)."""
+    mapping exponent triples to coefficients, ints until a ``/`` brings
+    in a Fraction (not necessarily homogeneous until the final
+    check)."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -196,9 +198,9 @@ class _Parser:
                 if dval == 0:
                     raise PolySyntaxError("zero denominator", dpos)
                 return _constant(Fraction(val, dval))
-            return _constant(Fraction(val))
+            return _constant(val)
         if kind == "var":
-            return {_VARS[val]: Fraction(1)}
+            return {_VARS[val]: 1}
         if kind == "op" and val == "(":
             self.enter(pos)
             inner = self.expr()
@@ -255,7 +257,7 @@ def _pow(a, n, pos):
         out = {tuple(n * v for v in e): c ** n}
         _check_bits(out.values(), pos)
         return out
-    out = {(0, 0, 0): Fraction(1)}
+    out = {(0, 0, 0): 1}
     for bit in bin(n)[2:]:
         out = _mul(out, out, pos)
         if bit == "1":
@@ -360,8 +362,9 @@ def combinatorics(arr: Arrangement) -> ArrangementCombinatorics:
     seen = {}
     for i in range(d):
         for j in range(i + 1, d):
-            p = primitivize(HomogeneousPoly.from_vector(
-                1, _cross(rows[i], rows[j]))).int_vector()
+            p = primitive(_cross(rows[i], rows[j]))
+            if next((v for v in p if v), 0) < 0:
+                p = [-v for v in p]
             key = tuple(p)
             if key in seen:
                 continue

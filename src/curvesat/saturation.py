@@ -42,15 +42,15 @@ J with the kernels, but it does not see every wrong lift: where
 multiplication by l maps (S/J)_k onto (S/J)_(k+1), any n_(k+1) lifts
 at k + 1 give a one-form kernel of dimension n_k, so a wrong one
 passes step k.  The suite's ``saturation-oracle``, which multiplies
-the lifts out, is the check that sees it.  The form l is
-``jacobian.LINEAR_FORM`` and its matrix comes from
-``jacobian.colon_rows``, shared with the regularity check that ends the
-slice chain of J; the degree that check certifies is an upper bound
-for reg(J), and the constructor raises when it lies below the
+the lifts out, is the check that sees it.  Every one-form kernel comes
+from ``FormsIdeal.h_kernel(k, lifts)``, the one place that reads l
+(the form h of the regularity check that ends the slice chain of J),
+built with ``jacobian.colon_rows``; only the x, y, z fallback builds
+its rows here.  The degree the regularity check certifies is an upper
+bound for reg(J), and the constructor raises when it lies below the
 regularity the saturation gives.  Each matrix is eliminated once: a
 step with no lift above it (the top step) has the matrix of the check
-at k + 1 and reads the kernel the check took
-(``FormsIdeal.h_kernel``).
+at k + 1, and ``h_kernel`` keeps the kernel the check took.
 
 The same descent, one-form steps and fallback included, saturates any
 codimension-two ideal J generated by three forms of degree e, from the
@@ -86,7 +86,7 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
 # perfbench/spans.py patches this module's names
 from .exactla import (clear_row, complement, kernel_int,  # noqa: F401
                       rank_int, rref_extend, rref_insert)
-from .jacobian import (LINEAR_FORM, FormsIdeal, _data, colon_rows, marker,
+from .jacobian import (FormsIdeal, _data, colon_rows, marker,
                        minimal_generators, shift_block_vector,
                        smooth_reference_dims)
 from .poly import primitivize, slice_dim
@@ -154,7 +154,6 @@ class SaturationData:
                 f"negative quotient dimension predicted: {table}")
         # the lifts that span I_k over J_k, at each k with n_k > 0
         self.extras: dict[int, list[list[int]]] = {}
-        self._shifts: dict[int, list] = {}
         self._marked: dict[int, list] = {}
         for k in range(top, -1, -1):
             if table[k]:
@@ -174,10 +173,11 @@ class SaturationData:
         constructor gives n_k > 0: the steps with n_k = 0 do no work, as
         I_k = J_k there.
 
-        The new lifts are the kernel of g -> LINEAR_FORM * g mod I_(k+1)
-        on the complement of J_k, from the ``colon_rows`` matrix modulo
-        the canonical RREF of J_(k+1) with the lifts at k + 1 projected
-        out at their markers; no slice of I is built.  That kernel
+        The new lifts are the kernel of g -> h g mod I_(k+1) on the
+        complement of J_k, ``data.h_kernel(k, lifts)`` with the lifts at
+        k + 1: the ``colon_rows`` matrix modulo the canonical RREF of
+        J_(k+1) with those lifts projected out at their markers, so no
+        slice of I is built, and h is read there alone.  That kernel
         contains the true one, {g : x g, y g, z g in I_(k+1)}, whose
         dimension is n_k, so a kernel of dimension n_k is the true one;
         ``kernel_int`` reads its canonical basis off the row space, the
@@ -186,16 +186,15 @@ class SaturationData:
         singular point) makes this step alone take the kernel of x, y
         and z together, which must have dimension n_k, or the ranks of
         J and the kernel disagree and it raises.  The count does not
-        vouch for the lifts at k + 1: where LINEAR_FORM maps (S/J)_k
-        onto (S/J)_(k+1), a wrong lift there still leaves a kernel of
+        vouch for the lifts at k + 1: where h maps (S/J)_k onto
+        (S/J)_(k+1), a wrong lift there still leaves a kernel of
         dimension n_k, and only the suite's ``saturation-oracle`` (the
         lifts multiplied out) sees it.
 
-        With no lift at k + 1 the one-form kernel is
-        ``FormsIdeal.h_kernel(k)``, which the regularity check at k + 1
-        has already taken, so each matrix is eliminated once.  Where
-        I_(k+1) = S_(k+1), read off ``i_dim``, I_k = S_k and no matrix
-        is built."""
+        With no lift at k + 1 (the top step) ``h_kernel`` hands back the
+        kernel the regularity check at k + 1 has already taken, so each
+        matrix is eliminated once.  Where I_(k+1) = S_(k+1), read off
+        ``i_dim``, I_k = S_k and no matrix is built."""
         n_k = self.n_table[k]
         data = self.data
         dim_here = slice_dim(k)
@@ -207,14 +206,10 @@ class SaturationData:
             self.extras[k] = [_unit(c, dim_here) for c in comp_here]
             return
 
-        jpiv, jrows = data.rref_at(k + 1)
         lifts = self.extras.get(k + 1, ())
-        if lifts:
-            kern = kernel_int(colon_rows(k, LINEAR_FORM, comp_here, jpiv,
-                                         jrows, lifts), ncomp)
-        else:
-            kern = data.h_kernel(k)
+        kern = data.h_kernel(k, lifts)
         if len(kern) != n_k:
+            jpiv, jrows = data.rref_at(k + 1)
             rows = [row for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
                     for row in colon_rows(k, var, comp_here, jpiv, jrows,
                                           lifts)]
@@ -258,15 +253,11 @@ class SaturationData:
         return len(self.extras.get(k, ()))
 
     def lift_shifts(self, k: int) -> list:
-        """The x, y and z shifts of each lift at degree k, cached: the
-        generator count and ``marked_shifts`` read them."""
-        got = self._shifts.get(k)
-        if got is None:
-            got = self._shifts[k] = [
-                tuple(shift_block_vector(vec, var, k, (0,))
+        """The x, y and z shifts of each lift at degree k, fresh lists on
+        each read: the generator count and ``marked_shifts`` read them."""
+        return [tuple(shift_block_vector(vec, var, k, (0,))
                       for var in range(3))
                 for vec in self.extras.get(k, ())]
-        return got
 
     def marked_shifts(self, s: int) -> list:
         """Per lift at degree s, the residuals (rx, ry, rz) of its x, y
@@ -395,7 +386,7 @@ class SaturationData:
                                for r in trio], len(self.extras.get(k, ())))
             if k == e:
                 grew = growth
-                spanned = rank_int([list(v) for trio in self.lift_shifts(k - 1)
+                spanned = rank_int([v for trio in self.lift_shifts(k - 1)
                                     for v in trio], slice_dim(k))
                 count = self.i_dim(k) - spanned
             else:

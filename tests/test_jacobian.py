@@ -401,10 +401,11 @@ def test_a_form_through_a_singular_point_is_never_certified(monkeypatch):
     tried = []
     h_kernel = FormsIdeal.h_kernel
 
-    def watched(self, k):
-        got = h_kernel(self, k)
-        onto = len(got) == self.milnor_dim(k) - self.milnor_dim(k + 1)
-        tried.append((k + 1, onto))
+    def watched(self, k, lifts=()):
+        got = h_kernel(self, k, lifts)
+        if not lifts:
+            onto = len(got) == self.milnor_dim(k) - self.milnor_dim(k + 1)
+            tried.append((k + 1, onto))
         return got
 
     monkeypatch.setattr(FormsIdeal, "h_kernel", watched)

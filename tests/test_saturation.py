@@ -246,9 +246,10 @@ def _watch_steps(monkeypatch):
     """The descent as it runs: the degrees of its steps in order, per
     step the colon matrices it takes kernels of, as (form, rows), and
     every colon matrix built, as (k, form, the step that built it or
-    None).  A step takes kernels of the matrices it builds and of the
-    one-form matrix behind ``FormsIdeal.h_kernel``, which the
-    regularity check may have built before the descent."""
+    None).  A step takes the kernel of its one-form matrix through
+    ``FormsIdeal.h_kernel``, which builds it in ``jacobian`` (or, with
+    no lift above the step, has kept it from the regularity check), and
+    kernels of the x, y and z matrices it builds itself."""
     steps, matrices, checked, built = [], {}, {}, []
     running = []
     step = saturation.SaturationData._step
@@ -277,8 +278,8 @@ def _watch_steps(monkeypatch):
         built.append((k, tuple(form), running[-1] if running else None))
         return rows
 
-    def watched_h_kernel(self, k):
-        got = h_kernel(self, k)
+    def watched_h_kernel(self, k, lifts=()):
+        got = h_kernel(self, k, lifts)
         if running:
             matrices[running[-1]].append(checked[k])
         return got
@@ -303,14 +304,14 @@ def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
     assert steps == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
     # one kernel per step, multiplying by one linear form: one row per
     # complement column of I_(k+1), not three
-    assert matrices == {k: [(saturation.LINEAR_FORM,
+    assert matrices == {k: [(jacobian.LINEAR_FORM,
                              _complement_count(sat, k))] for k in steps}
     # the top step, with no lift above it, reads the kernel of the
     # regularity check's matrix: that matrix is built once, by the check
     # before the descent, and the top step builds none
     m = sat.data.regular_degree()[0]
-    assert built == [(m - 1, saturation.LINEAR_FORM, None)] + [
-        (k, saturation.LINEAR_FORM, k) for k in steps[1:]]
+    assert built == [(m - 1, jacobian.LINEAR_FORM, None)] + [
+        (k, jacobian.LINEAR_FORM, k) for k in steps[1:]]
     for top in steps[:1]:
         assert not sat.extras.get(top + 1)
         assert top == m - 1
@@ -360,11 +361,10 @@ def _sha(text: str) -> str:
 def _forced_through_x(monkeypatch, build, degrees):
     ref = build()
     steps, matrices, _ = _watch_steps(monkeypatch)
-    for module in (jacobian, saturation):
-        monkeypatch.setattr(module, "LINEAR_FORM", (1, 0, 0))
+    monkeypatch.setattr(jacobian, "LINEAR_FORM", (1, 0, 0))
     got = build()
-    # the x kernel, then the x, y, z kernel, at every step; the top
-    # step's x kernel is ``h_kernel``'s
+    # the x kernel, then the x, y, z kernel, at every step; the x
+    # kernel is ``h_kernel``'s, which reads h from ``jacobian`` alone
     assert steps == degrees
     assert matrices == {
         k: [(form, _complement_count(got, k))
@@ -388,6 +388,32 @@ def test_three_forms_fall_back_through_a_singular_point(monkeypatch):
              ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")]
     _forced_through_x(monkeypatch, lambda: saturate_three_forms(*forms),
                       [5, 4, 3, 2, 1])
+
+
+@pytest.mark.parametrize("name", ["conic", "fermat-3", "fermat-4",
+                                  "fermat-5", "fermat-6"])
+def test_a_smooth_curve_takes_no_one_form_kernel(monkeypatch, name):
+    # I = S on a smooth curve, so every step is the unit path, read off
+    # i_dim: no one-form kernel is taken, and no canonical slice of J is
+    # read above degree 2, where the generator count stops.  Sending
+    # these steps to h_kernel would back-phase the full slice S_(T+1)
+    read = []
+    rref_at = FormsIdeal.rref_at
+
+    def watched_rref_at(self, k):
+        read.append(k)
+        return rref_at(self, k)
+
+    def refused(self, k, lifts=()):
+        raise AssertionError(f"one-form kernel at degree {k}")
+
+    monkeypatch.setattr(FormsIdeal, "rref_at", watched_rref_at)
+    monkeypatch.setattr(FormsIdeal, "h_kernel", refused)
+    sat = saturate(_catalog_curve(name))
+    assert sat.data.tau() == 0
+    assert all(sat.n_table)
+    assert sat.generators.degrees == (0,)
+    assert max(read, default=0) <= 2
 
 
 # -- each step reduces over the slice of J above it with the lifts there

@@ -106,7 +106,6 @@ def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
         pivots = set(sat.i_rref(k)[0])
         c = next(c for c in range(slice_dim(k)) if c not in pivots)
         sat.extras[k][0] = [int(j == c) for j in range(slice_dim(k))]
-        sat._shifts.clear()
         return report, cd, sat
 
     def run():
@@ -146,7 +145,6 @@ def test_saturation_oracle_sees_a_wrong_lift_at_every_degree(name):
         original = lifts[j]
         lifts[j] = list(original)
         lifts[j][c] += 1
-        sat._shifts.clear()
         sat._marked.clear()
         assert suite._lifts_outside(sat), k
         lifts[j] = original
