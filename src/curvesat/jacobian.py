@@ -50,9 +50,10 @@ repeated factor the bound has not caught) the chain runs to kmax - 1,
 where ``FormsIdeal.tau`` checks that the Hilbert function stabilizes.
 ``colon_rows`` builds the matrix of multiplication by a linear form
 modulo a slice of J, with a saturation step's lift vectors projected
-out.  ``FormsIdeal.h_kernel(k, lifts)`` is the one place h is read: it
+out.  ``FormsIdeal.colon_lifts(k, lifts)`` is a whole saturation step,
+and ``FormsIdeal.h_kernel(k, lifts)`` the one place h is read: it
 takes the canonical kernel of that matrix for h, for the regularity
-check and for every one-form saturation step.  The kernel with no
+check and for the steps of a certified ideal.  The kernel with no
 lifts is kept per degree: the check reads its dimension and the top
 saturation step its vectors, so that matrix is eliminated once.
 
@@ -130,12 +131,12 @@ def mono_multiples(vec, k_from: int, k_to: int, block_shifts) -> list:
     return out
 
 
-# The linear form h of the one-form saturation step and of the
-# regularity check, read only by ``FormsIdeal.h_kernel``.  Small
+# The linear form h of the regularity check and of the one-form
+# saturation step, read only by ``FormsIdeal.h_kernel``.  Small
 # coefficients pass through singular points of arrangements whose lines
-# have coefficients in [-3, 3], where the step falls back to x, y and z
-# and the check never passes; large ones make the step matrix's entries
-# grow.
+# have coefficients in [-3, 3], where the check never passes and every
+# step takes the kernel of x, y and z; large ones make the step
+# matrix's entries grow.
 LINEAR_FORM = (1, 11, 101)
 
 
@@ -499,24 +500,56 @@ class FormsIdeal:
             self._tau = low
         return self._tau
 
+    def colon_lifts(self, k: int, lifts) -> list[list[int]]:
+        """The lifts at degree k of the saturation I, full vectors, from
+        lifts, those at k + 1: the canonical basis (``kernel_int``) of
+        the g outside J_k with x g, y g, z g in J_(k+1) + span(lifts).
+        Where the lifts fill (S/J)_(k+1), the unit vectors outside J_k.
+        Where ``regular_degree`` certified a degree, (J, h)_m = S_m, so
+        h misses V(J) and is a nonzerodivisor on the saturated S/I: the
+        kernel of ×h alone (``h_kernel``) is exact.  Otherwise that of
+        the x, y and z ``colon_rows`` matrices stacked."""
+        comp_here = complement(self.slice_at(k)[0], slice_dim(k))
+        if len(lifts) == self.milnor_dim(k + 1):
+            kern = [[int(u == v) for v in range(len(comp_here))]
+                    for u in range(len(comp_here))]
+        elif self.regular_degree() is not None:
+            kern = self.h_kernel(k, lifts)
+        else:
+            kern = self._colon_kernel(k, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                      lifts)
+        out = []
+        for w in kern:
+            vec = [0] * slice_dim(k)
+            for c, v in zip(comp_here, w):
+                vec[c] = v
+            out.append(vec)
+        return out
+
     def h_kernel(self, k: int, lifts=()) -> list[list[int]]:
         """Canonical kernel (``kernel_int``) of ×h from the monomials
         outside J_k into S_(k+1) modulo J_(k+1) + span(lifts), h =
-        ``LINEAR_FORM``, the one place h is read: the ``colon_rows``
-        matrix, with lifts vectors of degree k + 1 as a saturation step
-        passes them.  A kernel with no lifts is eliminated once per k
-        and kept: the regularity check at k + 1 reads its dimension,
-        and the saturation step at k, where no lift sits at k + 1, its
-        vectors."""
+        ``LINEAR_FORM``, the one place h is read, with lifts vectors of
+        degree k + 1 as ``colon_lifts`` passes them.  A kernel with no
+        lifts is eliminated once per k and kept: the regularity check
+        at k + 1 reads its dimension, and the saturation step at k,
+        where no lift sits at k + 1, its vectors."""
         got = None if lifts else self._h_kernels.get(k)
         if got is None:
-            comp_here = complement(self.slice_at(k)[0], slice_dim(k))
-            got = kernel_int(colon_rows(k, LINEAR_FORM, comp_here,
-                                        *self.rref_at(k + 1), lifts),
-                             len(comp_here))
+            got = self._colon_kernel(k, (LINEAR_FORM,), lifts)
             if not lifts:
                 self._h_kernels[k] = got
         return got
+
+    def _colon_kernel(self, k: int, forms, lifts) -> list[list[int]]:
+        """Canonical kernel of the ``colon_rows`` matrices of forms,
+        stacked, on the monomials outside J_k."""
+        comp_here = complement(self.slice_at(k)[0], slice_dim(k))
+        jpiv, jrows = self.rref_at(k + 1)
+        return kernel_int([row for form in forms
+                           for row in colon_rows(k, form, comp_here, jpiv,
+                                                 jrows, lifts)],
+                          len(comp_here))
 
     # -- relations among the generators --------------------------------
 
@@ -620,7 +653,9 @@ class CurveData(FormsIdeal):
     # -- Jacobian syzygies ---------------------------------------------
 
     def mdr(self) -> int:
-        """Minimal degree of a Jacobian syzygy (Koszul forces mdr <= d-1)."""
+        """Minimal degree of a Jacobian syzygy (Koszul forces mdr <= d-1).
+        ``tjurina`` runs first, so a non-reduced f raises."""
+        self.tjurina()
         for m in range(self.d):
             if self.relation_dim(m + self.e):
                 return m

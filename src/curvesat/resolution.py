@@ -92,6 +92,19 @@ def _numerator(values, tail: int) -> list[int]:
             for n in range(len(h) - 3)]
 
 
+def _middle_twists(values, tail: int, known, message: str) -> tuple:
+    """The middle twists, ascending: ``_numerator`` - 1 + sum t^c over
+    the known twists c of the first and last positions; a negative
+    count raises FreenessCheckFailed with message."""
+    series = _numerator(values, tail)
+    series[0] -= 1
+    for c in known:
+        series[c] += 1
+    if any(n < 0 for n in series):
+        raise FreenessCheckFailedError(message)
+    return tuple(t for t, n in enumerate(series) for _ in range(n))
+
+
 def betti_saturated(f) -> BettiTable:
     """Betti table of S/I_f: (generators, relations), in closed form.
 
@@ -114,17 +127,11 @@ def betti_saturated(f) -> BettiTable:
     and sum b^2 - sum a^2 = 2 tau."""
     sat = saturate(f)
     a = sat.generators.degrees
-    series = _numerator([slice_dim(k) - sat.i_dim(k)
-                         for k in range(sat.kmax + 1)], sat.data.tau())
-    series[0] -= 1
-    for t in a:
-        series[t] += 1
-    if any(n < 0 for n in series):
-        raise FreenessCheckFailedError(
-            "S/I_f relation twists have a negative count: the Hilbert "
-            f"function of S/I_f and the generator degrees {list(a)} "
-            "disagree")
-    b = tuple(t for t, n in enumerate(series) for _ in range(n))
+    b = _middle_twists(
+        [slice_dim(k) - sat.i_dim(k) for k in range(sat.kmax + 1)],
+        sat.data.tau(), a,
+        "S/I_f relation twists have a negative count: the Hilbert "
+        f"function of S/I_f and the generator degrees {list(a)} disagree")
     return BettiTable((tuple(a), b))
 
 
@@ -164,18 +171,12 @@ def jacobian_twists(f) -> tuple:
     """
     sat = saturate(f)
     cd = _data(sat)
-    series = _numerator(cd.milnor_dims(), cd.tjurina())
     last = sorted(3 * cd.d - 3 - g for g in sat.generators.n_degrees)
-    series[0] -= 1
-    series[cd.d - 1] += 3
-    for c in last:
-        series[c] += 1
-    if any(n < 0 for n in series):
-        raise FreenessCheckFailedError(
-            "S/J_f twists of position 2 have a negative count: the "
-            "Milnor table and the generator degrees "
-            f"{list(sat.generators.n_degrees)} of N(f) disagree")
-    middle = tuple(t for t, n in enumerate(series) for _ in range(n))
+    middle = _middle_twists(
+        cd.milnor_dims(), cd.tjurina(), (cd.d - 1,) * 3 + tuple(last),
+        "S/J_f twists of position 2 have a negative count: the Milnor "
+        f"table and the generator degrees {list(sat.generators.n_degrees)} "
+        "of N(f) disagree")
     return ((cd.d - 1,) * 3, middle) + ((tuple(last),) if last else ())
 
 

@@ -10,54 +10,55 @@ degree at a time: g lies in the degree-k slice exactly when x g, y g and
 z g all lie in the degree-(k+1) slice.  For a reduced curve the Jacobian
 module N(f) = I_f/J_f lives in degrees at most T = 3d - 6, so the
 recursion starts from I_(T+1) = J_(T+1) and walks down to degree zero.
-A step multiplies by one linear form l instead of x, y and z: the
-candidates g with l g in the degree-(k+1) slice contain the slice, and
-a count tells when they are exactly the slice.
 
-Each step reads only slices of J and the lifts: candidate vectors are
-drawn from the monomial complement of J_k (which has small dimension,
-about tau), their multiples by l are reduced against the canonical
-reduced echelon form of J_(k+1), and the lifts at k + 1 are projected
-out at their markers (each lift's last nonzero column, zero in every
-other lift), which leaves one row per monomial outside I_(k+1).  The
-kernel of that small integer matrix gives the new slice as J_k plus a
-handful of lift vectors.  The expensive eliminations thus stay on the
-small-entry generator columns of J itself, the lifts span N(f) in that
-degree, and no slice of I is built: ``SaturationData.i_rref`` builds
-one on each read and keeps none, for the public generator walk and the
-suite's checks only.
+Each step is one call, ``FormsIdeal.colon_lifts(k, lifts)``, which reads
+only slices of J and the lifts: candidate vectors are drawn from the
+monomial complement of J_k (which has small dimension, about tau),
+their multiples are reduced against the canonical reduced echelon form
+of J_(k+1), and the lifts at k + 1 are projected out at their markers
+(each lift's last nonzero column, zero in every other lift), which
+leaves one row per monomial outside I_(k+1).  The kernel of that small
+integer matrix gives the new slice as J_k plus a handful of lift
+vectors.  The expensive eliminations thus stay on the small-entry
+generator columns of J itself, the lifts span N(f) in that degree, and
+no slice of I is built: ``SaturationData.i_rref`` builds one on each
+read and keeps none, for the public generator walk and the suite's
+checks only.
+
+Which kernel a step takes is settled before the descent starts, by the
+regularity check that ends the slice chain of J
+(``FormsIdeal.regular_degree``).  Where it certified a degree, its
+linear form h misses the singular scheme and is a nonzerodivisor on
+S/I, so multiplication by h alone gives the colon, and the step takes
+that one-form kernel (``FormsIdeal.h_kernel``, the one place h is
+read); where it certified none, the step takes the kernel of x, y and
+z together.  Where the lifts at k + 1 fill (S/J)_(k+1), I_k = S_k and
+no matrix is built.  The code here names no linear form.
 
 The dimensions n_k of N are known before the descent starts: they
 follow from the Hilbert function m_k of S/J alone,
 n_k = m_k + m_(T-k) - c_k - tau (see ``SaturationData``), with ranks
 the slice chain of J has already built.  N lives only in degrees
 sigma..T - sigma, so most steps have n_k = 0; those do no work, and
-I_k is J_k's cached slice.  Every other step runs the exact
-fraction-free kernel of multiplication by l.  That kernel contains the
-true one, of dimension n_k, so a kernel of dimension n_k is the true
-one; a larger one (l vanishes at a singular point) makes that step
-alone take the kernel of x, y and z together, which raises when its
-dimension differs from n_k.  That check compares the slice ranks of
-J with the kernels, but it does not see every wrong lift: where
-multiplication by l maps (S/J)_k onto (S/J)_(k+1), any n_(k+1) lifts
-at k + 1 give a one-form kernel of dimension n_k, so a wrong one
-passes step k.  The suite's ``saturation-oracle``, which multiplies
-the lifts out, is the check that sees it.  Every one-form kernel comes
-from ``FormsIdeal.h_kernel(k, lifts)``, the one place that reads l
-(the form h of the regularity check that ends the slice chain of J),
-built with ``jacobian.colon_rows``; only the x, y, z fallback builds
-its rows here.  The degree the regularity check certifies is an upper
-bound for reg(J), and the constructor raises when it lies below the
-regularity the saturation gives.  Each matrix is eliminated once: a
-step with no lift above it (the top step) has the matrix of the check
-at k + 1, and ``h_kernel`` keeps the kernel the check took.
+I_k is J_k's cached slice.  Every other step checks its kernel's
+dimension against n_k and raises on any other.  That check compares
+the slice ranks of J with the kernels, but it does not see every wrong
+lift: where multiplication by h maps (S/J)_k onto (S/J)_(k+1), any
+n_(k+1) lifts at k + 1 give a one-form kernel of dimension n_k, so a
+wrong one passes step k.  The suite's ``saturation-oracle``, which
+multiplies the lifts out, is the check that sees it.  The degree the
+regularity check certifies is an upper bound for reg(J), and the
+constructor raises when it lies below the regularity the saturation
+gives.  Each matrix is eliminated once: a step with no lift above it
+(the top step) has the matrix of the check at k + 1, and ``h_kernel``
+keeps the kernel the check took.
 
-The same descent, one-form steps and fallback included, saturates any
-codimension-two ideal J generated by three forms of degree e, from the
-base 3e - 2: the quotient I/J by its saturation I vanishes above
-3e - 3 and is self-dual, n_k = n_(3e-3-k).  The Jacobian ideal is the
-case e = d - 1, where 3e - 3 = T.  Both read tau, and the check that J
-has codimension two, from ``jacobian.FormsIdeal.tau``.
+The same descent saturates any codimension-two ideal J generated by
+three forms of degree e, from the base 3e - 2: the quotient I/J by its
+saturation I vanishes above 3e - 3 and is self-dual, n_k = n_(3e-3-k).
+The Jacobian ideal is the case e = d - 1, where 3e - 3 = T.  Both read
+tau, and the check that J has codimension two, from
+``jacobian.FormsIdeal.tau``.
 
 The generator degrees of I and of N = I/J are counted, not picked
 (``SaturationData.generators``): above the generator degree e of J,
@@ -82,13 +83,12 @@ from math import lcm
 
 from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
-# clear_row and rref_insert are unused here but stay bound:
+# clear_row, kernel_int and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
-from .exactla import (clear_row, complement, kernel_int,  # noqa: F401
-                      rank_int, rref_extend, rref_insert)
-from .jacobian import (FormsIdeal, _data, colon_rows, marker,
-                       minimal_generators, shift_block_vector,
-                       smooth_reference_dims)
+from .exactla import (clear_row, kernel_int, rank_int,  # noqa: F401
+                      rref_extend, rref_insert)
+from .jacobian import (FormsIdeal, _data, marker, minimal_generators,
+                       shift_block_vector, smooth_reference_dims)
 from .poly import primitivize, slice_dim
 
 
@@ -173,57 +173,21 @@ class SaturationData:
         constructor gives n_k > 0: the steps with n_k = 0 do no work, as
         I_k = J_k there.
 
-        The new lifts are the kernel of g -> h g mod I_(k+1) on the
-        complement of J_k, ``data.h_kernel(k, lifts)`` with the lifts at
-        k + 1: the ``colon_rows`` matrix modulo the canonical RREF of
+        The new lifts are ``data.colon_lifts(k, lifts)`` with the lifts
+        at k + 1: the canonical basis of {g : x g, y g, z g in I_(k+1)}
+        on the complement of J_k, taken modulo the canonical RREF of
         J_(k+1) with those lifts projected out at their markers, so no
-        slice of I is built, and h is read there alone.  That kernel
-        contains the true one, {g : x g, y g, z g in I_(k+1)}, whose
-        dimension is n_k, so a kernel of dimension n_k is the true one;
-        ``kernel_int`` reads its canonical basis off the row space, the
-        annihilator of the kernel, so the lifts do not depend on the
-        form.  A kernel of another dimension (the form passes through a
-        singular point) makes this step alone take the kernel of x, y
-        and z together, which must have dimension n_k, or the ranks of
-        J and the kernel disagree and it raises.  The count does not
-        vouch for the lifts at k + 1: where h maps (S/J)_k onto
-        (S/J)_(k+1), a wrong lift there still leaves a kernel of
-        dimension n_k, and only the suite's ``saturation-oracle`` (the
-        lifts multiplied out) sees it.
-
-        With no lift at k + 1 (the top step) ``h_kernel`` hands back the
-        kernel the regularity check at k + 1 has already taken, so each
-        matrix is eliminated once.  Where I_(k+1) = S_(k+1), read off
-        ``i_dim``, I_k = S_k and no matrix is built."""
-        n_k = self.n_table[k]
-        data = self.data
-        dim_here = slice_dim(k)
-        comp_here = complement(data.slice_at(k)[0], dim_here)
-        ncomp = len(comp_here)
-        if self.i_dim(k + 1) == slice_dim(k + 1):
-            if ncomp != n_k:
-                raise _mismatch(k, ncomp, n_k)
-            self.extras[k] = [_unit(c, dim_here) for c in comp_here]
-            return
-
-        lifts = self.extras.get(k + 1, ())
-        kern = data.h_kernel(k, lifts)
-        if len(kern) != n_k:
-            jpiv, jrows = data.rref_at(k + 1)
-            rows = [row for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-                    for row in colon_rows(k, var, comp_here, jpiv, jrows,
-                                          lifts)]
-            kern = kernel_int(rows, ncomp)
-            if len(kern) != n_k:
-                raise _mismatch(k, len(kern), n_k)
-
-        extras = []
-        for w in kern:
-            vec = [0] * dim_here
-            for u, c in enumerate(comp_here):
-                vec[c] = w[u]
-            extras.append(vec)
-        self.extras[k] = extras
+        slice of I is built.  That space has dimension n_k, and a
+        kernel of any other dimension means the ranks of J and the
+        kernel disagree: it raises.  The count does not vouch for the
+        lifts at k + 1: where multiplication by the form of a certified
+        ideal maps (S/J)_k onto (S/J)_(k+1), a wrong lift there still
+        leaves a kernel of dimension n_k, and only the suite's
+        ``saturation-oracle`` (the lifts multiplied out) sees it."""
+        lifts = self.data.colon_lifts(k, self.extras.get(k + 1, ()))
+        if len(lifts) != self.n_table[k]:
+            raise _mismatch(k, len(lifts), self.n_table[k])
+        self.extras[k] = lifts
 
     @property
     def kmax(self) -> int:
@@ -424,12 +388,6 @@ class SaturationData:
                 f"a generator of the saturation in degree {top}, "
                 "above reg(I)")
         return module
-
-
-def _unit(c: int, dim: int) -> list[int]:
-    vec = [0] * dim
-    vec[c] = 1
-    return vec
 
 
 def _mismatch(k: int, got: int, predicted: int) -> KmaxExhaustedError:

@@ -137,12 +137,13 @@ def test_arrangement_product_coefficients_are_capped():
         CurveData(arr.product())
 
 
-@pytest.mark.parametrize("entry", [CurveData.milnor_dims, ar_min_generators])
+@pytest.mark.parametrize("entry", [CurveData.milnor_dims, CurveData.mdr,
+                                   ar_min_generators])
 def test_library_entry_points_reject_non_reduced_input_at_once(entry):
     # x^24 leaves the reduced bound at degree 23, far below kmax = 69.
-    # Both entry points call FormsIdeal.tau first: milnor_dims through
-    # tjurina, ar_min_generators through the saturate of its closed
-    # form, so the chain never steps to kmax
+    # Every entry point calls FormsIdeal.tau first: milnor_dims and mdr
+    # through tjurina, ar_min_generators through the saturate of its
+    # closed form, so the chain never steps to kmax
     cd = CurveData(parse_poly("x^24"))
     with pytest.raises(NonReducedInputError, match="at degree 23 "):
         entry(cd)

@@ -1,6 +1,7 @@
 """Saturation of the Jacobian ideal, the quotient module N(f), and
 generic hyperplane rank profiles."""
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -8,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from curvesat import catalog, jacobian, saturation
-from curvesat.analysis import analyze_catalog, emit_json
+from curvesat.analysis import analyze_catalog, analyze_full, emit_json
 from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
                              WrongShapeError)
 from curvesat.exactla import rank_growth
 from curvesat.jacobian import FormsIdeal, marker, smooth_reference_dims
-from curvesat.parsing import Arrangement, parse_poly
+from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
 from curvesat.poly import X, Y, Z, partials, slice_dim
 from curvesat.resolution import betti_saturated
 from curvesat.saturation import (
@@ -246,15 +247,16 @@ def _watch_steps(monkeypatch):
     """The descent as it runs: the degrees of its steps in order, per
     step the colon matrices it takes kernels of, as (form, rows), and
     every colon matrix built, as (k, form, the step that built it or
-    None).  A step takes the kernel of its one-form matrix through
-    ``FormsIdeal.h_kernel``, which builds it in ``jacobian`` (or, with
-    no lift above the step, has kept it from the regularity check), and
-    kernels of the x, y and z matrices it builds itself."""
-    steps, matrices, checked, built = [], {}, {}, []
-    running = []
+    None).  Every such matrix is built by ``jacobian.colon_rows``; a
+    step's one-form kernel comes through ``FormsIdeal.h_kernel``, which
+    builds its matrix (or, with no lift above the step, has kept its
+    kernel from the regularity check), and its x, y and z kernel is
+    built in ``FormsIdeal.colon_lifts`` alone.  The fourth value holds
+    the degrees of the ``h_kernel`` calls that passed lifts."""
+    steps, matrices, checked, built, lifted = [], {}, {}, [], []
+    running, reading = [], []
     step = saturation.SaturationData._step
-    build = saturation.colon_rows
-    check_build = jacobian.colon_rows
+    build = jacobian.colon_rows
     h_kernel = FormsIdeal.h_kernel
 
     def watched_step(self, k):
@@ -268,27 +270,28 @@ def _watch_steps(monkeypatch):
 
     def watched_build(k, form, *args):
         rows = build(k, form, *args)
-        matrices[steps[-1]].append((tuple(form), len(rows)))
-        built.append((k, tuple(form), steps[-1]))
-        return rows
-
-    def watched_check_build(k, form, *args):
-        rows = check_build(k, form, *args)
         checked[k] = (tuple(form), len(rows))
         built.append((k, tuple(form), running[-1] if running else None))
+        if running and not reading:
+            matrices[running[-1]].append(checked[k])
         return rows
 
     def watched_h_kernel(self, k, lifts=()):
-        got = h_kernel(self, k, lifts)
+        if lifts:
+            lifted.append(k)
+        reading.append(k)
+        try:
+            got = h_kernel(self, k, lifts)
+        finally:
+            reading.pop()
         if running:
             matrices[running[-1]].append(checked[k])
         return got
 
     monkeypatch.setattr(saturation.SaturationData, "_step", watched_step)
-    monkeypatch.setattr(saturation, "colon_rows", watched_build)
-    monkeypatch.setattr(jacobian, "colon_rows", watched_check_build)
+    monkeypatch.setattr(jacobian, "colon_rows", watched_build)
     monkeypatch.setattr(FormsIdeal, "h_kernel", watched_h_kernel)
-    return steps, matrices, built
+    return steps, matrices, built, lifted
 
 
 def _complement_count(sat, k):
@@ -299,7 +302,7 @@ def _complement_count(sat, k):
 @pytest.mark.parametrize("name", ["generic-5", "nf-d7-k3", "nodal-5",
                                   "braid"])
 def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
-    steps, matrices, built = _watch_steps(monkeypatch)
+    steps, matrices, built, _ = _watch_steps(monkeypatch)
     sat = saturate(_catalog_curve(name))
     assert steps == [k for k in range(sat.top, -1, -1) if sat.n_table[k]]
     # one kernel per step, multiplying by one linear form: one row per
@@ -331,7 +334,7 @@ def test_exact_kernel_runs_only_where_n_is_nonzero(monkeypatch, name):
 def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     ref = saturate(_catalog_curve(name))
     assert (ref.n_table[k] == 0) == (delta > 0)
-    steps, _, _ = _watch_steps(monkeypatch)
+    steps, matrices, _, _ = _watch_steps(monkeypatch)
     reference_dims = saturation.smooth_reference_dims
 
     def corrupted_dims(d, kmax):
@@ -344,11 +347,15 @@ def test_a_wrong_prediction_raises(monkeypatch, name, k, delta, raised_at):
     with pytest.raises(KmaxExhaustedError, match="Hilbert-function identity"):
         saturate(_catalog_curve(name))
     assert steps[-1] == raised_at
+    # the ideal is certified: one one-form kernel, and no retry
+    assert [form for form, _ in matrices[raised_at]] == [
+        jacobian.LINEAR_FORM]
 
 
-# -- a step multiplies by one linear form; where that form vanishes at a
-# -- point of the singular scheme its kernel is too large, and the step
-# -- falls back to x, y and z with the same result
+# -- a step multiplies by one linear form only where the regularity
+# -- check certified a degree with it; where the form vanishes at a
+# -- point of the singular scheme nothing is certified, and every step
+# -- takes the kernel of x, y and z with the same result
 
 DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "report_digests.json").read_text())
@@ -360,21 +367,22 @@ def _sha(text: str) -> str:
 
 def _forced_through_x(monkeypatch, build, degrees):
     ref = build()
-    steps, matrices, _ = _watch_steps(monkeypatch)
+    steps, matrices, _, lifted = _watch_steps(monkeypatch)
     monkeypatch.setattr(jacobian, "LINEAR_FORM", (1, 0, 0))
     got = build()
-    # the x kernel, then the x, y, z kernel, at every step; the x
-    # kernel is ``h_kernel``'s, which reads h from ``jacobian`` alone
+    assert got.data.regular_degree() is None
+    # the x, y, z kernel alone at every step, and no lifted x kernel
     assert steps == degrees
+    assert lifted == []
     assert matrices == {
         k: [(form, _complement_count(got, k))
-            for form in ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            for form in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         for k in degrees}
     assert got.n_table == ref.n_table
     assert got.extras == ref.extras
 
 
-def test_a_form_through_a_singular_point_falls_back(monkeypatch):
+def test_uncertified_x_y_and_z_at_every_step(monkeypatch):
     _forced_through_x(monkeypatch,
                       lambda: saturate(_catalog_curve("generic-5")), [5, 4])
     report = analyze_catalog("generic-5")
@@ -382,12 +390,49 @@ def test_a_form_through_a_singular_point_falls_back(monkeypatch):
             "json": _sha(emit_json(report))} == DIGESTS["generic-5"]
 
 
-def test_three_forms_fall_back_through_a_singular_point(monkeypatch):
+def test_uncertified_three_forms_x_y_and_z_at_every_step(monkeypatch):
     # the cubics of test_resolution's THREE_FORMS
     forms = [parse_poly(t) for t in
              ("2*x^3 - 4*x*y*z", "x^2*y + 3*y^2*z", "x*z^2 - y^3")]
     _forced_through_x(monkeypatch, lambda: saturate_three_forms(*forms),
                       [5, 4, 3, 2, 1])
+
+
+# a triple point at (101 : 0 : -1), on h: nothing is certified, and n = 1
+# at degrees 7 and 8 makes the lifted x, y, z step run at degree 7
+SEVEN_LINES = ("x + 101*z", "x + y + 101*z", "x + 2*y + 101*z", "x", "y",
+               "z", "x + y + z")
+
+
+def test_an_uncertified_arrangement_reports_as_a_certified_one(monkeypatch):
+    arr = parse_arrangement("\n".join(SEVEN_LINES) + "\n")
+    _, matrices, _, lifted = _watch_steps(monkeypatch)
+    report, cd, sat = analyze_full(arr)
+    assert cd.regular_degree() is None
+    assert lifted == []
+    assert [form for form, _ in matrices[7]] == [(1, 0, 0), (0, 1, 0),
+                                                 (0, 0, 1)]
+    assert report.tau == 26
+    assert report.classification.kind == "NEARLY_FREE"
+    assert sat.n_table[7] == sat.n_table[8] == 1
+    monkeypatch.setattr(jacobian, "LINEAR_FORM", (1, 13, 103))
+    certified, cd, _ = analyze_full(arr)
+    assert cd.regular_degree() == (9, 26)
+    assert emit_json(certified) == emit_json(report)
+
+
+def test_saturation_reads_no_linear_form_and_builds_no_colon_matrix():
+    # FormsIdeal.colon_lifts picks each step's kernel: the descent names
+    # no linear form, builds no colon matrix and takes no h kernel
+    tree = ast.parse(Path(saturation.__file__).read_text())
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    names.update(alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names)
+    attrs = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    assert names & {"LINEAR_FORM", "colon_rows"} == set()
+    assert "h_kernel" not in attrs
 
 
 @pytest.mark.parametrize("name", ["conic", "fermat-3", "fermat-4",
