@@ -46,11 +46,15 @@ residuals on the free columns (``complement``) and merges the new rows
 in by pivot.  ``IncrementalSpan.insert`` is a one-vector ``extend``,
 ``rank_growth`` the growth of an ``extend`` that shares the caller's
 rows and never writes them, and ``rref_extend`` and ``rref_insert``
-add the back phase.  ``IncrementalSpan`` keeps a span in forward
-echelon form, with no back phase: its pivots, rank and
-grew/did-not-grow answers are those of the canonical form.
-``jacobian.ShiftChain`` is one: the Nakayama walk of
-``jacobian.minimal_generators`` reads its pivot count and
+add the back phase.  No other module of the package calls these
+three; ``rref_insert`` stays bound in three of them for the
+benchmark's tracer.
+``IncrementalSpan`` keeps a span in forward echelon form, with no back
+phase: its pivots, rank and grew/did-not-grow answers are those of the
+canonical form.  The generator pick of
+``saturation.SaturationData.generators`` reads ``insert``'s answers on
+spans of its own, and ``jacobian.ShiftChain`` is one too: the Nakayama
+walk of ``jacobian.minimal_generators`` reads its pivot count and
 ``insert``'s answers, and ``jacobian.FormsIdeal.slice_at`` runs
 ``back_phase`` on the slices a step starts from or whose rows
 ``rref_at`` hands out.

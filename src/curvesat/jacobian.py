@@ -13,14 +13,15 @@ c f_z = 0.
 canonical echelon form of each slice and the relations among its
 generators.  J_f is the ideal case, one block and three generators of
 degree d - 1.  ``minimal_generators`` is the one Nakayama walk, which
-picks minimal generators of a module degree by degree: over the slices
-of I_f the generators of I_f (``resolution.min_generators``), over the
-kernel of a generator map (``FormsIdeal.relations``) the relations
-among them, and so AR(f) (``CurveData.ar_min_generators``).  It only
+picks minimal generators of a module degree by degree: over the kernel
+of a generator map (``FormsIdeal.relations``) the relations among the
+generators, and so AR(f) (``CurveData.ar_min_generators``).  It only
 yields vectors: no analysis and no public degree function runs it.
 Those read closed forms, the degrees of AR(f) off the Milnor table and
-N(f) (``resolution.ar_min_generators``), and the S/I_f table counts the
-generators of I_f and reads its relations off the Hilbert function.
+N(f) (``resolution.ar_min_generators``), and the S/I_f table takes the
+generators of I_f that the saturation picks at its lifts' markers
+(``saturation.SaturationData.generators``, no walk over slices of I_f)
+and reads its relations off the Hilbert function.
 
 One chain carries every slice upward: ``ShiftChain``, an
 ``exactla.IncrementalSpan`` in forward echelon form, stepped one degree
@@ -29,8 +30,9 @@ slice, which depend on the span alone, so it does no back substitution.
 The one back phase runs in ``FormsIdeal.slice_at`` on a slice of an
 ideal before its chain steps from it, and in ``FormsIdeal.rref_at`` on
 the slices whose rows are read: the ones it hands to the saturation
-steps, to ``colon_rows``, to the generator count and walk and to the
-Lefschetz check, which are canonical reduced echelon forms.  A rank or
+steps, to ``colon_rows`` and to the lifts' shift residuals that the
+generator pick, the Lefschetz check and the suite's saturation oracle
+read, which are canonical reduced echelon forms.  A rank or
 pivot read of the top slice takes none.  A walk steps its chain at
 every degree up to its top and carries every block; the module of its
 picks starts with no slice built, and a relation walk over it steps

@@ -20,12 +20,13 @@ FreenessCheckFailed.
 
 The public degree functions read these closed forms, so
 ``ar_min_generators`` is position 2 of ``jacobian_twists`` less d - 1.
-The walks, ``jacobian.minimal_generators``, only yield vectors, and no
-analysis runs them.  ``min_generators`` reads the walk over the slices
-of I_f (``SaturationData.generator_module``), which picks integer rows
-of the canonical slice basis in order, so repeated runs reproduce them
-bit for bit; the AR(f) walk, ``CurveData.ar_min_generators``, yields
-the syzygy vectors.
+``min_generators`` reads the generators that the count of
+``SaturationData.generators`` picks: forms of J_f and lifts, which are
+canonical kernel vectors, taken in order, so repeated runs reproduce
+them bit for bit.  The Nakayama walk, ``jacobian.minimal_generators``,
+only yields vectors, and no analysis runs it: over the relations of the
+partials it is ``CurveData.ar_min_generators``, which yields the
+syzygy vectors.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ def regularity(table: BettiTable) -> int:
 
 def min_generators(f):
     """Minimal generators of the saturated ideal: (degrees, polynomials),
-    read off the generator walk (``SaturationData.generator_module``),
-    which covers degrees 0..r_I + 1 = reg(I)."""
-    gens = saturate(f).generator_module
-    return list(gens.degrees), [HomogeneousPoly.from_vector(k, row)
-                                for k, row in zip(gens.degrees,
-                                                  gens.vectors)]
+    the picks of ``SaturationData.generators``, which cover degrees
+    0..r_I + 1 = reg(I)."""
+    scan = saturate(f).generators
+    return list(scan.degrees), [HomogeneousPoly.from_vector(k, vec)
+                                for k, vec in zip(scan.degrees,
+                                                  scan.vectors)]
 
 
 def _numerator(values, tail: int) -> list[int]:

@@ -21,9 +21,7 @@ leaves one row per monomial outside I_(k+1).  The kernel of that small
 integer matrix gives the new slice as J_k plus a handful of lift
 vectors.  The expensive eliminations thus stay on the small-entry
 generator columns of J itself, the lifts span N(f) in that degree, and
-no slice of I is built: ``SaturationData.i_rref`` builds one on each
-read and keeps none, for the public generator walk and the suite's
-checks only.
+no slice of I is built, here or by any reader of the lifts.
 
 Which kernel a step takes is settled before the descent starts, by the
 regularity check that ends the slice chain of J
@@ -46,7 +44,9 @@ the slice ranks of J with the kernels, but it does not see every wrong
 lift: where multiplication by h maps (S/J)_k onto (S/J)_(k+1), any
 n_(k+1) lifts at k + 1 give a one-form kernel of dimension n_k, so a
 wrong one passes step k.  The suite's ``saturation-oracle``, which
-multiplies the lifts out, is the check that sees it.  The degree the
+multiplies the lifts out and reads the residuals of their shifts on
+every monomial outside J_(k+1) (``SaturationData.shift_residuals``),
+is the check that sees it.  The degree the
 regularity check certifies is an upper bound for reg(J), and the
 constructor raises when it lies below the regularity the saturation
 gives.  Each matrix is eliminated once: a step with no lift above it
@@ -60,18 +60,18 @@ The Jacobian ideal is the case e = d - 1, where 3e - 3 = T.  Both read
 tau, and the check that J has codimension two, from
 ``jacobian.FormsIdeal.tau``.
 
-The generator degrees of I and of N = I/J are counted, not picked
-(``SaturationData.generators``): above the generator degree e of J,
-S_1 I_(k-1) is J_k plus the x, y and z shifts of the lifts at degree
-k - 1, so the count at k is n_k less the rank those shifts add to J_k,
-read at one marker column per lift (``SaturationData.marked_shifts``,
-which the Lefschetz check reads too); at e, where J_(e-1) = 0, it is
-dim I_e less their rank.  Those of N are those of I except at e, where
-they and the correction term e2 of the generator bound take the rank
-the shifts add to J_e.  The generators themselves, the Nakayama walk of
-``jacobian.minimal_generators`` over the slices of I, are built on
-first use (``SaturationData.generator_module``) for the public
-``resolution.min_generators``; no analysis reads them.
+The minimal generators of I are picked in one pass
+(``SaturationData.generators``), and their number is the count every
+table reads.  Above the generator degree e of J, S_1 I_(k-1) is J_k
+plus the x, y and z shifts of the lifts at degree k - 1, so its
+classes in N_k are those shifts read at one marker column per lift
+(``SaturationData.marked_shifts``, which the Lefschetz check reads
+too), and a lift at k is a generator where its marker enlarges their
+span.  At e, where J_(e-1) = 0, the shifts themselves are the span,
+and the forms of J are offered before the lifts.  The generators of N
+are the picked lifts, and the correction term e2 of the generator bound
+counts the picked forms.  No slice of I is built, and the public
+``resolution.min_generators`` reads the same picks.
 """
 
 from __future__ import annotations
@@ -85,18 +85,20 @@ from .errors import (KmaxExhaustedError, NotCodimensionTwoError,
                      WrongShapeError)
 # clear_row, kernel_int and rref_insert are unused here but stay bound:
 # perfbench/spans.py patches this module's names
-from .exactla import (clear_row, kernel_int, rank_int,  # noqa: F401
-                      rref_extend, rref_insert)
-from .jacobian import (FormsIdeal, _data, marker, minimal_generators,
-                       shift_block_vector, smooth_reference_dims)
+from .exactla import (IncrementalSpan, clear_row,  # noqa: F401
+                      kernel_int, primitive, rank_int, rref_insert)
+from .jacobian import (FormsIdeal, _data, marker, shift_block_vector,
+                       smooth_reference_dims)
 from .poly import primitivize, slice_dim
 
 
 @dataclass(frozen=True)
 class GeneratorScan:
-    """Minimal generator degrees of the saturation I and of N = I/J."""
+    """Minimal generators of the saturation I, and the generator degrees
+    of N = I/J."""
 
     degrees: tuple          # generator degrees of I, ascending
+    vectors: tuple          # the generators of I, primitive, as degrees
     n_degrees: tuple        # generator degrees of N, ascending
     e2: int                 # 3 - dim(J_e meet S_1 * I_(e-1))
 
@@ -194,21 +196,6 @@ class SaturationData:
         """Top degree of the slices of J the data was built on."""
         return self.data.kmax
 
-    def i_rref(self, k: int):
-        """Canonical RREF of the saturated slice at degree k: the slice
-        of J wherever the quotient is zero, else the canonical rows of
-        J_k extended by the lifts (``rref_extend`` over a copy), built
-        on each read and kept nowhere.  The descent and the analysis
-        read none: only the public ``generator_module`` and the suite's
-        check that the lifts' shifts stay in I read them, each degree
-        once."""
-        lifts = self.extras.get(k)
-        if not lifts:
-            return self.data.rref_at(k)
-        jpiv, jrows = self.data.rref_at(k)
-        return rref_extend(jpiv, [list(r) for r in jrows], lifts,
-                           slice_dim(k))
-
     def i_dim(self, k: int) -> int:
         return self.data.rank_at(k) + self.n_dim(k)
 
@@ -218,17 +205,51 @@ class SaturationData:
 
     def lift_shifts(self, k: int) -> list:
         """The x, y and z shifts of each lift at degree k, fresh lists on
-        each read: the generator count and ``marked_shifts`` read them."""
+        each read: the generator pick and ``shift_residuals`` read
+        them."""
         return [tuple(shift_block_vector(vec, var, k, (0,))
                       for var in range(3))
                 for vec in self.extras.get(k, ())]
 
-    def marked_shifts(self, s: int) -> list:
+    def shift_residuals(self, s: int, columns) -> list:
         """Per lift at degree s, the residuals (rx, ry, rz) of its x, y
-        and z shifts modulo J_(s+1), read at the marker columns of the
-        lifts at s + 1 and scaled to one lcm per lift; cached, as the
-        generator count and every sampled form of ``lefschetz_check``
-        read them.
+        and z shifts modulo J_(s+1), read at columns, monomials outside
+        J_(s+1), and scaled to one lcm per lift; no full residual is
+        formed.
+
+        Each canonical row of J_(s+1) is zero at the other pivots, so
+        the residual of a vector v at a column m off the pivots p_i is
+
+            v[m] - sum_i v[p_i] rows_i[m] / rows_i[p_i],
+
+        scaled here by the lcm of the pivot entries the lift's three
+        shifts divide by.  ``marked_shifts`` reads the lifts' markers at
+        s + 1; the suite's ``saturation-oracle`` reads every monomial
+        outside J_(s+1).
+        """
+        trios = self.lift_shifts(s)
+        if not trios or not columns:
+            return [((), (), ()) for _ in trios]
+        jpiv, jrows = self.data.rref_at(s + 1)
+        at = {c: i for i, c in enumerate(jpiv)}
+        got = []
+        for trio in trios:
+            hits = [[(jrows[at[c]], c, v)
+                     for c, v in enumerate(vec) if v and c in at]
+                    for vec in trio]
+            scale = lcm(*(row[pc] for h in hits for row, pc, _ in h))
+            got.append(tuple(
+                tuple(scale * vec[m]
+                      - sum((scale // row[pc]) * v * row[m]
+                            for row, pc, v in h)
+                      for m in columns)
+                for vec, h in zip(trio, hits)))
+        return got
+
+    def marked_shifts(self, s: int) -> list:
+        """``shift_residuals`` of the lifts at degree s read at the
+        marker columns of the lifts at s + 1; cached, as the generator
+        pick and every sampled form of ``lefschetz_check`` read them.
 
         The shifts lie in I_(s+1), so these residuals are their classes
         in N_(s+1) in the basis of the lifts: the lifts at s + 1 are a
@@ -238,41 +259,14 @@ class SaturationData:
         unit vector.  Either way its last nonzero column, its marker, is
         zero in every other lift.  A vector v of I_(s+1) is u + sum c_j
         l_j with u in J_(s+1); its residual modulo the canonical RREF of
-        J_(s+1) is zero at the pivots, so it is sum c_j l_j, and c_j is
-        its entry at marker j over l_j's.  Each canonical row is zero at
-        the other pivots, so the residual at a column m is
-
-            v[m] - sum_i v[p_i] rows_i[m] / rows_i[p_i],
-
-        scaled here by the lcm of the pivot entries the lift's three
-        shifts divide by; no full residual is formed.  The rank of any
-        set of combinations of them is thus the rank those combinations
-        add to J_(s+1).
+        J_(s+1) is sum c_j l_j, and c_j is its entry at marker j over
+        l_j's.  The rank of any set of combinations of them is thus the
+        rank those combinations add to J_(s+1).
         """
         got = self._marked.get(s)
-        if got is not None:
-            return got
-        trios = self.lift_shifts(s)
-        lifts = self.extras.get(s + 1)
-        if not trios or not lifts:
-            got = [((), (), ()) for _ in trios]
-        else:
-            markers = [marker(lift) for lift in lifts]
-            jpiv, jrows = self.data.rref_at(s + 1)
-            at = {c: i for i, c in enumerate(jpiv)}
-            got = []
-            for trio in trios:
-                hits = [[(jrows[at[c]], c, v)
-                         for c, v in enumerate(vec) if v and c in at]
-                        for vec in trio]
-                scale = lcm(*(row[pc] for h in hits for row, pc, _ in h))
-                got.append(tuple(
-                    tuple(scale * vec[m]
-                          - sum((scale // row[pc]) * v * row[m]
-                                for row, pc, v in h)
-                          for m in markers)
-                    for vec, h in zip(trio, hits)))
-        self._marked[s] = got
+        if got is None:
+            got = self._marked[s] = self.shift_residuals(
+                s, [marker(lift) for lift in self.extras.get(s + 1, ())])
         return got
 
     def end_degree(self) -> int | None:
@@ -315,79 +309,80 @@ class SaturationData:
 
     @cached_property
     def generators(self) -> GeneratorScan:
-        """Minimal generator degrees of I and of N = I/J, and e2, counted
-        off ranks the descent already holds; no generator is picked.
+        """Minimal generators of I, picked in one pass over degrees
+        0..r_I + 2, with the generator degrees of N = I/J and e2.
 
         Let e be the generator degree of J and Sh_k the x, y and z
         shifts of the lifts at degree k - 1 (``lift_shifts``), so that
         I_(k-1) = J_(k-1) + span(lifts) and S_1 I_(k-1) = S_1 J_(k-1) +
-        Sh_k.  With g_k = dim((J_k + Sh_k)/J_k), the rank of their
-        residuals at the lifts' markers (``marked_shifts``):
+        Sh_k.  The generators at k are the candidates that enlarge a
+        span of S_1 I_(k-1), offered in order:
 
         - for k != e, S_1 J_(k-1) is J_k (k > e) or 0 = J_k (k < e), so
-          S_1 I_(k-1) = J_k + Sh_k and mu_I(k) = n_k - g_k;
-        - J_(e-1) = 0, so S_1 I_(e-1) = Sh_e and mu_I(e) = dim I_e -
-          rank Sh_e;
-        - mu_N(k) = n_k - dim(S_1 I_(k-1) + J_k)/J_k is mu_I(k) at every
-          k != e, and mu_N(e) = n_e - g_e;
-        - e2 = 3 - dim(J_e meet S_1 I_(e-1)) = 3 - rank Sh_e + g_e.
+          S_1 I_(k-1) = J_k + Sh_k, and its classes in N_k are the
+          residuals of Sh_k at the lifts' markers (``marked_shifts``):
+          the span has width n_k, and the candidates are the lifts at
+          k, each the unit vector of its marker;
+        - J_(e-1) = 0, so S_1 I_(e-1) = Sh_e: the span is Sh_e itself,
+          in S_e, and the candidates are the forms of J and then the
+          lifts at e.
 
-        The count runs over degrees 0..r_I + 2: generators of I lie in
-        degrees at most reg(I) = r_I + 1, so a nonzero count at r_I + 2
-        raises, as does a negative count.  N/mN = I/(mI + J) is a
-        quotient of I/mI, so those of N lie in degrees at most reg(I)
-        too.  When e > r_I + 1, S_1 I_(e-1) = I_e contains J_e, e2 = 3 -
-        dim J_e, and mu_N(e) = 0.  The generators themselves are the
-        walk of ``generator_module``, which only the public
-        ``resolution.min_generators`` reads.
+        Every pick is a generator of N too, except a form of J: the
+        forms are picked exactly where J_e leaves S_1 I_(e-1), so e2 =
+        3 - dim(J_e meet S_1 I_(e-1)) is 3 - dim J_e plus their number.
+        Where e > r_I + 1 none is picked: S_1 I_(e-1) = I_e contains
+        J_e, e2 = 3 - dim J_e, and N has no generator at e.
+
+        The count, n_k (dim I_e at e) less the rank of the span, is
+        taken before the picks: a negative count, or picks other than
+        the count, raise.  Generators of I lie in degrees at most reg(I)
+        = r_I + 1, so a pick at r_I + 2 raises too.  N/mN = I/(mI + J)
+        is a quotient of I/mI, so those of N lie in degrees at most
+        reg(I) too.  The picks are the generators of the public
+        ``resolution.min_generators``.
         """
         data = self.data
         e = data.e
         top = self.reg_saturated() + 2
-        degrees: list[int] = []
+        degrees, vectors, n_degrees = [], [], []
+        nforms = 0
         for k in range(top + 1):
-            growth = rank_int([list(r) for trio in self.marked_shifts(k - 1)
-                               for r in trio], len(self.extras.get(k, ())))
+            lifts = self.extras.get(k, ())
+            # the span of S_1 I_(k-1), the forms offered before the
+            # lifts, and each lift's coordinates in the span
             if k == e:
-                grew = growth
-                spanned = rank_int([v for trio in self.lift_shifts(k - 1)
-                                    for v in trio], slice_dim(k))
-                count = self.i_dim(k) - spanned
+                span = IncrementalSpan(slice_dim(k))
+                span.extend(v for trio in self.lift_shifts(k - 1)
+                            for v in trio)
+                count = self.i_dim(k) - len(span.pivots)
+                offered, coords = data.vectors, lifts
             else:
-                count = self.n_dim(k) - growth
+                span = IncrementalSpan(len(lifts))
+                span.extend(r for trio in self.marked_shifts(k - 1)
+                            for r in trio)
+                count = self.n_dim(k) - len(span.pivots)
+                offered = ()
+                coords = [[int(i == j) for i in range(len(lifts))]
+                          for j in range(len(lifts))]
             if count < 0:
                 raise KmaxExhaustedError(
                     f"negative generator count {count} at degree {k}")
+            forms = [v for v in offered if span.insert(v)]
+            kept = [lift for lift, c in zip(lifts, coords) if span.insert(c)]
+            if len(forms) + len(kept) != count:
+                raise KmaxExhaustedError(
+                    f"{len(forms) + len(kept)} generators picked at "
+                    f"degree {k}, the count is {count}")
             degrees.extend([k] * count)
+            vectors.extend(tuple(primitive(v)) for v in forms + kept)
+            n_degrees.extend([k] * len(kept))
+            nforms += len(forms)
         if top in degrees:
             raise KmaxExhaustedError(
                 f"a generator of the saturation in degree {top}, "
                 "above reg(I)")
-        n_degrees = [k for k in degrees if k != e]
-        e2 = 3 - data.rank_at(e)
-        if e < top:
-            e2 = 3 - spanned + grew
-            n_degrees.extend([e] * (self.n_dim(e) - grew))
-        return GeneratorScan(tuple(degrees), tuple(sorted(n_degrees)), e2)
-
-    @cached_property
-    def generator_module(self) -> FormsIdeal:
-        """The minimal generators of I as a module, from one
-        ``jacobian.minimal_generators`` walk over I, block (0,), on
-        degrees 0..r_I + 2: dim_at is ``i_dim`` and the candidates at k
-        are the rows of RREF(I_k), so each generator is a canonical row,
-        picked in order where it enlarges S_1 I_(k-1).  The walk stops
-        at reg(I) + 1 = r_I + 2, where it only counts, and raises on a
-        generator there.  Computed on first use: only
-        ``resolution.min_generators`` reads it."""
-        top = self.reg_saturated() + 2
-        degrees, module = minimal_generators(
-            (0,), 0, top, self.i_dim, lambda k: self.i_rref(k)[1])
-        if top in degrees:
-            raise KmaxExhaustedError(
-                f"a generator of the saturation in degree {top}, "
-                "above reg(I)")
-        return module
+        return GeneratorScan(tuple(degrees), tuple(vectors),
+                             tuple(n_degrees), 3 - data.rank_at(e) + nforms)
 
 
 def _mismatch(k: int, got: int, predicted: int) -> KmaxExhaustedError:

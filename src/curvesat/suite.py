@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from . import catalog
 from .analysis import analyze_full
 from .classify import FAIL, FREE, NEARLY_FREE
-from .exactla import rank_growth
+from .exactla import complement
+from .jacobian import marker
 from .parsing import parse_arrangement
 from .poly import HomogeneousPoly, slice_dim
 from .saturation import lefschetz_check
@@ -140,12 +141,29 @@ def _lifts_outside(sat) -> tuple:
     slice; shifts that stay in I_(k+1) put the lifts inside the true
     slice, so the two are equal and the step is exact without the
     Hilbert-function identity that sized it.
+
+    No slice of I is built: a shift lies in I_(k+1) exactly when its
+    residual r modulo J_(k+1), on the monomials outside J_(k+1)
+    (``SaturationData.shift_residuals``), vanishes once each lift l_j
+    at k + 1 is projected out at its marker m_j, zero in every other
+    lift, by the update r := l_j[m_j] r - r[m_j] l_j.
     """
-    return tuple(
-        k for k, n in enumerate(sat.n_table)
-        if n and rank_growth(*sat.i_rref(k + 1),
-                             [v for t in sat.lift_shifts(k) for v in t],
-                             slice_dim(k + 1)))
+    outside = []
+    for k, n in enumerate(sat.n_table):
+        if not n:
+            continue
+        comp = complement(sat.data.rref_at(k + 1)[0], slice_dim(k + 1))
+        marked = [(comp.index(marker(lift)), [lift[c] for c in comp])
+                  for lift in sat.extras.get(k + 1, ())]
+        for r in (r for trio in sat.shift_residuals(k, comp) for r in trio):
+            for i, lift in marked:
+                a, b = lift[i], r[i]
+                if b:
+                    r = [a * v - b * u for v, u in zip(r, lift)]
+            if any(r):
+                outside.append(k)
+                break
+    return tuple(outside)
 
 
 # Per-record checks return None when not applicable, else (ok, detail).

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from curvesat import catalog, exactla, jacobian, saturation
+from curvesat import catalog, exactla, jacobian
 from curvesat.analysis import analyze, analyze_catalog, analyze_full, emit_json
 from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import parse_arrangement, parse_poly
-from curvesat.saturation import SaturationData
 from curvesat.suite import random_arrangement_text
 
 EX1_D4 = "y^4 + x*z^3"
@@ -97,8 +96,7 @@ def test_analyze_full_walks_no_generators_and_no_relations(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Nakayama walk ran inside analyze_full")
 
-    for module in (jacobian, saturation):
-        monkeypatch.setattr(module, "minimal_generators", refuse)
+    monkeypatch.setattr(jacobian, "minimal_generators", refuse)
     monkeypatch.setattr(FormsIdeal, "relations", refuse)
     digests = json.loads((Path(__file__).parent / "data"
                           / "report_digests.json").read_text())
@@ -115,22 +113,20 @@ def test_analyze_full_walks_no_generators_and_no_relations(monkeypatch):
 
 def test_analyze_full_builds_no_saturated_slice(monkeypatch):
     # the descent reduces over the slices of J_f with the lifts
-    # projected out at their markers, and the generator count and
-    # every other phase read ranks: with rref_extend and every read of
-    # a slice of I_f refused, the catalog and the random arrangements
-    # of the suite still give their pinned reports.  No Nakayama walk
-    # runs either, so IncrementalSpan.insert is refused too
-    # (ShiftChain.step calls extend)
+    # projected out at their markers, the generator pick reads the
+    # lifts' markers, and every other phase reads ranks: with
+    # rref_extend refused, the catalog and the random arrangements of
+    # the suite still give their pinned reports.  No Nakayama walk runs
+    # either, so jacobian.minimal_generators is refused too (the pick
+    # inserts into its own spans)
     def refuse(*args):
         raise AssertionError("a slice of I_f was built inside analyze_full")
 
     def refuse_walk(*args):
         raise AssertionError("a Nakayama walk ran inside analyze_full")
 
-    for module in (exactla, saturation):
-        monkeypatch.setattr(module, "rref_extend", refuse)
-    monkeypatch.setattr(SaturationData, "i_rref", refuse)
-    monkeypatch.setattr(exactla.IncrementalSpan, "insert", refuse_walk)
+    monkeypatch.setattr(exactla, "rref_extend", refuse)
+    monkeypatch.setattr(jacobian, "minimal_generators", refuse_walk)
     rng = random.Random(0)
     curves = [(name, catalog.load(name), catalog.entry(name).irreducible,
                "report_digests.json") for name in catalog.names()]

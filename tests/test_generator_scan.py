@@ -1,12 +1,14 @@
-"""The generator scan of the saturation (``SaturationData.generators``).
+"""The generator pick of the saturation (``SaturationData.generators``).
 
-One scan counts the minimal generators of I and of N = I/J and the
-correction term e2 off ranks the descent already holds.  It is
-compared with the three scans it replaced, kept here as the reference:
-the N(f) count over every degree of the table, the I count over
-degrees 0..r_I + 1 with the RREF of the shift span built at every
+One pass picks the minimal generators of I at the lifts' markers, and
+counts those of N = I/J and the correction term e2 off the picks.  It
+is compared with the three scans it replaced, kept here as the
+reference: the N(f) count over every degree of the table, the I count
+over degrees 0..r_I + 1 with the RREF of the shift span built at every
 degree, and e2 from three separate ranks; and with the Nakayama walk
-of ``SaturationData.generator_module``, on every catalog entry.
+of ``jacobian.minimal_generators`` over the slices of I, built here
+with ``exactla.rref_extend`` (``reference_walk``), on every catalog
+entry.
 """
 
 import random
@@ -14,11 +16,12 @@ from functools import lru_cache
 
 import pytest
 
-from curvesat import catalog, resolution, saturation
+from curvesat import catalog, exactla, saturation
 from curvesat.analysis import analyze_full
 from curvesat.errors import FreenessCheckFailedError, KmaxExhaustedError
 from curvesat.exactla import rank_growth, rank_int, rref_extend, rref_insert
-from curvesat.jacobian import shift_block_vector
+from curvesat.jacobian import (FormsIdeal, minimal_generators,
+                               shift_block_vector)
 from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
 from curvesat.poly import HomogeneousPoly, slice_dim
 from curvesat.resolution import betti_saturated, min_generators
@@ -48,6 +51,26 @@ def _shifted(sat, k):
             for var in range(3)]
 
 
+def i_rref(sat, k):
+    """Canonical RREF of I_k: that of J_k extended by the lifts."""
+    jpiv, jrows = sat.data.rref_at(k)
+    return rref_extend(jpiv, [list(r) for r in jrows],
+                       sat.extras.get(k, ()), slice_dim(k))
+
+
+def reference_walk(sat):
+    """The Nakayama walk over the slices of I that the pick replaced:
+    the module of its picks, canonical rows of RREF(I_k), on degrees
+    0..r_I + 2."""
+    top = sat.reg_saturated() + 2
+    degrees, module = minimal_generators(
+        (0,), 0, top, sat.i_dim, lambda k: i_rref(sat, k)[1])
+    if top in degrees:
+        raise KmaxExhaustedError(
+            f"a generator of the saturation in degree {top}, above reg(I)")
+    return module
+
+
 def reference_n_generators(sat):
     degrees = []
     for k, n_k in enumerate(sat.n_table):
@@ -75,7 +98,7 @@ def reference_i_generators(sat):
         count = dim_i - len(piv)
         if count:
             picked = 0
-            for row in sat.i_rref(k)[1]:
+            for row in i_rref(sat, k)[1]:
                 if rref_insert(piv, rows, list(row), slice_dim(k)):
                     degrees.append(k)
                     gens.append(HomogeneousPoly.from_vector(k, row))
@@ -103,13 +126,15 @@ def test_scan_matches_the_three_reference_scans(name):
     scan = sat.generators
     assert list(scan.n_degrees) == reference_n_generators(_sat(name))
     degrees, gens = reference_i_generators(_sat(name))
-    walked = sat.generator_module
-    assert list(walked.degrees) == degrees
+    walked = reference_walk(_sat(name))
+    assert list(walked.degrees) == list(scan.degrees) == degrees
     assert [list(row) for row in walked.vectors] == [g.int_vector()
                                                      for g in gens]
     assert scan.e2 == reference_e2(_sat(name))
     assert n_min_generators(sat) == list(scan.n_degrees)
-    assert min_generators(sat) == (degrees, gens)
+    assert min_generators(sat) == (degrees, [
+        HomogeneousPoly.from_vector(k, vec)
+        for k, vec in zip(scan.degrees, scan.vectors)])
 
 
 def test_one_analysis_runs_one_scan(monkeypatch):
@@ -130,64 +155,46 @@ def test_one_analysis_runs_one_scan(monkeypatch):
 
 def test_scan_extends_no_copy_of_a_jacobian_slice(monkeypatch):
     # the generators of I_f for nf-d10-k3 sit at 8 and 9, that of N at
-    # 8; the count reads residuals at the lifts' markers and reads no
-    # slice of I_f, and the walk carries S_1 I_(k-1) on its own echelon
-    # chain: the only slices of I_f built are the ones it picks
-    # generators from, each once, from a copy of a slice of J_f
+    # 8; the pick reads residuals at the lifts' markers below e = 9 and
+    # the lift shifts, the forms of J and the lifts at e: it extends no
+    # slice of J_f, writes none of its rows, and min_generators reads
+    # the cached picks
     sat = _sat("nf-d10-k3")
     data = sat.data
     assert data.e == 9
     jacobian_rows = {k: [list(r) for r in data.rref_at(k)[1]]
                      for k in (8, 9)}
-    calls, read = [], []
+    calls = []
+    extend = exactla.rref_extend
 
-    def recording(name, fn):
-        def wrapper(*args):
-            calls.append((name, args[-1]))
-            return fn(*args)
-        return wrapper
+    def recording(*args):
+        # rref_insert, wherever it is bound, extends through here too
+        calls.append(args[-1])
+        return extend(*args)
 
-    for module in (saturation, resolution):
-        for name in ("rref_extend", "rref_insert"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    recording(name, getattr(module, name)))
-    i_rref = saturation.SaturationData.i_rref
-
-    def watched(self, k):
-        read.append(k)
-        return i_rref(self, k)
-
-    monkeypatch.setattr(saturation.SaturationData, "i_rref", watched)
+    monkeypatch.setattr(exactla, "rref_extend", recording)
     assert n_min_generators(sat) == [8]
-    assert calls == read == []
     assert min_generators(sat)[0] == [8, 9]
-    assert read == [8, 9]
-    assert calls == [("rref_extend", slice_dim(k)) for k in (8, 9)
-                     if sat.n_dim(k)]
+    assert calls == []
     assert {k: [list(r) for r in data.rref_at(k)[1]]
             for k in (8, 9)} == jacobian_rows
 
 
 @pytest.mark.parametrize("name", ["nodal-5", "nf-d7-k3"])
 def test_a_corrupted_dimension_makes_the_walk_raise(monkeypatch, name):
-    # the walk checks dim I_k against the rank of its own chain at every
-    # degree it reaches: one too many is never reached by the picks, and
-    # one too few lies below the rank of S_1 I_(k-1) wherever no
-    # generator sits at k or above
-    sat = _sat(name)
-    top = sat.reg_saturated() + 2
-    last = sat.generator_module.degrees[-1]
-    bad = [(k, 1) for k in range(top + 1)]
-    bad += [(k, -1) for k in range(last + 1, top + 1)]
-    for degree, delta in bad:
-        sat = _sat(name)
-        i_dim = sat.i_dim
-        monkeypatch.setattr(
-            sat, "i_dim",
-            lambda k, d=degree, x=delta: i_dim(k) + (x if k == d else 0))
-        with pytest.raises(KmaxExhaustedError):
-            sat.generator_module
+    # the pick checks its count against its picks at every degree up to
+    # r_I + 2: n_k, and with it dim I_k, one off in either direction
+    # leaves a count the picks do not meet, or a negative one
+    top = _sat(name).reg_saturated() + 2
+    for degree in range(top + 1):
+        for delta in (1, -1):
+            sat = _sat(name)
+            n_dim = sat.n_dim
+            monkeypatch.setattr(
+                sat, "n_dim",
+                lambda k, d=degree, x=delta: n_dim(k) + (x if k == d else 0))
+            with pytest.raises(KmaxExhaustedError):
+                sat.generators
 
 
 @pytest.mark.parametrize("name", ["nodal-5", "nf-d7-k3", "braid"])
@@ -257,12 +264,12 @@ def _entry(name):
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_the_count_is_the_walk(name):
-    # the generator degrees of I the scan counts are those the walk
+    # the generator degrees of I the pick gives are those the walk
     # picks, and N(f)'s and e2 are what the walk's degrees gave, with
     # the full rank growth of the lift shifts against J_e
     sat = _entry(name)
     scan = sat.generators
-    walked = list(sat.generator_module.degrees)
+    walked = list(reference_walk(sat).degrees)
     assert list(scan.degrees) == walked
     data = sat.data
     e = data.e
@@ -281,7 +288,18 @@ def test_the_saturated_closed_form_is_the_walked_table(name):
     # the S/I_f table read off the Hilbert function must be the walk's
     # generators and the relation walk over their module up to r_I + 2
     sat = _entry(name)
-    walked = sat.generator_module
+    walked = reference_walk(sat)
     relations = walked.relations(sat.reg_saturated() + 2)[0]
     assert betti_saturated(sat).twists == (walked.degrees,
                                            tuple(sorted(relations)))
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_the_picks_generate_the_saturation(name):
+    # the module of the picks has the slices of I in every degree up to
+    # r_I + 2, past reg(I) = r_I + 1
+    sat = _entry(name)
+    scan = sat.generators
+    picks = FormsIdeal(scan.vectors, scan.degrees)
+    assert all(picks.rank_at(k) == sat.i_dim(k)
+               for k in range(sat.reg_saturated() + 3))

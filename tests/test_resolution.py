@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvesat import catalog, jacobian, saturation
+from curvesat import catalog, jacobian
 from curvesat.analysis import analyze_full
 from curvesat.classify import (CONCURRENT_LINES, FREE, NEARLY_FREE,
                                classify)
@@ -274,8 +274,7 @@ def test_ar_min_generators_walks_nothing(monkeypatch):
     monkeypatch.setattr(CurveData, "ar_min_generators", refuse)
     for name in ("relations", "kernel_at"):
         monkeypatch.setattr(FormsIdeal, name, refuse)
-    for module in (jacobian, saturation):
-        monkeypatch.setattr(module, "minimal_generators", refuse)
+    monkeypatch.setattr(jacobian, "minimal_generators", refuse)
     ar = {"xy": [0, 1], "concurrent-4": [0, 3], "nf-d7-k3": [1, 6, 6],
           "braid": [2, 3], "nodal-6": [5, 5, 5, 8]}
     for name, degrees in ar.items():

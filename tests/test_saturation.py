@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from curvesat import catalog, jacobian, saturation
+from curvesat import catalog, jacobian, saturation, suite
 from curvesat.analysis import analyze_catalog, analyze_full, emit_json
 from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
                              WrongShapeError)
@@ -433,6 +433,35 @@ def test_saturation_reads_no_linear_form_and_builds_no_colon_matrix():
              if isinstance(node, ast.Attribute)}
     assert names & {"LINEAR_FORM", "colon_rows"} == set()
     assert "h_kernel" not in attrs
+
+
+def _identifiers(path: Path) -> set:
+    """Every name a module reads, binds, imports, defines or looks up
+    as an attribute."""
+    tree = ast.parse(path.read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
+def test_no_slice_of_the_saturation_is_built_for_its_generators():
+    # the generators of I are picked at the lifts' markers and the
+    # suite's oracle reads shift residuals: neither module extends an
+    # echelon form, takes a rank growth or walks, and no builder of a
+    # slice of I, nor the walk over such slices, is left in the package
+    for module in (saturation, suite):
+        assert _identifiers(Path(module.__file__)) & {
+            "rref_extend", "rank_growth", "minimal_generators"} == set()
+    for path in Path(saturation.__file__).parent.glob("*.py"):
+        assert _identifiers(path) & {"i_rref", "generator_module"} == set()
 
 
 @pytest.mark.parametrize("name", ["conic", "fermat-3", "fermat-4",

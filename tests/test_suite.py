@@ -96,15 +96,16 @@ def test_import_starts_no_process_pool():
 
 def test_saturation_oracle_fails_on_a_corrupted_lift(monkeypatch):
     # replace the first lift of generic-5 (n = 2 at degrees 4 and 5) by
-    # a monomial outside I_4; I is saturated, so one of its shifts
-    # leaves I_5
+    # a monomial outside J_4 that is no lift's marker, so outside I_4;
+    # I is saturated, so one of its shifts leaves I_5
     analyze_full = suite.analyze_full
 
     def corrupted(*args, **kwargs):
         report, cd, sat = analyze_full(*args, **kwargs)
         k = sat.sigma
-        pivots = set(sat.i_rref(k)[0])
-        c = next(c for c in range(slice_dim(k)) if c not in pivots)
+        markers = [marker(lift) for lift in sat.extras[k]]
+        c = next(c for c in complement(sat.data.rref_at(k)[0], slice_dim(k))
+                 if c not in markers)
         sat.extras[k][0] = [int(j == c) for j in range(slice_dim(k))]
         return report, cd, sat
 

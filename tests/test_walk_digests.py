@@ -1,15 +1,16 @@
-"""The public Nakayama walks stay bit-identical: for every catalog
+"""The public generator picks stay bit-identical: for every catalog
 entry, the Ziegler pair included, the SHA-256 of a canonical JSON of
-what the walks of ``jacobian.minimal_generators`` hand out is pinned in
+the picks of ``SaturationData.generators`` and of what the walks of
+``jacobian.minimal_generators`` hand out is pinned in
 ``data/walk_digests.json``:
 
 - ``min_generators(f)``: the generator degrees of I_f and the printed
-  generators;
+  generators, the picks of ``SaturationData.generators``;
 - ``CurveData.ar_min_generators(2(d - 1))``: the degrees of AR(f),
   which must also be the closed form ``resolution.ar_min_generators``,
   and the syzygy vectors of its module;
-- the relation degrees of ``SaturationData.generator_module`` up to
-  r_I + 2.
+- the relation degrees of the module of those generators up to
+  r_I + 2, the walk of ``FormsIdeal.relations``.
 
 A change that is meant to alter a pick must regenerate the file
 (``python tests/test_walk_digests.py``) and say which entries moved
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from curvesat import catalog
-from curvesat.jacobian import CurveData
+from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import Arrangement
 from curvesat.resolution import ar_min_generators, min_generators
 from curvesat.saturation import saturate
@@ -42,7 +43,8 @@ def walks(name) -> dict:
     # the walked degrees of AR(f) are the closed form's, mdr = 0 and
     # the Ziegler pair included
     assert sorted(ar_degrees) == ar_min_generators(sat)
-    relations = sat.generator_module.relations(sat.reg_saturated() + 2)[0]
+    module = FormsIdeal([g.int_vector() for g in gens], degrees)
+    relations = module.relations(sat.reg_saturated() + 2)[0]
     return {"min_generators": [degrees, [str(g) for g in gens]],
             "ar_min_generators": [ar_degrees, [list(v) for v in ar.vectors]],
             "generator_relations": relations}
