@@ -43,12 +43,10 @@ back phase, and ``kernel_int`` reads a canonical kernel basis off
 ``rref_int``.  ``IncrementalSpan.extend`` is the one way vectors join
 a span: it reduces them (``_reduce``), runs the forward phase on their
 residuals on the free columns (``complement``) and merges the new rows
-in by pivot.  ``IncrementalSpan.insert`` is a one-vector ``extend``,
-``rank_growth`` the growth of an ``extend`` that shares the caller's
-rows and never writes them, and ``rref_extend`` and ``rref_insert``
-add the back phase.  No other module of the package calls these
-three; ``rref_insert`` stays bound in three of them for the
-benchmark's tracer.
+in by pivot.  ``IncrementalSpan.insert`` is a one-vector ``extend``.
+``rref_insert`` is ``insert`` followed by ``back_phase``, written back
+into the caller's lists; no module of the package calls it, and three
+of them keep it bound for the benchmark's tracer.
 ``IncrementalSpan`` keeps a span in forward echelon form, with no back
 phase: its pivots, rank and grew/did-not-grow answers are those of the
 canonical form.  The generator pick of
@@ -336,45 +334,19 @@ class IncrementalSpan:
         self.rows[:] = [row for _, row in merged]
 
 
-def rank_growth(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-                vecs: Iterable[Sequence[int]], ncols: int) -> int:
-    """dim(span rows + span vecs) - len(pivots).
-
-    (pivots, rows) may be any forward echelon form, a canonical RREF
-    included.  The growth is that of an ``IncrementalSpan.extend`` on a
-    span that shares the rows, which ``extend`` never writes, so
-    neither (pivots, rows) nor vecs are modified.
-    """
-    span = IncrementalSpan(ncols, pivots, rows)
-    span.extend(vecs)
-    return len(span.pivots) - len(pivots)
-
-
-def rref_extend(pivots: Sequence[int], rows: list[list[int]],
-                vecs: Iterable[Sequence[int]], ncols: int):
-    """Canonical RREF (pivots, rows) of span(rows) + span(vecs).
-
-    (pivots, rows) may be any forward echelon form, a canonical RREF
-    included.  Its rows are consumed; the pivots list and vecs are not
-    modified.  This is ``IncrementalSpan.extend`` followed by the back
-    phase (``back_phase``).
-    """
-    span = IncrementalSpan(ncols, pivots, rows)
-    span.extend(vecs)
-    back_phase(span.pivots, span.rows, ncols)
-    return span.pivots, span.rows
-
-
 def rref_insert(pivots: list[int], rows: list[list[int]], vec: Sequence[int],
                 ncols: int) -> bool:
     """Insert one vector into a forward echelon form in place; True when
     the span grew.
 
     (pivots, rows) may be any forward echelon form, a canonical RREF
-    included; both lists are updated in place to the canonical RREF of
-    the enlarged span (a one-vector ``rref_extend``), and vec is not
+    included; both lists are rewritten in place to the canonical RREF
+    of the enlarged span: ``IncrementalSpan.insert`` followed by
+    ``back_phase``.  The rows they held are consumed; vec is not
     modified.
     """
-    npiv = len(pivots)
-    pivots[:], rows[:] = rref_extend(pivots, rows, (vec,), ncols)
-    return len(pivots) > npiv
+    span = IncrementalSpan(ncols, pivots, rows)
+    grew = span.insert(vec)
+    back_phase(span.pivots, span.rows, ncols)
+    pivots[:], rows[:] = span.pivots, span.rows
+    return grew

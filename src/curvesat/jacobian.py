@@ -11,10 +11,13 @@ c f_z = 0.
 ``FormsIdeal`` is the one graded module type: the submodule of
 ⊕_b S(-t_b) generated by integer vectors of given degrees, with the
 canonical echelon form of each slice and the relations among its
-generators.  J_f is the ideal case, one block and three generators of
-degree d - 1.  ``minimal_generators`` is the one Nakayama walk, which
-picks minimal generators of a module degree by degree: over the kernel
-of a generator map (``FormsIdeal.relations``) the relations among the
+generators: those of one degree are the canonical kernel
+(``FormsIdeal.kernel_at``) of the generator map, whose columns are the
+generators' monomial multiples (``poly.mono_multiples``).  J_f is the
+ideal case, one block and three generators of degree d - 1.
+``minimal_generators`` is the one Nakayama walk, which picks minimal
+generators of a module degree by degree: over the kernel of a
+generator map (``FormsIdeal.relations``) the relations among the
 generators, and so AR(f) (``CurveData.ar_min_generators``).  It only
 yields vectors: no analysis and no public degree function runs it.
 Those read closed forms, the degrees of AR(f) off the Milnor table and
@@ -83,9 +86,9 @@ from .exactla import (IncrementalSpan, back_phase,  # noqa: F401
                       complement, kernel_int, rank_int, rref_insert,
                       rref_int)
 from .poly import (MAX_COEFF_BITS, HomogeneousPoly,  # noqa: F401
-                   coefficient_bits, monomial_basis, monomial_index,
-                   partials, poly_columns_int, primitivize, shift_maps,
-                   slice_dim, twists_dim)
+                   coefficient_bits, mono_multiples, partials,
+                   poly_columns_int, primitivize, shift_maps, slice_dim,
+                   twists_dim)
 
 
 def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
@@ -108,28 +111,6 @@ def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
                     out[off_out + sh[i]] = v
         off_in += sin
         off_out += sout
-    return out
-
-
-def mono_multiples(vec, k_from: int, k_to: int, block_shifts) -> list:
-    """The multiples of a block vector of degree k_from by every monomial
-    of degree k_to - k_from, in ``monomial_basis`` order."""
-    terms = []                    # (block offset at k_to, monomial, value)
-    off_in = 0
-    off_out = 0
-    for t in block_shifts:
-        basis_in = monomial_basis(k_from - t)
-        for i, v in enumerate(vec[off_in:off_in + len(basis_in)]):
-            if v:
-                terms.append((off_out, basis_in[i], v))
-        off_in += len(basis_in)
-        off_out += slice_dim(k_to - t)
-    out = []
-    for mu in monomial_basis(k_to - k_from):
-        col = [0] * off_out
-        for off, mono, v in terms:
-            col[off + monomial_index(mono * mu)] = v
-        out.append(col)
     return out
 
 

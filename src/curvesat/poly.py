@@ -5,7 +5,10 @@ the graded lexicographic monomial order with x > y > z: monomials of
 equal degree are listed by decreasing x-exponent, then decreasing
 y-exponent.  All matrices built here index rows and columns against
 those slice bases, so every downstream computation is coordinatized the
-same way.
+same way.  In these coordinates a product with a monomial is a
+re-indexing: ``shift_maps`` for the three variables, and
+``mono_multiples`` for every monomial of a degree, which builds the
+multiplication maps of ``jacobian``.
 
 A polynomial carries an explicit degree tag so that the zero polynomial
 of each degree is a distinct, well-typed element of its slice.
@@ -101,6 +104,33 @@ def shift_maps(k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
         ys.append(base + n + 1 + m.ez)
         zs.append(base + n + 1 + m.ez + 1)
     return tuple(xs), tuple(ys), tuple(zs)
+
+
+def mono_multiples(vec, k_from: int, k_to: int, block_shifts) -> list:
+    """The multiples of a block vector of degree k_from by every monomial
+    of degree k_to - k_from, in ``monomial_basis`` order.
+
+    The vector lives in ⊕_b S(-t_b), t_b the block shifts, each block a
+    slice of the ring; the multiples are coordinate vectors of degree
+    k_to.  A polynomial's vector is one block, shift 0.
+    """
+    terms = []                    # (block offset at k_to, monomial, value)
+    off_in = 0
+    off_out = 0
+    for t in block_shifts:
+        basis_in = monomial_basis(k_from - t)
+        for i, v in enumerate(vec[off_in:off_in + len(basis_in)]):
+            if v:
+                terms.append((off_out, basis_in[i], v))
+        off_in += len(basis_in)
+        off_out += slice_dim(k_to - t)
+    out = []
+    for mu in monomial_basis(k_to - k_from):
+        col = [0] * off_out
+        for off, mono, v in terms:
+            col[off + monomial_index(mono * mu)] = v
+        out.append(col)
+    return out
 
 
 def coefficient_bits(coeffs) -> int:
@@ -309,20 +339,8 @@ def primitivize(f: HomogeneousPoly) -> HomogeneousPoly:
 
 
 def poly_columns_int(g: HomogeneousPoly, m: int) -> list[list[int]]:
-    """Integer coordinate vectors of mono*g over monomial_basis(m).
-
-    Fast path used by the graded engines; g must have integer
-    coefficients.
-    """
-    target = slice_dim(m + g.degree)
-    for c in g.terms.values():
-        if c.denominator != 1:
-            raise WrongShapeError("integer coefficients required")
-    gterms = [(mono, int(c)) for mono, c in g.terms.items()]
-    out = []
-    for mono in monomial_basis(m):
-        col = [0] * target
-        for m2, c in gterms:
-            col[monomial_index(mono * m2)] = c
-        out.append(col)
-    return out
+    """Integer coordinate vectors of mono*g over monomial_basis(m), as
+    ``mono_multiples`` gives them; g must have integer coefficients.
+    No module of the package calls it: ``jacobian`` keeps it bound for
+    the benchmark's tracer."""
+    return mono_multiples(g.int_vector(), g.degree, g.degree + m, (0,))

@@ -270,9 +270,9 @@ class SaturationData:
         return got
 
     def end_degree(self) -> int | None:
-        """Largest degree with nonzero quotient, None when the quotient is 0."""
-        nz = [k for k, n in enumerate(self.n_table) if n]
-        return nz[-1] if nz else None
+        """Largest degree with nonzero quotient, None when the quotient is
+        0: T - sigma, as n_k = n_(T-k)."""
+        return None if self.sigma is None else self.top - self.sigma
 
     def reg_saturated(self) -> int:
         """r_I = reg(S/I): the least k from which dim (S/I)_k keeps its

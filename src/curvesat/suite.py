@@ -47,7 +47,7 @@ _LEFSCHETZ_SAMPLES = 3
 class SuiteRecord:
     name: str
     report: object
-    lefschetz: tuple
+    lefschetz: tuple        # () when no sample was drawn
     lifts_outside: tuple    # degrees k whose lifts shift out of I_(k+1)
 
 
@@ -121,15 +121,22 @@ def _proportional(u, v) -> bool:
             and u[1] * v[2] == u[2] * v[1])
 
 
-def _run_one(name, obj, irreducible, seed):
+def _run_one(name, obj, irreducible, seed, wanted=None):
+    """The record of one curve.  wanted, a set of property names or None
+    for all of them, selects the inputs built beyond the report: the
+    lifts' oracle for ``saturation-oracle`` and the Lefschetz samples
+    for ``lefschetz-nearly-free``; one left out is ()."""
     report, _cd, sat = analyze_full(obj, name=name, irreducible=irreducible)
-    samples = ()
-    if report.classification.kind == NEARLY_FREE and report.tau > 0:
+    samples = outside = ()
+    if ((wanted is None or "lefschetz-nearly-free" in wanted)
+            and report.classification.kind == NEARLY_FREE and report.tau > 0):
         samples = tuple(
             lefschetz_check(sat, seed=seed + j).pattern_ok
             for j in range(_LEFSCHETZ_SAMPLES))
+    if wanted is None or "saturation-oracle" in wanted:
+        outside = _lifts_outside(sat)
     return SuiteRecord(name=name, report=report, lefschetz=samples,
-                       lifts_outside=_lifts_outside(sat))
+                       lifts_outside=outside)
 
 
 def _lifts_outside(sat) -> tuple:
@@ -313,13 +320,13 @@ def run_suite(random_count: int = 25, seed: int = 0,
             raise ValueError(f"unknown suite properties: {sorted(unknown)}")
 
     records = [_run_one(name, catalog.load(name),
-                        catalog.entry(name).irreducible, 1000 * i)
+                        catalog.entry(name).irreducible, 1000 * i, wanted)
                for i, name in enumerate(catalog.names())]
     rng = random.Random(seed)
     for i in range(random_count):
         arr = parse_arrangement(random_arrangement_text(rng))
         records.append(_run_one(f"random-{i}", arr, False,
-                                10 ** 6 + 1000 * i))
+                                10 ** 6 + 1000 * i, wanted))
 
     results = []
     for pname, fn in PROPERTIES:

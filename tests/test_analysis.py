@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,18 +115,33 @@ def test_analyze_full_walks_no_generators_and_no_relations(monkeypatch):
 def test_analyze_full_builds_no_saturated_slice(monkeypatch):
     # the descent reduces over the slices of J_f with the lifts
     # projected out at their markers, the generator pick reads the
-    # lifts' markers, and every other phase reads ranks: with
-    # rref_extend refused, the catalog and the random arrangements of
-    # the suite still give their pinned reports.  No Nakayama walk runs
-    # either, so jacobian.minimal_generators is refused too (the pick
-    # inserts into its own spans)
+    # lifts' markers, and every other phase reads ranks: with every
+    # routine refused that can extend a span seeded with J's rows
+    # (rref_insert wherever it is bound, and an IncrementalSpan built
+    # with rows), the catalog and the random arrangements of the suite
+    # still give their pinned reports.  No Nakayama walk runs either,
+    # so jacobian.minimal_generators is refused too (the pick inserts
+    # into spans it builds empty)
     def refuse(*args):
         raise AssertionError("a slice of I_f was built inside analyze_full")
 
     def refuse_walk(*args):
         raise AssertionError("a Nakayama walk ran inside analyze_full")
 
-    monkeypatch.setattr(exactla, "rref_extend", refuse)
+    init = exactla.IncrementalSpan.__init__
+
+    def refuse_seeded(self, ncols, pivots=(), rows=()):
+        if rows:
+            refuse()
+        init(self, ncols, pivots, rows)
+
+    owners = [module for name, module in sorted(sys.modules.items())
+              if name.partition(".")[0] == "curvesat"
+              and vars(module).get("rref_insert") is exactla.rref_insert]
+    assert exactla in owners
+    for module in owners:
+        monkeypatch.setattr(module, "rref_insert", refuse)
+    monkeypatch.setattr(exactla.IncrementalSpan, "__init__", refuse_seeded)
     monkeypatch.setattr(jacobian, "minimal_generators", refuse_walk)
     rng = random.Random(0)
     curves = [(name, catalog.load(name), catalog.entry(name).irreducible,

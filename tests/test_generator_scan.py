@@ -7,11 +7,13 @@ reference: the N(f) count over every degree of the table, the I count
 over degrees 0..r_I + 1 with the RREF of the shift span built at every
 degree, and e2 from three separate ranks; and with the Nakayama walk
 of ``jacobian.minimal_generators`` over the slices of I, built here
-with ``exactla.rref_extend`` (``reference_walk``), on every catalog
+by extending the canonical slices of J with the lifts in an
+``exactla.IncrementalSpan`` (``reference_walk``), on every catalog
 entry.
 """
 
 import random
+import sys
 from functools import lru_cache
 
 import pytest
@@ -19,7 +21,8 @@ import pytest
 from curvesat import catalog, exactla, saturation
 from curvesat.analysis import analyze_full
 from curvesat.errors import FreenessCheckFailedError, KmaxExhaustedError
-from curvesat.exactla import rank_growth, rank_int, rref_extend, rref_insert
+from curvesat.exactla import (IncrementalSpan, back_phase, rank_int,
+                              rref_insert)
 from curvesat.jacobian import (FormsIdeal, minimal_generators,
                                shift_block_vector)
 from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
@@ -51,11 +54,30 @@ def _shifted(sat, k):
             for var in range(3)]
 
 
+def _extended(pivots, rows, vecs, ncols):
+    """The span of an echelon form extended by vecs, as an
+    ``IncrementalSpan`` that shares the rows and writes none."""
+    span = IncrementalSpan(ncols, pivots, rows)
+    span.extend(vecs)
+    return span
+
+
+def _growth(pivots, rows, vecs, ncols):
+    return len(_extended(pivots, rows, vecs, ncols).pivots) - len(pivots)
+
+
+def _extended_rref(pivots, rows, vecs, ncols):
+    """Canonical RREF of span(rows) + span(vecs); rows are consumed."""
+    span = _extended(pivots, rows, vecs, ncols)
+    back_phase(span.pivots, span.rows, ncols)
+    return span.pivots, span.rows
+
+
 def i_rref(sat, k):
     """Canonical RREF of I_k: that of J_k extended by the lifts."""
     jpiv, jrows = sat.data.rref_at(k)
-    return rref_extend(jpiv, [list(r) for r in jrows],
-                       sat.extras.get(k, ()), slice_dim(k))
+    return _extended_rref(jpiv, [list(r) for r in jrows],
+                          sat.extras.get(k, ()), slice_dim(k))
 
 
 def reference_walk(sat):
@@ -77,7 +99,7 @@ def reference_n_generators(sat):
         if not n_k:
             continue
         piv, rows = sat.data.rref_at(k)
-        grew = rank_growth(piv, rows, _shifted(sat, k), slice_dim(k))
+        grew = _growth(piv, rows, _shifted(sat, k), slice_dim(k))
         degrees.extend([k] * (n_k - grew))
     return degrees
 
@@ -94,7 +116,7 @@ def reference_i_generators(sat):
             rows = [list(r) for r in rows]
         else:
             piv, rows = [], []
-        piv, rows = rref_extend(piv, rows, _shifted(sat, k), slice_dim(k))
+        piv, rows = _extended_rref(piv, rows, _shifted(sat, k), slice_dim(k))
         count = dim_i - len(piv)
         if count:
             picked = 0
@@ -116,7 +138,7 @@ def reference_e2(sat):
     ncols = slice_dim(e)
     dim_b = rank_int([list(r) for r in shifted], ncols)
     dim_a = data.rank_at(e)
-    dim_ab = dim_a + rank_growth(*data.rref_at(e), shifted, ncols)
+    dim_ab = dim_a + _growth(*data.rref_at(e), shifted, ncols)
     return 3 - (dim_a + dim_b - dim_ab)
 
 
@@ -153,26 +175,44 @@ def test_one_analysis_runs_one_scan(monkeypatch):
     assert list(report.n_generator_degrees) == [1, 1]
 
 
+def _rref_insert_owners():
+    """The modules of the package that bind ``exactla.rref_insert``."""
+    return [module for name, module in sorted(sys.modules.items())
+            if name.partition(".")[0] == "curvesat"
+            and vars(module).get("rref_insert") is exactla.rref_insert]
+
+
 def test_scan_extends_no_copy_of_a_jacobian_slice(monkeypatch):
     # the generators of I_f for nf-d10-k3 sit at 8 and 9, that of N at
     # 8; the pick reads residuals at the lifts' markers below e = 9 and
     # the lift shifts, the forms of J and the lifts at e: it extends no
     # slice of J_f, writes none of its rows, and min_generators reads
-    # the cached picks
+    # the cached picks.  A span seeded with rows joins vectors to them
+    # through an IncrementalSpan built with those rows, and rref_insert
+    # does that too: both are recorded, rref_insert wherever it is bound
     sat = _sat("nf-d10-k3")
     data = sat.data
     assert data.e == 9
     jacobian_rows = {k: [list(r) for r in data.rref_at(k)[1]]
                      for k in (8, 9)}
     calls = []
-    extend = exactla.rref_extend
+    insert = exactla.rref_insert
+    init = IncrementalSpan.__init__
 
-    def recording(*args):
-        # rref_insert, wherever it is bound, extends through here too
-        calls.append(args[-1])
-        return extend(*args)
+    def recording_insert(*args):
+        calls.append("rref_insert")
+        return insert(*args)
 
-    monkeypatch.setattr(exactla, "rref_extend", recording)
+    def recording_init(self, ncols, pivots=(), rows=()):
+        if rows:
+            calls.append("IncrementalSpan with rows")
+        init(self, ncols, pivots, rows)
+
+    owners = _rref_insert_owners()
+    assert exactla in owners
+    for module in owners:
+        monkeypatch.setattr(module, "rref_insert", recording_insert)
+    monkeypatch.setattr(IncrementalSpan, "__init__", recording_init)
     assert n_min_generators(sat) == [8]
     assert min_generators(sat)[0] == [8, 9]
     assert calls == []
@@ -276,7 +316,7 @@ def test_the_count_is_the_walk(name):
     n_degrees = [k for k in walked if k != e]
     e2 = 3 - data.rank_at(e)
     if e < sat.reg_saturated() + 2:
-        grew = rank_growth(*data.rref_at(e), _shifted(sat, e), slice_dim(e))
+        grew = _growth(*data.rref_at(e), _shifted(sat, e), slice_dim(e))
         e2 = 3 - (sat.i_dim(e) - walked.count(e)) + grew
         n_degrees += [e] * (sat.n_dim(e) - grew)
     assert list(scan.n_degrees) == sorted(n_degrees)

@@ -21,12 +21,12 @@ from curvesat.jacobian import (
     ct,
     mdr,
     milnor_dims,
-    mono_multiples,
     smooth_reference_dims,
     tjurina,
 )
 from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
-from curvesat.poly import monomial_basis, primitivize, slice_dim
+from curvesat.poly import (monomial_basis, mono_multiples, primitivize,
+                           slice_dim)
 from curvesat.resolution import ar_min_generators, min_generators
 from curvesat.saturation import saturate, saturate_three_forms
 

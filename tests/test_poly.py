@@ -15,6 +15,7 @@ from curvesat.poly import (
     Monomial,
     monomial_basis,
     monomial_index,
+    mono_multiples,
     partials,
     poly_columns_int,
     primitivize,
@@ -124,6 +125,52 @@ def test_multiplication_degrees_add(f, g):
 def test_evaluation_is_multiplicative(f, point):
     val = (f * f).evaluate(point)
     assert val == f.evaluate(point) ** 2
+
+
+def _monomial_products(g, m):
+    """The coordinate vectors of mu*g for every monomial mu of degree m,
+    multiplied out as polynomials."""
+    return [(HomogeneousPoly(m, {mu: 1}) * g).int_vector()
+            for mu in monomial_basis(m)]
+
+
+@given(polys(), st.integers(min_value=0, max_value=3))
+def test_monomial_multiples_of_one_block_are_the_products(f, m):
+    want = _monomial_products(f, m)
+    assert mono_multiples(f.int_vector(), f.degree, f.degree + m,
+                          (0,)) == want
+    assert poly_columns_int(f, m) == want
+
+
+@st.composite
+def block_vectors(draw):
+    """(vec, k_from, block_shifts, blocks): a vector of degree k_from in
+    ⊕_b S(-t_b) and its blocks as polynomials, None where t_b > k_from
+    leaves a block with no coordinates."""
+    k_from = draw(st.integers(min_value=0, max_value=3))
+    shifts = draw(st.lists(st.integers(min_value=0, max_value=k_from + 1),
+                           min_size=1, max_size=3))
+    vec, blocks = [], []
+    for t in shifts:
+        coords = draw(st.lists(coeffs, min_size=slice_dim(k_from - t),
+                               max_size=slice_dim(k_from - t)))
+        vec += coords
+        blocks.append(HomogeneousPoly.from_vector(k_from - t, coords)
+                      if t <= k_from else None)
+    return vec, k_from, tuple(shifts), blocks
+
+
+@given(block_vectors(), st.integers(min_value=0, max_value=2))
+def test_monomial_multiples_of_shifted_blocks_are_the_products(bv, m):
+    # each block of a multiple is the product of its monomial with that
+    # block, in the block's slice at k_to
+    vec, k_from, shifts, blocks = bv
+    k_to = k_from + m
+    per_block = [_monomial_products(g, m) if g is not None
+                 else [[0] * slice_dim(k_to - t)] * slice_dim(m)
+                 for t, g in zip(shifts, blocks)]
+    want = [sum(cols, []) for cols in zip(*per_block)]
+    assert mono_multiples(vec, k_from, k_to, shifts) == want
 
 
 def test_poly_columns_int_constant_is_identity():

@@ -12,7 +12,7 @@ from curvesat import catalog, jacobian, saturation, suite
 from curvesat.analysis import analyze_catalog, analyze_full, emit_json
 from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
                              WrongShapeError)
-from curvesat.exactla import rank_growth
+from curvesat.exactla import IncrementalSpan
 from curvesat.jacobian import FormsIdeal, marker, smooth_reference_dims
 from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
 from curvesat.poly import X, Y, Z, partials, slice_dim
@@ -551,8 +551,10 @@ def test_lefschetz_ranks_at_the_markers_are_the_growth_against_j(name):
             images = [[form[0] * a + form[1] * b + form[2] * c
                        for a, b, c in zip(*trio)]
                       for trio in sat.lift_shifts(s)]
-            growth.append(rank_growth(*data.rref_at(s + 1), images,
-                                      slice_dim(s + 1)))
+            jpiv, jrows = data.rref_at(s + 1)
+            span = IncrementalSpan(slice_dim(s + 1), jpiv, jrows)
+            span.extend(images)
+            growth.append(len(span.pivots) - len(jpiv))
         assert lefschetz_check(sat, ell=form).ranks == growth
 
 

@@ -79,6 +79,21 @@ def test_run_suite_small_sweep():
     assert all(p["failures"] == [] for p in data["properties"])
 
 
+def test_a_selection_builds_no_input_it_does_not_read(monkeypatch):
+    # the lifts' oracle and the Lefschetz samples are built only for
+    # the properties that read them
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input no selected property reads was built")
+
+    monkeypatch.setattr(suite, "_lifts_outside", refuse)
+    monkeypatch.setattr(suite, "lefschetz_check", refuse)
+    result = run_suite(0, only=["arrangement-tau", "verdicts"])
+    assert result.ok
+    assert [p.name for p in result.properties] == ["arrangement-tau",
+                                                   "verdicts"]
+    assert all(p.checked > 0 for p in result.properties)
+
+
 def test_import_starts_no_process_pool():
     # the suite runs every curve in this process; a fresh interpreter, so
     # that no other test's imports are counted

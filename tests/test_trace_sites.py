@@ -7,11 +7,16 @@ deleted binding would make ``install`` fail; this checks every name in
 the tracer's tables, runs ``install`` once and puts everything back.
 
 The tracer's names are also the only module-level imports the package
-may leave unread: every other imported name is read in its module.
+may leave unread: every other imported name is read in its module.  And
+a module-level function is read in the package outside its own body,
+exported in ``curvesat.__all__`` or one of those names: none is kept
+for tests alone.
 """
 
 import ast
+import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,3 +96,42 @@ def test_every_unread_import_is_a_traced_name():
               if path.name != "__init__.py"
               for name in _unread_imports(path)}
     assert sorted(unread - patched) == []
+
+
+def _reads(tree) -> list:
+    """(name, line) of every name a module reads, as a variable or as an
+    attribute."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            out.append((node.attr, node.lineno))
+    return out
+
+
+def test_every_module_function_is_read_exported_or_traced():
+    spans = _load_spans()
+    traced = list(_bound(spans, _patched_names(spans)).values())
+    exported = set(importlib.import_module("curvesat").__all__)
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = defaultdict(list)          # name -> (module, line) of its reads
+    for stem, tree in trees.items():
+        for name, line in _reads(tree):
+            reads[name].append((stem, line))
+    unreached = []
+    for stem, tree in trees.items():
+        module = importlib.import_module(f"curvesat.{stem}")
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = range(node.lineno, node.end_lineno + 1)
+            read = any(where != stem or line not in body
+                       for where, line in reads[node.name])
+            func = vars(module)[node.name]
+            if not (read or node.name in exported
+                    or any(func is t for t in traced)):
+                unreached.append(f"curvesat.{stem}.{node.name}")
+    assert unreached == []
