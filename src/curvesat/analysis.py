@@ -5,6 +5,12 @@ classification and the verdict battery, and packs everything into an
 immutable report.  JSON output is canonical: keys sorted, multisets
 ascending, and no timing data unless explicitly requested, so two runs
 on the same input are byte identical.
+
+An arrangement is analyzed as the product of its normalized lines (see
+``curve_data``), where its first independent triple is x, y and z: the
+Jacobian chain is cheaper there, and every number of a report is
+invariant under the change of coordinates.  The report prints the
+given lines, their product and their combinatorics.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from .classify import Classification, classify, verify_identities
 from .errors import SmoothCurveError
 from .jacobian import CurveData
 from .parsing import Arrangement, combinatorics
+from .poly import (MAX_COEFF_BITS, HomogeneousPoly, coefficient_bits,
+                   primitivize)
 from .resolution import (BettiTable, ar_degrees, betti_jacobian,
                          betti_saturated, jacobian_twists)
 from .saturation import n_min_generators, saturate
@@ -129,6 +137,27 @@ def emit_json(report: CurveReport) -> str:
     return json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n"
 
 
+def curve_data(obj) -> tuple[CurveData, HomogeneousPoly]:
+    """The curve data obj is analyzed with, and the primitive curve it
+    was given as.
+
+    A polynomial is analyzed as given.  An arrangement is analyzed as
+    the product of its ``normalized`` lines when that product fits the
+    coefficient cap, and as the product of its given lines otherwise;
+    refusal is decided on the given product, so the normalization never
+    changes which input is accepted.
+    """
+    if not isinstance(obj, Arrangement):
+        cd = CurveData(obj)
+        return cd, cd.f
+    given = primitivize(obj.product())
+    normal = primitivize(obj.normalized().product())
+    if max(coefficient_bits(g.terms.values())
+           for g in (given, normal)) <= MAX_COEFF_BITS:
+        return CurveData(normal), given
+    return CurveData(given), given
+
+
 def analyze(obj, *, timing: bool = False, name: str | None = None,
             irreducible: bool | None = None) -> CurveReport:
     """Run the whole pipeline on a polynomial or an arrangement."""
@@ -149,10 +178,11 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
         return out
 
     def read_input():
-        # (curve data, forms, combinatorics), forms None for a polynomial
+        # (curve data, given curve, forms, combinatorics), forms None for
+        # a polynomial
+        cd, given = curve_data(obj)
         if not isinstance(obj, Arrangement):
-            return CurveData(obj), None, None
-        f = obj.product()
+            return cd, given, None, None
         forms = tuple(str(g) for g in obj.forms)
         combi = combinatorics(obj)
         combi_json = {
@@ -161,9 +191,9 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
                                for m, c in combi.multiplicity_counts.items()},
             "tau": combi.tau,
         }
-        return CurveData(f), forms, combi_json
+        return cd, given, forms, combi_json
 
-    cd, forms, combi_json = clock("input", read_input)
+    cd, given, forms, combi_json = clock("input", read_input)
     is_arrangement = forms is not None
     if is_arrangement and irreducible is None:
         irreducible = False
@@ -197,7 +227,7 @@ def analyze_full(obj, *, timing: bool = False, name: str | None = None,
     report = CurveReport(
         name=name,
         input_kind="arrangement" if is_arrangement else "poly",
-        input_poly=str(cd.f),
+        input_poly=str(given),
         input_forms=forms,
         degree=cd.d,
         T=cd.T,

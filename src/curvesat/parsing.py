@@ -37,6 +37,9 @@ at most ``MAX_DEGREE`` forms, the degree cap of their product; the form
 past it is refused before it is parsed, and before any product is
 formed.  Lines are normalized by ``poly.primitivize``, intersection
 points by ``exactla.primitive`` and a sign flip.
+``Arrangement.normalized`` changes coordinates so that the first
+independent triple of lines, in input order, becomes +-x, +-y and +-z;
+``analysis`` analyzes an arrangement in those coordinates.
 """
 
 from __future__ import annotations
@@ -301,6 +304,31 @@ class Arrangement:
         """Primitive integer (cx, cy, cz) per line, sign of first nonzero > 0."""
         return [primitivize(f).int_vector() for f in self.forms]
 
+    def normalized(self) -> "Arrangement":
+        """The same arrangement in coordinates where its first three
+        independent lines, in input order, are +-x, +-y and +-z.
+
+        With a, b, c those lines' rows, each row r maps to
+        ``primitive(r . adj(A))`` for A the matrix of rows a, b, c,
+        whose columns of adj(A) are b x c, c x a and a x b.  The lines
+        are distinct, so the triple is the first two lines and the first
+        line off their common point; ``self`` when there is none (the
+        lines are concurrent).
+        """
+        rows = self.coefficient_rows()
+        if len(rows) < 3:
+            return self
+        a, b = rows[0], rows[1]
+        p = _cross(a, b)
+        c = next((r for r in rows[2:] if _dot(r, p)), None)
+        if c is None:
+            return self
+        adj = (_cross(b, c), _cross(c, a), p)
+        return Arrangement(tuple(
+            HomogeneousPoly.from_vector(1, primitive([_dot(r, col)
+                                                      for col in adj]))
+            for r in rows))
+
 
 def parse_arrangement(text: str) -> Arrangement:
     """Parse an arrangement file: one linear form per line, # comments."""
@@ -350,6 +378,10 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0]]
 
 
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def combinatorics(arr: Arrangement) -> ArrangementCombinatorics:
     """Intersection points with their incident lines, computed exactly.
 
@@ -368,9 +400,7 @@ def combinatorics(arr: Arrangement) -> ArrangementCombinatorics:
             key = tuple(p)
             if key in seen:
                 continue
-            incident = tuple(k for k in range(d)
-                             if rows[k][0] * p[0] + rows[k][1] * p[1]
-                             + rows[k][2] * p[2] == 0)
+            incident = tuple(k for k in range(d) if _dot(rows[k], p) == 0)
             seen[key] = incident
     counts: dict[int, int] = {}
     tau = 0

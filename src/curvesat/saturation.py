@@ -463,7 +463,10 @@ def lefschetz_check(f, ell: tuple | None = None,
     informational otherwise).  Without ell, candidate forms have small
     random integer coefficients and are resampled on failure, up to
     MAX_ATTEMPTS of them.  A given ell must be three integers, not all
-    zero, or WrongShapeError is raised.
+    zero, or WrongShapeError is raised.  The forms are in the
+    coordinates of f's curve data: on the saturation data that
+    ``analysis.analyze_full`` returns for an arrangement, those are the
+    analyzed (normalized) coordinates, not the given ones.
     """
     if ell is not None and not (isinstance(ell, (tuple, list))
                                 and len(ell) == 3 and any(ell)

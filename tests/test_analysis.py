@@ -5,14 +5,21 @@ import hashlib
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvesat import catalog, exactla, jacobian
-from curvesat.analysis import analyze, analyze_catalog, analyze_full, emit_json
+from curvesat.analysis import (analyze, analyze_catalog, analyze_full,
+                               curve_data, emit_json)
+from curvesat.errors import CoefficientTooLargeError
 from curvesat.jacobian import CurveData, FormsIdeal
-from curvesat.parsing import parse_arrangement, parse_poly
+from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
+from curvesat.poly import (MAX_COEFF_BITS, HomogeneousPoly, coefficient_bits,
+                           primitivize)
 from curvesat.suite import random_arrangement_text
 
 EX1_D4 = "y^4 + x*z^3"
@@ -36,10 +43,22 @@ def test_report_is_frozen():
         rep.tau = 5
 
 
-def test_timing_phases_present_when_requested():
-    # "input" times the arrangement product, its combinatorics and the
-    # curve data set-up
-    for obj in (parse_poly("x*y"), parse_arrangement("x\ny\nz\n")):
+def test_timing_phases_present_when_requested(monkeypatch):
+    # "input" times the arrangement products, the normalization (timed
+    # here on its own), the combinatorics and the curve data set-up
+    spent = []
+    normalized = Arrangement.normalized
+
+    def timed(self):
+        t0 = time.perf_counter()
+        out = normalized(self)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    monkeypatch.setattr(Arrangement, "normalized", timed)
+    for obj in (parse_poly("x*y"), parse_arrangement("x\ny\nz\n"),
+                catalog.load("ziegler-A")):
+        spent.clear()
         rep = analyze(obj, timing=True)
         assert rep.timing is not None
         assert set(rep.timing) == {
@@ -47,6 +66,8 @@ def test_timing_phases_present_when_requested():
             "nGenerators", "resolution", "jacobianResolution", "classify",
             "verdicts"}
         assert all(t >= 0 for t in rep.timing.values())
+        assert rep.timing["input"] >= sum(spent)
+    assert len(spent) == 1 and spent[0] > 0
 
 
 def test_arrangement_report_has_combinatorics():
@@ -190,3 +211,94 @@ def test_analyze_takes_no_ar_kernel_and_walks_no_ar(monkeypatch):
                 for key, text in (("text", report.to_text()),
                                   ("json", emit_json(report)))} \
             == digests[name]
+
+
+def _lines(rows) -> Arrangement:
+    return Arrangement(tuple(HomogeneousPoly.from_vector(1, r) for r in rows))
+
+
+def _bits(g) -> int:
+    return coefficient_bits(primitivize(g).terms.values())
+
+
+def test_an_arrangement_is_analyzed_in_normalized_coordinates_within_the_cap():
+    # both products fit: the normalized one is analyzed, the given one
+    # is reported
+    arr = parse_arrangement("x + 101*z\nx + y + 101*z\nx + 2*y + 101*z\n"
+                            "x\ny\nz\nx + y + z\n")
+    cd, given = curve_data(arr)
+    assert given == primitivize(arr.product())
+    assert cd.f == primitivize(arr.normalized().product()) != given
+    # 30 lines with 31-bit coefficients fit the cap as given but not
+    # normalized: accepted as today, in the given coordinates
+    rng = random.Random(0)
+    wide = _lines([[rng.choice((1, -1)) * rng.randrange(1, 2 ** 31)
+                    for _ in range(3)] for _ in range(30)])
+    assert _bits(wide.product()) <= MAX_COEFF_BITS
+    assert _bits(wide.normalized().product()) > MAX_COEFF_BITS
+    cd, given = curve_data(wide)
+    assert cd.f == given == primitivize(wide.product())
+    # a triple with 300-bit entries and five small combinations of it:
+    # the given product is over the cap, the normalized one is not; it
+    # is refused as today
+    big = 2 ** 300
+    triple = [(big, 1, 0), (0, big, 1), (1, 0, big)]
+    rows = triple + [[sum(s[i] * triple[i][j] for i in range(3))
+                      for j in range(3)]
+                     for s in ((1, 1, 1), (1, -1, 2), (2, 1, -1), (1, 2, 3),
+                               (3, -1, 1))]
+    narrow = _lines(rows)
+    assert _bits(narrow.product()) > MAX_COEFF_BITS
+    assert _bits(narrow.normalized().product()) <= MAX_COEFF_BITS
+    with pytest.raises(CoefficientTooLargeError):
+        curve_data(narrow)
+
+
+def _invariant_part(report) -> dict:
+    # everything but the printed input and the combinatorics, which are
+    # read off the given lines
+    data = report.to_jsonable()
+    del data["input"], data["combinatorics"]
+    return data
+
+
+small = st.integers(min_value=-2, max_value=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(small, small, small), min_size=4, max_size=6),
+       st.permutations(range(6)),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.integers(-2, 2)), min_size=1, max_size=3))
+def test_a_report_is_invariant_under_a_change_of_coordinates(rows, order,
+                                                             moves):
+    # a permutation of the lines picks another triple to normalize at,
+    # and a unimodular matrix (a product of elementary ones, each adding
+    # s times coordinate i to coordinate j) moves every line; the
+    # invariants do not change
+    assume(all(any(r) for r in rows))
+    arr = _lines(rows)
+    assume(len({tuple(r) for r in arr.coefficient_rows()}) == len(rows))
+    base = _invariant_part(analyze(arr))
+    permuted = _lines([rows[i] for i in order if i < len(rows)])
+    assert _invariant_part(analyze(permuted)) == base
+    moved = [list(r) for r in rows]
+    for i, j, s in moves:
+        if i != j:
+            for r in moved:
+                r[j] += s * r[i]
+    assert _invariant_part(analyze(_lines(moved))) == base
+
+
+def test_the_normalization_changes_no_byte_of_a_report(monkeypatch):
+    # the seed-0 suite arrangements of degree at most 7 and the
+    # concurrent lines, analyzed as given and normalized
+    rng = random.Random(0)
+    arrangements = [parse_arrangement(random_arrangement_text(rng))
+                    for _ in range(25)]
+    arrangements = [a for a in arrangements if a.degree <= 7]
+    arrangements.append(catalog.load("concurrent-4"))
+    assert len(arrangements) > 10
+    normalized = [emit_json(analyze(a)) for a in arrangements]
+    monkeypatch.setattr(Arrangement, "normalized", lambda self: self)
+    assert [emit_json(analyze(a)) for a in arrangements] == normalized

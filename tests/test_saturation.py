@@ -399,9 +399,11 @@ def test_uncertified_three_forms_x_y_and_z_at_every_step(monkeypatch):
 
 
 # a triple point at (101 : 0 : -1), on h: nothing is certified, and n = 1
-# at degrees 7 and 8 makes the lifted x, y, z step run at degree 7
-SEVEN_LINES = ("x + 101*z", "x + y + 101*z", "x + 2*y + 101*z", "x", "y",
-               "z", "x + y + z")
+# at degrees 7 and 8 makes the lifted x, y, z step run at degree 7.  x,
+# y and z come first, so the arrangement's normalization is the identity
+# and the point stays on h
+SEVEN_LINES = ("x", "y", "z", "x + 101*z", "x + y + 101*z",
+               "x + 2*y + 101*z", "x + y + z")
 
 
 def test_an_uncertified_arrangement_reports_as_a_certified_one(monkeypatch):
@@ -419,6 +421,19 @@ def test_an_uncertified_arrangement_reports_as_a_certified_one(monkeypatch):
     certified, cd, _ = analyze_full(arr)
     assert cd.regular_degree() == (9, 26)
     assert emit_json(certified) == emit_json(report)
+
+
+def test_the_uncertified_arrangement_certifies_in_other_coordinates():
+    # the same lines with the three through (101 : 0 : -1) first: they
+    # are normalized to x, y and z, which moves the point off h
+    lines = SEVEN_LINES[3:6] + SEVEN_LINES[:3] + SEVEN_LINES[6:]
+    report, cd, _ = analyze_full(parse_arrangement("\n".join(lines) + "\n"))
+    assert cd.regular_degree() == (9, 26)
+    given, _, _ = analyze_full(parse_arrangement("\n".join(SEVEN_LINES)
+                                                 + "\n"))
+    data, pinned = report.to_jsonable(), given.to_jsonable()
+    del data["input"], pinned["input"]
+    assert data == pinned
 
 
 def test_saturation_reads_no_linear_form_and_builds_no_colon_matrix():
