@@ -35,8 +35,12 @@ Arrangement files contain one linear form per line; ``#`` starts a
 comment, blank lines are skipped, the file is UTF-8.  A file may hold
 at most ``MAX_DEGREE`` forms, the degree cap of their product; the form
 past it is refused before it is parsed, and before any product is
-formed.  Lines are normalized by ``poly.primitivize``, intersection
-points by ``exactla.primitive`` and a sign flip.
+formed.  Lines are normalized by ``poly.primitivize`` once per
+arrangement (``Arrangement.coefficient_rows``), intersection points by
+``exactla.primitive`` and a sign flip.  ``Arrangement.product``
+multiplies those integer rows out with ``poly.mul_terms`` and applies
+the forms' ratios to them as one rational scalar, so no polynomial is
+multiplied in ``Fraction``s between the parser and the curve data.
 ``Arrangement.normalized`` changes coordinates so that the first
 independent triple of lines, in input order, becomes +-x, +-y and +-z;
 ``analysis`` analyzes an arrangement in those coordinates.
@@ -47,14 +51,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import (InconsistentCombinatoricsError, NotHomogeneousError,
                      NotLinearError, ParseError, PolySyntaxError,
                      ProportionalLinesError, ZeroPolynomialError)
 from .exactla import primitive
-from .poly import (MAX_COEFF_BITS, HomogeneousPoly, Monomial, add_into,
-                   coefficient_bits, mul_terms, primitivize)
+from .poly import (MAX_COEFF_BITS, HomogeneousPoly, add_into,
+                   coefficient_bits, monomial_basis, mul_terms, primitivize)
 
 _TOKEN = re.compile(r"([0-9]+)|([xyz])|([()+\-*/^])")
 _SPACE = re.compile(r"\s*")
@@ -295,13 +300,26 @@ class Arrangement:
         return len(self.forms)
 
     def product(self) -> HomogeneousPoly:
-        out = HomogeneousPoly(0, [(Monomial(0, 0, 0), 1)])
-        for form in self.forms:
-            out = out * form
-        return out
+        """The product of the forms as given: the product of their
+        ``coefficient_rows``, multiplied out in integers, times the
+        product of each form's ratio to its row."""
+        out = {(0, 0, 0): 1}
+        scale = Fraction(1)
+        for form, row in zip(self.forms, self.coefficient_rows()):
+            line = {m: c for m, c in zip(monomial_basis(1), row) if c}
+            out = mul_terms(out, line)
+            lead, c = next(iter(line.items()))   # nonzero in form and row
+            scale *= form.terms[lead] / c
+        return HomogeneousPoly(self.degree,
+                               {e: scale * c for e, c in out.items()})
 
     def coefficient_rows(self) -> list[list[int]]:
-        """Primitive integer (cx, cy, cz) per line, sign of first nonzero > 0."""
+        """Primitive integer (cx, cy, cz) per line, sign of first nonzero
+        > 0; computed once, and shared, so callers must not write to it."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> list[list[int]]:
         return [primitivize(f).int_vector() for f in self.forms]
 
     def normalized(self) -> "Arrangement":

@@ -321,21 +321,20 @@ def primitivize(f: HomogeneousPoly) -> HomogeneousPoly:
 
     Denominators cleared, content removed, leading (graded lex)
     coefficient positive.  Every invariant computed downstream depends
-    on f only through this representative.
+    on f only through this representative.  f itself when it is that
+    representative already, so no caller may write to the terms of a
+    polynomial it was handed.
     """
     if not f.terms:
         return f
-    den = 1
-    for c in f.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = gcd(num, abs(int(c * den)))
-    scale = Fraction(den, num)
-    lead = min(f.terms, key=monomial_index)
-    if f.terms[lead] < 0:
-        scale = -scale
-    return f.scale(scale)
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    num = gcd(*(c.numerator * (den // c.denominator)
+                for c in f.terms.values()))
+    if f.terms[min(f.terms, key=monomial_index)] < 0:
+        num = -num
+    if den == 1 and num == 1:
+        return f
+    return f.scale(Fraction(den, num))
 
 
 def poly_columns_int(g: HomogeneousPoly, m: int) -> list[list[int]]:

@@ -462,15 +462,15 @@ def lefschetz_check(f, ell: tuple | None = None,
     rank min(n_s, n_(s+1)) in every degree (true for nearly free curves;
     informational otherwise).  Without ell, candidate forms have small
     random integer coefficients and are resampled on failure, up to
-    MAX_ATTEMPTS of them.  A given ell must be three integers, not all
-    zero, or WrongShapeError is raised.  The forms are in the
-    coordinates of f's curve data: on the saturation data that
+    MAX_ATTEMPTS of them.  A given ell must be three integers (a bool
+    is not one), not all zero, or WrongShapeError is raised.  The forms
+    are in the coordinates of f's curve data: on the saturation data that
     ``analysis.analyze_full`` returns for an arrangement, those are the
     analyzed (normalized) coordinates, not the given ones.
     """
     if ell is not None and not (isinstance(ell, (tuple, list))
                                 and len(ell) == 3 and any(ell)
-                                and all(isinstance(v, int) for v in ell)):
+                                and all(type(v) is int for v in ell)):
         raise WrongShapeError(
             "ell must be a linear form: three integers, not all zero")
     sat = saturate(f)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from curvesat import catalog, exactla, jacobian
 from curvesat.analysis import (analyze, analyze_catalog, analyze_full,
                                curve_data, emit_json)
-from curvesat.errors import CoefficientTooLargeError
+from curvesat.errors import CoefficientTooLargeError, ProportionalLinesError
 from curvesat.jacobian import CurveData, FormsIdeal
 from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
 from curvesat.poly import (MAX_COEFF_BITS, HomogeneousPoly, coefficient_bits,
@@ -252,6 +252,77 @@ def test_an_arrangement_is_analyzed_in_normalized_coordinates_within_the_cap():
     assert _bits(narrow.normalized().product()) <= MAX_COEFF_BITS
     with pytest.raises(CoefficientTooLargeError):
         curve_data(narrow)
+
+
+def _fold_product(arr) -> HomogeneousPoly:
+    # the product as Arrangement.product formed it before it multiplied
+    # integer rows: a fold of HomogeneousPoly.__mul__ over the forms
+    out = HomogeneousPoly(0, [((0, 0, 0), 1)])
+    for form in arr.forms:
+        out = out * form
+    return out
+
+
+def _seeded_lines(n: int, seed: int) -> str:
+    # n distinct lines with coefficients in [-3, 3], one form per row
+    rng = random.Random(seed)
+    rows = {}
+    while len(rows) < n:
+        form = HomogeneousPoly.from_vector(
+            1, [rng.randint(-3, 3) for _ in range(3)])
+        if form.terms:
+            rows.setdefault(tuple(primitivize(form).int_vector()), form)
+    return "".join(f"{form}\n" for form in rows.values())
+
+
+def _form_text(coeffs) -> str:
+    # (numerator, denominator) per variable, written as p/q*x
+    parts = [f"{p}/{q}*{v}" for (p, q), v in zip(coeffs, "xyz") if p]
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _check_products(arr):
+    reference = _fold_product(arr)
+    assert arr.product() == reference
+    cd, given = curve_data(arr)
+    assert (cd.f, given) == (primitivize(_fold_product(arr.normalized())),
+                             primitivize(reference))
+
+
+fractions_ = st.tuples(st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(fractions_, fractions_, fractions_)
+                .filter(lambda c: any(p for p, _ in c)),
+                min_size=1, max_size=8))
+def test_the_product_of_an_arrangement_is_the_fold_of_its_forms(lines):
+    # non-primitive, rational and negative-led forms: the product is the
+    # product of the forms as given, and curve_data analyzes the
+    # primitive normalized product and reports the primitive given one
+    try:
+        arr = parse_arrangement("".join(_form_text(c) + "\n"
+                                        for c in lines))
+    except ProportionalLinesError:
+        assume(False)
+    _check_products(arr)
+
+
+def test_the_product_of_64_lines_is_the_fold_of_its_forms():
+    arr = parse_arrangement(_seeded_lines(64, 1))
+    assert arr.degree == 64
+    _check_products(arr)
+
+
+def test_the_input_phase_multiplies_no_polynomials(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("HomogeneousPoly.__mul__ was called")
+
+    monkeypatch.setattr(HomogeneousPoly, "__mul__", refuse)
+    for name in ("ziegler-A", "concurrent-4", "generic-5"):
+        assert analyze_catalog(name).input_kind == "arrangement"
+    cd, given = curve_data(parse_arrangement(_seeded_lines(64, 1)))
+    assert cd.d == given.degree == 64
 
 
 def _invariant_part(report) -> dict:

@@ -96,6 +96,9 @@ def test_primitivize():
     assert g == parse_poly("x^2 + 2*y^2")
     assert primitivize(parse_poly("-x - y")) == parse_poly("x + y")
     assert primitivize(parse_poly("1/3*x + 1/6*y")) == parse_poly("2*x + y")
+    # the representative is returned as it is, and f is left unchanged
+    assert primitivize(g) is g
+    assert f == parse_poly("2*x^2 + 4*y^2")
 
 
 coeffs = st.integers(min_value=-5, max_value=5)

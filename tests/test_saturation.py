@@ -217,7 +217,8 @@ def test_lefschetz_smooth_full_module():
 
 
 @pytest.mark.parametrize("ell", [(1, 2), (0, 0, 0), (1, 2, 3, 4),
-                                 (1, 0.5, 0), ("1", 0, 0), 7])
+                                 (1, 0.5, 0), ("1", 0, 0), 7,
+                                 (True, False, 7), (1, 2, False)])
 def test_lefschetz_rejects_a_malformed_form(ell):
     sat = saturate(parse_poly(EX1_D4))
     with pytest.raises(WrongShapeError, match="linear form"):
