@@ -20,6 +20,10 @@ every exact operation:
       r := (a // g) * r - (b // g) * p,        g = gcd(a, b)
 
   and the result is divided by its content (gcd of its entries).
+  Where a // g = 1 the target row is not scaled, so only the columns
+  where the pivot row is nonzero change, and the update walks those
+  alone, listed once per pivot; otherwise it walks every column right
+  of the pivot.  Either way the arithmetic is the same, entry by entry.
   Pivoting is deterministic: columns are processed left to right, and
   the pivot is the row with the smallest nonzero entry in absolute
   value in the current column (the first such row, the scan stopping
@@ -78,13 +82,13 @@ def clear_row(row: Sequence) -> list[int]:
 
 
 def primitive(vec: list[int]) -> list[int]:
-    """vec divided by its content (gcd of its entries); vec if that is 1."""
+    """vec divided by its content (gcd of its entries); vec if that is 1.
+    Only the nonzero entries are read."""
     g = 0
-    for v in vec:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return vec
+    for v in filter(None, vec):
+        g = gcd(g, v)
+        if g == 1:
+            return vec
     if g > 1:
         return [v // g for v in vec]
     return vec
@@ -103,7 +107,13 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
 
     Afterwards rows[:len(pivots)] are the echelon rows, primitive.
     Every row below the pivot row is zero left of the current column,
-    so content stripping the whole row strips its live part.
+    so content stripping the whole row strips its live part.  A row
+    whose multiplier a / gcd(a, b) is 1 changes only where the pivot
+    row is nonzero, so its update reads the list of those columns,
+    built at the first such row of the pivot; any other multiplier
+    scales every entry, and the update walks every column.  On
+    monomial-sparse matrices the unit pivots that the rule below
+    prefers make the first case the common one.
 
     The pivot of a column is the row with the smallest |entry| there,
     the first among ties, and the scan stops at a unit.  A row below
@@ -122,17 +132,20 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
     for col in range(ncols):
         p, best = -1, 0
         for i in range(r, nrows):
-            v = abs(rows[i][col])
-            if v and (p < 0 or v < best):
-                p, best = i, v
-                if v == 1:
-                    break
+            v = rows[i][col]
+            if v:
+                v = abs(v)
+                if p < 0 or v < best:
+                    p, best = i, v
+                    if v == 1:
+                        break
         if p < 0:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
         prow = rows[r]
         a = prow[col]
+        nonzero = None
         for j in range(r + 1, nrows):
             row = rows[j]
             b = row[col]
@@ -142,8 +155,15 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
             ma = a // g
             mb = b // g
             row[col] = 0
-            for c in range(col + 1, ncols):
-                row[c] = ma * row[c] - mb * prow[c]
+            if ma == 1:
+                if nonzero is None:
+                    nonzero = [(c, v) for c, v in enumerate(prow[col + 1:],
+                                                            col + 1) if v]
+                for c, v in nonzero:
+                    row[c] -= mb * v
+            else:
+                for c in range(col + 1, ncols):
+                    row[c] = ma * row[c] - mb * prow[c]
             rows[j] = primitive(row)
         pivots.append(col)
         r += 1

@@ -105,8 +105,7 @@ def shift_block_vector(vec, var: int, k_from: int, block_shifts) -> list[int]:
         sout = slice_dim(k_from + 1 - t)
         if sin:
             sh = shift_maps(k_from - t)[var]
-            for i in range(sin):
-                v = vec[off_in + i]
+            for i, v in enumerate(vec[off_in:off_in + sin]):
                 if v:
                     out[off_out + sh[i]] = v
         off_in += sin
@@ -141,7 +140,10 @@ def colon_rows(k: int, form, comp_here, jpiv, jrows, lifts=()) -> list:
     row i of J_(k+1), where its residual has -jrows[i][npc] /
     jrows[i][jpiv[i]] at npc.  Each such row is scaled to integers by
     the lcm of the pivot entries it touches (``kernel_int`` strips its
-    content).
+    content).  Each row of J_(k+1) that some term lands on is read once,
+    as its nonzero entries on the complement columns, and every such
+    entry is filed under its column, so the row at npc reads its own
+    list of hits and no other.
 
     The lifts are projected out, not merged into the slice.  A lift's
     marker is its last nonzero column, which must be zero in every
@@ -156,22 +158,32 @@ def colon_rows(k: int, form, comp_here, jpiv, jrows, lifts=()) -> list:
     """
     terms = [(sh, coef) for sh, coef in zip(shift_maps(k), form) if coef]
     piv_index = {c: i for i, c in enumerate(jpiv)}
+    comp_next = complement(jpiv, slice_dim(k + 1))
     direct: dict[int, list] = {}
-    at_pivot = []
+    # per complement column npc, (u, coef * jrows[i][npc], pivot entry)
+    # for every term of monomial u landing on the pivot of row i; per
+    # such row i, its (npc, entry, pivot entry) off the pivot, read once
+    hits_at: dict[int, list] = {}
+    off_pivot: dict[int, list] = {}
     for u, c in enumerate(comp_here):
         for sh, coef in terms:
             t = sh[c]
             i = piv_index.get(t)
             if i is None:
                 direct.setdefault(t, []).append((u, coef))
-            else:
-                at_pivot.append((u, coef, i))
+                continue
+            entries = off_pivot.get(i)
+            if entries is None:
+                jrow = jrows[i]
+                entries = off_pivot[i] = [(npc, jrow[npc], jrow[t])
+                                          for npc in comp_next if jrow[npc]]
+            for npc, v, a in entries:
+                hits_at.setdefault(npc, []).append((u, coef * v, a))
     ncomp = len(comp_here)
 
     def scaled_row(npc):
         """(row, scale): scale times the residual functional at npc."""
-        hits = [(u, coef * jrows[i][npc], jrows[i][jpiv[i]])
-                for u, coef, i in at_pivot if jrows[i][npc]]
+        hits = hits_at.get(npc, ())
         scale = lcm(*(a for _, _, a in hits))
         row = [0] * ncomp
         for u, coef in direct.get(npc, ()):
@@ -180,7 +192,6 @@ def colon_rows(k: int, form, comp_here, jpiv, jrows, lifts=()) -> list:
             row[u] -= b * (scale // a)
         return row, scale
 
-    comp_next = complement(jpiv, slice_dim(k + 1))
     # per lift: its marker, its entry there and its row there, scaled
     marked = []
     for lift in lifts:

@@ -64,7 +64,11 @@ def regularity(table: BettiTable) -> int:
     """Castelnuovo-Mumford regularity of S/M: max(t - p) over the
     twists t of each position p, with the S in position zero
     contributing 0.  For a length-two table with some a_i > 0 this is
-    max(a_i - 1, b_j - 2) over generators a and relations b."""
+    max(a_i - 1, b_j - 2) over generators a and relations b.  Anything
+    but a ``BettiTable`` raises WrongShapeError."""
+    if not isinstance(table, BettiTable):
+        raise WrongShapeError(
+            f"expected a BettiTable, not {type(table).__name__}")
     best = 0
     for p, twists in enumerate(table.twists, start=1):
         for t in twists:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from . import catalog
 from .analysis import analyze_full
 from .classify import FAIL, FREE, NEARLY_FREE
+from .errors import WrongShapeError
 from .exactla import complement
 from .jacobian import marker
 from .parsing import parse_arrangement
@@ -313,6 +314,13 @@ def property_names() -> list:
 
 def run_suite(random_count: int = 25, seed: int = 0,
               only=None) -> SuiteResult:
+    """Run the properties (all, or those named in only) over the catalog
+    and random_count seeded random arrangements.  A random_count that is
+    not a non-negative int (a bool included) raises WrongShapeError, an
+    unknown property name ValueError, both before any analysis."""
+    if type(random_count) is not int or random_count < 0:
+        raise WrongShapeError(
+            f"random_count must be a non-negative int, not {random_count!r}")
     wanted = set(only) if only else None
     if wanted is not None:
         unknown = wanted.difference(property_names())

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import gcd, lcm
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvesat.exactla import (
@@ -11,6 +11,7 @@ from curvesat.exactla import (
     _eliminate,
     back_phase,
     clear_row,
+    kernel_from_rref,
     kernel_int,
     rank_int,
     rref_insert,
@@ -294,3 +295,100 @@ def test_rank_growth_of_a_forward_form_with_shared_columns():
     # still makes the form canonical
     assert not rref_insert(pivots, rows, [1, 0, -1], 3)
     assert (pivots, rows) == ([0, 1], [[1, 0, -1], [0, 1, 1]])
+
+
+def _content_stripped(vec):
+    """vec divided by its content, every entry read."""
+    g = 0
+    for v in vec:
+        g = gcd(g, v)
+    return [v // g for v in vec] if g > 1 else vec
+
+
+def _dense_eliminate(rows, ncols):
+    """The forward phase with every row update over every column to the
+    right of the pivot, whatever the multiplier: the reference that
+    ``_eliminate``, which skips the zero entries of the pivot row when
+    the row below is not scaled, must agree with bit for bit."""
+    nrows = len(rows)
+    for i in range(nrows):
+        rows[i] = _content_stripped(rows[i])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        p, best = -1, 0
+        for i in range(r, nrows):
+            v = abs(rows[i][col])
+            if v and (p < 0 or v < best):
+                p, best = i, v
+                if v == 1:
+                    break
+        if p < 0:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        a = prow[col]
+        for j in range(r + 1, nrows):
+            row = rows[j]
+            b = row[col]
+            if not b:
+                continue
+            g = gcd(a, b)
+            ma = a // g
+            mb = b // g
+            row[col] = 0
+            for c in range(col + 1, ncols):
+                row[c] = ma * row[c] - mb * prow[c]
+            rows[j] = _content_stripped(row)
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+ENTRY_KINDS = {
+    "unit": st.sampled_from((1, -1)),
+    "small": st.integers(min_value=-9, max_value=9).filter(bool),
+    "wide": st.integers(min_value=-2 ** 300, max_value=2 ** 300).filter(bool),
+}
+
+
+@st.composite
+def sparse_or_dense_matrices(draw):
+    """Sparse (at least 90 % zeros) or dense integer matrices of ±1,
+    small or 300-bit entries, some rows with a common content."""
+    nrows = draw(st.integers(min_value=1, max_value=12))
+    ncols = draw(st.integers(min_value=1, max_value=24))
+    entry = st.one_of(*(ENTRY_KINDS[k] for k in draw(
+        st.sets(st.sampled_from(sorted(ENTRY_KINDS)), min_size=1))))
+    cells = nrows * ncols
+    if draw(st.booleans()):
+        nonzero = draw(st.sets(st.integers(0, cells - 1),
+                               max_size=cells // 10))
+    else:
+        nonzero = range(cells)
+    rows = [[0] * ncols for _ in range(nrows)]
+    for cell in nonzero:
+        rows[cell // ncols][cell % ncols] = draw(entry)
+    # a repeated row makes a dependent row, a common factor a content
+    for i in draw(st.sets(st.integers(0, nrows - 1))):
+        source = rows[draw(st.integers(0, nrows - 1))]
+        factor = draw(st.sampled_from((1, -1, 2, 6, -35, 2 ** 70)))
+        rows[i] = [factor * v for v in source]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_matrices())
+def test_forward_phase_matches_the_dense_update(mat):
+    rows, ncols = mat
+    got = [list(v) for v in rows]
+    want = [list(v) for v in rows]
+    pivots = _dense_eliminate(want, ncols)
+    assert _eliminate(got, ncols) == pivots
+    assert got == want
+    del want[len(pivots):]
+    back_phase(pivots, want, ncols)
+    assert rref_int([list(v) for v in rows], ncols) == (pivots, want)
+    assert (kernel_int([list(v) for v in rows], ncols)
+            == kernel_from_rref(pivots, want, ncols))

@@ -137,6 +137,12 @@ def test_betti_jacobian_rejects_a_three_form_saturation():
         betti_jacobian(saturate_three_forms(*forms))
 
 
+@pytest.mark.parametrize("table", [parse_poly("x*y*z"), ((1, 2),), None])
+def test_regularity_rejects_anything_but_a_betti_table(table):
+    with pytest.raises(WrongShapeError, match="expected a BettiTable"):
+        regularity(table)
+
+
 def test_regularity_values():
     assert regularity(BettiTable(((2, 3), (5,)))) == 3
     assert regularity(BettiTable(((1, 1), (2,)))) == 0

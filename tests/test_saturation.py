@@ -4,6 +4,7 @@ generic hyperplane rank profiles."""
 import ast
 import hashlib
 import json
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from curvesat import catalog, jacobian, saturation, suite
 from curvesat.analysis import analyze_catalog, analyze_full, emit_json
 from curvesat.errors import (KmaxExhaustedError, NotCodimensionTwoError,
                              WrongShapeError)
-from curvesat.exactla import IncrementalSpan
+from curvesat.exactla import IncrementalSpan, complement
 from curvesat.jacobian import FormsIdeal, marker, smooth_reference_dims
 from curvesat.parsing import Arrangement, parse_arrangement, parse_poly
-from curvesat.poly import X, Y, Z, partials, slice_dim
+from curvesat.poly import X, Y, Z, partials, shift_maps, slice_dim
 from curvesat.resolution import betti_saturated
 from curvesat.saturation import (
     lefschetz_check,
@@ -578,3 +579,82 @@ def test_a_form_through_a_singular_point_drops_a_lefschetz_rank():
     sat = saturate(_catalog_curve("generic-5"))
     assert lefschetz_check(sat, ell=FIXED_FORMS[0]).pattern_ok
     assert not lefschetz_check(sat, ell=FIXED_FORMS[2]).pattern_ok
+
+
+def _colon_rows_by_scan(k, form, comp_here, jpiv, jrows, lifts=()):
+    """``jacobian.colon_rows`` as a scan: the row at each complement
+    column npc reads every (monomial, term, J row) hit at a pivot and
+    keeps those whose J row is nonzero at npc.  The reference that the
+    builder, which files each J row's off-pivot entries under their
+    columns once, must agree with."""
+    terms = [(sh, coef) for sh, coef in zip(shift_maps(k), form) if coef]
+    piv_index = {c: i for i, c in enumerate(jpiv)}
+    direct, at_pivot = {}, []
+    for u, c in enumerate(comp_here):
+        for sh, coef in terms:
+            t = sh[c]
+            i = piv_index.get(t)
+            if i is None:
+                direct.setdefault(t, []).append((u, coef))
+            else:
+                at_pivot.append((u, coef, i))
+
+    def scaled_row(npc):
+        hits = [(u, coef * jrows[i][npc], jrows[i][jpiv[i]])
+                for u, coef, i in at_pivot if jrows[i][npc]]
+        scale = lcm(*(a for _, _, a in hits))
+        row = [0] * len(comp_here)
+        for u, coef in direct.get(npc, ()):
+            row[u] = coef * scale
+        for u, b, a in hits:
+            row[u] -= b * (scale // a)
+        return row, scale
+
+    marked = []
+    for lift in lifts:
+        m = marker(lift)
+        row, scale = scaled_row(m)
+        marked.append((m, lift, scale * lift[m], row))
+    markers = {m for m, _, _, _ in marked}
+    rows = []
+    for npc in complement(jpiv, slice_dim(k + 1)):
+        if npc in markers:
+            continue
+        row, scale = scaled_row(npc)
+        hits = [(lift[npc], den, mrow) for _, lift, den, mrow in marked
+                if lift[npc]]
+        if hits:
+            big = lcm(scale, *(den for _, den, _ in hits))
+            row = [(big // scale) * v for v in row]
+            for c, den, mrow in hits:
+                for u, v in enumerate(mrow):
+                    row[u] -= (big // den) * c * v
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("text", [
+    "nf-d7-k3", "nodal-5", "generic-5", "ziegler-A",
+    "-2*y^8 + 3*x^3*z^5", "3*y^10 - x^7*z^3"])
+def test_colon_matrices_match_the_scan(monkeypatch, text):
+    """Every colon matrix an analysis builds, at each saturation step
+    with that step's lifts and in the regularity check with none,
+    equals the scan's."""
+    build = jacobian.colon_rows
+    seen = []
+
+    def checked_build(k, form, comp_here, jpiv, jrows, lifts=()):
+        rows = build(k, form, comp_here, jpiv, jrows, lifts)
+        assert rows == _colon_rows_by_scan(k, form, comp_here, jpiv, jrows,
+                                           lifts)
+        seen.append(len(lifts))
+        return rows
+
+    monkeypatch.setattr(jacobian, "colon_rows", checked_build)
+    curve = (catalog.load(text) if text in catalog.names()
+             else parse_poly(text))
+    _, cd, _ = analyze_full(curve)
+    assert cd.regular_degree() is not None
+    # the regularity check's matrices have no lifts, the steps' have some
+    assert 0 in seen
+    assert any(seen)

@@ -13,6 +13,7 @@ import pytest
 
 from curvesat import analysis, catalog, suite
 from curvesat.classify import FAIL
+from curvesat.errors import WrongShapeError
 from curvesat.exactla import complement
 from curvesat.jacobian import marker
 from curvesat.parsing import parse_arrangement
@@ -56,6 +57,14 @@ def test_unknown_property_rejected_before_any_analysis():
     with pytest.raises(ValueError, match="unknown suite properties"):
         run_suite(random_count=0, only=("no-such-property",))
     # validation must happen before the (slow) catalog sweep
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("count", [-1, True, False, 2.0, "3"])
+def test_bad_random_count_rejected_before_any_analysis(count):
+    start = time.perf_counter()
+    with pytest.raises(WrongShapeError, match="random_count"):
+        run_suite(random_count=count)
     assert time.perf_counter() - start < 2.0
 
 
